@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .dynamics import DensityTrajectory
 from .profiles import Marginal, Potential
@@ -113,18 +113,19 @@ def m_f_boundary(m: Marginal, k: float, taus, tol_abs: float = 1e-11,
         raise ValueError("m_f_boundary needs k > 0")
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     T = _support_time(m, k)
-    omegas = np.concatenate([taus - k * k, taus + k * k])
+    # one transform per shifted copy, so a uniform tau grid stays uniform
+    shifts = (taus - k * k, taus + k * k)
     n = n0 if n0 % 4 == 1 else (n0 | 1) + 2
     while True:
         h = T / (n - 1)
         g = np.asarray(m.phi_hat(2.0 * k * np.arange(n) * h))
-        fine = filon_transform(g, 0.0, h, omegas)
-        coarse = filon_transform(g[::2], 0.0, 2 * h, omegas)
-        if float(np.max(np.abs(fine - coarse))) <= tol_abs or n > 2 ** 21:
+        fine = [filon_transform(g, 0.0, h, om) for om in shifts]
+        coarse = [filon_transform(g[::2], 0.0, 2 * h, om) for om in shifts]
+        est = max(float(np.max(np.abs(f - c))) for f, c in zip(fine, coarse))
+        if est <= tol_abs or n > 2 ** 21:
             break
         n = 2 * n - 1
-    half = taus.size
-    return -1j * (fine[:half] - fine[half:])
+    return -1j * (fine[0] - fine[1])
 
 
 def _dispersion_from_mf(w: Potential, k: float, mf_vals) -> np.ndarray:
@@ -260,11 +261,12 @@ def convolve_green(G: GreenTable, S: DensityTrajectory) -> DensityTrajectory:
         raise GridMismatch("green table and source use different k grids")
     dt = S.dt
     n = S.t_grid.size
+    size = sp_fft.next_fast_len(2 * n - 1, False)
     rho = np.empty_like(S.rho_hat)
     for i in range(S.k_grid.size):
         g = G.values[i]
         s = S.rho_hat[i]
-        full = fftconvolve(g, s)[:n]
+        full = sp_fft.ifft(sp_fft.fft(g, size) * sp_fft.fft(s, size))[:n]
         full -= 0.5 * (g * s[0] + g[0] * s)
         rho[i] = s + dt * full
     meta = dict(S.meta)

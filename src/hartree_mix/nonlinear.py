@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.signal import fftconvolve
 
 from .dynamics import DensityTrajectory, InitialKernel, volterra_march
 from .profiles import EquilibriumProfile, Potential
@@ -198,6 +197,9 @@ def picard_step(state: KernelState, rho_hat: DensityTrajectory,
                 g0: InitialKernel, w: Potential,
                 f: EquilibriumProfile) -> KernelState:
     """One full-history Duhamel update of mu_hat for a given density."""
+    # scipy.signal takes most of a second to import; only this stage uses it
+    from scipy.signal import fftconvolve
+
     d, n = state.d, state.n_pts
     axis = state.axis
     dt = state.dt

@@ -131,6 +131,9 @@ def parse_config(doc: dict, out: str | None = None,
         raise ConfigError("field 'potential': needs a 'kind'")
 
     prof = _make_profile(eq, d)
+    if "N1" not in doc and not math.isfinite(prof.n1):
+        raise ConfigError(f"field 'N1': required, since equilibrium kind "
+                          f"'{prof.kind}' declares no finite decay rate")
     n1 = int(doc.get("N1", 2 * prof.n1 - d + 1))
     n2 = int(doc.get("N2", d + 1))
     if min(n1, n2) - d - 1 < 0:

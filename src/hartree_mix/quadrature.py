@@ -7,7 +7,12 @@ Four pieces, used throughout the package:
 * ``pv_integral``: Cauchy principal values via symmetric-window singularity
   subtraction,
 * ``filon_transform``: a composite Filon-Simpson rule for
-  ``int f(x) exp(-i w x) dx`` on a uniform grid, vectorized over frequencies,
+  ``int f(x) exp(-i w x) dx`` on a uniform grid, vectorized over
+  frequencies.  An arithmetic progression of frequencies is evaluated as
+  two chirp-z transforms (Bluestein's FFT convolution) in
+  O((n + M) log(n + M)) time; a scalar, short or non-uniform frequency
+  array takes the direct rule, which builds the n x M phase matrix in
+  blocks of bounded size,
 * ``halfline_laplace_fourier`` / ``inverse_fourier_line``: Laplace-Fourier
   integrals on the half line and Fourier synthesis on a symmetric window,
   both built on the Filon rule with explicit tail accounting.
@@ -19,10 +24,12 @@ mutate shared state, so they are safe to call from parallel scans.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import fft as sp_fft
 
 __all__ = [
     "QuadResult",
@@ -260,6 +267,17 @@ def default_pv_window(pole, support):
 # composite Filon-Simpson rule
 
 
+# The chirp-z path pays a fixed O(n log n) for the FFTs, which the direct
+# rule's n*M exponentials undercut only for a handful of frequencies.
+_CHIRP_MIN_FREQS = 16
+# Largest phase matrix the direct rule builds at once, in bytes.
+_DIRECT_BYTES = 1 << 26
+# A frequency grid counts as uniform when it departs from the arithmetic
+# progression through its end points by at most this fraction of its
+# largest |omega|: a few roundings of linspace or arange times a scalar.
+_UNIFORM_RTOL = 64 * np.finfo(float).eps
+
+
 def filon_coefficients(theta):
     """Filon weights alpha (odd), beta, gamma (even) at theta = omega*h.
 
@@ -287,13 +305,21 @@ def filon_coefficients(theta):
             np.where(small, gamma_s, gamma_l))
 
 
-def filon_transform(fvals, x0, h, omegas, chunk=512):
+def filon_transform(fvals, x0, h, omegas):
     """int f(x) exp(-i omega x) dx over the uniform grid x0 + j*h.
 
     ``fvals`` holds the n sample values (n odd; real or complex), and the
     rule is applied for every omega at once.  Exact for piecewise-quadratic
     f at any frequency, which is what keeps large omega*h panels honest.
-    Work is chunked over omega to bound the phase-matrix footprint.
+
+    Two paths compute the same rule.  When ``omegas`` is an arithmetic
+    progression of at least ``_CHIRP_MIN_FREQS`` values, the even- and
+    odd-index sums are chirp-z transforms, evaluated by Bluestein's FFT
+    convolution in O((n + M) log(n + M)) time and O(n + M) memory.  Any
+    other ``omegas`` (a scalar, a short or a non-uniform array) takes the
+    direct rule, which builds the phase matrix in row blocks of at most
+    ``_DIRECT_BYTES`` and is the reference the chirp-z path is tested
+    against.
     """
     fvals = np.asarray(fvals)
     scalar = np.isscalar(omegas) or np.asarray(omegas).ndim == 0
@@ -301,18 +327,108 @@ def filon_transform(fvals, x0, h, omegas, chunk=512):
     n = fvals.shape[-1]
     if n < 3 or n % 2 == 0:
         raise ValueError("filon_transform needs an odd sample count >= 3")
+    step = _uniform_step(omegas)
+    if step is None:
+        out = _filon_direct(fvals, x0, h, omegas)
+    else:
+        out = _filon_chirp(fvals, x0, h, omegas, step)
+    return out[0] if scalar else out
+
+
+def _uniform_step(omegas):
+    """Step of ``omegas`` when the chirp-z path applies to it, else None.
+
+    The tolerance is relative to the grid's extent, not to each |omega|,
+    so that grids crossing zero pass.
+    """
+    m = omegas.size
+    if m < _CHIRP_MIN_FREQS:
+        return None
+    step = (omegas[-1] - omegas[0]) / (m - 1)
+    scale = max(abs(omegas[0]), abs(omegas[-1]))
+    dev = np.max(np.abs(omegas - (omegas[0] + step * np.arange(m))))
+    if not dev <= _UNIFORM_RTOL * scale:
+        return None
+    return step
+
+
+def _filon_combine(h, omegas, first, last, even, odd):
+    """Filon-Simpson value from the phased end samples and the even and
+    odd sums (``even`` still including both end samples)."""
+    alpha, beta, gamma = filon_coefficients(omegas * h)
+    even = even - 0.5 * (first + last)
+    return h * (1j * alpha * (last - first) + beta * even + gamma * odd)
+
+
+def _direct_rows(n):
+    """Frequencies per block of the direct rule at n samples."""
+    return max(1, _DIRECT_BYTES // (16 * n))
+
+
+def _filon_direct(fvals, x0, h, omegas):
+    """Filon-Simpson rule from the explicit phase matrix, in row blocks."""
+    n = fvals.shape[-1]
     x = x0 + h * np.arange(n)
     out = np.empty(omegas.shape, dtype=complex)
-    for lo in range(0, omegas.size, chunk):
-        om = omegas[lo:lo + chunk]
-        alpha, beta, gamma = filon_coefficients(om * h)
+    rows = _direct_rows(n)
+    for lo in range(0, omegas.size, rows):
+        om = omegas[lo:lo + rows]
         fw = np.exp(-1j * np.outer(om, x))
         fw *= fvals
-        even = fw[:, 0::2].sum(axis=1) - 0.5 * (fw[:, 0] + fw[:, -1])
-        odd = fw[:, 1::2].sum(axis=1)
-        out[lo:lo + chunk] = h * (1j * alpha * (fw[:, -1] - fw[:, 0])
-                                  + beta * even + gamma * odd)
-    return out[0] if scalar else out
+        out[lo:lo + rows] = _filon_combine(
+            h, om, fw[:, 0], fw[:, -1],
+            fw[:, 0::2].sum(axis=1), fw[:, 1::2].sum(axis=1))
+    return out
+
+
+def _chirp(r, q):
+    """exp(-i r q^2) for integer q, with the phase kept exact.
+
+    r q^2 reaches 1e7 rad on long sample grids, where a rounded product
+    would put an absolute error of ~1e-9 into every phase.  A 24-bit head
+    of r times the limbs of q^2 (29 and 24 bits while |q| < 2^26) gives
+    exact partial products, whose exponentials are accurate to roundoff;
+    the tail of r is too small to matter.
+    """
+    q2 = np.asarray(q, dtype=np.int64) ** 2
+    mant, ex = math.frexp(r)
+    r_hi = math.ldexp(round(mant * 2 ** 24), ex - 24)
+    r_lo = r - r_hi
+    top = (q2 >> 24).astype(float)
+    bottom = (q2 & (2 ** 24 - 1)).astype(float)
+    return (np.exp(-1j * (r_hi * top * 2.0 ** 24))
+            * np.exp(-1j * (r_hi * bottom + r_lo * q2)))
+
+
+def _filon_chirp(fvals, x0, h, omegas, step):
+    """Filon-Simpson rule on omega_m = omega_0 + m*step by chirp-z.
+
+    The even samples f_{2l} and the odd samples f_{2l+1} carry the phases
+    exp(-i omega_m (x0 + 2lh)) and exp(-i omega_m (x0 + h + 2lh)).  Past
+    their m-independent factors both sums are sum_l a_l exp(-2i r m l)
+    with r = step*h, and Bluestein's identity 2ml = m^2 + l^2 - (m-l)^2
+    turns each into a convolution with the chirp exp(i r q^2),
+    q = m - l.  Both share one kernel FFT of length >= n/2 + M.
+    """
+    m = omegas.size
+    half = (fvals.shape[-1] - 1) // 2
+    r = step * h
+    # chirp over q = -half .. max(m, half + 1) - 1 covers m - l, m and l
+    q = np.arange(-half, max(m, half + 1))
+    chirp = _chirp(r, q)
+    size = sp_fft.next_fast_len(half + m)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:half + m] = np.conj(chirp[:half + m])
+    seq = np.zeros((2, size), dtype=complex)
+    tilt = np.exp(-2j * omegas[0] * h * np.arange(half + 1))
+    seq[0, :half + 1] = fvals[0::2] * tilt * chirp[half:2 * half + 1]
+    seq[1, :half] = fvals[1::2] * tilt[:half] * chirp[half:2 * half]
+    conv = sp_fft.ifft(sp_fft.fft(seq) * sp_fft.fft(kernel))
+    sums = conv[:, half:half + m] * chirp[half:half + m]
+    lead = np.exp(-1j * omegas * x0)
+    last = fvals[-1] * np.exp(-1j * omegas * (x0 + h * (2 * half)))
+    return _filon_combine(h, omegas, fvals[0] * lead, last, lead * sums[0],
+                          lead * np.exp(-1j * omegas * h) * sums[1])
 
 
 def filon_weights(n, x0, h, omega):

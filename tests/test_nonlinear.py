@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from hartree_mix.dynamics import (
+    DensityTrajectory,
     free_density_trajectory,
     gaussian_pure_kernel,
     volterra_solve,
@@ -22,6 +23,7 @@ from hartree_mix.nonlinear import (
     hermitian_defect,
     hs_norm,
     initial_state,
+    picard_step,
     scattering_diagnostic,
     solve_selfconsistent,
 )
@@ -106,6 +108,55 @@ class TestSolve:
         assert tracker.z_norm > 0.0
         assert np.all(np.isfinite(tracker.x_norms))
         assert tracker.x_norms.shape[0] == tracker.t_grid.size
+
+
+def _picard_by_direct_sums(state, rho, w, f):
+    """picard_step's update with every l-sum written out (d = 1)."""
+    ax, dt, mu = state.axis, state.dt, state.mu_hat
+    n, c, dl = ax.size, (ax.size - 1) // 2, ax[1] - ax[0]
+    r = rho.rho_hat.T
+    w_at = lambda x: float(w.w_hat(np.array([abs(x)]))[0])
+    f_at = lambda e: float(np.asarray(f.f(np.array([e])))[0])
+    terms = np.zeros_like(mu)
+    for i, s in enumerate(state.t_grid):
+        for a, k in enumerate(ax):
+            for b, p in enumerate(ax):
+                if 0 <= a + b - c < n:
+                    terms[i, a, b] += (np.exp(1j * s * (k * k - p * p))
+                                       * w_at(k + p) * r[i, a + b - c]
+                                       * (f_at(p * p) - f_at(k * k)))
+                for e, l in enumerate(ax):
+                    cl = w_at(l) * r[i, e] * dl
+                    if 0 <= a - e + c < n:
+                        terms[i, a, b] += cl * np.exp(1j * s * l * (2 * k - l)) \
+                            * mu[i, a - e + c, b]
+                    if 0 <= b - e + c < n:
+                        terms[i, a, b] -= cl * np.exp(-1j * s * l * (2 * p - l)) \
+                            * mu[i, a, b - e + c]
+    out = np.empty_like(mu)
+    out[0] = mu[0]
+    for i in range(1, mu.shape[0]):
+        out[i] = out[i - 1] - 0.5j * dt * (terms[i - 1] + terms[i])
+    return out
+
+
+class TestPicardStep:
+    @pytest.mark.xfail(strict=True, reason=(
+        "fftconvolve(mode='same') returns the shape of its first argument, "
+        "(n, 1) or (1, n), so each shift term keeps only the central p "
+        "(resp. k) index of the (k, p) convolution"))
+    def test_matches_direct_sums(self):
+        rng = np.random.default_rng(5)
+        axis = np.linspace(-2.0, 2.0, 9)
+        mu = rng.standard_normal((3, 9, 9)) + 1j * rng.standard_normal((3, 9, 9))
+        state = KernelState(axis=axis, mu_hat=mu, d=1, dt=0.1, t_max=0.2)
+        rho = DensityTrajectory(
+            k_grid=axis, t_grid=state.t_grid, kind="cartesian",
+            rho_hat=rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3)))
+        w, f = screened_coulomb(0.5, 1.0), gaussian_profile(1)
+        got = picard_step(state, rho, _kernel(), w, f).mu_hat
+        want = _picard_by_direct_sums(state, rho, w, f)
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestDegenerateCouplings:

@@ -57,6 +57,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(doc)
 
+    def test_missing_n1_without_finite_decay_rate(self):
+        # fermi_zero_t declares n1 = inf, so N1 has no default to fall
+        # back on and must be named, not overflow in the weight formula
+        doc = _doc(equilibrium={"kind": "fermi_zero_t"})
+        with pytest.raises(ConfigError, match="'N1'"):
+            parse_config(doc)
+        assert parse_config(dict(doc, N1=12, N2=6)).n1 == 12
+
     def test_negative_reserve_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(_doc(N1=3, N2=3))

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import dawsn
 
+from hartree_mix import quadrature
 from hartree_mix.quadrature import (
     EvaluationBudgetExceeded,
     PVIntegrand,
@@ -76,6 +79,101 @@ class TestFilonTransform:
             filon_transform(np.ones(4), 0.0, 0.1, 1.0)
         with pytest.raises(ValueError):
             filon_weights(4, 0.0, 0.1, 1.0)
+
+
+def _interpolant_transform(fv, x0, h, omegas):
+    """Exact transform of the piecewise quadratic through the samples.
+
+    Each panel [x_{2l}, x_{2l+2}] carries the quadratic through its three
+    samples; a 64-node Gauss-Legendre rule integrates quadratic times
+    exp(-i omega x) to roundoff while the phase per panel stays below ~40.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    s = 1.0 + nodes                       # panel coordinate in units of h
+    left, mid, right = fv[0:-1:2], fv[1::2], fv[2::2]
+    q = (left[:, None] * (s - 1) * (s - 2) / 2 - mid[:, None] * s * (s - 2)
+         + right[:, None] * s * (s - 1) / 2)
+    x = x0 + h * (2 * np.arange(left.size)[:, None] + s)
+    phase = np.exp(-1j * np.multiply.outer(omegas, x))
+    return h * np.einsum("pk,mpk,k->m", q, phase, weights)
+
+
+class TestFilonChirpZ:
+    """The chirp-z path on uniform frequency grids, with the direct rule
+    as its oracle."""
+
+    @pytest.mark.parametrize("n, omegas, x0, h", [
+        (4097, np.linspace(0.5, 60.0, 551), -3.0, 0.004),      # ascending
+        (4097, np.linspace(45.0, -12.0, 551), 1.5, 0.004),     # descending
+        # through 0, shifted like the tau grids of green.m_f_boundary
+        (1025, np.linspace(-30.7, 30.7, 501) + 0.7 ** 2, -2.0, 0.02),
+        (1025, 0.35 + 0.07 * np.arange(501), 0.25, 0.02),      # arange-built
+    ])
+    def test_matches_direct_rule(self, n, omegas, x0, h):
+        rng = np.random.default_rng(n)
+        fv = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert quadrature._uniform_step(omegas) is not None
+        got = filon_transform(fv, x0, h, omegas)
+        want = quadrature._filon_direct(fv, x0, h, omegas)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.sum(np.abs(fv)) * h
+
+    @settings(max_examples=40, deadline=None)
+    @given(panels=st.integers(2, 60),
+           m=st.integers(quadrature._CHIRP_MIN_FREQS, 90),
+           omega0=st.floats(-40.0, 40.0),
+           span=st.just(0.0) | st.floats(1e-6, 80.0) | st.floats(-80.0, -1e-6),
+           x0=st.floats(-5.0, 5.0),
+           h=st.floats(0.01, 0.2),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_exact_on_piecewise_quadratics(self, panels, m, omega0, span,
+                                           x0, h, seed):
+        omegas = np.linspace(omega0, omega0 + span, m)
+        fv = np.random.default_rng(seed).standard_normal(2 * panels + 1)
+        assert quadrature._uniform_step(omegas) is not None
+        got = filon_transform(fv, x0, h, omegas)
+        want = _interpolant_transform(fv, x0, h, omegas)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(fv)) * h
+
+    def test_chirp_phases_stay_exact_at_large_index(self):
+        # Bluestein needs chirp(m) chirp(l) / chirp(m - l) = exp(-2i r m l);
+        # at l ~ 1e6 the chirp phases reach 5e6 rad, where a rounded
+        # r * q^2 would leave errors of ~1e-10
+        r = np.pi / 7.0 * 1e-5
+        m = np.arange(1, 4)[:, None]
+        q = 10 ** 6 + np.arange(50)[None, :]
+        lhs = quadrature._chirp(r, m) * quadrature._chirp(r, q) \
+            / quadrature._chirp(r, m - q)
+        assert np.max(np.abs(lhs - np.exp(-2j * r * m * q))) < 1e-13
+
+    def test_dispatch(self, monkeypatch):
+        calls = []
+        chirp = quadrature._filon_chirp
+        monkeypatch.setattr(quadrature, "_filon_chirp",
+                            lambda *a: calls.append(a) or chirp(*a))
+        fv = np.cos(np.linspace(0.0, 3.0, 65))
+        short = np.linspace(0.0, 5.0, quadrature._CHIRP_MIN_FREQS - 1)
+        bent = np.linspace(0.0, 5.0, 40) ** 1.5
+        filon_transform(fv, 0.0, 0.05, 2.5)
+        filon_transform(fv, 0.0, 0.05, short)
+        filon_transform(fv, 0.0, 0.05, bent)
+        assert calls == []
+        filon_transform(fv, 0.0, 0.05, np.linspace(0.0, 5.0, 40))
+        assert len(calls) == 1
+
+    def test_direct_rule_blocks_fit_byte_budget(self, monkeypatch):
+        budget = quadrature._DIRECT_BYTES
+        for n in (3, 1025, 8193, 2 ** 21 + 1):
+            rows = quadrature._direct_rows(n)
+            assert rows >= 1 and rows * 16 * n <= budget
+        # 512-row blocks would ask for 17 GB at 2^21 + 1 samples
+        assert quadrature._direct_rows(2 ** 21 + 1) == 1
+        # several blocks, ragged last one, agree with the weight matrix
+        n = 33
+        monkeypatch.setattr(quadrature, "_DIRECT_BYTES", 16 * n * 3)
+        fv = np.sin(np.linspace(0.0, 4.0, n)) + 0.5j
+        oms = np.linspace(-9.0, 7.0, 11) ** 3
+        got = quadrature._filon_direct(fv, 0.5, 0.1, oms)
+        assert np.max(np.abs(got - filon_weights(n, 0.5, 0.1, oms) @ fv)) < 1e-13
 
 
 class TestPrincipalValue:
