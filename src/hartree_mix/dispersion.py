@@ -160,10 +160,6 @@ class HilbertTransformCache:
 # the three routes
 
 
-def _w_at(w: Potential, k: float) -> float:
-    return float(np.asarray(w.w_hat(np.array([k])))[0])
-
-
 def dispersion_hilbert(m: Marginal, w: Potential, lam: complex, k: float,
                        cache: HilbertTransformCache | None = None,
                        tol_abs: float = 1e-11) -> DispersionSample:
@@ -173,7 +169,7 @@ def dispersion_hilbert(m: Marginal, w: Potential, lam: complex, k: float,
         raise ValueError("hilbert route needs Re lambda > 0; use a boundary route")
     if k <= 0:
         raise ValueError("hilbert route needs k > 0; use dispersion_k_zero")
-    wk = _w_at(w, k)
+    wk = w(k)
     z_p = (-1j * lam + k * k) / (2.0 * k)
     z_m = (-1j * lam - k * k) / (2.0 * k)
     if cache is not None:
@@ -197,7 +193,7 @@ def dispersion_time_integral(m: Marginal, w: Potential, lam: complex, k: float,
         raise ValueError("time-integral route needs Re lambda >= 0")
     if k <= 0:
         raise ValueError("time-integral route needs k > 0")
-    wk = _w_at(w, k)
+    wk = w(k)
     if wk == 0.0:
         return DispersionSample(lam=lam, k_mag=float(k), value=1.0 + 0.0j,
                                 route="time_integral_form", error_estimate=0.0)
@@ -228,7 +224,7 @@ def dispersion_plemelj(m: Marginal, w: Potential, tau_tilde: float, k: float,
     tau_tilde = float(tau_tilde)
     if np.isfinite(m.upsilon) and abs(tau_tilde) >= 2.0 * m.upsilon + k:
         raise ValueError("|tau_tilde| >= 2 Upsilon + k: use dispersion_real_branch")
-    wk = _w_at(w, k)
+    wk = w(k)
     x_p = (tau_tilde + k) / 2.0
     x_m = (tau_tilde - k) / 2.0
     pv_p, e_p = _pv_phi(m, m.phi, x_p, tol_abs)
@@ -270,7 +266,7 @@ def dispersion_real_branch(m: Marginal, w: Potential, tau_tilde: float, k: float
     ups = m.upsilon
     if tau < 2.0 * ups + k:
         raise ValueError("|tau_tilde| < 2 Upsilon + k: use dispersion_plemelj")
-    wk = _w_at(w, k)
+    wk = w(k)
     x_p = (tau + k) / 2.0
     x_m = (tau - k) / 2.0
 
@@ -331,7 +327,6 @@ def dispersion_k_zero(m: Marginal, w: Potential, lam_tilde: complex,
 
 
 def evaluate(m: Marginal, w: Potential, lam: complex, k: float,
-             cache: HilbertTransformCache | None = None,
              tol_abs: float = 1e-10) -> DispersionSample:
     """Route dispatch: picks the appropriate form for (lambda, k).
 
@@ -343,7 +338,7 @@ def evaluate(m: Marginal, w: Potential, lam: complex, k: float,
     if k == 0.0:
         return dispersion_k_zero(m, w, lam, tol_abs=tol_abs)
     if lam.real > 0:
-        return dispersion_hilbert(m, w, lam, k, cache=cache, tol_abs=tol_abs)
+        return dispersion_hilbert(m, w, lam, k, tol_abs=tol_abs)
     tau_tilde = lam.imag / k
     if np.isfinite(m.upsilon) and abs(tau_tilde) >= 2.0 * m.upsilon + k:
         return dispersion_real_branch(m, w, tau_tilde, k, tol_abs=tol_abs)

@@ -38,7 +38,6 @@ __all__ = [
     "NonRadialInput",
     "StepTooLarge",
     "gaussian_pure_kernel",
-    "separable_sum_kernel",
     "grid_custom_kernel",
     "hermitian_defect",
     "weighted_initial_norm",
@@ -49,6 +48,7 @@ __all__ = [
     "volterra_solve",
     "reconstruct_sup_norm",
     "origin_value",
+    "y_norm",
 ]
 
 
@@ -69,9 +69,7 @@ class InitialKernel:
     from the rotation invariants (|k|^2, |p|^2, k.p) and unlocks the
     cylindrical free-density reduction in d >= 2.  ``energy_radius`` is an
     R with gamma0_hat negligible once |k|^2 + |p|^2 > R^2; it controls all
-    box truncations.  ``epsilon_norm`` is the weighted initial-size
-    surrogate of the kernel on its truncation box (sup of the
-    <(k,p)>^{N2}-weighted modulus and its first grid differences).
+    box truncations.
     """
 
     kind: str
@@ -79,7 +77,6 @@ class InitialKernel:
     gamma0_hat: Callable[[np.ndarray, np.ndarray], np.ndarray]
     quadratic_form: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None
     energy_radius: float
-    epsilon_norm: float | None = None
     params: dict = field(default_factory=dict)
 
 
@@ -115,20 +112,6 @@ class DensityTrajectory:
 
 # ---------------------------------------------------------------------------
 # initial kernels
-
-
-def _probe_energy_radius(q, floor=1e-20):
-    ref = abs(complex(np.asarray(q(np.array([0.0]), np.array([0.0]),
-                                   np.array([0.0]))).ravel()[0])) + 1e-300
-    r = 1.0
-    for _ in range(60):
-        e = r * r / 2.0
-        val = abs(complex(np.asarray(q(np.array([e]), np.array([e]),
-                                       np.array([0.0]))).ravel()[0]))
-        if val < floor * ref:
-            return r
-        r *= 1.5
-    return r
 
 
 def gaussian_pure_kernel(d: int, alpha: float = 1.0, amplitude: float | None = None,
@@ -168,45 +151,12 @@ def gaussian_pure_kernel(d: int, alpha: float = 1.0, amplitude: float | None = N
         params={"alpha": alpha, "amplitude": amplitude, "hat_prefactor": pref})
 
 
-def separable_sum_kernel(d: int, terms, symmetrize: bool = True) -> InitialKernel:
-    """Sum of radial products: gamma0_hat = sum_j c_j g_j(|k|^2) h_j(|p|^2).
-
-    ``terms`` is a list of (c, g, h) with vectorized radial factors.  With
-    ``symmetrize`` the transposed conjugate term is added, which enforces
-    the Hermitian symmetry gamma0_hat(k, p) = conj gamma0_hat(-p, -k)
-    regardless of the factors.
-    """
-    terms = [(complex(c), g, h) for c, g, h in terms]
-
-    def quadratic_form(a2, b2, ab):
-        a2 = np.asarray(a2, dtype=float)
-        b2 = np.asarray(b2, dtype=float)
-        acc = np.zeros(np.broadcast(a2, b2).shape, dtype=complex)
-        for c, g, h in terms:
-            acc += c * np.asarray(g(a2)) * np.asarray(h(b2))
-            if symmetrize:
-                acc += np.conj(c) * np.conj(np.asarray(g(b2)) * np.asarray(h(a2)))
-        return acc
-
-    def gamma0_hat(K, P):
-        K = np.asarray(K, dtype=float)
-        P = np.asarray(P, dtype=float)
-        return quadratic_form((K * K).sum(axis=-1), (P * P).sum(axis=-1),
-                              (K * P).sum(axis=-1))
-
-    radius = _probe_energy_radius(quadratic_form)
-    return InitialKernel(
-        kind="separable_sum", d=d, gamma0_hat=gamma0_hat,
-        quadratic_form=quadratic_form, energy_radius=radius,
-        params={"n_terms": len(terms), "symmetrized": symmetrize})
-
-
 def grid_custom_kernel(axis: np.ndarray, values: np.ndarray) -> InitialKernel:
     """One-dimensional kernel given by samples on a (k, p) product grid.
 
     Bilinear interpolation inside the box, zero outside.  Only d = 1 is
-    supported; higher-dimensional custom data should come in through
-    ``separable_sum_kernel`` or an analytic ``quadratic_form``.
+    supported; higher-dimensional custom data should come in through an
+    analytic ``quadratic_form``.
     """
     axis = np.asarray(axis, dtype=float)
     values = np.asarray(values, dtype=complex)
@@ -353,7 +303,7 @@ def volterra_kernel(m: Marginal, w: Potential, k: float, t) -> float | np.ndarra
         raise ValueError("volterra_kernel needs k > 0")
     scalar = np.isscalar(t) or np.asarray(t).ndim == 0
     ta = np.atleast_1d(np.asarray(t, dtype=float))
-    wk = float(np.asarray(w.w_hat(np.array([k])))[0])
+    wk = w(k)
     out = 2.0 * wk * np.sin(ta * k * k) * np.asarray(m.phi_hat(2.0 * ta * k))
     return float(out[0]) if scalar else out
 
@@ -439,3 +389,12 @@ def origin_value(rho: DensityTrajectory) -> np.ndarray:
     r = np.abs(rho.k_grid)
     weight = (2.0 * np.pi) ** (-d) * sphere_area(d) * r ** (d - 1)
     return np.trapezoid(weight[:, None] * rho.rho_hat, r, axis=0)
+
+
+def y_norm(rho: DensityTrajectory, n1: int, n2: int) -> float:
+    """Grid sup of <kt>^{N1} <k>^{N2} |rho_hat|: the Y norm of a density,
+    or of a difference of two densities on the same grid."""
+    k = rho.k_grid[:, None]
+    t = rho.t_grid[None, :]
+    wt = (1.0 + (k * t) ** 2) ** (n1 / 2.0) * (1.0 + k ** 2) ** (n2 / 2.0)
+    return float(np.max(wt * np.abs(rho.rho_hat)))

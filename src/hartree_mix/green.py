@@ -31,7 +31,7 @@ from scipy import fft as sp_fft
 
 from .dynamics import DensityTrajectory
 from .profiles import Marginal, Potential
-from .quadrature import filon_transform, halfline_laplace_fourier
+from .quadrature import filon_transform, halfline_laplace_fourier, refine_filon
 
 __all__ = [
     "MfSample",
@@ -40,7 +40,6 @@ __all__ = [
     "GridMismatch",
     "m_f",
     "m_f_boundary",
-    "green_symbol_regular",
     "green_time",
     "green_table",
     "convolve_green",
@@ -112,48 +111,17 @@ def m_f_boundary(m: Marginal, k: float, taus, tol_abs: float = 1e-11,
     if k <= 0:
         raise ValueError("m_f_boundary needs k > 0")
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    T = _support_time(m, k)
-    # one transform per shifted copy, so a uniform tau grid stays uniform
-    shifts = (taus - k * k, taus + k * k)
-    n = n0 if n0 % 4 == 1 else (n0 | 1) + 2
-    while True:
-        h = T / (n - 1)
-        g = np.asarray(m.phi_hat(2.0 * k * np.arange(n) * h))
-        fine = [filon_transform(g, 0.0, h, om) for om in shifts]
-        coarse = [filon_transform(g[::2], 0.0, 2 * h, om) for om in shifts]
-        est = max(float(np.max(np.abs(f - c))) for f, c in zip(fine, coarse))
-        if est <= tol_abs or n > 2 ** 21:
-            break
-        n = 2 * n - 1
-    return -1j * (fine[0] - fine[1])
-
-
-def _dispersion_from_mf(w: Potential, k: float, mf_vals) -> np.ndarray:
-    wk = float(np.asarray(w.w_hat(np.array([k])))[0])
-    return 1.0 + wk * np.asarray(mf_vals)
-
-
-def green_symbol_regular(m: Marginal, w: Potential, tau: float, k: float,
-                         theta0: float | None = None) -> complex:
-    """Regular Green symbol G_reg(i tau, k) = -w_hat(k) m_f / D."""
-    if k <= 0:
-        raise ValueError("green_symbol_regular needs k > 0")
-    wk = float(np.asarray(w.w_hat(np.array([k])))[0])
-    if wk == 0.0:
-        return 0.0 + 0.0j
-    mf = m_f(m, 1j * float(tau), k).value
-    D = 1.0 + wk * mf
-    floor = (theta0 / 2.0) if theta0 else 1e-12
-    if abs(D) < floor:
-        raise NearZeroDivisor(
-            f"|D(i{tau:g}, {k:g})| = {abs(D):.3g} below floor {floor:.3g}")
-    return -wk * mf / D
+    # one transform per shifted copy, so a uniform tau grid stays uniform;
+    # the cap stops the doubling at 2^21 + 1 samples
+    r = refine_filon(lambda t: m.phi_hat(2.0 * k * t), 0.0, _support_time(m, k),
+                     (taus - k * k, taus + k * k), n0, tol_abs, 2 ** 22)
+    return -1j * (r.transforms[0] - r.transforms[1])
 
 
 def _row_synthesis(m: Marginal, w: Potential, k: float, t_grid: np.ndarray,
                    theta0: float | None, tol: float, tail_tol: float):
     """One Green-table row: closed-form Lorentzian part plus Filon residual."""
-    wk = float(np.asarray(w.w_hat(np.array([k])))[0])
+    wk = w(k)
     if wk == 0.0:
         return np.zeros(t_grid.size, dtype=complex), 0.0
     phat0 = float(np.asarray(m.phi_hat(0.0)))
@@ -163,7 +131,7 @@ def _row_synthesis(m: Marginal, w: Potential, k: float, t_grid: np.ndarray,
 
     def residual(taus):
         mf = m_f_boundary(m, k, taus, tol_abs=tol)
-        D = _dispersion_from_mf(w, k, mf)
+        D = 1.0 + wk * mf
         dmin = float(np.min(np.abs(D)))
         if dmin < floor:
             raise NearZeroDivisor(
@@ -174,25 +142,13 @@ def _row_synthesis(m: Marginal, w: Potential, k: float, t_grid: np.ndarray,
     u_width = min(1.0, 12.0 / m.u_support)
     tau_core = k * k + 2.0 * k * m.u_support + 8.0 * a + 1.0
     delta = min(2.0 * k * u_width, a) / 20.0
-    n_core = int(np.ceil(2.0 * tau_core / delta)) | 1
-    n_core = max(n_core, 129)
-    # keep count = 1 mod 4 so the half-sampled refinement probe stays odd
-    # (doubling via 2n - 1 preserves the class)
-    if n_core % 4 == 3:
-        n_core += 2
-
-    while True:
-        taus = np.linspace(-tau_core, tau_core, n_core)
-        h = taus[1] - taus[0]
-        R = residual(taus)
-        probe = t_grid[:: max(1, t_grid.size // 16)]
-        fine = filon_transform(R, -tau_core, h, -probe)
-        coarse = filon_transform(R[::2], -tau_core, 2 * h, -probe)
-        if float(np.max(np.abs(fine - coarse))) / (2 * np.pi) <= tol or n_core > 2 ** 18:
-            break
-        n_core = 2 * n_core - 1
-
-    acc = filon_transform(R, -tau_core, h, -np.asarray(t_grid))
+    n_core = max(int(np.ceil(2.0 * tau_core / delta)), 129)
+    # refine on a probe of the times, stopping at 2^18 + 1 samples at most,
+    # then transform the final samples at every time
+    probe = t_grid[:: max(1, t_grid.size // 16)]
+    core = refine_filon(residual, -tau_core, 2.0 * tau_core, (-probe,), n_core,
+                        2 * np.pi * tol, 2 ** 19)
+    acc = filon_transform(core.samples, -tau_core, core.h, -np.asarray(t_grid))
 
     # geometric tail panels on the positive side; negative side by symmetry
     half = np.zeros(t_grid.size, dtype=complex)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .dynamics import DensityTrajectory, InitialKernel, volterra_march
+from .dynamics import DensityTrajectory, InitialKernel, volterra_march, y_norm
 from .profiles import EquilibriumProfile, Potential
 from .quadrature import filon_weights
 
@@ -41,7 +41,6 @@ __all__ = [
     "KernelState",
     "NormTracker",
     "NoContraction",
-    "GridShiftOutOfBox",
     "SolveReport",
     "initial_state",
     "hermitian_defect",
@@ -56,15 +55,6 @@ __all__ = [
 
 class NoContraction(Exception):
     """Successive Picard distances refused to contract three times."""
-
-
-class GridShiftOutOfBox(Exception):
-    """A shifted argument left the box.
-
-    The solver never raises this during normal operation: off-box shifts
-    contribute zero and are tallied into the leakage fraction.  The type
-    exists for callers that want to treat leakage as fatal.
-    """
 
 
 @dataclass(frozen=True)
@@ -369,13 +359,6 @@ def _zero_trajectory(state: KernelState) -> DensityTrajectory:
                                 "shape": (n,) * d, "source": "nonlinear"})
 
 
-def _y_distance(a: DensityTrajectory, b: DensityTrajectory, n1: int,
-                n2: int) -> float:
-    wt = (1.0 + (a.k_grid[:, None] * a.t_grid[None, :]) ** 2) ** (n1 / 2.0) \
-        * (1.0 + a.k_grid[:, None] ** 2) ** (n2 / 2.0)
-    return float(np.max(wt * np.abs(a.rho_hat - b.rho_hat)))
-
-
 def _linear_stage_solver(state: KernelState, g0: InitialKernel, w: Potential,
                          f: EquilibriumProfile,
                          free_rho: DensityTrajectory):
@@ -525,7 +508,7 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
         new_rho = DensityTrajectory(k_grid=full.k_grid, t_grid=full.t_grid,
                                     rho_hat=rows, kind=full.kind,
                                     meta=full.meta)
-        dist = _y_distance(new_rho, rho, n1, n2)
+        dist = y_norm(replace(new_rho, rho_hat=rows - rho.rho_hat), n1, n2)
         if distances:
             prev = distances[-1]
             ratio = dist / prev if prev > 0 else 0.0
@@ -594,10 +577,6 @@ def _track_norms(state: KernelState, rho: DensityTrajectory, n1: int,
         for a in range(orders + 1):
             x[i, a] = float(np.max(joint * np.abs(
                 _diag_difference(mu_t, a, d, h))))
-    wt = (1.0 + (rho.k_grid[:, None] * rho.t_grid[None, :]) ** 2) \
-        ** (n1 / 2.0) * (1.0 + rho.k_grid[:, None] ** 2) ** (n2 / 2.0)
-    y = float(np.max(wt * np.abs(rho.rho_hat)))
-
     bracket = np.sqrt(1.0 + state.t_grid ** 2)
 
     def x_level(level: int) -> np.ndarray:
@@ -606,9 +585,9 @@ def _track_norms(state: KernelState, rho: DensityTrajectory, n1: int,
 
     z_t = x_level(n1 - 2) + bracket ** (-delta) * x_level(n1 - 1) \
         + bracket ** (-1.0) * x_level(n1)
-    return NormTracker(t_grid=state.t_grid, x_norms=x, y_norm=y,
-                       z_norm=float(np.max(z_t)), n1=n1, n2=n2, delta=delta,
-                       available_orders=orders)
+    return NormTracker(t_grid=state.t_grid, x_norms=x,
+                       y_norm=y_norm(rho, n1, n2), z_norm=float(np.max(z_t)),
+                       n1=n1, n2=n2, delta=delta, available_orders=orders)
 
 
 def scattering_diagnostic(state: KernelState) -> np.ndarray:

@@ -31,7 +31,6 @@ __all__ = [
     "load_config",
     "parse_config",
     "fit_decay",
-    "y_norm",
     "run",
     "SUBCOMMANDS",
 ]
@@ -131,6 +130,7 @@ def parse_config(doc: dict, out: str | None = None,
         raise ConfigError("field 'potential': needs a 'kind'")
 
     prof = _make_profile(eq, d)
+    _make_potential(pot)
     if "N1" not in doc and not math.isfinite(prof.n1):
         raise ConfigError(f"field 'N1': required, since equilibrium kind "
                           f"'{prof.kind}' declares no finite decay rate")
@@ -155,11 +155,14 @@ def parse_config(doc: dict, out: str | None = None,
     if tau_count < 2 or tau_max <= 0:
         raise ConfigError("field 'tau_grid': need count >= 2 and max > 0")
     nl_box = float(_sub(doc, "nonlinear", "box", 4.0))
-    nl_points = int(_sub(doc, "nonlinear", "points", 33))
+    nl_points = int(_sub(doc, "nonlinear", "points", 33 if d <= 2 else 9))
     nl_dt = float(_sub(doc, "nonlinear", "dt", 0.1))
     nl_t_max = float(_sub(doc, "nonlinear", "t_max", 30.0))
     if nl_points < 3 or nl_points % 2 == 0:
         raise ConfigError("field 'nonlinear.points': need an odd count >= 3")
+    if d >= 3 and nl_points > 9:
+        raise ConfigError("field 'nonlinear.points': d >= 3 supports at most "
+                          "9 points per axis")
     if nl_dt <= 0 or nl_t_max <= 0 or nl_box <= 0:
         raise ConfigError("field 'nonlinear': box, dt, t_max must be "
                           "positive")
@@ -206,7 +209,7 @@ def _make_profile(eq: dict, d: int) -> profiles.EquilibriumProfile:
             return profiles.smooth_bump_profile(d, **p)
         if kind == "power_decay":
             return profiles.power_decay_profile(d, **p)
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"field 'equilibrium': {e}") from e
     raise ConfigError(f"field 'equilibrium.kind': unknown kind '{kind}'")
 
@@ -221,7 +224,7 @@ def _make_potential(pot: dict) -> profiles.Potential:
             return profiles.delta_potential(**p)
         if kind == "gaussian":
             return profiles.gaussian_hat_potential(**p)
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"field 'potential': {e}") from e
     raise ConfigError(f"field 'potential.kind': unknown kind '{kind}'")
 
@@ -241,7 +244,7 @@ def _make_initial(cfg: RunConfig) -> dynamics.InitialKernel:
 
 
 # ---------------------------------------------------------------------------
-# fitting and norms
+# fitting
 
 
 @dataclass(frozen=True)
@@ -283,14 +286,6 @@ def fit_decay(samples, window: tuple[float, float] = (5.0, 50.0)) -> DecayFit:
     resid = float(np.sqrt(np.mean((lv - (slope * lt + intercept)) ** 2)))
     return DecayFit(window=(t_lo, t_hi), slope=float(slope),
                     intercept=float(intercept), residual=resid)
-
-
-def y_norm(rho: dynamics.DensityTrajectory, n1: int, n2: int) -> float:
-    """Grid sup of <kt>^{N1} <k>^{N2} |rho_hat|."""
-    k = np.abs(rho.k_grid)[:, None]
-    t = rho.t_grid[None, :]
-    wt = (1.0 + (k * t) ** 2) ** (n1 / 2.0) * (1.0 + k ** 2) ** (n2 / 2.0)
-    return float(np.max(wt * np.abs(rho.rho_hat)))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +478,7 @@ def _decay_payload(cfg: RunConfig, traj: dynamics.DensityTrajectory) -> dict:
         rows = dynamics.reconstruct_sup_norm(traj, n=n)
         fits[str(n)] = _fit_or_note(rows, cfg.fit_window)
     return {"fit_window": list(cfg.fit_window), "sup_norm_fits": fits,
-            "y_norm": y_norm(traj, cfg.n1, cfg.n2)}
+            "y_norm": dynamics.y_norm(traj, cfg.n1, cfg.n2)}
 
 
 def _traj_rows(traj: dynamics.DensityTrajectory):
@@ -583,5 +578,4 @@ def run(cfg: RunConfig, subcommand: str) -> int:
                          f"{', '.join(SUBCOMMANDS)}")
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    np.random.seed(cfg.seed % (2 ** 32))
     return _COMMANDS[subcommand](cfg, out)

@@ -219,8 +219,9 @@ class Potential:
     w_hat_zero: float
     params: dict = field(default_factory=dict)
 
-    def __call__(self, k):
-        return self.w_hat(np.asarray(k, dtype=float))
+    def __call__(self, k: float) -> float:
+        """w_hat at one |k|, as a float."""
+        return float(np.asarray(self.w_hat(np.array([k], dtype=float)))[0])
 
 
 def screened_coulomb(amplitude: float = 1.0, screening: float = 1.0) -> Potential:
@@ -261,8 +262,8 @@ class Marginal:
 
     ``u_support`` is the radius beyond which phi is negligible (equal to
     upsilon for compact support), ``t_support`` the analogous radius for
-    phi_hat, and ``phi_hat_l1`` / ``phi_hat_t_weighted_l1`` the integrals
-    int |phi_hat| and int t |phi_hat'| feeding the large-argument tail
+    phi_hat, and ``phi_hat_l1`` / ``phi_hat_deriv_l1`` the integrals
+    int |phi_hat| and int |phi_hat'| feeding the large-argument tail
     bounds downstream.  Instances are immutable and safe to share.
     """
 
@@ -276,7 +277,6 @@ class Marginal:
     t_support: float
     phi_hat_l1: float
     phi_hat_deriv_l1: float
-    phi_hat_t_weighted_l1: float
     profile: EquilibriumProfile
 
 
@@ -528,16 +528,14 @@ def build_marginal(prof: EquilibriumProfile, table_points: int = 8193,
     l1 = float(np.trapezoid(np.abs(ph), t_nodes))
     dph = np.gradient(ph, t_nodes)
     dl1 = float(np.trapezoid(np.abs(dph), t_nodes))
-    tl1 = float(np.trapezoid(t_nodes * np.abs(dph), t_nodes))
     if t_cap < t_support:
         l1 += _envelope_tail(t_nodes, ph)
         dl1 += _envelope_tail(t_nodes, dph)
-        tl1 += _envelope_tail(t_nodes, t_nodes * dph)
 
     out = Marginal(phi=phi, dphi=dphi, phi_hat=phi_hat, total_mass=total_mass,
                    upsilon=prof.upsilon, d=prof.d, u_support=u_max,
                    t_support=t_support, phi_hat_l1=l1, phi_hat_deriv_l1=dl1,
-                   phi_hat_t_weighted_l1=tl1, profile=prof)
+                   profile=prof)
     if key is not None:
         _MARGINAL_MEMO[key] = out
     return out

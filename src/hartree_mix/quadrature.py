@@ -1,6 +1,6 @@
 """Shared 1-D quadrature engine.
 
-Four pieces, used throughout the package:
+Five pieces, used throughout the package:
 
 * ``adaptive_gauss``: adaptive Gauss-Legendre panels for regular (possibly
   complex-valued) integrands on a finite interval,
@@ -13,9 +13,11 @@ Four pieces, used throughout the package:
   O((n + M) log(n + M)) time; a scalar, short or non-uniform frequency
   array takes the direct rule, which builds the n x M phase matrix in
   blocks of bounded size,
-* ``halfline_laplace_fourier`` / ``inverse_fourier_line``: Laplace-Fourier
-  integrals on the half line and Fourier synthesis on a symmetric window,
-  both built on the Filon rule with explicit tail accounting.
+* ``refine_filon``: the Filon rule on a sampled callable, with the grid
+  doubled until the fine rule and the rule on every other sample agree;
+  every adaptive oscillatory integral in the package goes through it,
+* ``halfline_laplace_fourier``: Laplace-Fourier integrals on the half
+  line, built on ``refine_filon`` with explicit tail accounting.
 
 All integrand callables must accept and return numpy arrays.  Every
 operation reports an error estimate and its evaluation count; none of them
@@ -44,7 +46,6 @@ __all__ = [
     "pv_integral",
     "filon_transform",
     "halfline_laplace_fourier",
-    "inverse_fourier_line",
     "DEFAULT_ABS_TOL",
     "DEFAULT_EVAL_CAP",
 ]
@@ -453,26 +454,49 @@ def filon_weights(n, x0, h, omega):
 
 
 # ---------------------------------------------------------------------------
-# half-line Laplace-Fourier and line synthesis
+# grid refinement and the half-line Laplace-Fourier integral
 
 
-def _refined_filon(sample, t_max, omega, n0, tol_abs, eval_cap):
-    """Filon value with coarse/fine Richardson error estimate, refining the
-    grid until the estimate passes tol or the cap bites."""
-    n = n0 if n0 % 4 == 1 else n0 + (4 - (n0 - 1) % 4) % 4 + 1
+@dataclass(frozen=True)
+class FilonRefinement:
+    """Outcome of ``refine_filon``.
+
+    ``samples`` holds the callable on the final grid x0 + j*h,
+    ``transforms`` the fine-rule values at each frequency array, ``gap``
+    the largest fine/coarse difference over all of them and
+    ``evaluations`` the samples taken over every grid tried.
+    """
+
+    samples: np.ndarray
+    h: float
+    transforms: list
+    gap: float
+    evaluations: int
+
+
+def refine_filon(sample, x0, length, omegas, n0, tol, n_cap) -> FilonRefinement:
+    """Filon transforms of ``sample`` on [x0, x0 + length], refined by doubling.
+
+    ``omegas`` is a sequence of frequency arrays.  The grid starts at
+    ``n0`` samples rounded up to 1 mod 4, so every grid and its
+    half-sampled sub-grid hold odd counts, and doubles (n -> 2n - 1)
+    until the rule on every sample and the rule on every other sample
+    agree to ``tol`` at every frequency, or until the next grid would
+    pass ``n_cap`` samples.  An unmet tolerance is reported in ``gap``,
+    never raised: each caller decides what it means.
+    """
+    n = n0 + (1 - n0) % 4
     evals = 0
     while True:
-        h = t_max / (n - 1)
-        fv = sample(np.arange(n) * h)
+        h = length / (n - 1)
+        fv = np.asarray(sample(x0 + h * np.arange(n)))
         evals += n
-        fine = filon_transform(fv, 0.0, h, np.atleast_1d(omega))
-        coarse = filon_transform(fv[::2], 0.0, 2 * h, np.atleast_1d(omega))
-        est = float(np.max(np.abs(fine - coarse)))
-        if est <= tol_abs or 2 * n - 1 > eval_cap:
-            if est > tol_abs and 2 * n - 1 > eval_cap:
-                raise UnresolvedOscillation(
-                    f"filon grid capped at {n} samples, error estimate {est:g}")
-            return fine, est, evals
+        fine = [filon_transform(fv, x0, h, om) for om in omegas]
+        coarse = [filon_transform(fv[::2], x0, 2 * h, om) for om in omegas]
+        gap = max(float(np.max(np.abs(f - c))) for f, c in zip(fine, coarse))
+        if gap <= tol or 2 * n - 1 > n_cap:
+            return FilonRefinement(samples=fv, h=h, transforms=fine, gap=gap,
+                                   evaluations=evals)
         n = 2 * n - 1
 
 
@@ -485,6 +509,8 @@ def halfline_laplace_fourier(g, lam, t_max, tol_abs=DEFAULT_ABS_TOL,
     integrand; the oscillation exp(-i Im(lam) t) is carried by the Filon
     rule.  ``tail_bound`` is the caller's bound on the discarded tail
     |int_{t_max}^inf| and is added to the reported error estimate.
+    Raises UnresolvedOscillation when ``eval_cap`` samples do not reach
+    ``tol_abs``.
     """
     lam = complex(lam)
     if lam.real < -1e-12:
@@ -498,44 +524,11 @@ def halfline_laplace_fourier(g, lam, t_max, tol_abs=DEFAULT_ABS_TOL,
 
     # enough initial samples to resolve exp(-gam t) on top of g's own scale
     n_start = max(n0, int(8 * gam * t_max) | 1)
-    vals, est, evals = _refined_filon(sample, t_max, lam.imag, n_start,
-                                      tol_abs, eval_cap)
-    return QuadResult(complex(vals[0]), est + tail_bound, evals)
-
-
-def inverse_fourier_line(G, t, tau_max, tol_abs=DEFAULT_ABS_TOL,
-                         eval_cap=DEFAULT_EVAL_CAP, n0=2049,
-                         tail_amp=None, tail_scale=None) -> QuadResult:
-    """(1/2pi) int_{-tau_max}^{tau_max} exp(i tau t) G(tau) dtau.
-
-    When the caller knows |G(tau)| <= tail_amp / (tail_scale^2 + tau^2),
-    the analytic bound on the discarded |tau| > tau_max tail is added to
-    the error estimate.
-    """
-    t = float(t)
-
-    def sample(s):
-        # map [0, 2*tau_max] onto [-tau_max, tau_max]
-        return np.asarray(G(s - tau_max))
-
-    n = n0 if n0 % 4 == 1 else n0 + 2
-    evals = 0
-    while True:
-        h = 2 * tau_max / (n - 1)
-        fv = sample(np.arange(n) * h)
-        evals += n
-        fine = filon_transform(fv, -tau_max, h, np.atleast_1d(-t))
-        coarse = filon_transform(fv[::2], -tau_max, 2 * h, np.atleast_1d(-t))
-        est = float(np.max(np.abs(fine - coarse))) / (2 * np.pi)
-        if est <= tol_abs or 2 * n - 1 > eval_cap:
-            if est > tol_abs and 2 * n - 1 > eval_cap:
-                raise UnresolvedOscillation(
-                    f"synthesis grid capped at {n} samples, error estimate {est:g}")
-            break
-        n = 2 * n - 1
-
-    tail = 0.0
-    if tail_amp is not None:
-        a = tail_scale if tail_scale else 1.0
-        tail = (tail_amp / (np.pi * a)) * np.arctan2(a, tau_max)
-    return QuadResult(complex(fine[0]) / (2 * np.pi), est + tail, evals)
+    r = refine_filon(sample, 0.0, t_max, (np.atleast_1d(lam.imag),), n_start,
+                     tol_abs, eval_cap)
+    if r.gap > tol_abs:
+        raise UnresolvedOscillation(
+            f"filon grid capped at {r.samples.size} samples, error estimate "
+            f"{r.gap:g}")
+    return QuadResult(complex(r.transforms[0][0]), r.gap + tail_bound,
+                      r.evaluations)

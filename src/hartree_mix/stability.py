@@ -244,7 +244,7 @@ def imaginary_axis_floor(m: Marginal, w: Potential, k: float,
     vals = np.array([_dtilde(m, w, k, t, tol_abs) for t in taus])
     mods = np.abs(vals)
     i = int(np.argmin(mods))
-    wk = float(np.asarray(w.w_hat(np.array([k])))[0])
+    wk = w(k)
     x_p = (taus[i] + k) / 2.0
     x_m = (taus[i] - k) / 2.0
     phis = np.asarray(m.phi(np.array([x_p, x_m])))
@@ -362,8 +362,7 @@ def winding_number(m: Marginal, w: Potential, k: float, rect,
 
 def _tail_k_cap(m: Marginal, w: Potential, k_lo: float) -> float:
     """Smallest K with w_hat(k) * L1(phi_hat) / k < 1/2 for all k >= K."""
-    beta = lambda k: float(np.asarray(w.w_hat(np.array([k])))[0]) \
-        * m.phi_hat_l1 / k
+    beta = lambda k: w(k) * m.phi_hat_l1 / k
     if beta(k_lo) < 0.5:
         return k_lo
     hi = max(1.0, 2.0 * k_lo)
@@ -385,7 +384,7 @@ def _tail_k_cap(m: Marginal, w: Potential, k_lo: float) -> float:
 
 def _lambda_cap(m: Marginal, w: Potential, k: float) -> float:
     """|lambda_tilde| beyond which |D - 1| < 1/2 by integration by parts."""
-    wk = float(np.asarray(w.w_hat(np.array([k])))[0])
+    wk = w(k)
     return max(4.0 * abs(wk) * (m.phi_hat_l1 / 2.0 + m.phi_hat_deriv_l1 / k), 1.0)
 
 

@@ -8,6 +8,7 @@ assert on the files.  Heavier stages have their own acceptance runs.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from hartree_mix.pipeline import (
     RunConfig,
     fit_decay,
     parse_config,
-    y_norm,
 )
-from hartree_mix.dynamics import DensityTrajectory
+from hartree_mix.dynamics import DensityTrajectory, y_norm
+from hartree_mix import stability
 
 
 def _doc(**over):
@@ -77,6 +78,55 @@ class TestConfig:
 
     def test_roundtrip_is_dataclass(self):
         assert isinstance(parse_config(_doc()), RunConfig)
+
+    def test_nonlinear_points_default_by_dimension(self):
+        assert parse_config(_doc()).nl_points == 9
+        assert parse_config(_doc(d=2)).nl_points == 33
+        assert parse_config(_doc(d=1)).nl_points == 33
+
+    def test_nonlinear_points_capped_in_d3(self):
+        with pytest.raises(ConfigError, match="'nonlinear.points'"):
+            parse_config(_doc(nonlinear={"points": 33}))
+        assert parse_config(_doc(nonlinear={"points": 9})).nl_points == 9
+        assert parse_config(_doc(d=1, nonlinear={"points": 33})).nl_points \
+            == 33
+
+    @pytest.mark.parametrize("eq", [
+        {"kind": "gaussian", "scale": 1.0, "amplitude": 1.0},
+        {"kind": "fermi_zero_t", "upsilon": 1.0},
+        {"kind": "smooth_bump", "upsilon": 1.0, "smoothness": 1.0},
+        {"kind": "power_decay", "n1": 4.0},
+    ])
+    def test_documented_equilibrium_kinds_parse(self, eq):
+        # the README names N1 for the kinds without a finite decay rate
+        assert parse_config(_doc(equilibrium=eq, N1=12, N2=6)).d == 3
+
+    @pytest.mark.parametrize("pot", [
+        {"kind": "screened_coulomb", "amplitude": 0.1, "screening": 1.0},
+        {"kind": "delta", "coupling": 0.2},
+        {"kind": "gaussian", "amplitude": 1.0, "width": 1.0},
+    ])
+    def test_documented_potential_kinds_parse(self, pot):
+        assert parse_config(_doc(potential=pot)).potential == pot
+
+    def test_readme_example_parses(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        block = text.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config(json.loads(block))
+        assert (cfg.d, cfg.nl_points) == (3, 9)
+
+    def test_out_of_range_parameter_names_group(self):
+        with pytest.raises(ConfigError, match="'equilibrium'"):
+            parse_config(_doc(equilibrium={"kind": "power_decay", "n1": 2}))
+        with pytest.raises(ConfigError, match="'potential'"):
+            parse_config(_doc(potential={"kind": "screened_coulomb",
+                                         "screening": 0.0}))
+
+    def test_custom_kinds_rejected(self):
+        with pytest.raises(ConfigError, match="'equilibrium.kind'"):
+            parse_config(_doc(equilibrium={"kind": "custom"}))
+        with pytest.raises(ConfigError, match="'potential.kind'"):
+            parse_config(_doc(potential={"kind": "custom"}))
 
 
 class TestDecayFit:
@@ -162,3 +212,17 @@ class TestCliStages:
         p = tmp_path / "broken.json"
         p.write_text(json.dumps({"d": 3}))
         assert main(["marginal", "--config", str(p)]) == 1
+
+    def test_inconclusive_stability_exits_2(self, cfg_path, monkeypatch):
+        path, out = cfg_path
+        crit = stability.CriterionResult(kind="vacuous", value=None,
+                                         shell_slope=None, integral=None,
+                                         remainder=0.0)
+        cert = stability.StabilityCertificate(
+            verdict="Inconclusive", theta0=None, phi0=None, criterion=crit,
+            zero_location=None, zero_residual=None, scan_min=None,
+            scan_argmin=None, margin=None, winding_checks=(), k_range=None)
+        monkeypatch.setattr(stability, "certify", lambda m, w: cert)
+        assert main(["stability", "--config", str(path)]) == 2
+        report = json.loads((out / "stability.json").read_text())
+        assert report["verdict"] == "Inconclusive"

@@ -25,8 +25,8 @@ from hartree_mix.quadrature import (
     filon_transform,
     filon_weights,
     halfline_laplace_fourier,
-    inverse_fourier_line,
     pv_integral,
+    refine_filon,
 )
 
 
@@ -225,23 +225,65 @@ class TestHalfline:
                                      tol_abs=1e-11)
         assert abs(r.value - 1.0 / (1.0 + lam)) < 1e-8
 
+    def test_start_count_3_mod_4(self):
+        # 8 * 5.007 * 40 rounds to a start count of 3 mod 4, whose
+        # half-sampled grid used to be even
+        lam = 5.007 + 1j
+        r = halfline_laplace_fourier(lambda t: np.exp(-t), lam, 40.0)
+        assert abs(r.value - 1.0 / (1.0 + lam)) < 1e-8
+
     def test_left_half_plane_rejected(self):
         with pytest.raises(ValueError):
             halfline_laplace_fourier(lambda t: np.exp(-t), -0.1 + 1j, 10.0)
 
 
-class TestLineSynthesis:
-    def test_gaussian_pair(self):
-        # (1/2pi) int exp(i tau t) exp(-tau^2/4) dtau = exp(-t^2)/sqrt(pi)
-        r = inverse_fourier_line(lambda tau: np.exp(-np.asarray(tau) ** 2 / 4),
-                                 1.1, 60.0, tol_abs=1e-11)
-        assert abs(r.value - np.exp(-1.1 ** 2) / np.sqrt(np.pi)) < 1e-9
+class TestRefineFilon:
+    @staticmethod
+    def _gauss(x):
+        return np.exp(-x * x)
 
-    def test_lorentzian_with_tail_bound(self):
-        # truncation at tau_max leaves an O(1/tau_max) tail; the analytic
-        # bound must show up in the error estimate
-        r = inverse_fourier_line(lambda tau: 1.0 / (1.0 + np.asarray(tau) ** 2),
-                                 1.3, 300.0, tol_abs=1e-9,
-                                 tail_amp=1.0, tail_scale=1.0)
-        assert abs(r.value - np.exp(-1.3) / 2.0) < 2e-3
-        assert r.abs_error_estimate > 0.0
+    @pytest.mark.parametrize("n0", [100, 101, 102, 103])
+    def test_start_counts_give_odd_grids(self, n0):
+        r = refine_filon(self._gauss, -8.0, 16.0, (np.array([1.0]),), n0,
+                         np.inf, 10 ** 6)
+        n = r.samples.size
+        assert n % 4 == 1 and n >= n0 and n - n0 < 4
+        assert r.samples[::2].size % 2 == 1
+        assert r.evaluations == n
+
+    def test_cap_returns_unmet_gap(self):
+        # 129 samples over 40 oscillations cannot reach 1e-14; the next
+        # grid (257) would pass the cap, so the first one comes back
+        r = refine_filon(lambda x: np.cos(40.0 * x), 0.0, 2 * np.pi,
+                         (np.array([0.5]),), 129, 1e-14, 256)
+        assert r.samples.size == 129
+        assert r.gap > 1e-14
+        assert r.evaluations == 129
+
+    def test_transforms_match_filon_on_final_grid(self):
+        om = np.linspace(0.0, 6.0, 40)
+        r = refine_filon(self._gauss, -8.0, 16.0, (om, om[:5]), 65, 1e-12,
+                         10 ** 6)
+        x = -8.0 + r.h * np.arange(r.samples.size)
+        assert np.array_equal(r.samples, self._gauss(x))
+        assert r.h == 16.0 / (r.samples.size - 1)
+        assert np.array_equal(r.transforms[0],
+                              filon_transform(r.samples, -8.0, r.h, om))
+        assert np.array_equal(r.transforms[1],
+                              filon_transform(r.samples, -8.0, r.h, om[:5]))
+        want = np.sqrt(np.pi) * np.exp(-om ** 2 / 4)
+        assert np.max(np.abs(r.transforms[0] - want)) < 1e-10
+
+    def test_gap_is_largest_over_arrays(self):
+        lo, hi = np.array([0.5]), np.array([30.0])
+
+        def gap(om):
+            g = self._gauss(-8.0 + 0.25 * np.arange(65))
+            return float(np.max(np.abs(filon_transform(g, -8.0, 0.25, om)
+                                       - filon_transform(g[::2], -8.0, 0.5,
+                                                         om))))
+
+        r = refine_filon(self._gauss, -8.0, 16.0, (lo, hi), 65, np.inf,
+                         10 ** 6)
+        assert r.gap == max(gap(lo), gap(hi))
+        assert gap(hi) != gap(lo)
