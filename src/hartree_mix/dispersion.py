@@ -36,7 +36,7 @@ from .quadrature import (
     PVIntegrand,
     adaptive_gauss,
     default_pv_window,
-    geometric_panels,
+    edge_shells,
     pv_integral,
 )
 
@@ -185,8 +185,8 @@ def dispersion_hilbert(m: Marginal, w: Potential, lam: complex, k: float,
                             error_estimate=abs(wk) / (2.0 * k) * err)
 
 
-def dispersion_time_integral(m: Marginal, w: Potential, lam: complex, k: float,
-                             tol_abs: float = 1e-10) -> DispersionSample:
+def dispersion_time_integral(m: Marginal, w: Potential, lam: complex,
+                             k: float) -> DispersionSample:
     """D(lambda, k) as the Laplace transform of the memory kernel."""
     lam = complex(lam)
     if lam.real < 0:
@@ -197,7 +197,7 @@ def dispersion_time_integral(m: Marginal, w: Potential, lam: complex, k: float,
     if wk == 0.0:
         return DispersionSample(lam=lam, k_mag=float(k), value=1.0 + 0.0j,
                                 route="time_integral_form", error_estimate=0.0)
-    mf = m_f(m, lam, k, tol_abs=tol_abs)
+    mf = m_f(m, lam, k)
     return DispersionSample(lam=lam, k_mag=float(k), value=1.0 + wk * mf.value,
                             route="time_integral_form",
                             error_estimate=abs(wk) * mf.error_estimate)
@@ -238,11 +238,11 @@ def dispersion_plemelj(m: Marginal, w: Potential, tau_tilde: float, k: float,
                             error_estimate=abs(pref) * (e_p + e_m))
 
 
-def _edge_exponent(m: Marginal, side: float = 1.0) -> float:
+def _edge_exponent(m: Marginal) -> float:
     """Local exponent alpha in phi(u) ~ c (Upsilon - u)^alpha at the edge."""
     ups = m.upsilon
     hs = ups * 2.0 ** -np.arange(8, 16)
-    vals = np.asarray(m.phi(side * (ups - hs)))
+    vals = np.asarray(m.phi(ups - hs))
     vals = np.abs(vals) + 1e-300
     fit = np.polyfit(np.log(hs), np.log(vals), 1)
     return float(fit[0])
@@ -284,9 +284,8 @@ def dispersion_real_branch(m: Marginal, w: Potential, tau_tilde: float, k: float
 
     # fixed shells: adaptive bisection would chase (x_m - u) cancellation
     # noise when the pole crowds the support edge
-    value, err, _, _ = geometric_panels(f, -ups, ups, endpoint=ups,
-                                        tol_abs=tol_abs, fixed_panels=True)
-    val = 1.0 - (wk / 2.0) * complex(value).real
+    value, err, _ = edge_shells(f, -ups, ups, tol_abs)
+    val = 1.0 - (wk / 2.0) * value
     return DispersionSample(lam=1j * tau_tilde * k, k_mag=float(k),
                             value=complex(val), route="plemelj_boundary",
                             error_estimate=abs(wk) / 2.0 * err)

@@ -38,16 +38,11 @@ __all__ = [
     "NonRadialInput",
     "StepTooLarge",
     "gaussian_pure_kernel",
-    "grid_custom_kernel",
-    "hermitian_defect",
-    "weighted_initial_norm",
-    "free_density",
     "free_density_trajectory",
     "volterra_kernel",
     "volterra_march",
     "volterra_solve",
     "reconstruct_sup_norm",
-    "origin_value",
     "y_norm",
 ]
 
@@ -65,9 +60,9 @@ class InitialKernel:
     """Initial data gamma0_hat(k, p) for the density-matrix evolution.
 
     ``gamma0_hat`` maps point arrays of shape (n, d) x (n, d) to complex
-    values.  ``quadratic_form``, when present, evaluates the same kernel
-    from the rotation invariants (|k|^2, |p|^2, k.p) and unlocks the
-    cylindrical free-density reduction in d >= 2.  ``energy_radius`` is an
+    values.  ``quadratic_form`` evaluates the same kernel from the
+    rotation invariants (|k|^2, |p|^2, k.p), which the cylindrical
+    free-density reduction in d >= 2 runs on.  ``energy_radius`` is an
     R with gamma0_hat negligible once |k|^2 + |p|^2 > R^2; it controls all
     box truncations.
     """
@@ -75,7 +70,7 @@ class InitialKernel:
     kind: str
     d: int
     gamma0_hat: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    quadratic_form: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None
+    quadratic_form: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     energy_radius: float
     params: dict = field(default_factory=dict)
 
@@ -151,80 +146,6 @@ def gaussian_pure_kernel(d: int, alpha: float = 1.0, amplitude: float | None = N
         params={"alpha": alpha, "amplitude": amplitude, "hat_prefactor": pref})
 
 
-def grid_custom_kernel(axis: np.ndarray, values: np.ndarray) -> InitialKernel:
-    """One-dimensional kernel given by samples on a (k, p) product grid.
-
-    Bilinear interpolation inside the box, zero outside.  Only d = 1 is
-    supported; higher-dimensional custom data should come in through an
-    analytic ``quadratic_form``.
-    """
-    axis = np.asarray(axis, dtype=float)
-    values = np.asarray(values, dtype=complex)
-    if values.shape != (axis.size, axis.size):
-        raise ValueError("values must be square over the axis grid")
-    from scipy.interpolate import RegularGridInterpolator
-    interp = RegularGridInterpolator((axis, axis), values,
-                                     bounds_error=False, fill_value=0.0)
-
-    def gamma0_hat(K, P):
-        K = np.asarray(K, dtype=float).reshape(-1, 1)
-        P = np.asarray(P, dtype=float).reshape(-1, 1)
-        return interp(np.hstack([K, P]))
-
-    radius = float(np.sqrt(2.0)) * float(np.max(np.abs(axis)))
-    return InitialKernel(
-        kind="grid_custom", d=1, gamma0_hat=gamma0_hat, quadratic_form=None,
-        energy_radius=radius, params={"n_axis": axis.size})
-
-
-def hermitian_defect(g0: InitialKernel, box: float | None = None,
-                     n: int = 33, seed: int = 0) -> float:
-    """max |gamma0_hat(k,p) - conj gamma0_hat(-p,-k)| over sampled points."""
-    rng = np.random.default_rng(seed)
-    box = box if box is not None else g0.energy_radius / np.sqrt(2.0)
-    K = rng.uniform(-box, box, (n * n, g0.d))
-    P = rng.uniform(-box, box, (n * n, g0.d))
-    a = np.asarray(g0.gamma0_hat(K, P))
-    b = np.asarray(g0.gamma0_hat(-P, -K))
-    return float(np.max(np.abs(a - np.conj(b))))
-
-
-def weighted_initial_norm(g0: InitialKernel, N1: int, N2: int,
-                          box: float | None = None, n: int = 65) -> float:
-    """Weighted size surrogate for the initial kernel on its truncation box.
-
-    Evaluates gamma0_hat on an axis-aligned (k1, p1) slice and returns the
-    sup of <(k,p)>^{N2} times the kernel modulus plus its centered grid
-    differences along the (1,-1) diagonal up to order min(N1, 2).  A grid
-    stand-in for the weighted norm controlling the initial data size; only
-    relative magnitudes across runs are meaningful.
-    """
-    if box is None:
-        box = g0.energy_radius / np.sqrt(2.0)
-    if n % 2 == 0:
-        n += 1
-    ax = np.linspace(-box, box, n)
-    h = ax[1] - ax[0]
-    K = np.zeros((n * n, g0.d))
-    P = np.zeros((n * n, g0.d))
-    kk, pp = np.meshgrid(ax, ax, indexing="ij")
-    K[:, 0] = kk.ravel()
-    P[:, 0] = pp.ravel()
-    vals = np.asarray(g0.gamma0_hat(K, P)).reshape(n, n)
-    w = np.hypot(1.0, np.hypot(kk, pp)) ** N2
-    total = np.max(w * np.abs(vals))
-    if N1 >= 1:
-        d1 = np.zeros_like(vals)
-        d1[1:-1, 1:-1] = (vals[2:, :-2] - vals[:-2, 2:]) / (2 * np.sqrt(2.0) * h)
-        total = max(total, float(np.max(w * np.abs(d1))))
-    if N1 >= 2:
-        d2 = np.zeros_like(vals)
-        d2[1:-1, 1:-1] = (vals[2:, :-2] - 2 * vals[1:-1, 1:-1] + vals[:-2, 2:]) \
-            / (2.0 * h * h)
-        total = max(total, float(np.max(w * np.abs(d2))))
-    return float(total)
-
-
 # ---------------------------------------------------------------------------
 # free density
 
@@ -233,7 +154,7 @@ _R_NODES, _R_WEIGHTS = leggauss(128)
 
 
 def _free_density_row(g0: InitialKernel, k: float, t_grid: np.ndarray,
-                      n_axis: int = 1025) -> np.ndarray:
+                      n_axis: int) -> np.ndarray:
     """rho0_hat(t, k) for one radius over all of t_grid."""
     d = g0.d
     v2_cap = 2.0 * g0.energy_radius ** 2 - k * k
@@ -247,10 +168,6 @@ def _free_density_row(g0: InitialKernel, k: float, t_grid: np.ndarray,
         P = ((k - v1) / 2.0).reshape(-1, 1)
         H = np.asarray(g0.gamma0_hat(K, P)).astype(complex).ravel()
     else:
-        if g0.quadratic_form is None:
-            raise ValueError(
-                "free density in d >= 2 needs a rotation-invariant kernel "
-                "(quadratic_form)")
         R = V
         r = (_R_NODES + 1.0) * R / 2.0
         wr = _R_WEIGHTS * R / 2.0
@@ -267,13 +184,6 @@ def _free_density_row(g0: InitialKernel, k: float, t_grid: np.ndarray,
                       "box edge", TruncationWarning)
     h_v = v1[1] - v1[0]
     return 2.0 ** (-d) * filon_transform(H, -V, h_v, np.asarray(t_grid) * k)
-
-
-def free_density(g0: InitialKernel, k: float, t) -> complex | np.ndarray:
-    """Free density rho0_hat(t, k) at one radius, vectorized over t."""
-    scalar = np.isscalar(t) or np.asarray(t).ndim == 0
-    out = _free_density_row(g0, float(k), np.atleast_1d(np.asarray(t, dtype=float)))
-    return complex(out[0]) if scalar else out
 
 
 def free_density_trajectory(g0: InitialKernel, k_grid, t_grid,
@@ -379,16 +289,6 @@ def reconstruct_sup_norm(rho: DensityTrajectory, n: int = 0) -> np.ndarray:
     weight = (2.0 * np.pi) ** (-d) * sphere_area(d) * r ** (n + d - 1)
     bounds = np.trapezoid(weight[:, None] * np.abs(rho.rho_hat), r, axis=0)
     return np.column_stack([rho.t_grid, bounds])
-
-
-def origin_value(rho: DensityTrajectory) -> np.ndarray:
-    """rho(t, x=0) = (2 pi)^{-d} int rho_hat dk for radial trajectories."""
-    if rho.kind != "radial":
-        raise NonRadialInput("origin reconstruction needs a radial trajectory")
-    d = int(rho.meta.get("d", 3))
-    r = np.abs(rho.k_grid)
-    weight = (2.0 * np.pi) ** (-d) * sphere_area(d) * r ** (d - 1)
-    return np.trapezoid(weight[:, None] * rho.rho_hat, r, axis=0)
 
 
 def y_norm(rho: DensityTrajectory, n1: int, n2: int) -> float:

@@ -40,7 +40,6 @@ __all__ = [
     "GridMismatch",
     "m_f",
     "m_f_boundary",
-    "green_time",
     "green_table",
     "convolve_green",
     "dyadic_envelope",
@@ -105,8 +104,8 @@ def m_f(m: Marginal, lam: complex, k: float, tol_abs: float = 1e-10) -> MfSample
                     error_estimate=up.abs_error_estimate + dn.abs_error_estimate)
 
 
-def m_f_boundary(m: Marginal, k: float, taus, tol_abs: float = 1e-11,
-                 n0: int = 4097) -> np.ndarray:
+def m_f_boundary(m: Marginal, k: float, taus,
+                 tol_abs: float = 1e-11) -> np.ndarray:
     """m_f(i tau, k) for a whole array of real tau in one Filon pass."""
     if k <= 0:
         raise ValueError("m_f_boundary needs k > 0")
@@ -114,7 +113,7 @@ def m_f_boundary(m: Marginal, k: float, taus, tol_abs: float = 1e-11,
     # one transform per shifted copy, so a uniform tau grid stays uniform;
     # the cap stops the doubling at 2^21 + 1 samples
     r = refine_filon(lambda t: m.phi_hat(2.0 * k * t), 0.0, _support_time(m, k),
-                     (taus - k * k, taus + k * k), n0, tol_abs, 2 ** 22)
+                     (taus - k * k, taus + k * k), 4097, tol_abs, 2 ** 22)
     return -1j * (r.transforms[0] - r.transforms[1])
 
 
@@ -169,17 +168,6 @@ def _row_synthesis(m: Marginal, w: Potential, k: float, t_grid: np.ndarray,
     vals = (A / (2.0 * a)) * np.exp(-a * np.abs(np.asarray(t_grid))) \
         + (acc + 2.0 * half.real) / (2.0 * np.pi)
     return vals.astype(complex), tau_max
-
-
-def green_time(m: Marginal, w: Potential, k: float, t,
-               theta0: float | None = None, tol: float = 1e-10) -> complex | np.ndarray:
-    """Regular Green function value(s) at one k, vectorized over t."""
-    if k <= 0:
-        raise ValueError("green_time needs k > 0")
-    scalar = np.isscalar(t) or np.asarray(t).ndim == 0
-    t_grid = np.atleast_1d(np.asarray(t, dtype=float))
-    vals, _ = _row_synthesis(m, w, float(k), t_grid, theta0, tol, 10.0 * tol)
-    return complex(vals[0]) if scalar else vals
 
 
 def green_table(m: Marginal, w: Potential, k_grid, t_grid,

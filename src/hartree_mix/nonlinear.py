@@ -15,10 +15,12 @@ convolutions: e^{isl.(2k-l)} = e^{is|k|^2} e^{-is|k-l|^2}, so dressing
 mu_hat with the free phase turns both shift terms into convolutions of
 the coefficient row w_hat(l) rho_hat(s,l) against phase-dressed slices,
 with zero fill outside the box (the discarded coefficient mass is
-reported as a leakage fraction, never raised).  Density recovery uses
-oscillatory quadrature weights: the phase under the p-integral is
-exactly linear in p, and plain Riemann sums alias once 2t|k| passes the
-grid Nyquist rate.
+reported as a leakage fraction, never raised).  Density recovery takes
+one path in every dimension: the shifted slab mu_hat(t, k-p, p) is
+gathered at once, and each p axis is contracted with oscillatory
+quadrature weights, since the phase under the p-integral is exactly
+linear in p and plain Riemann sums alias once 2t|k| passes the grid
+Nyquist rate.
 
 Everything is dimension-generic; the supported workhorse is d = 1 with
 33 points per axis, and d = 3 runs at 9 points per axis behind a runtime
@@ -77,10 +79,6 @@ class KernelState:
     @property
     def n_pts(self) -> int:
         return self.axis.size
-
-    @property
-    def k_box(self) -> float:
-        return float(self.axis[-1])
 
     @property
     def t_grid(self) -> np.ndarray:
@@ -289,74 +287,69 @@ def _edge_loss_fraction(coeff: np.ndarray, n: int, d: int) -> float:
     return float(np.sum(w * (1.0 - keep)) / tot)
 
 
+# einsum subscripts: the first d letters index k axes, the next d p axes
+_LETTERS = "abcdefghijkl"
+
+
 def density_from_state(state: KernelState, t: float) -> np.ndarray:
     """Density row rho_hat(t, .) on the k grid from one time slice.
 
     rho_hat(t,k) = int e^{-it(|k-p|^2-|p|^2)} mu_hat(t,k-p,p) dp, and the
-    phase factors as e^{-it|k|^2} e^{2itk.p}; each p axis is integrated
-    with linear-phase-exact weights at frequency -2 t k_axis.
+    phase factors as e^{-it|k|^2} e^{2itk.p}.  The shifted slab
+    mu_hat(t, k-p, p) (zero where k - p leaves the box) is gathered in one
+    indexing pass, and each p axis is then contracted against the
+    linear-phase-exact weights at frequency -2 t k_axis of its own k axis.
     """
     d, n = state.d, state.n_pts
     axis = state.axis
     i_t = int(round(t / state.dt))
     if abs(i_t * state.dt - t) > 1e-9 * max(state.dt, 1.0):
         raise ValueError("t is not on the state's time grid")
-    mu_t = state.mu_hat[i_t]
     h = float(axis[1] - axis[0])
     c = (n - 1) // 2
-    jp = np.arange(n)
-    # one weight row per axis value, reused across k components
+    # one weight row per axis value, shared by every k axis
     wts = filon_weights(n, float(axis[0]), h, -2.0 * t * axis)
 
-    if d == 1:
-        m = np.arange(n)[:, None] - jp[None, :] + c
-        good = (m >= 0) & (m < n)
-        slab = np.where(good, mu_t[np.clip(m, 0, n - 1), jp[None, :]], 0.0)
-        out = np.einsum("kp,kp->k", wts, slab)
-        return np.exp(-1j * t * axis ** 2) * out
-
-    ksq = _ksq_grid(axis, d)
-    p_idx = np.meshgrid(*([jp] * d), indexing="ij")
-    out = np.zeros((n,) * d, dtype=complex)
-    for ki in np.ndindex(*((n,) * d)):
-        valid = np.ones((n,) * d, dtype=bool)
-        k_idx = []
-        for ax in range(d):
-            m = ki[ax] - jp + c
-            shape = (1,) * ax + (n,) + (1,) * (d - ax - 1)
-            valid &= ((m >= 0) & (m < n)).reshape(shape)
-            k_idx.append(np.broadcast_to(np.clip(m, 0, n - 1).reshape(shape),
-                                         (n,) * d))
-        slab = np.where(valid, mu_t[tuple(k_idx) + tuple(p_idx)], 0.0)
-        acc = slab
-        for ax in range(d - 1, -1, -1):
-            acc = np.tensordot(acc, wts[ki[ax]], axes=([ax], [0]))
-        out[ki] = acc
-    return np.exp(-1j * t * ksq) * out
+    valid = np.ones((n,) * (2 * d), dtype=bool)
+    k_idx, p_idx = [], []
+    for ax in range(d):
+        ik = np.arange(n).reshape((1,) * ax + (n,) + (1,) * (2 * d - ax - 1))
+        ip = np.arange(n).reshape((1,) * (d + ax) + (n,) + (1,) * (d - ax - 1))
+        m = ik - ip + c
+        valid &= (m >= 0) & (m < n)
+        k_idx.append(np.clip(m, 0, n - 1))
+        p_idx.append(ip)
+    out = np.where(valid, state.mu_hat[i_t][tuple(k_idx + p_idx)], 0.0)
+    ks, ps = _LETTERS[:d], _LETTERS[d:2 * d]
+    for ax in range(d - 1, -1, -1):
+        out = np.einsum(f"{ks[ax]}{ps[ax]},{ks}{ps[:ax + 1]}->{ks}{ps[:ax]}",
+                        wts, out)
+    return np.exp(-1j * t * _ksq_grid(axis, d)) * out
 
 
-def density_trajectory_from_state(state: KernelState) -> DensityTrajectory:
-    """Full density history, row-major flattened over the box grid."""
+def _cartesian_trajectory(state: KernelState,
+                          rows: np.ndarray) -> DensityTrajectory:
+    """Density rows, row-major flattened over the box grid, as a trajectory."""
     n, d = state.n_pts, state.d
-    t_grid = state.t_grid
-    rows = np.empty((n ** d, t_grid.size), dtype=complex)
-    for i, t in enumerate(t_grid):
-        rows[:, i] = density_from_state(state, float(t)).ravel()
     kmag = np.linalg.norm(_stack_points(state.axis, d), axis=-1)
-    return DensityTrajectory(k_grid=kmag, t_grid=t_grid, rho_hat=rows,
+    return DensityTrajectory(k_grid=kmag, t_grid=state.t_grid, rho_hat=rows,
                              kind="cartesian",
                              meta={"d": d, "axis": state.axis,
                                    "shape": (n,) * d, "source": "nonlinear"})
 
 
+def density_trajectory_from_state(state: KernelState) -> DensityTrajectory:
+    """Full density history, row-major flattened over the box grid."""
+    t_grid = state.t_grid
+    rows = np.empty((state.n_pts ** state.d, t_grid.size), dtype=complex)
+    for i, t in enumerate(t_grid):
+        rows[:, i] = density_from_state(state, float(t)).ravel()
+    return _cartesian_trajectory(state, rows)
+
+
 def _zero_trajectory(state: KernelState) -> DensityTrajectory:
-    n, d = state.n_pts, state.d
-    kmag = np.linalg.norm(_stack_points(state.axis, d), axis=-1)
-    return DensityTrajectory(
-        k_grid=kmag, t_grid=state.t_grid,
-        rho_hat=np.zeros((n ** d, state.t_grid.size), dtype=complex),
-        kind="cartesian", meta={"d": d, "axis": state.axis,
-                                "shape": (n,) * d, "source": "nonlinear"})
+    return _cartesian_trajectory(state, np.zeros(
+        (state.n_pts ** state.d, state.t_grid.size), dtype=complex))
 
 
 def _linear_stage_solver(state: KernelState, g0: InitialKernel, w: Potential,
@@ -437,12 +430,17 @@ def _linear_stage_solver(state: KernelState, g0: InitialKernel, w: Potential,
     return correct
 
 
+# Picard sweeps before giving up, and the time-weight exponent delta of
+# the Z norm
+_MAX_SWEEPS = 25
+_Z_DELTA = 0.1
+
+
 def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
                          w: Potential, *, k_box: float = 4.0,
                          n_pts: int = 33, dt: float = 0.1,
                          t_max: float = 30.0, tol: float = 1e-10,
-                         max_iter: int = 25, n1: int | None = None,
-                         n2: int | None = None, delta: float = 0.1):
+                         n1: int | None = None, n2: int | None = None):
     """Picard iteration to the self-consistent (mu_hat, rho_hat) pair.
 
     Each sweep alternates the Duhamel update against the current density
@@ -495,7 +493,7 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
     ratios: list[float] = []
     bad = 0
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_SWEEPS + 1):
         state = picard_step(state, rho, g0, w, f)
         full = density_trajectory_from_state(state)
         rows = rho.rho_hat + correct(full.rho_hat - rho.rho_hat)
@@ -528,7 +526,7 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
     # one closing Duhamel pass so the returned profile matches the final
     # density, not the one from the previous sweep
     state = picard_step(state, rho, g0, w, f)
-    tracker = _track_norms(state, rho, n1, n2, delta)
+    tracker = _track_norms(state, rho, n1, n2)
     report = SolveReport(iterations=it, distances=tuple(distances),
                          contraction_factors=tuple(ratios),
                          leakage=state.leakage)
@@ -563,7 +561,7 @@ def _diag_difference(mu_t: np.ndarray, order: int, d: int,
 
 
 def _track_norms(state: KernelState, rho: DensityTrajectory, n1: int,
-                 n2: int, delta: float) -> NormTracker:
+                 n2: int) -> NormTracker:
     d, n = state.d, state.n_pts
     h = float(np.diff(state.axis)[0])
     ksq = _ksq_grid(state.axis, d)
@@ -583,11 +581,11 @@ def _track_norms(state: KernelState, rho: DensityTrajectory, n1: int,
         level = max(min(level, orders), 0)
         return np.maximum.accumulate(np.sum(x[:, : level + 1], axis=1))
 
-    z_t = x_level(n1 - 2) + bracket ** (-delta) * x_level(n1 - 1) \
+    z_t = x_level(n1 - 2) + bracket ** (-_Z_DELTA) * x_level(n1 - 1) \
         + bracket ** (-1.0) * x_level(n1)
     return NormTracker(t_grid=state.t_grid, x_norms=x,
                        y_norm=y_norm(rho, n1, n2), z_norm=float(np.max(z_t)),
-                       n1=n1, n2=n2, delta=delta, available_orders=orders)
+                       n1=n1, n2=n2, delta=_Z_DELTA, available_orders=orders)
 
 
 def scattering_diagnostic(state: KernelState) -> np.ndarray:

@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -57,8 +57,12 @@ class NonPositiveValue(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    equilibrium: dict
-    potential: dict
+    """A validated run: the built profile, potential and initial kernel,
+    the grids, and the tolerances."""
+
+    profile: profiles.EquilibriumProfile
+    potential: profiles.Potential
+    kernel: dynamics.InitialKernel
     d: int
     n1: int
     n2: int
@@ -73,64 +77,80 @@ class RunConfig:
     nl_points: int
     nl_dt: float
     nl_t_max: float
-    epsilon: float
     out_dir: str
     seed: int
-    initial: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
+    green_tol: float
+    fit_window: tuple[float, float]
 
     @property
     def n3(self) -> int:
         return min(self.n1, self.n2) - self.d - 1
 
-    @property
-    def fit_window(self) -> tuple[float, float]:
-        w = self.tolerances.get("fit_window", (5.0, 50.0))
-        return (float(w[0]), float(w[1]))
+
+# the keys each level of the document may hold
+_TOP_KEYS = ("d", "equilibrium", "potential", "k_grid", "t_grid", "tau_grid",
+             "nonlinear", "epsilon", "N1", "N2", "out", "seed", "initial",
+             "tolerances")
+_GROUP_KEYS = {
+    "k_grid": ("count", "min", "max"),
+    "t_grid": ("dt", "t_max"),
+    "tau_grid": ("max", "count"),
+    "nonlinear": ("box", "points", "dt", "t_max"),
+    "tolerances": ("green", "fit_window"),
+}
 
 
-def _need(doc: dict, name: str):
+def _reject_unknown(doc: dict, allowed, prefix: str) -> None:
+    unknown = [f"'{prefix}{k}'" for k in doc if k not in allowed]
+    if unknown:
+        raise ConfigError(f"unknown field{'s' if len(unknown) > 1 else ''} "
+                          f"{', '.join(unknown)}")
+
+
+def _need(doc: dict, prefix: str, name: str):
     if name not in doc:
-        raise ConfigError(f"missing field '{name}'")
+        raise ConfigError(f"missing field '{prefix}{name}'")
     return doc[name]
 
 
-def _sub(doc: dict, group: str, name: str, default=None):
-    g = doc.get(group)
+def _group(doc: dict, name: str, required: bool) -> dict:
+    """The object-valued field ``name``, its keys checked ({} if absent)."""
+    g = doc.get(name)
     if g is None:
-        if default is None:
-            raise ConfigError(f"missing field '{group}'")
-        return default
+        if required:
+            raise ConfigError(f"missing field '{name}'")
+        return {}
     if not isinstance(g, dict):
-        raise ConfigError(f"field '{group}' must be an object")
-    if name not in g:
-        if default is None:
-            raise ConfigError(f"missing field '{group}.{name}'")
-        return default
-    return g[name]
+        raise ConfigError(f"field '{name}' must be an object")
+    if name in _GROUP_KEYS:
+        _reject_unknown(g, _GROUP_KEYS[name], f"{name}.")
+    return g
 
 
 def parse_config(doc: dict, out: str | None = None,
                  seed: int | None = None) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig.
 
-    Field problems raise ConfigError naming the offending field; the
-    ``out`` and ``seed`` arguments override the document when given.
+    Field problems, unknown keys included, raise ConfigError naming the
+    offending field; the profile, potential and initial kernel are built
+    here, so a bad parameter fails before any stage runs.  The ``out``
+    and ``seed`` arguments override the document when given.
     """
     if not isinstance(doc, dict):
         raise ConfigError("top level must be a JSON object")
-    d = int(_need(doc, "d"))
+    _reject_unknown(doc, _TOP_KEYS, "")
+    d = int(_need(doc, "", "d"))
     if d < 1:
         raise ConfigError("field 'd': must be >= 1")
-    eq = _need(doc, "equilibrium")
-    if not isinstance(eq, dict) or "kind" not in eq:
+    eq = _group(doc, "equilibrium", True)
+    if "kind" not in eq:
         raise ConfigError("field 'equilibrium': needs a 'kind'")
-    pot = _need(doc, "potential")
-    if not isinstance(pot, dict) or "kind" not in pot:
+    pot = _group(doc, "potential", True)
+    if "kind" not in pot:
         raise ConfigError("field 'potential': needs a 'kind'")
 
     prof = _make_profile(eq, d)
-    _make_potential(pot)
+    w = _make_potential(pot)
     if "N1" not in doc and not math.isfinite(prof.n1):
         raise ConfigError(f"field 'N1': required, since equilibrium kind "
                           f"'{prof.kind}' declares no finite decay rate")
@@ -140,24 +160,28 @@ def parse_config(doc: dict, out: str | None = None,
         raise ConfigError("fields 'N1'/'N2': min(N1, N2) - d - 1 must be "
                           ">= 0")
 
-    k_count = int(_sub(doc, "k_grid", "count"))
-    k_min = float(_sub(doc, "k_grid", "min"))
-    k_max = float(_sub(doc, "k_grid", "max"))
+    kg = _group(doc, "k_grid", True)
+    k_count = int(_need(kg, "k_grid.", "count"))
+    k_min = float(_need(kg, "k_grid.", "min"))
+    k_max = float(_need(kg, "k_grid.", "max"))
     if k_count < 2 or not (0 < k_min < k_max):
         raise ConfigError("field 'k_grid': need count >= 2 and "
                           "0 < min < max")
-    dt = float(_sub(doc, "t_grid", "dt"))
-    t_max = float(_sub(doc, "t_grid", "t_max"))
+    tg = _group(doc, "t_grid", True)
+    dt = float(_need(tg, "t_grid.", "dt"))
+    t_max = float(_need(tg, "t_grid.", "t_max"))
     if dt <= 0 or t_max <= dt:
         raise ConfigError("field 't_grid': need dt > 0 and t_max > dt")
-    tau_max = float(_sub(doc, "tau_grid", "max", 40.0))
-    tau_count = int(_sub(doc, "tau_grid", "count", 401))
+    taug = _group(doc, "tau_grid", False)
+    tau_max = float(taug.get("max", 40.0))
+    tau_count = int(taug.get("count", 401))
     if tau_count < 2 or tau_max <= 0:
         raise ConfigError("field 'tau_grid': need count >= 2 and max > 0")
-    nl_box = float(_sub(doc, "nonlinear", "box", 4.0))
-    nl_points = int(_sub(doc, "nonlinear", "points", 33 if d <= 2 else 9))
-    nl_dt = float(_sub(doc, "nonlinear", "dt", 0.1))
-    nl_t_max = float(_sub(doc, "nonlinear", "t_max", 30.0))
+    nl = _group(doc, "nonlinear", False)
+    nl_box = float(nl.get("box", 4.0))
+    nl_points = int(nl.get("points", 33 if d <= 2 else 9))
+    nl_dt = float(nl.get("dt", 0.1))
+    nl_t_max = float(nl.get("t_max", 30.0))
     if nl_points < 3 or nl_points % 2 == 0:
         raise ConfigError("field 'nonlinear.points': need an odd count >= 3")
     if d >= 3 and nl_points > 9:
@@ -168,20 +192,29 @@ def parse_config(doc: dict, out: str | None = None,
                           "positive")
 
     epsilon = float(doc.get("epsilon", 1e-2))
-    out_dir = out if out is not None else str(doc.get("out", "."))
-    seed_v = int(seed if seed is not None else doc.get("seed", 0))
-    initial = doc.get("initial", {})
-    if initial and not isinstance(initial, dict):
-        raise ConfigError("field 'initial' must be an object")
-    tol = doc.get("tolerances", {})
-    if tol and not isinstance(tol, dict):
-        raise ConfigError("field 'tolerances' must be an object")
-    return RunConfig(equilibrium=eq, potential=pot, d=d, n1=n1, n2=n2,
-                     k_count=k_count, k_min=k_min, k_max=k_max, dt=dt,
-                     t_max=t_max, tau_max=tau_max, tau_count=tau_count,
-                     nl_box=nl_box, nl_points=nl_points, nl_dt=nl_dt,
-                     nl_t_max=nl_t_max, epsilon=epsilon, out_dir=out_dir,
-                     seed=seed_v, initial=initial, tolerances=tol)
+    kernel = _make_initial(_group(doc, "initial", False), d, epsilon)
+    tol = _group(doc, "tolerances", False)
+    # decay diagnostics only need table entries well above the fit floor;
+    # the library default 1e-10 is for solver-grade tables
+    green_tol = float(tol.get("green", 1e-8))
+    if not green_tol > 0:
+        raise ConfigError("field 'tolerances.green': must be > 0")
+    window = tol.get("fit_window", (5.0, 50.0))
+    try:
+        window = tuple(float(x) for x in window)
+    except (TypeError, ValueError):
+        window = ()
+    if len(window) != 2 or not 0 < window[0] < window[1]:
+        raise ConfigError("field 'tolerances.fit_window': need [lo, hi] "
+                          "with 0 < lo < hi")
+    return RunConfig(
+        profile=prof, potential=w, kernel=kernel, d=d, n1=n1, n2=n2,
+        k_count=k_count, k_min=k_min, k_max=k_max, dt=dt, t_max=t_max,
+        tau_max=tau_max, tau_count=tau_count, nl_box=nl_box,
+        nl_points=nl_points, nl_dt=nl_dt, nl_t_max=nl_t_max,
+        out_dir=out if out is not None else str(doc.get("out", ".")),
+        seed=int(seed if seed is not None else doc.get("seed", 0)),
+        green_tol=green_tol, fit_window=window)
 
 
 def load_config(path: str, out: str | None = None,
@@ -229,17 +262,18 @@ def _make_potential(pot: dict) -> profiles.Potential:
     raise ConfigError(f"field 'potential.kind': unknown kind '{kind}'")
 
 
-def _make_initial(cfg: RunConfig) -> dynamics.InitialKernel:
-    opts = dict(cfg.initial) if cfg.initial else {}
+def _make_initial(initial: dict, d: int,
+                  epsilon: float) -> dynamics.InitialKernel:
+    opts = dict(initial)
     kind = opts.pop("kind", "gaussian_pure")
     if kind != "gaussian_pure":
         raise ConfigError(f"field 'initial.kind': unknown kind '{kind}'")
     opts.setdefault("alpha", 1.0)
     if "amplitude" not in opts and "hat_amplitude" not in opts:
-        opts["hat_amplitude"] = cfg.epsilon
+        opts["hat_amplitude"] = epsilon
     try:
-        return dynamics.gaussian_pure_kernel(cfg.d, **opts)
-    except TypeError as e:
+        return dynamics.gaussian_pure_kernel(d, **opts)
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"field 'initial': {e}") from e
 
 
@@ -261,6 +295,14 @@ class DecayFit:
             raise ValueError("residual is an rms, hence nonnegative")
 
 
+def _in_window(samples, window) -> np.ndarray:
+    """The (t, value) rows with window[0] <= t <= window[1]."""
+    arr = np.asarray(samples, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("samples must be (t, value) rows")
+    return arr[(arr[:, 0] >= window[0]) & (arr[:, 0] <= window[1])]
+
+
 def fit_decay(samples, window: tuple[float, float] = (5.0, 50.0)) -> DecayFit:
     """Least-squares log-log line through the in-window samples.
 
@@ -268,12 +310,8 @@ def fit_decay(samples, window: tuple[float, float] = (5.0, 50.0)) -> DecayFit:
     exponent.  Raises InsufficientSamples below 8 in-window points and
     NonPositiveValue when the window contains a value <= 0.
     """
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("samples must be (t, value) rows")
     t_lo, t_hi = float(window[0]), float(window[1])
-    sel = (arr[:, 0] >= t_lo) & (arr[:, 0] <= t_hi)
-    pts = arr[sel]
+    pts = _in_window(samples, (t_lo, t_hi))
     if pts.shape[0] < 8:
         raise InsufficientSamples(
             f"{pts.shape[0]} samples in [{t_lo:g}, {t_hi:g}]; need 8")
@@ -329,13 +367,17 @@ def _json_default(x):
     raise TypeError(f"not JSON serializable: {type(x)!r}")
 
 
-def _fit_or_note(samples, window):
+def _fit_or_note(samples, window) -> dict:
+    """Report entry for one decay fit: the fit, or the reason there is
+    none, and the number of in-window samples either way."""
+    entry = {"samples": int(_in_window(samples, window).shape[0])}
     try:
         f = fit_decay(samples, window)
-        return {"window": list(f.window), "slope": f.slope,
-                "intercept": f.intercept, "residual": f.residual}
+        entry.update(window=list(f.window), slope=f.slope,
+                     intercept=f.intercept, residual=f.residual)
     except (InsufficientSamples, NonPositiveValue) as e:
-        return {"error": f"{type(e).__name__}: {e}"}
+        entry["error"] = f"{type(e).__name__}: {e}"
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +394,15 @@ def _t_grid(cfg: RunConfig) -> np.ndarray:
 
 
 def _cmd_marginal(cfg: RunConfig, out: str) -> int:
-    prof = _make_profile(cfg.equilibrium, cfg.d)
-    pot = _make_potential(cfg.potential)
-    m = profiles.build_marginal(prof)
+    m = profiles.build_marginal(cfg.profile)
     us = np.linspace(-m.u_support, m.u_support, 801)
     _write_csv(os.path.join(out, "marginal.csv"), ["u", "phi", "dphi"],
                ((u, m.phi(u), m.dphi(u)) for u in us))
     ts = np.linspace(0.0, m.t_support, 801)
     _write_csv(os.path.join(out, "marginal_hat.csv"), ["t", "phi_hat"],
                ((t, m.phi_hat(t)) for t in ts))
-    report = profiles.validate_assumptions(prof, pot, m, seed=cfg.seed)
+    report = profiles.validate_assumptions(cfg.profile, cfg.potential, m,
+                                           seed=cfg.seed)
     _write_json(os.path.join(out, "marginal.json"), {
         "total_mass": m.total_mass,
         "upsilon": m.upsilon if np.isfinite(m.upsilon) else None,
@@ -378,9 +419,8 @@ def _cmd_marginal(cfg: RunConfig, out: str) -> int:
 
 
 def _cmd_dispersion(cfg: RunConfig, out: str) -> int:
-    prof = _make_profile(cfg.equilibrium, cfg.d)
-    pot = _make_potential(cfg.potential)
-    m = profiles.build_marginal(prof)
+    m = profiles.build_marginal(cfg.profile)
+    pot = cfg.potential
     taus = np.linspace(0.0, cfg.tau_max, cfg.tau_count)
     rows = []
     for k in _k_grid(cfg):
@@ -402,10 +442,8 @@ def _cmd_dispersion(cfg: RunConfig, out: str) -> int:
 
 
 def _cmd_stability(cfg: RunConfig, out: str) -> int:
-    prof = _make_profile(cfg.equilibrium, cfg.d)
-    pot = _make_potential(cfg.potential)
-    m = profiles.build_marginal(prof)
-    cert = stability.certify(m, pot)
+    m = profiles.build_marginal(cfg.profile)
+    cert = stability.certify(m, cfg.potential)
     payload = {
         "verdict": cert.verdict,
         "theta0": cert.theta0,
@@ -435,7 +473,7 @@ def _cmd_stability(cfg: RunConfig, out: str) -> int:
     if np.isfinite(m.upsilon):
         ks = np.linspace(cfg.k_min, cfg.k_max, min(cfg.k_count, 16))
         try:
-            curve = stability.phi_curve(m, pot, ks)
+            curve = stability.phi_curve(m, cfg.potential, ks)
             _write_csv(os.path.join(out, "phi_curve.csv"), ["k", "phi"],
                        ((r[0], r[1]) for r in curve.samples))
         except disp.DivergentIntegral:
@@ -444,25 +482,30 @@ def _cmd_stability(cfg: RunConfig, out: str) -> int:
 
 
 def _cmd_green(cfg: RunConfig, out: str) -> int:
-    prof = _make_profile(cfg.equilibrium, cfg.d)
-    pot = _make_potential(cfg.potential)
-    m = profiles.build_marginal(prof)
+    m = profiles.build_marginal(cfg.profile)
     ks = _k_grid(cfg)
     ts = _t_grid(cfg)
-    # decay diagnostics only need table entries well above the fit floor;
-    # the library default 1e-10 is for solver-grade tables
-    gtol = float(cfg.tolerances.get("green", 1e-8))
-    table = green.green_table(m, pot, ks, ts, tol=gtol, tail_tol=10 * gtol)
+    gtol = cfg.green_tol
+    table = green.green_table(m, cfg.potential, ks, ts, tol=gtol,
+                              tail_tol=10 * gtol)
     rows = ((k, t, table.values[i, j].real, table.values[i, j].imag)
             for i, k in enumerate(ks) for j, t in enumerate(ts))
     _write_csv(os.path.join(out, "green.csv"), ["k", "t", "re_G", "im_G"],
                rows)
+    # quarter-octave blocks; block maxima under 100 times the synthesis
+    # tolerance are quadrature noise and stay out of the fit
+    floor = 100.0 * gtol
     fits = {}
     peaks = {}
     for i, k in enumerate(ks):
-        env = green.dyadic_envelope(ts, np.abs(table.values[i]))
+        env = green.dyadic_envelope(ts, np.abs(table.values[i]),
+                                    ratio=2 ** 0.25)
         if env.shape[0]:
-            fits[f"{k:.6g}"] = _fit_or_note(env, cfg.fit_window)
+            entry = _fit_or_note(env[env[:, 1] > floor], cfg.fit_window)
+            entry["noise_floor"] = floor
+            entry["below_floor"] = (_in_window(env, cfg.fit_window).shape[0]
+                                    - entry["samples"])
+            fits[f"{k:.6g}"] = entry
         peaks[f"{k:.6g}"] = float(np.max(np.abs(table.values[i])))
     _write_json(os.path.join(out, "green_envelope.json"), {
         "fit_window": list(cfg.fit_window),
@@ -489,9 +532,8 @@ def _traj_rows(traj: dynamics.DensityTrajectory):
 
 
 def _cmd_free(cfg: RunConfig, out: str) -> int:
-    g0 = _make_initial(cfg)
-    traj = dynamics.free_density_trajectory(g0, _k_grid(cfg), _t_grid(cfg),
-                                            N1=cfg.n1, N2=cfg.n2)
+    traj = dynamics.free_density_trajectory(
+        cfg.kernel, _k_grid(cfg), _t_grid(cfg), N1=cfg.n1, N2=cfg.n2)
     _write_csv(os.path.join(out, "free.csv"),
                ["t", "k", "re_rho", "im_rho"], _traj_rows(traj))
     _write_json(os.path.join(out, "free_decay.json"), _decay_payload(cfg, traj))
@@ -499,13 +541,10 @@ def _cmd_free(cfg: RunConfig, out: str) -> int:
 
 
 def _cmd_linear(cfg: RunConfig, out: str) -> int:
-    prof = _make_profile(cfg.equilibrium, cfg.d)
-    pot = _make_potential(cfg.potential)
-    m = profiles.build_marginal(prof)
-    g0 = _make_initial(cfg)
-    source = dynamics.free_density_trajectory(g0, _k_grid(cfg), _t_grid(cfg),
-                                              N1=cfg.n1, N2=cfg.n2)
-    traj = dynamics.volterra_solve(m, pot, source)
+    m = profiles.build_marginal(cfg.profile)
+    source = dynamics.free_density_trajectory(
+        cfg.kernel, _k_grid(cfg), _t_grid(cfg), N1=cfg.n1, N2=cfg.n2)
+    traj = dynamics.volterra_solve(m, cfg.potential, source)
     _write_csv(os.path.join(out, "linear.csv"),
                ["t", "k", "re_rho", "im_rho"], _traj_rows(traj))
     _write_json(os.path.join(out, "linear_decay.json"),
@@ -514,19 +553,16 @@ def _cmd_linear(cfg: RunConfig, out: str) -> int:
 
 
 def _cmd_nonlinear(cfg: RunConfig, out: str) -> int:
-    prof = _make_profile(cfg.equilibrium, cfg.d)
-    pot = _make_potential(cfg.potential)
-    g0 = _make_initial(cfg)
     state, traj, tracker, report = nonlinear.solve_selfconsistent(
-        g0, prof, pot, k_box=cfg.nl_box, n_pts=cfg.nl_points, dt=cfg.nl_dt,
-        t_max=cfg.nl_t_max, n1=cfg.n1, n2=cfg.n2)
+        cfg.kernel, cfg.profile, cfg.potential, k_box=cfg.nl_box,
+        n_pts=cfg.nl_points, dt=cfg.nl_dt, t_max=cfg.nl_t_max, n1=cfg.n1,
+        n2=cfg.n2)
     _write_csv(os.path.join(out, "nonlinear_rho.csv"),
                ["t", "k", "re_rho", "im_rho"], _traj_rows(traj))
     scat = nonlinear.scattering_diagnostic(state)
     _write_csv(os.path.join(out, "scattering.csv"), ["t", "hs_distance"],
                (tuple(r) for r in scat))
     hs = nonlinear.hs_norm(state)
-    positive = scat[scat[:, 1] > 0]
     _write_json(os.path.join(out, "nonlinear_report.json"), {
         "iterations": report.iterations,
         "distances": list(report.distances),
@@ -538,8 +574,8 @@ def _cmd_nonlinear(cfg: RunConfig, out: str) -> int:
         "y_norm": tracker.y_norm,
         "z_norm": tracker.z_norm,
         "available_x_orders": tracker.available_orders,
-        "scattering_fit": _fit_or_note(positive, cfg.fit_window)
-        if positive.shape[0] >= 8 else {"error": "too few positive samples"},
+        "scattering_fit": _fit_or_note(scat[scat[:, 1] > 0],
+                                       cfg.fit_window),
     })
     return 0
 

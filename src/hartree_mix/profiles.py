@@ -45,7 +45,6 @@ __all__ = [
     "fermi_zero_t_profile",
     "smooth_bump_profile",
     "power_decay_profile",
-    "custom_profile",
     "screened_coulomb",
     "delta_potential",
     "gaussian_hat_potential",
@@ -54,7 +53,6 @@ __all__ = [
     "shifted_l2_difference",
     "validate_assumptions",
     "sphere_area",
-    "ball_volume",
 ]
 
 
@@ -69,11 +67,6 @@ class TruncationWarning(UserWarning):
 def sphere_area(m: int) -> float:
     """|S^{m-1}|, surface area of the unit sphere in R^m (|S^0| = 2)."""
     return 2.0 * np.pi ** (m / 2.0) / _gamma_fn(m / 2.0)
-
-
-def ball_volume(m: int) -> float:
-    """Volume of the unit ball in R^m (m = 0 gives 1)."""
-    return np.pi ** (m / 2.0) / _gamma_fn(m / 2.0 + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,25 +184,6 @@ def power_decay_profile(d: int, n1: float) -> EquilibriumProfile:
         upsilon=math.inf, decay_constant=1.0, params={"n1": n1})
 
 
-def custom_profile(f, d, n1, upsilon=math.inf, df=None, n0=math.inf,
-                   decay_constant=None, f_edge=0.0) -> EquilibriumProfile:
-    """Wrap a user-supplied vectorized e -> f(e).
-
-    ``df`` defaults to a central finite difference; supply it for accuracy
-    near support edges.
-    """
-    if df is None:
-        def df(e, _f=f):
-            e = np.asarray(e, dtype=float)
-            h = 1e-6 * (1.0 + np.abs(e))
-            return (np.asarray(_f(e + h)) - np.asarray(_f(e - h))) / (2 * h)
-    if decay_constant is None:
-        decay_constant = 1.0
-    return EquilibriumProfile(
-        kind="custom", d=d, f=f, df=df, n0=n0, n1=n1, upsilon=upsilon,
-        decay_constant=decay_constant, f_edge=f_edge)
-
-
 @dataclass(frozen=True)
 class Potential:
     """Interaction through its nonnegative Fourier transform w_hat(|k|)."""
@@ -280,8 +254,9 @@ class Marginal:
     profile: EquilibriumProfile
 
 
-def _radial_reduction(prof: EquilibriumProfile, jacobi_nodes=48, tail_tol=1e-16):
-    """Vectorized phi and phi' from the energy-shell representation."""
+def _radial_reduction(prof: EquilibriumProfile):
+    """Vectorized phi and phi' from the energy-shell representation
+    (48 Gauss-Jacobi nodes; full-support panels stop below 1e-16)."""
     d, ups = prof.d, prof.upsilon
     if d == 1:
         def phi(u):
@@ -294,7 +269,7 @@ def _radial_reduction(prof: EquilibriumProfile, jacobi_nodes=48, tail_tol=1e-16)
         return phi, dphi
 
     nu = (d - 3) / 2.0
-    xj, wj = roots_jacobi(jacobi_nodes, 0.0, nu)
+    xj, wj = roots_jacobi(48, 0.0, nu)
     x01 = (xj + 1.0) / 2.0
     w01 = wj * 0.5 ** (nu + 1.0)      # weight x^nu on [0, 1]
     A = sphere_area(d - 1) / 2.0
@@ -346,7 +321,7 @@ def _radial_reduction(prof: EquilibriumProfile, jacobi_nodes=48, tail_tol=1e-16)
             w = wl * (b - a) / 2.0
             piece = (np.asarray(g(u[:, None] ** 2 + s[None, :])) * s[None, :] ** nu) @ w
             total = total + piece
-            if float(np.max(np.abs(piece))) < tail_tol * scale or b > 1e14:
+            if float(np.max(np.abs(piece))) < 1e-16 * scale or b > 1e14:
                 break
             a = b
         return A * total
@@ -387,9 +362,6 @@ def _support_radius(g, start, floor):
     return hi
 
 
-_MARGINAL_MEMO: dict = {}
-
-
 def _envelope_tail(tg: np.ndarray, vals: np.ndarray) -> float:
     """Estimate int_{tg[-1]}^inf |vals| by fitting C t^{-q} to block maxima.
 
@@ -419,8 +391,7 @@ def _envelope_tail(tg: np.ndarray, vals: np.ndarray) -> float:
     return (2.0 / np.pi) * c * t_end ** (1.0 - q) / (q - 1.0)
 
 
-def build_marginal(prof: EquilibriumProfile, table_points: int = 8193,
-                   tol_abs: float = 1e-12) -> Marginal:
+def build_marginal(prof: EquilibriumProfile) -> Marginal:
     """Construct the velocity marginal of an equilibrium profile.
 
     Raises NonIntegrableError when the declared decay metadata cannot make
@@ -431,19 +402,9 @@ def build_marginal(prof: EquilibriumProfile, table_points: int = 8193,
     quadrature below the oscillatory regime.  Profiles whose transform
     decays only algebraically get a truncated spline plus the exact rule
     beyond it, and their L1 diagnostics carry a fitted envelope tail.
+    The phi table holds 8193 samples; the adaptive quadratures run to an
+    absolute 1e-12.
     """
-    key = None
-    if prof.kind != "custom":
-        try:
-            key = (prof.kind, prof.d, prof.n0, prof.n1, prof.upsilon,
-                   prof.f_edge, tuple(sorted(prof.params.items())),
-                   table_points, tol_abs)
-            hit = _MARGINAL_MEMO.get(key)
-            if hit is not None:
-                return hit
-        except TypeError:
-            key = None
-
     phi, dphi = _radial_reduction(prof)
 
     if np.isfinite(prof.upsilon):
@@ -451,13 +412,13 @@ def build_marginal(prof: EquilibriumProfile, table_points: int = 8193,
     else:
         u_max = _support_radius(phi, 1.0, 1e-18)
 
-    n = table_points if table_points % 2 == 1 else table_points + 1
+    n = 8193
     h_u = u_max / (n - 1)
     u_grid = np.arange(n) * h_u
     phi_table = np.asarray(phi(u_grid), dtype=float)
 
     total_mass = 2.0 * float(np.real(
-        adaptive_gauss(lambda u: phi(u), 0.0, u_max, tol_abs=tol_abs).value))
+        adaptive_gauss(lambda u: phi(u), 0.0, u_max, tol_abs=1e-12).value))
 
     if not np.isfinite(prof.upsilon):
         # no support edge to respect: serve phi and dphi from splines over
@@ -498,7 +459,7 @@ def build_marginal(prof: EquilibriumProfile, table_points: int = 8193,
                 ti = abs(ta[i])
                 out[i] = 2.0 * float(np.real(adaptive_gauss(
                     lambda u: np.cos(ti * u) * phi(u), 0.0, u_max,
-                    tol_abs=tol_abs).value))
+                    tol_abs=1e-12).value))
         return float(out[0]) if scalar else out
 
     t_support = _support_radius(lambda t: phi_hat_exact(np.abs(t)),
@@ -532,35 +493,31 @@ def build_marginal(prof: EquilibriumProfile, table_points: int = 8193,
         l1 += _envelope_tail(t_nodes, ph)
         dl1 += _envelope_tail(t_nodes, dph)
 
-    out = Marginal(phi=phi, dphi=dphi, phi_hat=phi_hat, total_mass=total_mass,
-                   upsilon=prof.upsilon, d=prof.d, u_support=u_max,
-                   t_support=t_support, phi_hat_l1=l1, phi_hat_deriv_l1=dl1,
-                   profile=prof)
-    if key is not None:
-        _MARGINAL_MEMO[key] = out
-    return out
+    return Marginal(phi=phi, dphi=dphi, phi_hat=phi_hat,
+                    total_mass=total_mass, upsilon=prof.upsilon, d=prof.d,
+                    u_support=u_max, t_support=t_support, phi_hat_l1=l1,
+                    phi_hat_deriv_l1=dl1, profile=prof)
 
 
 # ---------------------------------------------------------------------------
 # scattering-profile difference
 
 
-def shifted_l2_difference(prof: EquilibriumProfile, k: float,
-                          box: float | None = None, n_axis: int = 129,
-                          tol: float = 1e-9) -> float:
+def shifted_l2_difference(prof: EquilibriumProfile, k: float) -> float:
     """int_{R^d} |g(p - k e1) - g(p + k e1)|^2 dp with g(p) = f(|p|^2 / 4).
 
-    Reduced to a cylindrical (p1, |p_perp|) integral; the square makes the
-    integrand radial around the k-axis.  Warns (TruncationWarning) when the
-    truncation box leaves a visible boundary contribution.
+    Reduced to a cylindrical (p1, |p_perp|) integral over 64-node
+    Gauss-Legendre axes; the square makes the integrand radial around the
+    k-axis.  Warns (TruncationWarning) when the truncation box leaves a
+    boundary contribution above 1e-9.
     """
     d = prof.d
     k = float(k)
-    if box is None:
-        if np.isfinite(prof.upsilon):
-            box = 2.0 * prof.upsilon + 2.0 * abs(k) + 1.0
-        else:
-            box = 2.0 * _support_radius(lambda e: prof.f(np.abs(e)), 1.0, 1e-14) + 2.0 * abs(k)
+    if np.isfinite(prof.upsilon):
+        box = 2.0 * prof.upsilon + 2.0 * abs(k) + 1.0
+    else:
+        box = 2.0 * _support_radius(lambda e: prof.f(np.abs(e)), 1.0,
+                                    1e-14) + 2.0 * abs(k)
 
     g = lambda p1, r2: np.asarray(prof.f((np.asarray(p1) ** 2 + r2) / 4.0))
     xl, wl = leggauss(64)
@@ -571,21 +528,20 @@ def shifted_l2_difference(prof: EquilibriumProfile, k: float,
         vals = (g(p1 - k, 0.0) - g(p1 + k, 0.0)) ** 2
         edge = max(abs(float(g(box - k, 0.0) - g(box + k, 0.0))),
                    abs(float(g(-box - k, 0.0) - g(-box + k, 0.0)))) ** 2
-        if edge > tol:
-            warnings.warn("truncation box leaves a boundary contribution",
-                          TruncationWarning)
-        return float(vals @ wp)
-
-    r = (xl + 1.0) * box / 2.0
-    wr = wl * box / 2.0
-    r2 = (r * r)[None, :]
-    diff = g(p1[:, None] - k, r2) - g(p1[:, None] + k, r2)
-    inner = (diff * diff * r[None, :] ** (d - 2)) @ wr
-    edge = float(np.max(np.abs(g(np.array([box]), r2) - g(np.array([box + 2 * k]), r2)))) ** 2
-    if edge > tol:
+        value = float(vals @ wp)
+    else:
+        r = (xl + 1.0) * box / 2.0
+        wr = wl * box / 2.0
+        r2 = (r * r)[None, :]
+        diff = g(p1[:, None] - k, r2) - g(p1[:, None] + k, r2)
+        inner = (diff * diff * r[None, :] ** (d - 2)) @ wr
+        edge = float(np.max(np.abs(g(np.array([box]), r2)
+                                   - g(np.array([box + 2 * k]), r2)))) ** 2
+        value = float(sphere_area(d - 1) * (inner @ wp))
+    if edge > 1e-9:
         warnings.warn("truncation box leaves a boundary contribution",
                       TruncationWarning)
-    return float(sphere_area(d - 1) * (inner @ wp))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -608,26 +564,21 @@ class AssumptionReport:
     def ok(self) -> bool:
         return all(c.status == "pass" for c in self.checks)
 
-    def by_name(self, name: str) -> AssumptionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def validate_assumptions(prof: EquilibriumProfile, pot: Potential,
-                         marginal: Marginal | None = None,
-                         n_samples: int = 2001, seed: int = 0) -> AssumptionReport:
+                         m: Marginal, seed: int = 0) -> AssumptionReport:
     """Sampled checks of the standing assumptions on (f, w_hat).
 
     Positivity of f inside the support, smoothness metadata, declared decay
     of f, positivity/boundedness/monotonicity of w_hat, and strict decrease
     of the marginal on (0, Ups).  Metadata violations warn rather than
-    fail; sampled counterexamples fail with a witness.
+    fail; sampled counterexamples fail with a witness.  f and w_hat are
+    probed at 2001 points each.
     """
     checks: list[AssumptionCheck] = []
     d, ups = prof.d, prof.upsilon
     rng = np.random.default_rng(seed)
+    n_samples = 2001
 
     # positivity of f on the open support
     p_hi = ups if np.isfinite(ups) else 20.0
@@ -700,7 +651,6 @@ def validate_assumptions(prof: EquilibriumProfile, pot: Potential,
                                       "w_hat nonincreasing on the probe grid"))
 
     # marginal strict decrease on (0, Ups)
-    m = marginal if marginal is not None else build_marginal(prof)
     u_hi = m.u_support * (1.0 - 1e-9)
     u = np.sort(rng.uniform(1e-6, u_hi, 257))
     dv = np.asarray(m.dphi(u))

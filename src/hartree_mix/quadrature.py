@@ -1,9 +1,11 @@
 """Shared 1-D quadrature engine.
 
-Five pieces, used throughout the package:
+Six pieces, used throughout the package:
 
 * ``adaptive_gauss``: adaptive Gauss-Legendre panels for regular (possibly
   complex-valued) integrands on a finite interval,
+* ``edge_shells``: dyadic shells of fixed panels toward a singular upper
+  end, returned shell by shell so callers can read the tail's decay,
 * ``pv_integral``: Cauchy principal values via symmetric-window singularity
   subtraction,
 * ``filon_transform``: a composite Filon-Simpson rule for
@@ -20,8 +22,8 @@ Five pieces, used throughout the package:
   line, built on ``refine_filon`` with explicit tail accounting.
 
 All integrand callables must accept and return numpy arrays.  Every
-operation reports an error estimate and its evaluation count; none of them
-mutate shared state, so they are safe to call from parallel scans.
+operation reports an error estimate; none of them mutate shared state, so
+they are safe to call from parallel scans.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ __all__ = [
     "UnresolvedOscillation",
     "EvaluationBudgetExceeded",
     "adaptive_gauss",
-    "gauss_panel",
-    "geometric_panels",
+    "edge_shells",
     "pv_integral",
     "filon_transform",
     "halfline_laplace_fourier",
@@ -144,58 +145,32 @@ def adaptive_gauss(f, a, b, tol_abs=DEFAULT_ABS_TOL, eval_cap=DEFAULT_EVAL_CAP,
     return QuadResult(total, err, evals)
 
 
-def gauss_panel(f, a, b) -> QuadResult:
-    """Single non-adaptive 31-node Gauss-Legendre panel on [a, b].
+def edge_shells(f, a, b, tol_abs):
+    """int_a^b f for an integrand singular (or steep) at the upper end b.
 
-    The 15-node comparison is reported as the error estimate.  For an
-    integrand analytic in a Bernstein ellipse around the panel (any dyadic
-    shell approaching its own singularity qualifies) the 31-node value is
-    already at roundoff, and unlike adaptive bisection this cannot be
-    goaded into chasing cancellation noise near the singular endpoint.
+    The first half [a, (a + b)/2] is integrated adaptively; the rest is
+    cut into dyadic shells [b - w, b - w/2], w = (b - a) 2^-j, each taken
+    with one fixed 31-node panel.  A shell holds the singularity at arm's
+    length, where the fixed panel is at roundoff already, while adaptive
+    bisection would chase (b - u) cancellation noise.  Shells stop once
+    one falls below max(tol_abs, 1e-15 |total|) past the sixth, and at 48
+    at most.  Returns (total, error, shells), shells outermost first, so
+    the caller can judge the decay of the tail.
     """
-    if b <= a:
-        return QuadResult(0.0 + 0.0j, 0.0, 0)
-    val, e, n = _panel_pair(f, a, b)
-    return QuadResult(val, e, n)
-
-
-def geometric_panels(f, a, b, endpoint, tol_abs=DEFAULT_ABS_TOL, max_levels=52,
-                     fixed_panels=False):
-    """Integrate f over [a, b] with panels refined geometrically toward
-    ``endpoint`` (which must be b or a).  Returns (value, error, evals,
-    shell_values) where shell_values[j] is the contribution of the j-th
-    dyadic shell, outermost first.  Used for integrable endpoint
-    singularities; the caller decides how to extrapolate the remainder.
-
-    ``fixed_panels`` evaluates each shell with one 31-node panel instead of
-    adaptive bisection: the choice for integrands whose only structure is
-    the approach to ``endpoint`` itself, where adaptive refinement would
-    dive into cancellation noise long before reaching the tolerance.
-    """
-    if endpoint not in (a, b):
-        raise ValueError("endpoint must be an end of the interval")
     length = b - a
+    bulk = adaptive_gauss(f, a, b - length / 2.0, tol_abs=tol_abs)
+    total = complex(bulk.value).real
+    err = bulk.abs_error_estimate
     shells = []
-    total = 0.0
-    err = 0.0
-    evals = 0
-    prev = a if endpoint == b else b
-    for j in range(1, max_levels + 1):
-        frac = 2.0 ** (-j)
-        cut = endpoint - frac * length if endpoint == b else endpoint + frac * length
-        lo, hi = (prev, cut) if endpoint == b else (cut, prev)
-        if fixed_panels:
-            r = gauss_panel(f, lo, hi)
-        else:
-            r = adaptive_gauss(f, lo, hi, tol_abs=tol_abs)
-        shells.append(r.value.real if abs(r.value.imag) == 0 else r.value)
-        total += r.value
-        err += r.abs_error_estimate
-        evals += r.evaluations
-        prev = cut
-        if abs(shells[-1]) < tol_abs and j > 6:
+    for j in range(1, 49):
+        w = length * 2.0 ** (-j)
+        val, e, _ = _panel_pair(f, b - w, b - w / 2.0)
+        shells.append(complex(val).real)
+        err += e
+        total += shells[-1]
+        if abs(shells[-1]) < max(tol_abs, 1e-15 * abs(total)) and j > 6:
             break
-    return total, err, evals, shells
+    return total, err, shells
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +178,7 @@ def geometric_panels(f, a, b, endpoint, tol_abs=DEFAULT_ABS_TOL, max_levels=52,
 
 
 def pv_integral(p: PVIntegrand, support: tuple[float, float],
-                tol_abs=DEFAULT_ABS_TOL, eval_cap=DEFAULT_EVAL_CAP) -> QuadResult:
+                tol_abs=DEFAULT_ABS_TOL) -> QuadResult:
     """PV int_a^b phi(u) / (pole - u) du.
 
     Pole inside the support: the symmetric window [x-h, x+h] is handled by
@@ -222,9 +197,8 @@ def pv_integral(p: PVIntegrand, support: tuple[float, float],
 
     phi = p.numerator
     if x < a or x > b:
-        r = adaptive_gauss(lambda u: phi(u) / (x - u), a, b,
-                           tol_abs=tol_abs, eval_cap=eval_cap, min_depth=2)
-        return r
+        return adaptive_gauss(lambda u: phi(u) / (x - u), a, b,
+                              tol_abs=tol_abs, min_depth=2)
 
     h = min(h, 0.999 * (x - a), 0.999 * (b - x))
     if h <= 0:
@@ -246,12 +220,12 @@ def pv_integral(p: PVIntegrand, support: tuple[float, float],
         return out
 
     inner = adaptive_gauss(centered, x - h, x + h, tol_abs=tol_abs,
-                           eval_cap=eval_cap, min_depth=2)
+                           min_depth=2)
     left = adaptive_gauss(lambda u: phi(u) / (x - u), a, x - h,
-                          tol_abs=tol_abs, eval_cap=eval_cap, min_depth=2) \
+                          tol_abs=tol_abs, min_depth=2) \
         if x - h > a else QuadResult(0.0, 0.0, 0)
     right = adaptive_gauss(lambda u: phi(u) / (x - u), x + h, b,
-                           tol_abs=tol_abs, eval_cap=eval_cap, min_depth=2) \
+                           tol_abs=tol_abs, min_depth=2) \
         if b > x + h else QuadResult(0.0, 0.0, 0)
     return QuadResult(inner.value + left.value + right.value,
                       inner.abs_error_estimate + left.abs_error_estimate + right.abs_error_estimate,
@@ -501,7 +475,6 @@ def refine_filon(sample, x0, length, omegas, n0, tol, n_cap) -> FilonRefinement:
 
 
 def halfline_laplace_fourier(g, lam, t_max, tol_abs=DEFAULT_ABS_TOL,
-                             eval_cap=DEFAULT_EVAL_CAP, n0=1025,
                              tail_bound=0.0) -> QuadResult:
     """int_0^{t_max} exp(-lam t) g(t) dt for Re(lam) >= 0.
 
@@ -509,8 +482,8 @@ def halfline_laplace_fourier(g, lam, t_max, tol_abs=DEFAULT_ABS_TOL,
     integrand; the oscillation exp(-i Im(lam) t) is carried by the Filon
     rule.  ``tail_bound`` is the caller's bound on the discarded tail
     |int_{t_max}^inf| and is added to the reported error estimate.
-    Raises UnresolvedOscillation when ``eval_cap`` samples do not reach
-    ``tol_abs``.
+    Raises UnresolvedOscillation when ``DEFAULT_EVAL_CAP`` samples do not
+    reach ``tol_abs``.
     """
     lam = complex(lam)
     if lam.real < -1e-12:
@@ -523,9 +496,9 @@ def halfline_laplace_fourier(g, lam, t_max, tol_abs=DEFAULT_ABS_TOL,
         return np.asarray(g(t)) * np.exp(-gam * t)
 
     # enough initial samples to resolve exp(-gam t) on top of g's own scale
-    n_start = max(n0, int(8 * gam * t_max) | 1)
+    n_start = max(1025, int(8 * gam * t_max) | 1)
     r = refine_filon(sample, 0.0, t_max, (np.atleast_1d(lam.imag),), n_start,
-                     tol_abs, eval_cap)
+                     tol_abs, DEFAULT_EVAL_CAP)
     if r.gap > tol_abs:
         raise UnresolvedOscillation(
             f"filon grid capped at {r.samples.size} samples, error estimate "

@@ -4,12 +4,12 @@ The decision chain mirrors the analytic one.  First the criterion integral
 
     Phi(0) = 1 - (w_hat(0)/2) int phi(u) / (Upsilon - u)^2 du
 
-is evaluated with dyadic shells toward the support edge; the fitted shell
-decay legitimizes the value, flags divergence (slowly vanishing phi), or
-declares the condition vacuous (Upsilon = inf).  A divergent integral is
-its own verdict.  A negative value forces an imaginary-axis zero of the
-dispersion function on the real branch, which monotonicity pins down to a
-bisection.  Otherwise the certificate scans |D| over a compact boundary
+is evaluated with the dyadic edge shells of ``quadrature.edge_shells``;
+the fitted shell decay legitimizes the value, flags divergence (slowly
+vanishing phi), or declares the condition vacuous (Upsilon = inf).  A
+divergent integral is its own verdict.  A negative value forces an
+imaginary-axis zero of the dispersion function on the real branch, which
+monotonicity pins down to a bisection.  Otherwise the certificate scans |D| over a compact boundary
 region whose extents come from explicit tail bounds (|D - 1| <= w_hat(k)
 L1 / k and an integration-by-parts bound in lambda), counts zeros in
 right-half-plane rectangles by the argument principle, and reports
@@ -17,7 +17,8 @@ right-half-plane rectangles by the argument principle, and reports
     theta0 = min sampled |D| - sampled modulus-of-continuity margin,
 
 clamped by the analytic 1/2 floor outside the scanned box.  The floor is
-sampled, not rigorous; the certificate says so in its notes.
+sampled, not rigorous; the certificate says so in its notes.  The scan's
+extents and resolutions are the module constants below.
 """
 
 from __future__ import annotations
@@ -32,24 +33,20 @@ from .dispersion import (
     HilbertTransformCache,
     dispersion_hilbert,
     dispersion_k_zero,
-    dispersion_plemelj,
     dispersion_real_branch,
     evaluate,
 )
 from .profiles import Marginal, Potential
-from .quadrature import adaptive_gauss, gauss_panel
+from .quadrature import edge_shells
 
 __all__ = [
     "CriterionResult",
     "PhiCurve",
-    "AxisFloor",
     "WindingCheck",
     "StabilityCertificate",
-    "ScanSettings",
     "ContourTooCoarse",
     "criterion_integral",
     "phi_curve",
-    "imaginary_axis_floor",
     "find_imaginary_zero",
     "winding_number",
     "certify",
@@ -86,15 +83,6 @@ class PhiCurve:
 
 
 @dataclass(frozen=True)
-class AxisFloor:
-    min_abs: float
-    tau_at_min: float
-    imag_bound_at_min: float
-    taus: np.ndarray
-    abs_values: np.ndarray
-
-
-@dataclass(frozen=True)
 class WindingCheck:
     k: float
     rectangle: tuple[float, float, float, float]
@@ -102,23 +90,6 @@ class WindingCheck:
     residual: float
     min_abs_on_contour: float
     nodes: int
-
-
-@dataclass(frozen=True)
-class ScanSettings:
-    """Extents and resolutions for the certification scan."""
-
-    k_min: float = 1e-3
-    k_max: float | None = None
-    n_k: int = 24
-    tau_pad: float = 2.0
-    n_tail: int = 48
-    rect_checks: int = 3
-    rect_re_lo: float = 1e-3
-    refine: bool = True
-    zero_tol: float = 1e-8
-    hunt_k: tuple[float, ...] = (0.02, 0.03, 0.05, 0.1, 0.2)
-    tol_abs: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -137,79 +108,64 @@ class StabilityCertificate:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
+# certification scan: smallest k row, k rows up to the tail cap, tau pad
+# past the resonance band, tail samples out to the lambda cap, left edge
+# of the winding rectangles, k values of the zero hunt, and the boundary
+# tolerance
+_K_MIN = 1e-3
+_N_K = 24
+_TAU_PAD = 2.0
+_N_TAIL = 48
+_RECT_RE_LO = 1e-3
+_HUNT_K = (0.02, 0.03, 0.05, 0.1, 0.2)
+_SCAN_TOL = 1e-9
+
+
 # ---------------------------------------------------------------------------
 # criterion integral and the Phi curve
 
 
-def _edge_weighted_integral(f, a: float, edge: float, tol_abs: float = 1e-12,
-                            j_cap: int = 48, fit_count: int = 6):
-    """int_a^edge f with dyadic shells toward the edge.
-
-    Returns (total_without_remainder, error, shell_slope, remainder).
-    ``shell_slope`` is the least-squares slope of log2 |I_j| over the last
-    ``fit_count`` shells; geometric extrapolation of the tail is valid (and
-    returned as ``remainder``) only when the slope is clearly negative.
-    """
-    length = edge - a
-    bulk = adaptive_gauss(f, a, edge - length / 2.0, tol_abs=tol_abs)
-    total = complex(bulk.value).real
-    err = bulk.abs_error_estimate
-    shells = []
-    for j in range(1, j_cap + 1):
-        w = length * 2.0 ** (-j)
-        # fixed panel: the shell holds the singularity at arm's length, and
-        # adaptive refinement would chase (edge - u) cancellation noise
-        r = gauss_panel(f, edge - w, edge - w / 2.0)
-        shells.append(complex(r.value).real)
-        err += r.abs_error_estimate
-        total += shells[-1]
-        if abs(shells[-1]) < max(tol_abs, 1e-15 * abs(total)) and j > fit_count:
-            break
-    tail = np.asarray(shells[-fit_count:])
-    if tail.size < 2 or np.any(np.abs(tail) < 1e-300):
-        return total, err, -np.inf, 0.0
-    js = np.arange(tail.size)
-    slope = float(np.polyfit(js, np.log2(np.abs(tail)), 1)[0])
-    remainder = 0.0
-    if slope < -0.05:
-        r_ratio = 2.0 ** slope
-        remainder = shells[-1] * r_ratio / (1.0 - r_ratio)
-    return total, err, slope, remainder
-
-
-def criterion_integral(m: Marginal, w: Potential,
-                       tol_abs: float = 1e-12) -> CriterionResult:
+def criterion_integral(m: Marginal, w: Potential) -> CriterionResult:
     """Left side of the stability criterion, or its divergence/vacuity flag.
 
     The integrand phi(u)/(Upsilon - u)^2 concentrates at the right edge;
     shells decaying like 2^{-j(alpha-1)} (phi ~ c (Upsilon-u)^alpha) give a
-    finite value only for alpha > 1.  The fitted slope decides: slope >=
-    -0.05 means the shell sums do not contract and the integral is flagged
-    divergent.
+    finite value only for alpha > 1.  The least-squares slope of log2 |I_j|
+    over the last six shells decides: slope >= -0.05 means the shell sums
+    do not contract and the integral is flagged divergent; otherwise the
+    tail past the last shell is summed as a geometric series.
     """
     if not np.isfinite(m.upsilon):
         return CriterionResult(kind="vacuous", value=None, shell_slope=None,
                                integral=None, remainder=0.0)
     ups = m.upsilon
-    w0 = w.w_hat_zero
 
     def f(u):
         return np.asarray(m.phi(u)) / (ups - u) ** 2
 
-    total, err, slope, remainder = _edge_weighted_integral(f, -ups, ups, tol_abs)
+    total, _, shells = edge_shells(f, -ups, ups, 1e-12)
+    tail = np.asarray(shells[-6:])
+    if tail.size < 2 or np.any(np.abs(tail) < 1e-300):
+        slope = -np.inf
+    else:
+        slope = float(np.polyfit(np.arange(tail.size), np.log2(np.abs(tail)),
+                                 1)[0])
     if slope >= -0.05:
         return CriterionResult(kind="divergent", value=None, shell_slope=slope,
                                integral=None, remainder=0.0)
+    r_ratio = 2.0 ** slope
+    remainder = shells[-1] * r_ratio / (1.0 - r_ratio)
     integral = total + remainder
-    return CriterionResult(kind="finite", value=1.0 - (w0 / 2.0) * integral,
+    return CriterionResult(kind="finite",
+                           value=1.0 - (w.w_hat_zero / 2.0) * integral,
                            shell_slope=slope, integral=integral,
                            remainder=remainder)
 
 
-def _phi_at(m: Marginal, w: Potential, k: float, tol_abs: float = 1e-11) -> float:
+def _phi_at(m: Marginal, w: Potential, k: float) -> float:
     """Phi(k) = D(i(2 Upsilon + k) k, k), the real-branch edge value."""
     return float(dispersion_real_branch(
-        m, w, 2.0 * m.upsilon + k, k, tol_abs=tol_abs).value.real)
+        m, w, 2.0 * m.upsilon + k, k).value.real)
 
 
 def phi_curve(m: Marginal, w: Potential, k_grid) -> PhiCurve:
@@ -228,7 +184,7 @@ def phi_curve(m: Marginal, w: Potential, k_grid) -> PhiCurve:
 
 
 # ---------------------------------------------------------------------------
-# axis floor and zero hunting
+# zero hunting
 
 
 def _dtilde(m: Marginal, w: Potential, k: float, tau_tilde: float,
@@ -237,24 +193,7 @@ def _dtilde(m: Marginal, w: Potential, k: float, tau_tilde: float,
     return evaluate(m, w, 1j * tau_tilde * k, k, tol_abs=tol_abs).value
 
 
-def imaginary_axis_floor(m: Marginal, w: Potential, k: float,
-                         tau_grid, tol_abs: float = 1e-10) -> AxisFloor:
-    """Minimum of |D| along the imaginary axis over the given tau_tilde grid."""
-    taus = np.asarray(tau_grid, dtype=float)
-    vals = np.array([_dtilde(m, w, k, t, tol_abs) for t in taus])
-    mods = np.abs(vals)
-    i = int(np.argmin(mods))
-    wk = w(k)
-    x_p = (taus[i] + k) / 2.0
-    x_m = (taus[i] - k) / 2.0
-    phis = np.asarray(m.phi(np.array([x_p, x_m])))
-    bound = np.pi * abs(wk) / (2.0 * k) * abs(float(phis[0] - phis[1]))
-    return AxisFloor(min_abs=float(mods[i]), tau_at_min=float(taus[i]),
-                     imag_bound_at_min=bound, taus=taus, abs_values=mods)
-
-
-def find_imaginary_zero(m: Marginal, w: Potential, k: float,
-                        xtol: float = 1e-12) -> float | None:
+def find_imaginary_zero(m: Marginal, w: Potential, k: float) -> float | None:
     """Root of the real branch tau_tilde -> D(i k tau_tilde, k), if any.
 
     On tau_tilde >= 2 Upsilon + k the branch is real and increases onto
@@ -285,29 +224,24 @@ def find_imaginary_zero(m: Marginal, w: Potential, k: float,
         return None
     if lo == tau0:
         lo = tau0 + 1e-13 * max(1.0, tau0)
-    return float(brentq(g, lo, hi, xtol=xtol, rtol=8.9e-16))
+    return float(brentq(g, lo, hi, xtol=1e-12, rtol=8.9e-16))
 
 
 # ---------------------------------------------------------------------------
 # argument principle
 
 
-def _rect_nodes(rect, n_per_edge: int) -> np.ndarray:
-    re_lo, re_hi, im_lo, im_hi = rect
-    top = np.linspace(re_lo + 1j * im_lo, re_hi + 1j * im_lo, n_per_edge,
-                      endpoint=False)
-    right = np.linspace(re_hi + 1j * im_lo, re_hi + 1j * im_hi, n_per_edge,
-                        endpoint=False)
-    back = np.linspace(re_hi + 1j * im_hi, re_lo + 1j * im_hi, n_per_edge,
-                       endpoint=False)
-    left = np.linspace(re_lo + 1j * im_hi, re_lo + 1j * im_lo, n_per_edge,
-                       endpoint=False)
-    return np.concatenate([top, right, back, left])
+def _rect_nodes(re_lo, re_hi, im_lo, im_hi) -> np.ndarray:
+    """64 nodes per edge, counterclockwise from the lower left corner."""
+    corners = [re_lo + 1j * im_lo, re_hi + 1j * im_lo, re_hi + 1j * im_hi,
+               re_lo + 1j * im_hi, re_lo + 1j * im_lo]
+    return np.concatenate([np.linspace(a, b, 64, endpoint=False)
+                           for a, b in zip(corners, corners[1:])])
 
 
 def winding_number(m: Marginal, w: Potential, k: float, rect,
                    cache: HilbertTransformCache | None = None,
-                   n_per_edge: int = 64, max_nodes: int = 40000) -> WindingCheck:
+                   max_nodes: int = 40000) -> WindingCheck:
     """Zero count of D inside a rectangle in the open right lambda_tilde
     half-plane, by total argument variation along its boundary.
 
@@ -320,7 +254,7 @@ def winding_number(m: Marginal, w: Potential, k: float, rect,
         raise ValueError("contour must sit strictly inside Re lambda_tilde > 0")
     if re_hi <= re_lo or im_hi <= im_lo:
         raise ValueError("degenerate rectangle")
-    pts = list(_rect_nodes((re_lo, re_hi, im_lo, im_hi), n_per_edge))
+    pts = list(_rect_nodes(re_lo, re_hi, im_lo, im_hi))
 
     def dval(lt: complex) -> complex:
         return dispersion_hilbert(m, w, k * lt, k, cache=cache).value
@@ -388,10 +322,8 @@ def _lambda_cap(m: Marginal, w: Potential, k: float) -> float:
     return max(4.0 * abs(wk) * (m.phi_hat_l1 / 2.0 + m.phi_hat_deriv_l1 / k), 1.0)
 
 
-def certify(m: Marginal, w: Potential,
-            scan: ScanSettings | None = None) -> StabilityCertificate:
+def certify(m: Marginal, w: Potential) -> StabilityCertificate:
     """Full certification flow; see the module docstring for the chain."""
-    scan = scan or ScanSettings()
     notes: list[str] = []
     crit = criterion_integral(m, w)
 
@@ -406,7 +338,7 @@ def certify(m: Marginal, w: Potential,
             k_range=None, notes=tuple(notes))
 
     if crit.kind == "finite" and crit.value < 0.0:
-        for k in scan.hunt_k:
+        for k in _HUNT_K:
             tau_star = find_imaginary_zero(m, w, k)
             if tau_star is not None:
                 resid = abs(_dtilde(m, w, k, tau_star))
@@ -418,7 +350,7 @@ def certify(m: Marginal, w: Potential,
                     margin=None, winding_checks=(), k_range=None,
                     notes=tuple(notes))
         notes.append("criterion negative but no axis zero found on the hunt "
-                     "grid; widen hunt_k")
+                     "grid; widen it")
         return StabilityCertificate(
             verdict="Inconclusive", theta0=None, phi0=crit.value,
             criterion=crit, zero_location=None, zero_residual=None,
@@ -427,12 +359,11 @@ def certify(m: Marginal, w: Potential,
 
     # criterion holds (or is vacuous): boundary scan + windings
     phi0 = crit.value
-    k_hi = scan.k_max if scan.k_max is not None else _tail_k_cap(m, w, scan.k_min)
-    k_hi = max(k_hi, 4.0 * scan.k_min)
+    k_hi = max(_tail_k_cap(m, w, _K_MIN), 4.0 * _K_MIN)
 
     u_char = max(min(2.0, m.u_support / 3.0), 0.1)
     d_tau = u_char / 50.0
-    tau_dense_max = 2.0 * m.u_support + k_hi + scan.tau_pad
+    tau_dense_max = 2.0 * m.u_support + k_hi + _TAU_PAD
     n_dense = int(np.ceil(tau_dense_max / d_tau)) + 1
     taus_dense = np.linspace(0.0, tau_dense_max, n_dense)
 
@@ -441,7 +372,7 @@ def certify(m: Marginal, w: Potential,
     def _bval(k: float, t: float) -> float:
         if k == 0.0:
             return abs(dispersion_k_zero(m, w, 1j * t).value)
-        return abs(_dtilde(m, w, k, t, scan.tol_abs))
+        return abs(_dtilde(m, w, k, t, _SCAN_TOL))
 
     def boundary_row(k: float) -> np.ndarray:
         if k not in rows:
@@ -457,7 +388,7 @@ def certify(m: Marginal, w: Potential,
         return pair_floor(r[1:], r[:-1])
 
     # the k = 0 row is the rescaled limit, so (0, k_min] interpolates it
-    for k in [0.0] + [float(x) for x in np.geomspace(scan.k_min, k_hi, scan.n_k)]:
+    for k in [0.0] + [float(x) for x in np.geomspace(_K_MIN, k_hi, _N_K)]:
         boundary_row(k)
 
     scan_min, argmin = np.inf, (0.0, 0.0)
@@ -472,8 +403,8 @@ def certify(m: Marginal, w: Potential,
 
         lam_cap = _lambda_cap(m, w, k)
         if lam_cap > tau_dense_max:
-            tail = np.geomspace(tau_dense_max, lam_cap, scan.n_tail)
-            tmods = np.abs([_dtilde(m, w, k, float(t), scan.tol_abs)
+            tail = np.geomspace(tau_dense_max, lam_cap, _N_TAIL)
+            tmods = np.abs([_dtilde(m, w, k, float(t), _SCAN_TOL)
                             for t in tail])
             jt = int(np.argmin(tmods))
             if tmods[jt] < scan_min:
@@ -487,7 +418,7 @@ def certify(m: Marginal, w: Potential,
 
     # continuity floor: nodewise within each row, nodewise between adjacent
     # rows; insert k midpoints while an inter-row gap is the binding term
-    extra = 2 * scan.n_k
+    extra = 2 * _N_K
     while True:
         ks = sorted(rows)
         floor_rows = min(line_floor(rows[k]) for k in ks)
@@ -507,61 +438,52 @@ def certify(m: Marginal, w: Potential,
 
     theta_floor = min(floor_rows, cells[i_cell], tail_floor)
 
-    if scan.refine:
-        ks = np.array(sorted(rows))
-        ki = int(np.argmin(np.abs(ks - argmin[0])))
-        k_lo = ks[max(ki - 1, 0)]
-        k_up = ks[min(ki + 1, ks.size - 1)]
-        t_lo = max(argmin[1] - 5.0 * d_tau, 0.0)
-        t_up = argmin[1] + 5.0 * d_tau
-        for k in np.linspace(k_lo, k_up, 7):
-            for t in np.linspace(t_lo, t_up, 21):
-                v = _bval(float(k), float(t))
-                if v < scan_min:
-                    scan_min, argmin = float(v), (float(k), float(t))
+    # local refinement around the sampled minimum
+    ks = np.array(sorted(rows))
+    ki = int(np.argmin(np.abs(ks - argmin[0])))
+    k_lo = ks[max(ki - 1, 0)]
+    k_up = ks[min(ki + 1, ks.size - 1)]
+    t_lo = max(argmin[1] - 5.0 * d_tau, 0.0)
+    t_up = argmin[1] + 5.0 * d_tau
+    for k in np.linspace(k_lo, k_up, 7):
+        for t in np.linspace(t_lo, t_up, 21):
+            v = _bval(float(k), float(t))
+            if v < scan_min:
+                scan_min, argmin = float(v), (float(k), float(t))
 
+    # windings at the first, middle and last k row and at the minimum
     cache = HilbertTransformCache(m)
     winding_checks = []
     k_grid = np.array([k for k in sorted(rows) if k > 0.0])
     pick = sorted({0, k_grid.size // 2, k_grid.size - 1,
                    int(np.argmin(np.abs(k_grid - argmin[0])))})
-    for idx in pick[: max(scan.rect_checks, 1) + 1]:
+    for idx in pick:
         k = float(k_grid[idx])
         lam_cap = _lambda_cap(m, w, k)
-        rect = (scan.rect_re_lo, lam_cap, -lam_cap, lam_cap)
+        rect = (_RECT_RE_LO, lam_cap, -lam_cap, lam_cap)
         winding_checks.append(winding_number(m, w, k, rect, cache=cache))
 
     theta0 = min(theta_floor, scan_min, 0.5)
     margin = max(scan_min - theta0, 0.0)
     notes.append("theta0 is a sampled estimate (boundary grid plus "
                  "continuity floor), not a rigorous bound")
-    notes.append(f"strip 0 < Re lambda_tilde < {scan.rect_re_lo:g} is covered "
+    notes.append(f"strip 0 < Re lambda_tilde < {_RECT_RE_LO:g} is covered "
                  "by boundary continuity, not by contour checks")
     notes.append("tail region past the dense grid uses per-k line floors "
                  "only; |D - 1| is already small there")
 
+    verdict = "Stable"
     if any(c.winding != 0 for c in winding_checks):
-        return StabilityCertificate(
-            verdict="Inconclusive", theta0=None, phi0=phi0, criterion=crit,
-            zero_location=None, zero_residual=None, scan_min=scan_min,
-            scan_argmin=argmin, margin=margin,
-            winding_checks=tuple(winding_checks),
-            k_range=(float(scan.k_min), float(k_hi)),
-            notes=tuple(notes + ["nonzero winding despite a positive "
-                                 "criterion; scan extents are suspect"]))
-
-    if theta0 <= 0.0:
-        return StabilityCertificate(
-            verdict="Inconclusive", theta0=None, phi0=phi0, criterion=crit,
-            zero_location=None, zero_residual=None, scan_min=scan_min,
-            scan_argmin=argmin, margin=margin,
-            winding_checks=tuple(winding_checks),
-            k_range=(float(scan.k_min), float(k_hi)),
-            notes=tuple(notes + ["continuity margin swallows the sampled "
-                                 "minimum; refine the scan"]))
-
+        verdict = "Inconclusive"
+        notes.append("nonzero winding despite a positive criterion; scan "
+                     "extents are suspect")
+    elif theta0 <= 0.0:
+        verdict = "Inconclusive"
+        notes.append("continuity margin swallows the sampled minimum; "
+                     "refine the scan")
     return StabilityCertificate(
-        verdict="Stable", theta0=float(theta0), phi0=phi0, criterion=crit,
-        zero_location=None, zero_residual=None, scan_min=scan_min,
-        scan_argmin=argmin, margin=margin, winding_checks=tuple(winding_checks),
-        k_range=(float(scan.k_min), float(k_hi)), notes=tuple(notes))
+        verdict=verdict, theta0=float(theta0) if verdict == "Stable" else None,
+        phi0=phi0, criterion=crit, zero_location=None, zero_residual=None,
+        scan_min=scan_min, scan_argmin=argmin, margin=margin,
+        winding_checks=tuple(winding_checks), k_range=(_K_MIN, float(k_hi)),
+        notes=tuple(notes))

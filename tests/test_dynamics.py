@@ -13,16 +13,11 @@ import pytest
 from hartree_mix.dynamics import (
     DensityTrajectory,
     NonRadialInput,
-    free_density,
     free_density_trajectory,
     gaussian_pure_kernel,
-    grid_custom_kernel,
-    hermitian_defect,
-    origin_value,
     reconstruct_sup_norm,
     volterra_march,
     volterra_solve,
-    weighted_initial_norm,
 )
 from hartree_mix.profiles import screened_coulomb
 
@@ -33,7 +28,7 @@ class TestFreeStreaming:
         g0 = gaussian_pure_kernel(1, 0.125, hat_amplitude=eps)
         ts = np.array([0.0, 2.5, 7.0])
         for k in (0.3, 1.0):
-            got = free_density(g0, k, ts)
+            got = free_density_trajectory(g0, [k], ts).rho_hat[0]
             want = eps * np.sqrt(np.pi) / 2.0 \
                 * np.exp(-k * k - (k * ts) ** 2 / 4.0)
             assert np.max(np.abs(got - want)) < 1e-9
@@ -43,15 +38,10 @@ class TestFreeStreaming:
         g0 = gaussian_pure_kernel(3)
         ts = np.array([0.0, 1.5, 4.0])
         for k in (0.2, 0.9):
-            got = free_density(g0, k, ts)
+            got = free_density_trajectory(g0, [k], ts).rho_hat[0]
             want = np.sqrt(8.0) * np.pi ** 4.5 \
                 * np.exp(-k * k / 8.0 - 2.0 * (k * ts) ** 2)
             assert np.max(np.abs(got - want)) < 1e-6 * np.pi ** 4.5
-
-    def test_scalar_matches_vector(self):
-        g0 = gaussian_pure_kernel(3)
-        row = free_density(g0, 0.7, np.array([0.0, 2.0]))
-        assert free_density(g0, 0.7, 2.0) == pytest.approx(complex(row[1]))
 
     def test_trajectory_carries_weights(self):
         g0 = gaussian_pure_kernel(3)
@@ -60,27 +50,6 @@ class TestFreeStreaming:
         assert tr.meta["N1"] == 6 and tr.meta["N2"] == 5
         assert tr.rho_hat.shape == (2, 21)
         assert tr.dt == pytest.approx(0.1)
-
-
-class TestInitialKernels:
-    def test_gaussian_is_hermitian(self):
-        g0 = gaussian_pure_kernel(3)
-        assert hermitian_defect(g0) < 1e-14
-
-    def test_weighted_norm_is_homogeneous(self):
-        a = weighted_initial_norm(gaussian_pure_kernel(1, 0.125,
-                                                       hat_amplitude=1e-2), 2, 2)
-        b = weighted_initial_norm(gaussian_pure_kernel(1, 0.125,
-                                                       hat_amplitude=2e-2), 2, 2)
-        assert a > 0.0
-        assert b == pytest.approx(2.0 * a, rel=1e-12)
-
-    def test_grid_kernel_interpolates(self):
-        ax = np.linspace(-3.0, 3.0, 121)
-        vals = np.exp(-(ax[:, None] ** 2 + ax[None, :] ** 2))
-        g0 = grid_custom_kernel(ax, vals.astype(complex))
-        got = g0.gamma0_hat(np.array([[0.5]]), np.array([[-0.25]]))
-        assert abs(complex(got.ravel()[0]) - np.exp(-(0.25 + 0.0625))) < 1e-3
 
 
 class TestVolterraMarch:
@@ -120,13 +89,6 @@ class TestReconstruction:
         return free_density_trajectory(g0, np.linspace(0.01, 3.0, 120),
                                        np.linspace(0.0, 5.0, 26),
                                        N1=6, N2=6)
-
-    def test_origin_bounded_by_majorant(self):
-        tr = self._traj()
-        ov = origin_value(tr)
-        bd = reconstruct_sup_norm(tr, 0)
-        assert ov.shape == (tr.t_grid.size,)
-        assert np.all(np.abs(ov) <= bd[:, 1] + 1e-12)
 
     def test_derivative_order_cap(self):
         tr = self._traj()

@@ -18,7 +18,6 @@ from hartree_mix.green import (
     convolve_green,
     dyadic_envelope,
     green_table,
-    green_time,
     m_f,
     m_f_boundary,
 )
@@ -39,14 +38,15 @@ class TestRowSynthesis:
         k = 0.2
         dt = 0.01
         t = np.arange(0.0, 25.0 + dt / 2, dt)
-        row = green_time(gauss3, coulomb, k, t, tol=1e-8)
+        row = green_table(gauss3, coulomb, [k], t, tol=1e-8,
+                          tail_tol=1e-7).values[0]
         kern = volterra_kernel(gauss3, coulomb, k, t)
         marched = volterra_march(kern, -kern, dt)
         assert np.max(np.abs(row - marched)) < 2e-5
 
-    def test_positive_k_required(self, gauss3, coulomb):
+    def test_positive_k_required(self, gauss3):
         with pytest.raises(ValueError):
-            green_time(gauss3, coulomb, 0.0, np.array([0.0, 1.0]))
+            m_f_boundary(gauss3, 0.0, np.array([0.0, 1.0]))
 
     def test_table_shape_and_metadata(self, gauss3, coulomb):
         ks = np.array([0.3, 0.8])

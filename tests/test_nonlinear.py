@@ -76,6 +76,28 @@ class TestInitialState:
         assert hermitian_defect(st) < 1e-14
 
 
+class TestDensitySynthesis:
+    def test_product_state_gives_product_density(self):
+        # mu(k, p) = a(k1, p1) b(k2, p2) factors the d = 2 p-integral, so
+        # the density is the product of the two d = 1 densities
+        rng = np.random.default_rng(3)
+        axis = np.linspace(-2.0, 2.0, 9)
+        shape = (4, 9, 9)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        mu = np.einsum("tac,tbd->tabcd", a, b)
+        two = KernelState(axis=axis, mu_hat=mu, d=2, dt=0.1, t_max=0.3)
+        for t in (0.0, 0.2, 0.3):
+            rho_a = density_from_state(
+                KernelState(axis=axis, mu_hat=a, d=1, dt=0.1, t_max=0.3), t)
+            rho_b = density_from_state(
+                KernelState(axis=axis, mu_hat=b, d=1, dt=0.1, t_max=0.3), t)
+            got = density_from_state(two, t)
+            assert got.shape == (9, 9)
+            want = np.outer(rho_a, rho_b)
+            assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
 class TestSolve:
     def test_converges_with_contraction(self, solved):
         _, _, _, report = solved

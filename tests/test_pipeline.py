@@ -23,7 +23,7 @@ from hartree_mix.pipeline import (
     parse_config,
 )
 from hartree_mix.dynamics import DensityTrajectory, y_norm
-from hartree_mix import stability
+from hartree_mix import green, stability
 
 
 def _doc(**over):
@@ -107,7 +107,8 @@ class TestConfig:
         {"kind": "gaussian", "amplitude": 1.0, "width": 1.0},
     ])
     def test_documented_potential_kinds_parse(self, pot):
-        assert parse_config(_doc(potential=pot)).potential == pot
+        params = {k: v for k, v in pot.items() if k != "kind"}
+        assert parse_config(_doc(potential=pot)).potential.params == params
 
     def test_readme_example_parses(self):
         text = (Path(__file__).parents[1] / "README.md").read_text()
@@ -121,6 +122,50 @@ class TestConfig:
         with pytest.raises(ConfigError, match="'potential'"):
             parse_config(_doc(potential={"kind": "screened_coulomb",
                                          "screening": 0.0}))
+
+    def test_built_objects_carried(self):
+        cfg = parse_config(_doc(initial={"alpha": 0.5}, epsilon=0.02))
+        assert cfg.profile.kind == "gaussian" and cfg.profile.d == 3
+        assert cfg.potential.kind == "screened_coulomb"
+        assert cfg.kernel.d == 3
+        assert cfg.kernel.params["alpha"] == 0.5
+        assert cfg.kernel.params["hat_prefactor"] == 0.02
+
+    def test_bad_initial_parameter_names_group(self):
+        with pytest.raises(ConfigError, match="'initial'.*alpha"):
+            parse_config(_doc(initial={"alpha": -1}))
+        with pytest.raises(ConfigError, match="'initial'"):
+            parse_config(_doc(initial={"beta": 1.0}))
+        with pytest.raises(ConfigError, match="'initial.kind'"):
+            parse_config(_doc(initial={"kind": "grid"}))
+
+    def test_green_tolerance_must_be_positive(self):
+        for bad in (0.0, -1e-8):
+            with pytest.raises(ConfigError, match="'tolerances.green'"):
+                parse_config(_doc(tolerances={"green": bad}))
+        assert parse_config(_doc(tolerances={"green": 1e-6})).green_tol \
+            == 1e-6
+
+    @pytest.mark.parametrize("window", [[50, 5], [0, 5], [-1, 5], [5, 5],
+                                        [5], [1, 2, 3], "5-50", [5, "x"]])
+    def test_fit_window_must_be_increasing_pair(self, window):
+        with pytest.raises(ConfigError, match="'tolerances.fit_window'"):
+            parse_config(_doc(tolerances={"fit_window": window}))
+
+    @pytest.mark.parametrize("over, name", [
+        ({"k_gird": {}}, "'k_gird'"),
+        ({"k_grid": {"count": 4, "min": 0.1, "max": 1.0, "cnt": 4}},
+         "'k_grid.cnt'"),
+        ({"t_grid": {"dt": 0.5, "t_max": 4.0, "tmax": 4.0}}, "'t_grid.tmax'"),
+        ({"tau_grid": {"maximum": 4.0}}, "'tau_grid.maximum'"),
+        ({"nonlinear": {"pts": 9}}, "'nonlinear.pts'"),
+        ({"tolerances": {"fit_window": [5, 50], "gren": 1e-3}},
+         "'tolerances.gren'"),
+        ({"k_gird": {}, "tgrid": {}}, "'k_gird', 'tgrid'"),
+    ])
+    def test_unknown_key_rejected_naming_it(self, over, name):
+        with pytest.raises(ConfigError, match=name):
+            parse_config(_doc(**over))
 
     def test_custom_kinds_rejected(self):
         with pytest.raises(ConfigError, match="'equilibrium.kind'"):
@@ -202,6 +247,39 @@ class TestCliStages:
         # entry must carry either a slope or an explanatory error
         assert fits
         assert all(("slope" in f) or ("error" in f) for f in fits.values())
+        assert all(f["samples"] == 0 for f in fits.values())
+
+    def test_green_fit_drops_blocks_under_noise_floor(self, tmp_path,
+                                                      monkeypatch):
+        # a t^-4 row fits on its quarter-octave blocks in [5, 50]; a row at
+        # 1e-7, under 100 x tolerances.green, keeps none of its blocks
+        doc = _doc(out=str(tmp_path / "out"),
+                   k_grid={"count": 2, "min": 0.5, "max": 1.0},
+                   t_grid={"dt": 0.1, "t_max": 60.0},
+                   tolerances={"green": 1e-8})
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+
+        def fake_table(m, w, ks, ts, tol, tail_tol):
+            vals = np.stack([1e3 * (1.0 + ts) ** -4.0,
+                             np.full(ts.size, 1e-7)])
+            return green.GreenTable(k_grid=ks, t_grid=ts, values=vals + 0j,
+                                    theta0=0.0, tau_max_used=1.0)
+
+        monkeypatch.setattr(green, "green_table", fake_table)
+        assert main(["green", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "green_envelope.json")
+                            .read_text())
+        fit, flat = report["envelope_fits"]["0.5"], report["envelope_fits"]["1"]
+        assert fit["noise_floor"] == flat["noise_floor"] == pytest.approx(1e-6)
+        # blocks [r^j, r^(j+1)), r = 2^(1/4), centred at r^(j+1/2) in
+        # [5, 50]: j = 9, ..., 22
+        assert fit["samples"] == 14
+        assert fit["below_floor"] == 0
+        assert -4.2 < fit["slope"] < -3.6
+        assert flat["samples"] == 0
+        assert flat["below_floor"] == 14
+        assert flat["error"].startswith("InsufficientSamples")
 
     def test_unknown_stage_rejected(self, cfg_path):
         path, _ = cfg_path

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from hartree_mix.profiles import (
-    ball_volume,
     build_marginal,
     custom_potential,
     delta_potential,
@@ -34,8 +33,6 @@ T = np.array([0.0, 0.4, 1.1, 2.6, 6.0])
 def test_sphere_and_ball_constants():
     assert abs(sphere_area(2) - 2.0 * np.pi) < 1e-14
     assert abs(sphere_area(3) - 4.0 * np.pi) < 1e-13
-    assert abs(ball_volume(2) - np.pi) < 1e-14
-    assert abs(ball_volume(3) - 4.0 * np.pi / 3.0) < 1e-13
 
 
 class TestGaussianMarginals:
@@ -140,8 +137,9 @@ class TestPotentials:
 
 
 class TestAssumptionReport:
-    def test_gaussian_coulomb_has_no_failures(self):
-        rep = validate_assumptions(gaussian_profile(3), screened_coulomb(1.0, 1.0))
+    def test_gaussian_coulomb_has_no_failures(self, gauss3):
+        rep = validate_assumptions(gaussian_profile(3),
+                                   screened_coulomb(1.0, 1.0), gauss3)
         names = {c.name for c in rep.checks}
         assert {"positivity", "potential_finite_at_zero",
                 "marginal_decreasing"} <= names

@@ -22,6 +22,7 @@ from hartree_mix.quadrature import (
     PoleOnBoundary,
     adaptive_gauss,
     default_pv_window,
+    edge_shells,
     filon_transform,
     filon_weights,
     halfline_laplace_fourier,
@@ -216,6 +217,34 @@ class TestAdaptiveGauss:
         with pytest.raises(EvaluationBudgetExceeded):
             adaptive_gauss(lambda x: np.sin(1e4 * x), 0.0, 1.0,
                            tol_abs=1e-14, eval_cap=200)
+
+
+class TestEdgeShells:
+    def test_exact_on_polynomial(self):
+        # int_{-1}^{1} (1 - u)^8 (u + 3) du = int_0^2 v^8 (4 - v) dv = 5632/45;
+        # the adaptive half and every 31-node shell are exact on it
+        total, err, shells = edge_shells(
+            lambda u: (1.0 - u) ** 8 * (u + 3.0), -1.0, 1.0, 1e-12)
+        assert abs(total - 5632.0 / 45.0) < 1e-12 * 5632.0 / 45.0
+        assert err < 1e-10
+        # the sixth shell is already below 1e-12, but callers fit a slope
+        # over the last six, so the loop runs to the seventh
+        assert abs(shells[5]) < 1e-12
+        assert len(shells) == 7
+
+
+    def test_log_divergent_shells_do_not_decay(self):
+        # every dyadic shell of 1/(b - u) holds exactly ln 2, so the shells
+        # never fall below the tolerance, and the log2 slope over the last
+        # six stays near 0 (above the -0.05 that would mean convergence)
+        # although rounding of b - u grows like 2^j eps in the late shells
+        total, _, shells = edge_shells(lambda u: 1.0 / (1.0 - u), -1.0, 1.0,
+                                       1e-12)
+        assert len(shells) == 48
+        assert np.max(np.abs(np.asarray(shells[:12]) - np.log(2.0))) < 1e-11
+        slope = np.polyfit(np.arange(6), np.log2(np.abs(shells[-6:])), 1)[0]
+        assert abs(slope) < 0.01
+        assert abs(total - 49 * np.log(2.0)) < 1e-2
 
 
 class TestHalfline:

@@ -15,11 +15,9 @@ import pytest
 from hartree_mix.profiles import delta_potential
 from hartree_mix.stability import (
     ContourTooCoarse,
-    ScanSettings,
     certify,
     criterion_integral,
     find_imaginary_zero,
-    imaginary_axis_floor,
     phi_curve,
     winding_number,
 )
@@ -92,13 +90,6 @@ class TestZeroHunt:
         w = delta_potential(0.1)
         assert find_imaginary_zero(fermi5, w, 0.02) is None
 
-    def test_axis_floor_positive_when_stable(self, fermi5):
-        w = delta_potential(0.1)
-        floor = imaginary_axis_floor(fermi5, w, 0.05,
-                                     np.linspace(0.1, 4.0, 40))
-        assert floor.min_abs > 0.0
-        assert floor.abs_values.shape == (40,)
-
 
 class TestCertify:
     def test_gaussian_coulomb_stable(self, gauss3, coulomb):
@@ -120,7 +111,3 @@ class TestCertify:
         assert unstable.verdict == "Unstable"
         assert unstable.zero_residual is not None
         assert unstable.zero_residual < 1e-8
-
-    def test_scan_settings_roundtrip(self):
-        s = ScanSettings(n_k=8, zero_tol=1e-6)
-        assert s.n_k == 8 and s.zero_tol == 1e-6
