@@ -11,12 +11,14 @@ For k > 0 the dispersion function is evaluated through
     principal value plus i pi phi at the pole.
 
 The module works in the rescaled frame lambda = k lambda_tilde throughout
-its boundary routines; samples carry the unrescaled lambda.  Cauchy
-integrals near the axis subtract the linear part of the numerator at the
-pole's real coordinate, which removes the thin boundary layer entirely
-instead of asking the quadrature to resolve it: the subtracted moments
-have closed forms, and the remaining integrand loses two orders at the
-pole.
+its boundary routines; samples carry the unrescaled lambda.  Every Cauchy
+integral of phi or phi' goes through one fixed-node engine for a whole
+array of z, ``_cauchy_rows`` (public as ``dispersion_row``; the
+single-point routes are one-element calls).  It subtracts the numerator's
+cubic Taylor polynomial at the pole's real coordinate, which removes the
+thin boundary layer instead of asking the quadrature to resolve it: the
+subtracted moments have closed forms.  Gauss-Legendre panels, shared by
+every z, double until each value agrees with the coarser one.
 
 For |tau_tilde| >= 2 Upsilon + k the poles leave the support and the
 boundary value collapses to a manifestly real, even integral (the branch
@@ -32,19 +34,13 @@ from dataclasses import dataclass
 
 from .green import m_f
 from .profiles import Marginal, Potential
-from .quadrature import (
-    PVIntegrand,
-    adaptive_gauss,
-    default_pv_window,
-    edge_shells,
-    pv_integral,
-)
+from .quadrature import EvaluationBudgetExceeded, edge_shells
 
 __all__ = [
     "DispersionSample",
     "HilbertTransformCache",
     "DivergentIntegral",
-    "hilbert_transform",
+    "dispersion_row",
     "dispersion_hilbert",
     "dispersion_time_integral",
     "dispersion_plemelj",
@@ -84,42 +80,115 @@ class DispersionSample:
 
 
 # ---------------------------------------------------------------------------
-# Cauchy integrals off the axis
+# the Cauchy-row engine
+
+_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
+# panel counts of the row engine: the first (coarse) level and the cap
+_PANELS_START = 16
+_PANELS_CAP = 8192
+# z x node entries per block of the engine's matrices (1 MiB complex)
+_BLOCK_ENTRIES = 1 << 16
 
 
-def _cauchy_line(g, slope_at, a, b, z, tol_abs):
-    """int_a^b g(u)/(z - u) du for z off [a, b].
+def _residual_sums(g, a, b, panels, z, s, taylor):
+    """Composite 16-node Gauss-Legendre sums of the subtracted integrand
+    (g(u) - P(u - s)) / (z - u), one per z, in blocks of z; ``taylor``
+    holds the coefficients of the cubic P, one row per z."""
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * np.diff(edges)
+    u = ((edges[:-1] + half)[:, None] + half[:, None] * _GL16_X).ravel()
+    wt = (half[:, None] * _GL16_W).ravel()
+    gu = np.asarray(g(u), dtype=float)
+    out = np.empty(z.size, dtype=complex)
+    rows = max(1, _BLOCK_ENTRIES // u.size)
+    for lo in range(0, z.size, rows):
+        j = slice(lo, lo + rows)
+        v = u - s[j, None]
+        c = taylor[j, :, None]
+        num = gu - (c[:, 0] + v * (c[:, 1] + v * (c[:, 2] + v * c[:, 3])))
+        den = z[j, None] - u
+        # a node exactly at a real pole: the residual vanishes there
+        r = np.divide(num, den, out=np.zeros(den.shape, dtype=complex),
+                      where=den != 0)
+        out[j] = r @ wt
+    return out
 
-    Near the axis the numerator's value and slope at x = Re z are
-    subtracted and reinstated through the closed-form moments
-    I0 = ln(z-a) - ln(z-b) and I1 = (z-x) I0 - (b-a); the residual
-    integrand vanishes quadratically at the pole, so plain adaptive
-    quadrature converges without resolving the layer of width |Im z|.
+
+def _taylor(g, a, b, s):
+    """Cubic Taylor coefficients of g at each s in [a, b], one row per s.
+
+    The derivatives come from a five-point central stencil of step
+    (b - a)/1000 that keeps a step away from a and b, where g may jump,
+    re-expanded about s.  The constant is g(s) itself inside (a, b) and
+    the stencil's extrapolation at a or b.
     """
-    z = complex(z)
-    x, y = z.real, z.imag
-    near = abs(y) < 0.5 and (a - 1.0) < x < (b + 1.0)
-    if not near:
-        res = adaptive_gauss(lambda u: np.asarray(g(u)) / (z - u), a, b,
-                             tol_abs=tol_abs)
-        return res.value, res.abs_error_estimate
-    if y == 0.0 and a <= x <= b:
-        raise ValueError("pole on the integration segment; use a boundary route")
-    c0 = complex(np.asarray(g(np.array([x])))[0])
-    c1 = complex(slope_at(x))
-    res = adaptive_gauss(
-        lambda u: (np.asarray(g(u)) - c0 - c1 * (u - x)) / (z - u),
-        a, b, tol_abs=tol_abs, min_depth=3)
-    i0 = np.log(z - a) - np.log(z - b)
-    i1 = (z - x) * i0 - (b - a)
-    return res.value + c0 * i0 + c1 * i1, res.abs_error_estimate
+    h = 1e-3 * (b - a)
+    c = np.clip(s, a + 3 * h, b - 3 * h)
+    gm2, gm1, g0, gp1, gp2 = np.asarray(
+        g((c[:, None] + h * np.arange(-2, 3)).ravel()),
+        dtype=float).reshape(-1, 5).T
+    d1 = (8.0 * (gp1 - gm1) - (gp2 - gm2)) / (12.0 * h)
+    d2 = (16.0 * (gp1 + gm1) - (gp2 + gm2) - 30.0 * g0) / (24.0 * h * h)
+    d3 = (gp2 - gm2 - 2.0 * (gp1 - gm1)) / (12.0 * h ** 3)
+    t = s - c
+    d0 = g0 + t * (d1 + t * (d2 + t * d3))
+    inside = (a < s) & (s < b)
+    d0[inside] = np.asarray(g(s[inside]), dtype=float)
+    return np.stack([d0, d1 + t * (2.0 * d2 + 3.0 * d3 * t),
+                     d2 + 3.0 * d3 * t, d3], axis=1)
 
 
-def hilbert_transform(m: Marginal, z: complex, tol_abs: float = 1e-11):
-    """H(z) = int phi(u)/(z - u) du over the marginal's support."""
-    U = m.u_support
-    return _cauchy_line(m.phi, lambda x: float(np.asarray(m.dphi(np.array([x])))[0]),
-                        -U, U, z, tol_abs)
+def _cauchy_rows(g, a, b, z, tol_abs):
+    """int_a^b g(u)/(z - u) du for every z of an array, with error estimates.
+
+    Within unit distance of the segment, the cubic Taylor polynomial of g
+    at s = Re z (clamped to [a, b]) is subtracted and reinstated through
+    the moments I_j of (u - s)^j / (z - u): I0 = ln(z-a) - ln(z-b),
+    I_j = (z-s) I_(j-1) - ((b-s)^j - (a-s)^j)/j.  The rest vanishes to
+    fourth order at the pole, so fixed panels converge without resolving
+    the layer of width |Im z|.  A real z gives the limit from below,
+    PV + i pi g(z).  Panels double from ``_PANELS_START`` until each z's
+    fine and coarse sums agree to ``tol_abs``; that gap is its error
+    estimate.  Raises ValueError for a real z on an end of the segment,
+    and EvaluationBudgetExceeded past ``_PANELS_CAP`` panels.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    x = z.real
+    on_axis = z.imag == 0.0
+    eps = 1e-12 * (1.0 + abs(a) + abs(b))
+    if np.any(on_axis & ((np.abs(x - a) < eps) | (np.abs(x - b) < eps))):
+        raise ValueError("real pole on an end of the segment: the integral "
+                         "diverges")
+    s = np.clip(x, a, b)
+    zeta = z - s
+    taylor = _taylor(g, a, b, s)
+    taylor[np.abs(zeta) > 1.0] = 0.0
+    moment = np.log(z - a) - np.log(z - b)
+    moment = np.where(on_axis, moment.real, moment)
+    base = taylor[:, 0] * moment \
+        + np.where(on_axis & (a < x) & (x < b), 1j * np.pi * taylor[:, 0], 0.0)
+    for j in (1, 2, 3):
+        moment = zeta * moment - ((b - s) ** j - (a - s) ** j) / j
+        base += taylor[:, j] * moment
+
+    values = np.empty(z.size, dtype=complex)
+    gaps = np.empty(z.size)
+    todo = np.arange(z.size)
+    panels = _PANELS_START
+    coarse = _residual_sums(g, a, b, panels, z, s, taylor)
+    while todo.size:
+        panels *= 2
+        if panels > _PANELS_CAP:
+            raise EvaluationBudgetExceeded(
+                f"Cauchy rows: {todo.size} of {z.size} points still above "
+                f"{tol_abs:g} at {panels // 2} panels")
+        fine = _residual_sums(g, a, b, panels, z[todo], s[todo], taylor[todo])
+        gap = np.abs(fine - coarse)
+        done = gap <= tol_abs
+        values[todo[done]] = fine[done]
+        gaps[todo[done]] = gap[done]
+        todo, coarse = todo[~done], fine[~done]
+    return values + base, gaps
 
 
 class HilbertTransformCache:
@@ -127,9 +196,9 @@ class HilbertTransformCache:
 
     Values are computed at the snapped argument, so a hit is exact for the
     snapped point and off by at most O(step) in the argument: acceptable
-    for coarse half-plane scans, wrong for tolerance-critical comparisons
-    (call ``hilbert_transform`` directly there).  Insert-or-read is safe
-    under concurrent use because entries are deterministic.
+    for coarse half-plane scans, wrong for tolerance-critical comparisons.
+    The package's scans evaluate whole rows instead; the class is kept for
+    callers outside it.
     """
 
     def __init__(self, m: Marginal, step: float = 1e-4, tol_abs: float = 1e-11):
@@ -151,17 +220,55 @@ class HilbertTransformCache:
             self.hits += 1
             return hit
         self.misses += 1
-        val, _ = hilbert_transform(self.marginal, self.snapped(z), self.tol_abs)
+        U = self.marginal.u_support
+        val = complex(_cauchy_rows(self.marginal.phi, -U, U, self.snapped(z),
+                                   self.tol_abs)[0][0])
         self.memo[key] = val
         return val
 
 
 # ---------------------------------------------------------------------------
-# the three routes
+# the routes
+
+
+def dispersion_row(m: Marginal, w: Potential, k: float, lam_tilde,
+                   tol_abs: float = 1e-10):
+    """D(k lambda_tilde, k) over an array of rescaled lambda_tilde, Re >= 0.
+
+    For k > 0 every point takes the Hilbert form, whose Cauchy integrals
+    on Re lambda_tilde = 0 are the Plemelj boundary values, except that
+    boundary points with |tau_tilde| >= 2 Upsilon + k take the real
+    branch.  At k = 0 the row is the rescaled limit.  Returns 1-D arrays
+    of the values and of their error estimates.
+    """
+    lt = np.atleast_1d(np.asarray(lam_tilde, dtype=complex))
+    if np.any(lt.real < 0):
+        raise ValueError("dispersion rows need Re lambda_tilde >= 0")
+    if k < 0:
+        raise ValueError("dispersion rows need k >= 0")
+    U = m.u_support
+    z = -0.5j * lt
+    if k == 0.0:
+        w0 = w.w_hat_zero
+        h, e = _cauchy_rows(m.dphi, -U, U, z, tol_abs)
+        return 1.0 + (w0 / 2.0) * h, abs(w0) / 2.0 * e
+    pref = w(k) / (2.0 * k)
+    values = np.empty(lt.size, dtype=complex)
+    errs = np.empty(lt.size)
+    real_branch = (lt.real == 0.0) & (np.abs(lt.imag) >= 2.0 * m.upsilon + k)
+    for i in np.nonzero(real_branch)[0]:
+        s = dispersion_real_branch(m, w, lt[i].imag, k, tol_abs=tol_abs)
+        values[i], errs[i] = s.value, s.error_estimate
+    hilbert = np.nonzero(~real_branch)[0]
+    n = hilbert.size
+    h, e = _cauchy_rows(m.phi, -U, U, np.concatenate(
+        [z[hilbert] + k / 2.0, z[hilbert] - k / 2.0]), tol_abs)
+    values[hilbert] = 1.0 + pref * (h[:n] - h[n:])
+    errs[hilbert] = abs(pref) * (e[:n] + e[n:])
+    return values, errs
 
 
 def dispersion_hilbert(m: Marginal, w: Potential, lam: complex, k: float,
-                       cache: HilbertTransformCache | None = None,
                        tol_abs: float = 1e-11) -> DispersionSample:
     """D(lambda, k) through the Hilbert transform of the marginal."""
     lam = complex(lam)
@@ -169,20 +276,9 @@ def dispersion_hilbert(m: Marginal, w: Potential, lam: complex, k: float,
         raise ValueError("hilbert route needs Re lambda > 0; use a boundary route")
     if k <= 0:
         raise ValueError("hilbert route needs k > 0; use dispersion_k_zero")
-    wk = w(k)
-    z_p = (-1j * lam + k * k) / (2.0 * k)
-    z_m = (-1j * lam - k * k) / (2.0 * k)
-    if cache is not None:
-        hp, hm = cache.value(z_p), cache.value(z_m)
-        err = 2.0 * cache.tol_abs
-    else:
-        hp, ep = hilbert_transform(m, z_p, tol_abs)
-        hm, em = hilbert_transform(m, z_m, tol_abs)
-        err = ep + em
-    value = 1.0 + wk / (2.0 * k) * (hp - hm)
-    return DispersionSample(lam=lam, k_mag=float(k), value=value,
-                            route="hilbert_form",
-                            error_estimate=abs(wk) / (2.0 * k) * err)
+    value, err = dispersion_row(m, w, k, lam / k, tol_abs)
+    return DispersionSample(lam=lam, k_mag=float(k), value=complex(value[0]),
+                            route="hilbert_form", error_estimate=float(err[0]))
 
 
 def dispersion_time_integral(m: Marginal, w: Potential, lam: complex,
@@ -203,15 +299,6 @@ def dispersion_time_integral(m: Marginal, w: Potential, lam: complex,
                             error_estimate=abs(wk) * mf.error_estimate)
 
 
-def _pv_phi(m: Marginal, numerator, x: float, tol_abs: float):
-    """PV int numerator(u)/(x - u) du over the support, pole maybe outside."""
-    U = m.u_support
-    p = PVIntegrand(numerator=numerator, pole=x,
-                    window=default_pv_window(x, (-U, U)))
-    res = pv_integral(p, (-U, U), tol_abs=tol_abs)
-    return res.value, res.abs_error_estimate
-
-
 def dispersion_plemelj(m: Marginal, w: Potential, tau_tilde: float, k: float,
                        tol_abs: float = 1e-11) -> DispersionSample:
     """Boundary value D(i k tau_tilde, k) by the Plemelj split.
@@ -222,20 +309,12 @@ def dispersion_plemelj(m: Marginal, w: Potential, tau_tilde: float, k: float,
     if k <= 0:
         raise ValueError("plemelj route needs k > 0")
     tau_tilde = float(tau_tilde)
-    if np.isfinite(m.upsilon) and abs(tau_tilde) >= 2.0 * m.upsilon + k:
+    if abs(tau_tilde) >= 2.0 * m.upsilon + k:
         raise ValueError("|tau_tilde| >= 2 Upsilon + k: use dispersion_real_branch")
-    wk = w(k)
-    x_p = (tau_tilde + k) / 2.0
-    x_m = (tau_tilde - k) / 2.0
-    pv_p, e_p = _pv_phi(m, m.phi, x_p, tol_abs)
-    pv_m, e_m = _pv_phi(m, m.phi, x_m, tol_abs)
-    phi_p = float(np.asarray(m.phi(np.array([x_p])))[0])
-    phi_m = float(np.asarray(m.phi(np.array([x_m])))[0])
-    pref = wk / (2.0 * k)
-    value = 1.0 + pref * (pv_p - pv_m) + 1j * np.pi * pref * (phi_p - phi_m)
-    return DispersionSample(lam=1j * tau_tilde * k, k_mag=float(k), value=value,
-                            route="plemelj_boundary",
-                            error_estimate=abs(pref) * (e_p + e_m))
+    value, err = dispersion_row(m, w, k, 1j * tau_tilde, tol_abs)
+    return DispersionSample(lam=1j * tau_tilde * k, k_mag=float(k),
+                            value=complex(value[0]), route="plemelj_boundary",
+                            error_estimate=float(err[0]))
 
 
 def _edge_exponent(m: Marginal) -> float:
@@ -301,28 +380,9 @@ def dispersion_k_zero(m: Marginal, w: Potential, lam_tilde: complex,
     lam_tilde = complex(lam_tilde)
     if lam_tilde.real < 0:
         raise ValueError("k-zero route needs Re lambda_tilde >= 0")
-    w0 = w.w_hat_zero
-    U = m.u_support
-
-    def dphi_slope(x, h=1e-5):
-        lo, hi = np.asarray(m.dphi(np.array([x - h, x + h])))
-        return (hi - lo) / (2.0 * h)
-
-    if lam_tilde.real > 0:
-        z = -1j * lam_tilde / 2.0
-        val, err = _cauchy_line(m.dphi, dphi_slope, -U, U, z, tol_abs)
-        value = 1.0 + (w0 / 2.0) * val
-        return DispersionSample(lam=lam_tilde, k_mag=0.0, value=value,
-                                route="k_zero_limit",
-                                error_estimate=abs(w0) / 2.0 * err)
-
-    x = lam_tilde.imag / 2.0
-    pv, err = _pv_phi(m, m.dphi, x, tol_abs)
-    dphix = float(np.asarray(m.dphi(np.array([x])))[0])
-    value = 1.0 + (w0 / 2.0) * pv + 1j * (np.pi / 2.0) * w0 * dphix
-    return DispersionSample(lam=lam_tilde, k_mag=0.0, value=value,
-                            route="k_zero_limit",
-                            error_estimate=abs(w0) / 2.0 * err)
+    value, err = dispersion_row(m, w, 0.0, lam_tilde, tol_abs)
+    return DispersionSample(lam=lam_tilde, k_mag=0.0, value=complex(value[0]),
+                            route="k_zero_limit", error_estimate=float(err[0]))
 
 
 def evaluate(m: Marginal, w: Potential, lam: complex, k: float,

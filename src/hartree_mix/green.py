@@ -31,7 +31,8 @@ from scipy import fft as sp_fft
 
 from .dynamics import DensityTrajectory
 from .profiles import Marginal, Potential
-from .quadrature import filon_transform, halfline_laplace_fourier, refine_filon
+from .quadrature import (UnresolvedOscillation, filon_transform,
+                         halfline_laplace_fourier, refine_filon)
 
 __all__ = [
     "MfSample",
@@ -106,7 +107,8 @@ def m_f(m: Marginal, lam: complex, k: float, tol_abs: float = 1e-10) -> MfSample
 
 def m_f_boundary(m: Marginal, k: float, taus,
                  tol_abs: float = 1e-11) -> np.ndarray:
-    """m_f(i tau, k) for a whole array of real tau in one Filon pass."""
+    """m_f(i tau, k) for a whole array of real tau in one Filon pass;
+    UnresolvedOscillation when the sample cap stops it short of tol_abs."""
     if k <= 0:
         raise ValueError("m_f_boundary needs k > 0")
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
@@ -114,6 +116,10 @@ def m_f_boundary(m: Marginal, k: float, taus,
     # the cap stops the doubling at 2^21 + 1 samples
     r = refine_filon(lambda t: m.phi_hat(2.0 * k * t), 0.0, _support_time(m, k),
                      (taus - k * k, taus + k * k), 4097, tol_abs, 2 ** 22)
+    if r.gap > tol_abs:
+        raise UnresolvedOscillation(
+            f"m_f_boundary at k = {k:g}: filon grid capped at "
+            f"{r.samples.size} samples, error estimate {r.gap:g}")
     return -1j * (r.transforms[0] - r.transforms[1])
 
 

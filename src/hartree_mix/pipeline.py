@@ -107,10 +107,22 @@ def _reject_unknown(doc: dict, allowed, prefix: str) -> None:
                           f"{', '.join(unknown)}")
 
 
-def _need(doc: dict, prefix: str, name: str):
+def _number(doc: dict, prefix: str, name: str, default, kind=float):
+    """Numeric field ``name`` of ``doc`` as ``kind`` (float or int), or
+    ``default`` when absent; a None default makes the field required."""
     if name not in doc:
-        raise ConfigError(f"missing field '{prefix}{name}'")
-    return doc[name]
+        if default is None:
+            raise ConfigError(f"missing field '{prefix}{name}'")
+        return kind(default)
+    v = doc[name]
+    if isinstance(v, bool) or not isinstance(v, (int, float)) \
+            or not math.isfinite(v):
+        raise ConfigError(f"field '{prefix}{name}': must be a finite "
+                          f"number, got {v!r}")
+    if kind is int and v != int(v):
+        raise ConfigError(f"field '{prefix}{name}': must be an integer, "
+                          f"got {v!r}")
+    return kind(v)
 
 
 def _group(doc: dict, name: str, required: bool) -> dict:
@@ -139,7 +151,7 @@ def parse_config(doc: dict, out: str | None = None,
     if not isinstance(doc, dict):
         raise ConfigError("top level must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "")
-    d = int(_need(doc, "", "d"))
+    d = _number(doc, "", "d", None, int)
     if d < 1:
         raise ConfigError("field 'd': must be >= 1")
     eq = _group(doc, "equilibrium", True)
@@ -149,39 +161,39 @@ def parse_config(doc: dict, out: str | None = None,
     if "kind" not in pot:
         raise ConfigError("field 'potential': needs a 'kind'")
 
-    prof = _make_profile(eq, d)
-    w = _make_potential(pot)
+    prof = _build(eq, "equilibrium", _PROFILE_KINDS, d)
+    w = _build(pot, "potential", _POTENTIAL_KINDS)
     if "N1" not in doc and not math.isfinite(prof.n1):
         raise ConfigError(f"field 'N1': required, since equilibrium kind "
                           f"'{prof.kind}' declares no finite decay rate")
-    n1 = int(doc.get("N1", 2 * prof.n1 - d + 1))
-    n2 = int(doc.get("N2", d + 1))
+    n1 = _number(doc, "", "N1", 2 * prof.n1 - d + 1, int)
+    n2 = _number(doc, "", "N2", d + 1, int)
     if min(n1, n2) - d - 1 < 0:
         raise ConfigError("fields 'N1'/'N2': min(N1, N2) - d - 1 must be "
                           ">= 0")
 
     kg = _group(doc, "k_grid", True)
-    k_count = int(_need(kg, "k_grid.", "count"))
-    k_min = float(_need(kg, "k_grid.", "min"))
-    k_max = float(_need(kg, "k_grid.", "max"))
+    k_count = _number(kg, "k_grid.", "count", None, int)
+    k_min = _number(kg, "k_grid.", "min", None)
+    k_max = _number(kg, "k_grid.", "max", None)
     if k_count < 2 or not (0 < k_min < k_max):
         raise ConfigError("field 'k_grid': need count >= 2 and "
                           "0 < min < max")
     tg = _group(doc, "t_grid", True)
-    dt = float(_need(tg, "t_grid.", "dt"))
-    t_max = float(_need(tg, "t_grid.", "t_max"))
+    dt = _number(tg, "t_grid.", "dt", None)
+    t_max = _number(tg, "t_grid.", "t_max", None)
     if dt <= 0 or t_max <= dt:
         raise ConfigError("field 't_grid': need dt > 0 and t_max > dt")
     taug = _group(doc, "tau_grid", False)
-    tau_max = float(taug.get("max", 40.0))
-    tau_count = int(taug.get("count", 401))
+    tau_max = _number(taug, "tau_grid.", "max", 40.0)
+    tau_count = _number(taug, "tau_grid.", "count", 401, int)
     if tau_count < 2 or tau_max <= 0:
         raise ConfigError("field 'tau_grid': need count >= 2 and max > 0")
     nl = _group(doc, "nonlinear", False)
-    nl_box = float(nl.get("box", 4.0))
-    nl_points = int(nl.get("points", 33 if d <= 2 else 9))
-    nl_dt = float(nl.get("dt", 0.1))
-    nl_t_max = float(nl.get("t_max", 30.0))
+    nl_box = _number(nl, "nonlinear.", "box", 4.0)
+    nl_points = _number(nl, "nonlinear.", "points", 33 if d <= 2 else 9, int)
+    nl_dt = _number(nl, "nonlinear.", "dt", 0.1)
+    nl_t_max = _number(nl, "nonlinear.", "t_max", 30.0)
     if nl_points < 3 or nl_points % 2 == 0:
         raise ConfigError("field 'nonlinear.points': need an odd count >= 3")
     if d >= 3 and nl_points > 9:
@@ -191,12 +203,12 @@ def parse_config(doc: dict, out: str | None = None,
         raise ConfigError("field 'nonlinear': box, dt, t_max must be "
                           "positive")
 
-    epsilon = float(doc.get("epsilon", 1e-2))
+    epsilon = _number(doc, "", "epsilon", 1e-2)
     kernel = _make_initial(_group(doc, "initial", False), d, epsilon)
     tol = _group(doc, "tolerances", False)
     # decay diagnostics only need table entries well above the fit floor;
     # the library default 1e-10 is for solver-grade tables
-    green_tol = float(tol.get("green", 1e-8))
+    green_tol = _number(tol, "tolerances.", "green", 1e-8)
     if not green_tol > 0:
         raise ConfigError("field 'tolerances.green': must be > 0")
     window = tol.get("fit_window", (5.0, 50.0))
@@ -213,7 +225,7 @@ def parse_config(doc: dict, out: str | None = None,
         tau_max=tau_max, tau_count=tau_count, nl_box=nl_box,
         nl_points=nl_points, nl_dt=nl_dt, nl_t_max=nl_t_max,
         out_dir=out if out is not None else str(doc.get("out", ".")),
-        seed=int(seed if seed is not None else doc.get("seed", 0)),
+        seed=seed if seed is not None else _number(doc, "", "seed", 0, int),
         green_tol=green_tol, fit_window=window)
 
 
@@ -230,36 +242,26 @@ def load_config(path: str, out: str | None = None,
     return parse_config(doc, out=out, seed=seed)
 
 
-def _make_profile(eq: dict, d: int) -> profiles.EquilibriumProfile:
-    kind = eq["kind"]
-    p = {k: v for k, v in eq.items() if k != "kind"}
-    try:
-        if kind == "gaussian":
-            return profiles.gaussian_profile(d, **p)
-        if kind == "fermi_zero_t":
-            return profiles.fermi_zero_t_profile(d, **p)
-        if kind == "smooth_bump":
-            return profiles.smooth_bump_profile(d, **p)
-        if kind == "power_decay":
-            return profiles.power_decay_profile(d, **p)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"field 'equilibrium': {e}") from e
-    raise ConfigError(f"field 'equilibrium.kind': unknown kind '{kind}'")
+_PROFILE_KINDS = {"gaussian": profiles.gaussian_profile,
+                  "fermi_zero_t": profiles.fermi_zero_t_profile,
+                  "smooth_bump": profiles.smooth_bump_profile,
+                  "power_decay": profiles.power_decay_profile}
+_POTENTIAL_KINDS = {"screened_coulomb": profiles.screened_coulomb,
+                    "delta": profiles.delta_potential,
+                    "gaussian": profiles.gaussian_hat_potential}
 
 
-def _make_potential(pot: dict) -> profiles.Potential:
-    kind = pot["kind"]
-    p = {k: v for k, v in pot.items() if k != "kind"}
+def _build(group: dict, name: str, kinds: dict, *args):
+    """The object of kind ``group["kind"]``, built from the group's other
+    keys (after ``args``); a failure names the group."""
+    kind = group["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"field '{name}.kind': unknown kind '{kind}'")
     try:
-        if kind == "screened_coulomb":
-            return profiles.screened_coulomb(**p)
-        if kind == "delta":
-            return profiles.delta_potential(**p)
-        if kind == "gaussian":
-            return profiles.gaussian_hat_potential(**p)
+        return kinds[kind](*args, **{k: v for k, v in group.items()
+                                     if k != "kind"})
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"field 'potential': {e}") from e
-    raise ConfigError(f"field 'potential.kind': unknown kind '{kind}'")
+        raise ConfigError(f"field '{name}': {e}") from e
 
 
 def _make_initial(initial: dict, d: int,
@@ -424,17 +426,15 @@ def _cmd_dispersion(cfg: RunConfig, out: str) -> int:
     taus = np.linspace(0.0, cfg.tau_max, cfg.tau_count)
     rows = []
     for k in _k_grid(cfg):
-        for tau in taus:
-            s = disp.evaluate(m, pot, 1j * tau * k, float(k))
-            rows.append((k, 0.0, tau * k, s.route, s.value.real,
-                         s.value.imag, s.error_estimate))
+        values, errs = disp.dispersion_row(m, pot, float(k), 1j * taus)
+        rows.extend((k, 0.0, tau * k, "plemelj_boundary", v.real, v.imag, e)
+                    for tau, v, e in zip(taus, values, errs))
     # a strip of strictly unstable-side samples documents the analytic route
+    strip = np.array([0.5, 0.1, 0.02]) + 0.5j
     for k in _k_grid(cfg)[:: max(cfg.k_count // 6, 1)]:
-        for g in (0.5, 0.1, 0.02):
-            lam = complex(g * k, 0.5 * k)
-            s = disp.evaluate(m, pot, lam, float(k))
-            rows.append((k, lam.real, lam.imag, s.route, s.value.real,
-                         s.value.imag, s.error_estimate))
+        values, errs = disp.dispersion_row(m, pot, float(k), strip)
+        rows.extend((k, k * lt.real, k * lt.imag, "hilbert_form", v.real,
+                     v.imag, e) for lt, v, e in zip(strip, values, errs))
     _write_csv(os.path.join(out, "dispersion.csv"),
                ["k", "re_lambda", "im_lambda", "route", "re_D", "im_D",
                 "err"], rows)

@@ -1,13 +1,11 @@
 """Shared 1-D quadrature engine.
 
-Six pieces, used throughout the package:
+Five pieces, used throughout the package:
 
 * ``adaptive_gauss``: adaptive Gauss-Legendre panels for regular (possibly
   complex-valued) integrands on a finite interval,
 * ``edge_shells``: dyadic shells of fixed panels toward a singular upper
   end, returned shell by shell so callers can read the tail's decay,
-* ``pv_integral``: Cauchy principal values via symmetric-window singularity
-  subtraction,
 * ``filon_transform``: a composite Filon-Simpson rule for
   ``int f(x) exp(-i w x) dx`` on a uniform grid, vectorized over
   frequencies.  An arithmetic progression of frequencies is evaluated as
@@ -30,21 +28,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import fft as sp_fft
 
 __all__ = [
     "QuadResult",
-    "PVIntegrand",
     "QuadratureError",
-    "PoleOnBoundary",
     "UnresolvedOscillation",
     "EvaluationBudgetExceeded",
     "adaptive_gauss",
     "edge_shells",
-    "pv_integral",
     "filon_transform",
     "halfline_laplace_fourier",
     "DEFAULT_ABS_TOL",
@@ -59,10 +53,6 @@ DEFAULT_EVAL_CAP = 2_000_000
 
 class QuadratureError(Exception):
     """Base class for quadrature failures."""
-
-
-class PoleOnBoundary(QuadratureError):
-    """PV pole sits on (or within eps of) a support endpoint."""
 
 
 class UnresolvedOscillation(QuadratureError):
@@ -80,20 +70,6 @@ class QuadResult:
     value: complex
     abs_error_estimate: float
     evaluations: int
-
-
-@dataclass(frozen=True)
-class PVIntegrand:
-    """Numerator phi and pole location for PV int phi(u)/(x - u) du.
-
-    ``window`` is the half-width h of the symmetric subtraction window
-    [x - h, x + h]; it must keep the window inside the support interval
-    whenever the pole itself is interior.
-    """
-
-    numerator: Callable[[np.ndarray], np.ndarray]
-    pole: float
-    window: float
 
 
 # ---------------------------------------------------------------------------
@@ -171,71 +147,6 @@ def edge_shells(f, a, b, tol_abs):
         if abs(shells[-1]) < max(tol_abs, 1e-15 * abs(total)) and j > 6:
             break
     return total, err, shells
-
-
-# ---------------------------------------------------------------------------
-# principal values
-
-
-def pv_integral(p: PVIntegrand, support: tuple[float, float],
-                tol_abs=DEFAULT_ABS_TOL) -> QuadResult:
-    """PV int_a^b phi(u) / (pole - u) du.
-
-    Pole inside the support: the symmetric window [x-h, x+h] is handled by
-    subtracting phi(x) (the subtracted constant integrates to zero over a
-    symmetric window), the remainder by adaptive panels.  Pole outside: the
-    integrand is regular and integrated directly.  Pole within ``eps`` of a
-    support endpoint raises PoleOnBoundary.
-    """
-    a, b = support
-    if b <= a:
-        return QuadResult(0.0 + 0.0j, 0.0, 0)
-    x, h = p.pole, p.window
-    eps = 1e-12 * (1.0 + abs(a) + abs(b))
-    if abs(x - a) < eps or abs(x - b) < eps:
-        raise PoleOnBoundary(f"pole {x} on support boundary [{a}, {b}]")
-
-    phi = p.numerator
-    if x < a or x > b:
-        return adaptive_gauss(lambda u: phi(u) / (x - u), a, b,
-                              tol_abs=tol_abs, min_depth=2)
-
-    h = min(h, 0.999 * (x - a), 0.999 * (b - x))
-    if h <= 0:
-        raise PoleOnBoundary(f"no room for a symmetric window at pole {x}")
-    phix = float(np.asarray(phi(np.array([x])))[0])
-
-    def centered(u):
-        du = x - u
-        out = np.empty_like(np.asarray(u, dtype=float))
-        smal = np.abs(du) < 1e-14 * (1 + abs(x))
-        safe = np.where(smal, 1.0, du)
-        vals = (phi(u) - phix) / safe
-        if np.any(smal):
-            # limit is -phi'(x); a centered difference is accurate enough here
-            d = 1e-6 * (1 + abs(x))
-            der = (phi(np.array([x + d]))[0] - phi(np.array([x - d]))[0]) / (2 * d)
-            vals = np.where(smal, -der, vals)
-        out[...] = vals
-        return out
-
-    inner = adaptive_gauss(centered, x - h, x + h, tol_abs=tol_abs,
-                           min_depth=2)
-    left = adaptive_gauss(lambda u: phi(u) / (x - u), a, x - h,
-                          tol_abs=tol_abs, min_depth=2) \
-        if x - h > a else QuadResult(0.0, 0.0, 0)
-    right = adaptive_gauss(lambda u: phi(u) / (x - u), x + h, b,
-                           tol_abs=tol_abs, min_depth=2) \
-        if b > x + h else QuadResult(0.0, 0.0, 0)
-    return QuadResult(inner.value + left.value + right.value,
-                      inner.abs_error_estimate + left.abs_error_estimate + right.abs_error_estimate,
-                      inner.evaluations + left.evaluations + right.evaluations)
-
-
-def default_pv_window(pole, support):
-    """h = 0.5 * min(distance to nearest support edge, 1)."""
-    a, b = support
-    return 0.5 * min(min(pole - a, b - pole), 1.0)
 
 
 # ---------------------------------------------------------------------------

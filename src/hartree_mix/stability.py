@@ -28,14 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .dispersion import (
-    DivergentIntegral,
-    HilbertTransformCache,
-    dispersion_hilbert,
-    dispersion_k_zero,
-    dispersion_real_branch,
-    evaluate,
-)
+from .dispersion import (DivergentIntegral, dispersion_real_branch,
+                         dispersion_row, evaluate)
 from .profiles import Marginal, Potential
 from .quadrature import edge_shells
 
@@ -187,12 +181,6 @@ def phi_curve(m: Marginal, w: Potential, k_grid) -> PhiCurve:
 # zero hunting
 
 
-def _dtilde(m: Marginal, w: Potential, k: float, tau_tilde: float,
-            tol_abs: float = 1e-10) -> complex:
-    """Boundary value D(i k tau_tilde, k) with automatic branch routing."""
-    return evaluate(m, w, 1j * tau_tilde * k, k, tol_abs=tol_abs).value
-
-
 def find_imaginary_zero(m: Marginal, w: Potential, k: float) -> float | None:
     """Root of the real branch tau_tilde -> D(i k tau_tilde, k), if any.
 
@@ -240,42 +228,37 @@ def _rect_nodes(re_lo, re_hi, im_lo, im_hi) -> np.ndarray:
 
 
 def winding_number(m: Marginal, w: Potential, k: float, rect,
-                   cache: HilbertTransformCache | None = None,
                    max_nodes: int = 40000) -> WindingCheck:
     """Zero count of D inside a rectangle in the open right lambda_tilde
     half-plane, by total argument variation along its boundary.
 
     Nodes are inserted wherever a phase step exceeds pi/2 until every step
-    is resolved; failure to get there, a vanishing symbol on the contour,
-    or a rounding residual above 0.05 raise ContourTooCoarse.
+    is resolved, each round evaluated as one row; failure to get there, a
+    vanishing symbol on the contour, or a rounding residual above 0.05
+    raise ContourTooCoarse.
     """
     re_lo, re_hi, im_lo, im_hi = (float(x) for x in rect)
     if re_lo <= 0:
         raise ValueError("contour must sit strictly inside Re lambda_tilde > 0")
     if re_hi <= re_lo or im_hi <= im_lo:
         raise ValueError("degenerate rectangle")
-    pts = list(_rect_nodes(re_lo, re_hi, im_lo, im_hi))
-
-    def dval(lt: complex) -> complex:
-        return dispersion_hilbert(m, w, k * lt, k, cache=cache).value
-
-    vals = [dval(p) for p in pts]
+    pts = _rect_nodes(re_lo, re_hi, im_lo, im_hi)
+    vals = dispersion_row(m, w, k, pts, _SCAN_TOL)[0]
     while True:
-        n = len(pts)
+        n = pts.size
         if n > max_nodes:
             raise ContourTooCoarse(
                 f"{n} contour nodes still leave phase steps above pi/2")
-        ratios = np.asarray([vals[(i + 1) % n] / vals[i] for i in range(n)])
-        steps = np.angle(ratios)
+        steps = np.angle(np.roll(vals, -1) / vals)
         bad = np.nonzero(np.abs(steps) > np.pi / 2)[0]
         if bad.size == 0:
             break
-        for i in sorted(bad, reverse=True):
-            mid = 0.5 * (pts[i] + pts[(i + 1) % n])
-            pts.insert(i + 1, mid)
-            vals.insert(i + 1, dval(mid))
+        mids = 0.5 * (pts[bad] + np.roll(pts, -1)[bad])
+        pts = np.insert(pts, bad + 1, mids)
+        vals = np.insert(vals, bad + 1, dispersion_row(m, w, k, mids,
+                                                       _SCAN_TOL)[0])
 
-    mods = np.abs(np.asarray(vals))
+    mods = np.abs(vals)
     min_abs = float(np.min(mods))
     if min_abs < 1e-10:
         raise ContourTooCoarse("dispersion function vanishes on the contour")
@@ -341,7 +324,7 @@ def certify(m: Marginal, w: Potential) -> StabilityCertificate:
         for k in _HUNT_K:
             tau_star = find_imaginary_zero(m, w, k)
             if tau_star is not None:
-                resid = abs(_dtilde(m, w, k, tau_star))
+                resid = abs(evaluate(m, w, 1j * tau_star * k, k).value)
                 notes.append("negative criterion forced an imaginary-axis zero")
                 return StabilityCertificate(
                     verdict="Unstable", theta0=None, phi0=crit.value,
@@ -368,16 +351,20 @@ def certify(m: Marginal, w: Potential) -> StabilityCertificate:
     taus_dense = np.linspace(0.0, tau_dense_max, n_dense)
 
     rows: dict[float, np.ndarray] = {}
+    scan_min, argmin = np.inf, (0.0, 0.0)
 
-    def _bval(k: float, t: float) -> float:
-        if k == 0.0:
-            return abs(dispersion_k_zero(m, w, 1j * t).value)
-        return abs(_dtilde(m, w, k, t, _SCAN_TOL))
+    def note(mods: np.ndarray, k: float, taus) -> np.ndarray:
+        # keep the smallest sampled |D| and where it sits
+        nonlocal scan_min, argmin
+        j = int(np.argmin(mods))
+        if mods[j] < scan_min:
+            scan_min, argmin = float(mods[j]), (k, float(taus[j]))
+        return mods
 
-    def boundary_row(k: float) -> np.ndarray:
-        if k not in rows:
-            rows[k] = np.array([_bval(k, float(t)) for t in taus_dense])
-        return rows[k]
+    def scan(k: float, taus: np.ndarray) -> np.ndarray:
+        # |D| along the boundary; k = 0 is the rescaled limit
+        return note(np.abs(dispersion_row(m, w, k, 1j * taus, _SCAN_TOL)[0]),
+                    k, taus)
 
     def pair_floor(a: np.ndarray, b: np.ndarray) -> float:
         # estimated min |D| between two sampled lines: smaller sample
@@ -388,33 +375,17 @@ def certify(m: Marginal, w: Potential) -> StabilityCertificate:
         return pair_floor(r[1:], r[:-1])
 
     # the k = 0 row is the rescaled limit, so (0, k_min] interpolates it
-    for k in [0.0] + [float(x) for x in np.geomspace(_K_MIN, k_hi, _N_K)]:
-        boundary_row(k)
-
-    scan_min, argmin = np.inf, (0.0, 0.0)
     tail_floor = np.inf
-    for k in sorted(rows):
-        row = rows[k]
-        j = int(np.argmin(row))
-        if row[j] < scan_min:
-            scan_min, argmin = float(row[j]), (k, float(taus_dense[j]))
+    for k in [0.0] + [float(x) for x in np.geomspace(_K_MIN, k_hi, _N_K)]:
+        rows[k] = scan(k, taus_dense)
         if k == 0.0:
             continue
-
         lam_cap = _lambda_cap(m, w, k)
         if lam_cap > tau_dense_max:
             tail = np.geomspace(tau_dense_max, lam_cap, _N_TAIL)
-            tmods = np.abs([_dtilde(m, w, k, float(t), _SCAN_TOL)
-                            for t in tail])
-            jt = int(np.argmin(tmods))
-            if tmods[jt] < scan_min:
-                scan_min, argmin = float(tmods[jt]), (k, float(tail[jt]))
-            tail_floor = min(tail_floor, line_floor(tmods))
-
+            tail_floor = min(tail_floor, line_floor(scan(k, tail)))
         if np.isfinite(m.upsilon):
-            pk = _phi_at(m, w, k)
-            if pk < scan_min:
-                scan_min, argmin = float(pk), (k, 2.0 * m.upsilon + k)
+            note(np.array([_phi_at(m, w, k)]), k, [2.0 * m.upsilon + k])
 
     # continuity floor: nodewise within each row, nodewise between adjacent
     # rows; insert k midpoints while an inter-row gap is the binding term
@@ -429,11 +400,7 @@ def certify(m: Marginal, w: Potential) -> StabilityCertificate:
             break
         lo, up = ks[i_cell], ks[i_cell + 1]
         mid = 0.5 * (lo + up) if lo == 0.0 else float(np.sqrt(lo * up))
-        boundary_row(mid)
-        row = rows[mid]
-        j = int(np.argmin(row))
-        if row[j] < scan_min:
-            scan_min, argmin = float(row[j]), (mid, float(taus_dense[j]))
+        rows[mid] = scan(mid, taus_dense)
         extra -= 1
 
     theta_floor = min(floor_rows, cells[i_cell], tail_floor)
@@ -446,13 +413,9 @@ def certify(m: Marginal, w: Potential) -> StabilityCertificate:
     t_lo = max(argmin[1] - 5.0 * d_tau, 0.0)
     t_up = argmin[1] + 5.0 * d_tau
     for k in np.linspace(k_lo, k_up, 7):
-        for t in np.linspace(t_lo, t_up, 21):
-            v = _bval(float(k), float(t))
-            if v < scan_min:
-                scan_min, argmin = float(v), (float(k), float(t))
+        scan(float(k), np.linspace(t_lo, t_up, 21))
 
     # windings at the first, middle and last k row and at the minimum
-    cache = HilbertTransformCache(m)
     winding_checks = []
     k_grid = np.array([k for k in sorted(rows) if k > 0.0])
     pick = sorted({0, k_grid.size // 2, k_grid.size - 1,
@@ -461,7 +424,7 @@ def certify(m: Marginal, w: Potential) -> StabilityCertificate:
         k = float(k_grid[idx])
         lam_cap = _lambda_cap(m, w, k)
         rect = (_RECT_RE_LO, lam_cap, -lam_cap, lam_cap)
-        winding_checks.append(winding_number(m, w, k, rect, cache=cache))
+        winding_checks.append(winding_number(m, w, k, rect))
 
     theta0 = min(theta_floor, scan_min, 0.5)
     margin = max(scan_min - theta0, 0.0)

@@ -3,14 +3,22 @@
 The same value is reachable through the Hilbert-transform form, the
 time-integral form, and (on the boundary) the jump formula, so the
 tests mostly play the routes against each other; a few structural
-checks pin the branch logic and the sample bookkeeping.
+checks pin the branch logic and the sample bookkeeping.  The Cauchy-row
+engine under every route has its own oracles: adaptive quadrature on the
+same subtracted integrand, the Dawson function, and closed forms for
+cubic numerators.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import dawsn
 
+from hartree_mix import dispersion as dsp
 from hartree_mix.dispersion import (
     DispersionSample,
     HilbertTransformCache,
@@ -18,10 +26,12 @@ from hartree_mix.dispersion import (
     dispersion_k_zero,
     dispersion_plemelj,
     dispersion_real_branch,
+    dispersion_row,
     dispersion_time_integral,
     evaluate,
 )
 from hartree_mix.profiles import delta_potential
+from hartree_mix.quadrature import EvaluationBudgetExceeded, adaptive_gauss
 
 
 def _richardson_boundary(m, w, tau_tilde, k, g0=1.6e-2, rungs=5):
@@ -113,14 +123,152 @@ class TestDispatch:
 
 
 class TestCache:
-    def test_snapping_is_deterministic_and_close(self, gauss3, coulomb):
+    def test_snapping_is_deterministic_and_close(self, gauss3):
         cache = HilbertTransformCache(gauss3)
-        lam, k = 0.4 + 0.9j, 0.8
-        direct = dispersion_hilbert(gauss3, coulomb, lam, k).value
-        c1 = dispersion_hilbert(gauss3, coulomb, lam, k, cache=cache).value
-        c2 = dispersion_hilbert(gauss3, coulomb, lam + 1e-6j, k, cache=cache).value
+        z = 0.35 - 0.25j
+        U = gauss3.u_support
+        direct = dsp._cauchy_rows(gauss3.phi, -U, U, z, 1e-11)[0][0]
+        c1 = cache.value(z)
+        c2 = cache.value(z + 1e-6j)
         # snapped arguments collapse to the same table entry
         assert c1 == c2
+        assert (cache.hits, cache.misses) == (1, 1)
         # the snap step bounds the cache error; it is a scan tool, not a
         # high-precision route
         assert abs(c1 - direct) < 1e-3
+
+
+def _moment(j, z, s, a, b):
+    """int_a^b (u - s)^j / (z - u) du, PV part for real z, written out."""
+    zeta = z - s
+    i0 = np.log(z - a) - np.log(z - b)
+    if np.imag(z) == 0.0:
+        i0 = i0.real
+    return zeta ** j * i0 - sum(
+        zeta ** (j - 1 - n) * ((b - s) ** (n + 1) - (a - s) ** (n + 1))
+        / (n + 1) for n in range(j))
+
+
+def _subtracted_reference(g, a, b, z, s, c):
+    """Cauchy integral from adaptive_gauss on the subtracted integrand
+    plus the written-out moments and the Plemelj term."""
+    rest = adaptive_gauss(
+        lambda u: (g(u) - sum(c[j] * (u - s) ** j for j in range(4)))
+        / (z - u), a, b, tol_abs=1e-12, min_depth=4).value
+    plemelj = 1j * np.pi * g(np.array([z.real]))[0] \
+        if z.imag == 0.0 and a < z.real < b else 0.0
+    return rest + sum(c[j] * _moment(j, z, s, a, b) for j in range(4)) \
+        + plemelj
+
+
+class TestCauchyRows:
+    """The fixed-node engine behind every Cauchy integral of phi, phi'."""
+
+    @pytest.mark.parametrize("name", ["gauss3", "fermi5"])
+    def test_matches_adaptive_gauss_on_subtracted_integrand(self, name,
+                                                            request):
+        m = request.getfixturevalue(name)
+        U = m.u_support
+        zs = np.array([0.3 * U, -0.71 * U, 0.05, 1.3 * U,
+                       0.4 * U - 0.05j, -0.9 * U - 0.3j, 0.2 - 2.0j,
+                       1.1 * U - 0.1j])
+        got, err = dsp._cauchy_rows(m.phi, -U, U, zs, 1e-13)
+        s = np.clip(zs.real, -U, U)
+        taylor = dsp._taylor(m.phi, -U, U, s)
+        taylor[np.abs(zs - s) > 1.0] = 0.0
+        for i, z in enumerate(zs):
+            want = _subtracted_reference(m.phi, -U, U, z, s[i], taylor[i])
+            assert abs(got[i] - want) < 1e-12
+        assert np.all(err <= 1e-13)
+
+    def test_dawson_oracle(self):
+        # PV int exp(-u^2)/(1-u) du = 2 sqrt(pi) dawsn(1); the boundary
+        # value from below adds i pi exp(-1)
+        g = lambda u: np.exp(-u * u)
+        v = dsp._cauchy_rows(g, -8.0, 8.0, 1.0, 1e-12)[0][0]
+        assert abs(v.real - 2.0 * np.sqrt(np.pi) * dawsn(1.0)) < 1e-10
+        assert abs(v.imag - np.pi * np.exp(-1.0)) < 1e-14
+
+    def test_odd_integrand_cancels(self):
+        g = lambda u: np.exp(-u * u)
+        v = dsp._cauchy_rows(g, -6.0, 6.0, 0.0, 1e-12)[0][0]
+        assert abs(v.real) < 1e-10
+        assert abs(v.imag - np.pi) < 1e-14
+
+    def test_pole_outside_support_is_regular(self):
+        g = lambda u: np.exp(-u * u)
+        v = dsp._cauchy_rows(g, -6.0, 6.0, 10.0, 1e-12)[0][0]
+        want = quad(lambda u: np.exp(-u * u) / (10.0 - u), -6.0, 6.0)[0]
+        assert abs(v - want) < 1e-10
+
+    def test_real_pole_on_support_endpoint_raises(self):
+        g = lambda u: np.exp(-u * u)
+        with pytest.raises(ValueError):
+            dsp._cauchy_rows(g, -6.0, 6.0, np.array([0.5, 6.0]), 1e-12)
+        # off the axis the endpoint is harmless
+        assert np.isfinite(dsp._cauchy_rows(g, -6.0, 6.0, 6.0 - 0.1j,
+                                            1e-12)[0][0])
+
+    def test_panel_cap_raises(self):
+        # a jump inside the segment converges like the panel width only
+        step = lambda u: (np.asarray(u) > 0.3).astype(float)
+        with pytest.raises(EvaluationBudgetExceeded):
+            dsp._cauchy_rows(step, -1.0, 1.0, 2.0 - 1.0j, 1e-12)
+
+    def test_near_axis_cubic_needs_no_refinement(self, monkeypatch):
+        # the cubic subtraction leaves a quadratic: the first fine level is
+        # exact even at |Im z| = 5e-4, far below the panel width
+        monkeypatch.setattr(dsp, "_PANELS_CAP", 2 * dsp._PANELS_START)
+        p = np.polynomial.Polynomial([0.3, -0.2, 0.5, 0.7])
+        z = 0.37 - 5e-4j
+        got = dsp._cauchy_rows(p, -1.0, 1.0, z, 1e-12)[0][0]
+        q = (p - p(z)) // np.polynomial.Polynomial([-z, 1.0])
+        want = p(z) * (np.log(z + 1.0) - np.log(z - 1.0)) \
+            - (q.integ()(1.0) - q.integ()(-1.0))
+        assert abs(got - want) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(coef=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+           a=st.floats(-2.0, 0.0), width=st.floats(0.5, 3.0),
+           pos=st.floats(-0.5, 1.5), height=st.sampled_from(
+               [0.0, -0.02, -0.3, 0.8, -2.5]))
+    def test_exact_on_cubics(self, coef, a, width, pos, height):
+        b = a + width
+        x = a + pos * width
+        assume(min(abs(x - a), abs(x - b)) > 1e-3 * width or height != 0.0)
+        z = complex(x, height)
+        p = np.polynomial.Polynomial(coef)
+        got = dsp._cauchy_rows(p, a, b, z, 1e-13)[0][0]
+        # p(u) = p(z) + (u - z) q(u): the integral is p(z) I0 - int q
+        i0 = np.log(z - a) - np.log(z - b)
+        q = sum(coef[j] * np.polynomial.Polynomial(
+            [z ** (j - 1 - n) for n in range(j)]) for j in range(1, 4))
+        qi = q.integ()
+        if height == 0.0:
+            want = p(x) * i0.real - (qi(b) - qi(a)).real
+            if a < x < b:
+                want += 1j * np.pi * p(x)
+        else:
+            want = p(z) * i0 - (qi(b) - qi(a))
+        assert abs(got - want) < 1e-12
+
+
+class TestRows:
+    def test_row_matches_single_point_routes(self, gauss3, fermi5, coulomb):
+        w5 = delta_potential(0.1)
+        for m, w, k in ((gauss3, coulomb, 0.3), (fermi5, w5, 0.4)):
+            far = 2.0 * m.upsilon + k + 0.5 if np.isfinite(m.upsilon) else 9.0
+            lts = np.array([0.7j, -1.1j, far * 1j, 0.2 + 0.9j, 1e-2 - 0.4j])
+            row, err = dispersion_row(m, w, k, lts)
+            for lt, v, e in zip(lts, row, err):
+                s = evaluate(m, w, k * lt, k)
+                assert abs(v - s.value) < 1e-12
+                assert e >= 0.0
+        lts = np.array([0.8j, 0.3 + 0.2j])
+        row, _ = dispersion_row(gauss3, coulomb, 0.0, lts)
+        for lt, v in zip(lts, row):
+            assert abs(v - dispersion_k_zero(gauss3, coulomb, lt).value) < 1e-12
+
+    def test_rejects_left_half_plane(self, gauss3, coulomb):
+        with pytest.raises(ValueError):
+            dispersion_row(gauss3, coulomb, 0.5, np.array([1j, -0.1 + 1j]))

@@ -21,6 +21,7 @@ from hartree_mix.green import (
     m_f,
     m_f_boundary,
 )
+from hartree_mix.quadrature import UnresolvedOscillation
 
 
 class TestBoundaryValues:
@@ -43,6 +44,12 @@ class TestRowSynthesis:
         kern = volterra_kernel(gauss3, coulomb, k, t)
         marched = volterra_march(kern, -kern, dt)
         assert np.max(np.abs(row - marched)) < 2e-5
+
+    def test_unmet_gap_raises_on_compact_support(self, fermi3):
+        # phi_hat of the d = 3 zero-temperature marginal decays too slowly
+        # for the sample cap: the rows would be off by ~4e-2
+        with pytest.raises(UnresolvedOscillation):
+            m_f_boundary(fermi3, 0.5, np.array([0.7, 1.3]))
 
     def test_positive_k_required(self, gauss3):
         with pytest.raises(ValueError):

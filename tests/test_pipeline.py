@@ -167,11 +167,46 @@ class TestConfig:
         with pytest.raises(ConfigError, match=name):
             parse_config(_doc(**over))
 
+    # every numeric field; integer fields with a valid value
+    @pytest.mark.parametrize("path, good", [
+        (("d",), 3), (("N1",), 6), (("N2",), 4), (("seed",), 0),
+        (("epsilon",), None), (("k_grid", "count"), 4),
+        (("k_grid", "min"), None), (("k_grid", "max"), None),
+        (("t_grid", "dt"), None), (("t_grid", "t_max"), None),
+        (("tau_grid", "max"), None), (("tau_grid", "count"), 401),
+        (("nonlinear", "box"), None), (("nonlinear", "points"), 9),
+        (("nonlinear", "dt"), None), (("nonlinear", "t_max"), None),
+        (("tolerances", "green"), None)])
+    def test_numeric_fields_checked_naming_them(self, path, good):
+        def doc_with(value):
+            doc = _doc()
+            group = doc.setdefault(path[0], {}) if len(path) == 2 else doc
+            group[path[-1]] = value
+            return doc
+
+        name = ".".join(path)
+        bad = ["three", None, True, [3], float("nan")]
+        if good is not None:
+            bad.append(good + 0.5)
+        for value in bad:
+            with pytest.raises(ConfigError, match=f"'{name}'"):
+                parse_config(doc_with(value))
+        if good is not None:
+            # an integral float is an integer
+            got = getattr(parse_config(doc_with(float(good))), {
+                "d": "d", "N1": "n1", "N2": "n2", "seed": "seed",
+                "k_grid.count": "k_count", "tau_grid.count": "tau_count",
+                "nonlinear.points": "nl_points"}[name])
+            assert type(got) is int and got == good
+
     def test_custom_kinds_rejected(self):
         with pytest.raises(ConfigError, match="'equilibrium.kind'"):
             parse_config(_doc(equilibrium={"kind": "custom"}))
         with pytest.raises(ConfigError, match="'potential.kind'"):
             parse_config(_doc(potential={"kind": "custom"}))
+        # a kind that is not a string is just as unknown
+        with pytest.raises(ConfigError, match="'equilibrium.kind'"):
+            parse_config(_doc(equilibrium={"kind": ["gaussian"]}))
 
 
 class TestDecayFit:

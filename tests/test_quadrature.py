@@ -1,9 +1,10 @@
 """Quadrature layer against closed forms.
 
 Every rule here has an analytic oracle: Gaussian Fourier transforms,
-principal values via the Dawson function, Laplace transforms of simple
-exponentials.  Tolerances sit well above observed errors but far below
-anything a broken rule could reach.
+Laplace transforms of simple exponentials, polynomials.  Tolerances sit
+well above observed errors but far below anything a broken rule could
+reach.  The Cauchy-integral oracles live with the row engine in
+test_dispersion.py.
 """
 
 from __future__ import annotations
@@ -13,20 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import dawsn
 
 from hartree_mix import quadrature
 from hartree_mix.quadrature import (
     EvaluationBudgetExceeded,
-    PVIntegrand,
-    PoleOnBoundary,
     adaptive_gauss,
-    default_pv_window,
     edge_shells,
     filon_transform,
     filon_weights,
     halfline_laplace_fourier,
-    pv_integral,
     refine_filon,
 )
 
@@ -175,35 +171,6 @@ class TestFilonChirpZ:
         oms = np.linspace(-9.0, 7.0, 11) ** 3
         got = quadrature._filon_direct(fv, 0.5, 0.1, oms)
         assert np.max(np.abs(got - filon_weights(n, 0.5, 0.1, oms) @ fv)) < 1e-13
-
-
-class TestPrincipalValue:
-    def test_dawson_oracle(self):
-        # PV int exp(-u^2)/(1-u) du = 2 sqrt(pi) dawsn(1)
-        p = PVIntegrand(numerator=lambda u: np.exp(-u * u), pole=1.0,
-                        window=default_pv_window(1.0, (-8.0, 8.0)))
-        r = pv_integral(p, (-8.0, 8.0), tol_abs=1e-12)
-        want = 2.0 * np.sqrt(np.pi) * dawsn(1.0)
-        assert abs(r.value - want) < 1e-9
-
-    def test_odd_integrand_cancels(self):
-        p = PVIntegrand(numerator=lambda u: np.exp(-u * u), pole=0.0,
-                        window=default_pv_window(0.0, (-6.0, 6.0)))
-        r = pv_integral(p, (-6.0, 6.0), tol_abs=1e-12)
-        assert abs(r.value) < 1e-10
-
-    def test_pole_outside_support_is_regular(self):
-        p = PVIntegrand(numerator=lambda u: np.exp(-u * u), pole=10.0,
-                        window=0.5)
-        r = pv_integral(p, (-6.0, 6.0), tol_abs=1e-12)
-        want = quad(lambda u: np.exp(-u * u) / (10.0 - u), -6.0, 6.0)[0]
-        assert abs(r.value - want) < 1e-9
-
-    def test_pole_on_boundary_raises(self):
-        p = PVIntegrand(numerator=lambda u: np.exp(-u * u), pole=6.0,
-                        window=0.5)
-        with pytest.raises(PoleOnBoundary):
-            pv_integral(p, (-6.0, 6.0))
 
 
 class TestAdaptiveGauss:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hartree_mix import stability
 from hartree_mix.profiles import delta_potential
 from hartree_mix.stability import (
     ContourTooCoarse,
@@ -68,6 +69,21 @@ class TestWinding:
         assert wc.winding == 0
         assert wc.min_abs_on_contour > 0.0
         assert abs(wc.residual) < 0.05
+
+    @pytest.mark.parametrize("z0, want", [(0.0502 + 0.3j, 1),
+                                          (0.0498 + 0.3j, 0)])
+    def test_insertion_resolves_a_zero_by_the_contour(self, gauss3, coulomb,
+                                                      monkeypatch, z0, want):
+        # a symbol with one zero a hair from the left edge: the phase jumps
+        # there until inserted nodes resolve it, and the count is exact
+        def row(m, w, k, lam_tilde, tol_abs):
+            lt = np.asarray(lam_tilde, dtype=complex)
+            return (lt - z0) / (lt + 1.0), np.zeros(lt.size)
+
+        monkeypatch.setattr(stability, "dispersion_row", row)
+        wc = winding_number(gauss3, coulomb, 0.5, (0.05, 1.5, -2.0, 2.0))
+        assert wc.winding == want
+        assert wc.nodes > 256
 
     def test_contour_budget(self, gauss3, coulomb):
         with pytest.raises(ContourTooCoarse):
