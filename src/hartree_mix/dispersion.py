@@ -1,14 +1,14 @@
-"""Dispersion relation of the linearized Hartree dynamics, three ways.
+"""Dispersion relation of the linearized Hartree dynamics.
 
-For k > 0 the dispersion function is evaluated through
+For k > 0 the dispersion function has two independent routes:
 
   * the Hilbert form  D = 1 + w_hat(k)/(2k) [H(z+) - H(z-)] with
     H(z) = int phi(u)/(z - u) du and z+- = (-i lambda +- k^2)/(2k),
-    valid off the real axis (Re lambda > 0);
+    valid off the real axis (Re lambda > 0), whose boundary values on
+    lambda = i tau are the Plemelj split of H into a principal value
+    plus i pi phi at the pole; and
   * the time-integral form  D = 1 + w_hat(k) m_f(lambda, k), valid up to
-    the imaginary axis; and
-  * boundary values on lambda = i tau via the Plemelj split of H into a
-    principal value plus i pi phi at the pole.
+    the imaginary axis.
 
 The module works in the rescaled frame lambda = k lambda_tilde throughout
 its boundary routines; samples carry the unrescaled lambda.  Every Cauchy
@@ -18,12 +18,13 @@ single-point routes are one-element calls).  It subtracts the numerator's
 cubic Taylor polynomial at the pole's real coordinate, which removes the
 thin boundary layer instead of asking the quadrature to resolve it: the
 subtracted moments have closed forms.  Gauss-Legendre panels, shared by
-every z, double until each value agrees with the coarser one.
+every z and graded toward +-Upsilon on a compact support, double until
+each value agrees with the coarser one.
 
 For |tau_tilde| >= 2 Upsilon + k the poles leave the support and the
 boundary value collapses to a manifestly real, even integral (the branch
-the stability module's root finding lives on).  At k = 0 only the rescaled
-limit exists; it trades phi for phi'.
+the stability module's root finding lives on), summed on the same nodes.
+At k = 0 only the rescaled limit exists; it trades phi for phi'.
 """
 
 from __future__ import annotations
@@ -34,18 +35,12 @@ from dataclasses import dataclass
 
 from .green import m_f
 from .profiles import Marginal, Potential
-from .quadrature import EvaluationBudgetExceeded, edge_shells
+from .quadrature import graded_layout, refine_panels
 
 __all__ = [
-    "DispersionSample",
-    "HilbertTransformCache",
-    "DivergentIntegral",
-    "dispersion_row",
-    "dispersion_hilbert",
-    "dispersion_time_integral",
-    "dispersion_plemelj",
-    "dispersion_real_branch",
-    "dispersion_k_zero",
+    "DispersionSample", "HilbertTransformCache", "DivergentIntegral",
+    "dispersion_row", "dispersion_hilbert", "dispersion_time_integral",
+    "dispersion_plemelj", "dispersion_real_branch", "dispersion_k_zero",
     "evaluate",
 ]
 
@@ -82,36 +77,36 @@ class DispersionSample:
 # ---------------------------------------------------------------------------
 # the Cauchy-row engine
 
-_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
-# panel counts of the row engine: the first (coarse) level and the cap
-_PANELS_START = 16
-_PANELS_CAP = 8192
 # z x node entries per block of the engine's matrices (1 MiB complex)
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _residual_sums(g, a, b, panels, z, s, taylor):
-    """Composite 16-node Gauss-Legendre sums of the subtracted integrand
-    (g(u) - P(u - s)) / (z - u), one per z, in blocks of z; ``taylor``
-    holds the coefficients of the cubic P, one row per z."""
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * np.diff(edges)
-    u = ((edges[:-1] + half)[:, None] + half[:, None] * _GL16_X).ravel()
-    wt = (half[:, None] * _GL16_W).ravel()
-    gu = np.asarray(g(u), dtype=float)
-    out = np.empty(z.size, dtype=complex)
+def _block_sums(u, wt, n, integrand):
+    """integrand(j) @ wt for the n rows of a z x node matrix, built one
+    block of rows j (a slice) at a time."""
+    out = np.empty(n, dtype=complex)
     rows = max(1, _BLOCK_ENTRIES // u.size)
-    for lo in range(0, z.size, rows):
+    for lo in range(0, n, rows):
         j = slice(lo, lo + rows)
+        out[j] = integrand(j) @ wt
+    return out
+
+
+def _residual_sums(g, u, wt, z, s, taylor):
+    """Sums over the nodes u of the subtracted integrand
+    (g(u) - P(u - s)) / (z - u), one per z; ``taylor`` holds the
+    coefficients of the cubic P, one row per z."""
+    gu = np.asarray(g(u), dtype=float)
+
+    def integrand(j):
         v = u - s[j, None]
         c = taylor[j, :, None]
         num = gu - (c[:, 0] + v * (c[:, 1] + v * (c[:, 2] + v * c[:, 3])))
         den = z[j, None] - u
         # a node exactly at a real pole: the residual vanishes there
-        r = np.divide(num, den, out=np.zeros(den.shape, dtype=complex),
-                      where=den != 0)
-        out[j] = r @ wt
-    return out
+        return np.divide(num, den, out=np.zeros(den.shape, dtype=complex),
+                         where=den != 0)
+    return _block_sums(u, wt, z.size, integrand)
 
 
 def _taylor(g, a, b, s):
@@ -138,7 +133,7 @@ def _taylor(g, a, b, s):
                      d2 + 3.0 * d3 * t, d3], axis=1)
 
 
-def _cauchy_rows(g, a, b, z, tol_abs):
+def _cauchy_rows(g, a, b, z, tol_abs, graded):
     """int_a^b g(u)/(z - u) du for every z of an array, with error estimates.
 
     Within unit distance of the segment, the cubic Taylor polynomial of g
@@ -147,10 +142,10 @@ def _cauchy_rows(g, a, b, z, tol_abs):
     I_j = (z-s) I_(j-1) - ((b-s)^j - (a-s)^j)/j.  The rest vanishes to
     fourth order at the pole, so fixed panels converge without resolving
     the layer of width |Im z|.  A real z gives the limit from below,
-    PV + i pi g(z).  Panels double from ``_PANELS_START`` until each z's
-    fine and coarse sums agree to ``tol_abs``; that gap is its error
-    estimate.  Raises ValueError for a real z on an end of the segment,
-    and EvaluationBudgetExceeded past ``_PANELS_CAP`` panels.
+    PV + i pi g(z).  The rest is summed by ``quadrature.refine_panels``
+    on ``graded_layout(a, b, panels, graded)``.  Raises ValueError for a
+    real z on an end of the segment, and EvaluationBudgetExceeded when
+    the panels run out.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     x = z.real
@@ -171,23 +166,10 @@ def _cauchy_rows(g, a, b, z, tol_abs):
         moment = zeta * moment - ((b - s) ** j - (a - s) ** j) / j
         base += taylor[:, j] * moment
 
-    values = np.empty(z.size, dtype=complex)
-    gaps = np.empty(z.size)
-    todo = np.arange(z.size)
-    panels = _PANELS_START
-    coarse = _residual_sums(g, a, b, panels, z, s, taylor)
-    while todo.size:
-        panels *= 2
-        if panels > _PANELS_CAP:
-            raise EvaluationBudgetExceeded(
-                f"Cauchy rows: {todo.size} of {z.size} points still above "
-                f"{tol_abs:g} at {panels // 2} panels")
-        fine = _residual_sums(g, a, b, panels, z[todo], s[todo], taylor[todo])
-        gap = np.abs(fine - coarse)
-        done = gap <= tol_abs
-        values[todo[done]] = fine[done]
-        gaps[todo[done]] = gap[done]
-        todo, coarse = todo[~done], fine[~done]
+    def sums(panels, j):
+        u, wt = graded_layout(a, b, panels, graded)
+        return _residual_sums(g, u, wt, z[j], s[j], taylor[j])
+    values, gaps = refine_panels(sums, z.size, tol_abs)
     return values + base, gaps
 
 
@@ -197,8 +179,9 @@ class HilbertTransformCache:
     Values are computed at the snapped argument, so a hit is exact for the
     snapped point and off by at most O(step) in the argument: acceptable
     for coarse half-plane scans, wrong for tolerance-critical comparisons.
-    The package's scans evaluate whole rows instead; the class is kept for
-    callers outside it.
+    The package's scans evaluate whole rows instead, and nothing in it
+    creates one; the class stays only because the stage benchmark's
+    tracer (``perfbench/tracer.py``) patches it.
     """
 
     def __init__(self, m: Marginal, step: float = 1e-4, tol_abs: float = 1e-11):
@@ -209,10 +192,6 @@ class HilbertTransformCache:
         self.hits = 0
         self.misses = 0
 
-    def snapped(self, z: complex) -> complex:
-        return complex(round(z.real / self.step) * self.step,
-                       round(z.imag / self.step) * self.step)
-
     def value(self, z: complex) -> complex:
         key = (round(z.real / self.step), round(z.imag / self.step))
         hit = self.memo.get(key)
@@ -221,8 +200,10 @@ class HilbertTransformCache:
             return hit
         self.misses += 1
         U = self.marginal.u_support
-        val = complex(_cauchy_rows(self.marginal.phi, -U, U, self.snapped(z),
-                                   self.tol_abs)[0][0])
+        snapped = complex(key[0] * self.step, key[1] * self.step)
+        val = complex(_cauchy_rows(self.marginal.phi, -U, U, snapped,
+                                   self.tol_abs,
+                                   np.isfinite(self.marginal.upsilon))[0][0])
         self.memo[key] = val
         return val
 
@@ -236,33 +217,56 @@ def dispersion_row(m: Marginal, w: Potential, k: float, lam_tilde,
     """D(k lambda_tilde, k) over an array of rescaled lambda_tilde, Re >= 0.
 
     For k > 0 every point takes the Hilbert form, whose Cauchy integrals
-    on Re lambda_tilde = 0 are the Plemelj boundary values, except that
-    boundary points with |tau_tilde| >= 2 Upsilon + k take the real
-    branch.  At k = 0 the row is the rescaled limit.  Returns 1-D arrays
-    of the values and of their error estimates.
+    on Re lambda_tilde = 0 are the Plemelj boundary values, except on the
+    real branch |tau_tilde| >= 2 Upsilon + k.  There both poles x_-+ =
+    (|tau_tilde| -+ k)/2 sit outside the support, and the two integrals
+    merge into the real D = 1 - (w_hat(k)/2) int phi(u) / ((x_- - u)(x_+ -
+    u)) du, finite at |tau_tilde| = 2 Upsilon + k unless phi vanishes
+    slowly there (``_edge_exponent``; DivergentIntegral).  At k = 0 the
+    row is the rescaled limit.  A compact support is summed on the
+    edge-graded layout.  Returns the values and their error estimates.
     """
     lt = np.atleast_1d(np.asarray(lam_tilde, dtype=complex))
     if np.any(lt.real < 0):
         raise ValueError("dispersion rows need Re lambda_tilde >= 0")
     if k < 0:
         raise ValueError("dispersion rows need k >= 0")
-    U = m.u_support
+    U, ups = m.u_support, m.upsilon
+    graded = np.isfinite(ups)
     z = -0.5j * lt
     if k == 0.0:
         w0 = w.w_hat_zero
-        h, e = _cauchy_rows(m.dphi, -U, U, z, tol_abs)
+        h, e = _cauchy_rows(m.dphi, -U, U, z, tol_abs, graded)
         return 1.0 + (w0 / 2.0) * h, abs(w0) / 2.0 * e
-    pref = w(k) / (2.0 * k)
+    wk = w(k)
     values = np.empty(lt.size, dtype=complex)
     errs = np.empty(lt.size)
-    real_branch = (lt.real == 0.0) & (np.abs(lt.imag) >= 2.0 * m.upsilon + k)
-    for i in np.nonzero(real_branch)[0]:
-        s = dispersion_real_branch(m, w, lt[i].imag, k, tol_abs=tol_abs)
-        values[i], errs[i] = s.value, s.error_estimate
+    real_branch = (lt.real == 0.0) & (np.abs(lt.imag) >= 2.0 * ups + k)
+    if np.any(real_branch):
+        x_m = (np.abs(lt[real_branch].imag) - k) / 2.0
+        x_p = (np.abs(lt[real_branch].imag) + k) / 2.0
+        # pole exactly at the edge: the integrand ~ phi(u)/(ups - u)
+        if np.any(x_m - ups < 1e-12 * max(1.0, ups)):
+            alpha = _edge_exponent(m)
+            if alpha <= 0.05:
+                raise DivergentIntegral(
+                    f"phi vanishes like (Upsilon-u)^{alpha:.2f} at the edge; "
+                    "the branch-point integral diverges")
+
+        def sums(panels, j):
+            u, wt = graded_layout(-ups, ups, panels, True)
+            phi = np.asarray(m.phi(u), dtype=float)
+            xm, xp = x_m[j, None], x_p[j, None]
+            return _block_sums(u, wt, j.size,
+                               lambda r: phi / ((xm[r] - u) * (xp[r] - u)))
+        integral, gaps = refine_panels(sums, x_m.size, tol_abs)
+        values[real_branch] = 1.0 - (wk / 2.0) * integral.real
+        errs[real_branch] = abs(wk) / 2.0 * gaps
     hilbert = np.nonzero(~real_branch)[0]
     n = hilbert.size
     h, e = _cauchy_rows(m.phi, -U, U, np.concatenate(
-        [z[hilbert] + k / 2.0, z[hilbert] - k / 2.0]), tol_abs)
+        [z[hilbert] + k / 2.0, z[hilbert] - k / 2.0]), tol_abs, graded)
+    pref = wk / (2.0 * k)
     values[hilbert] = 1.0 + pref * (h[:n] - h[n:])
     errs[hilbert] = abs(pref) * (e[:n] + e[n:])
     return values, errs
@@ -331,43 +335,20 @@ def dispersion_real_branch(m: Marginal, w: Potential, tau_tilde: float, k: float
                            tol_abs: float = 1e-11) -> DispersionSample:
     """Real even boundary branch for |tau_tilde| >= 2 Upsilon + k.
 
-    Both poles sit outside the support, so the two Hilbert integrals merge
-    into one real integral; evenness in tau_tilde is exact because only
-    |tau_tilde| enters.  Exactly at the branch edge the integrand can lose
-    integrability when phi vanishes slowly; that is detected from the
-    fitted edge exponent and signalled as DivergentIntegral.
+    A one-element row at |tau_tilde| (at k = 0, the rescaled limit's), so
+    the value is real and exactly even in tau_tilde.
     """
     if not np.isfinite(m.upsilon):
         raise ValueError("real branch needs compact support (Upsilon < inf)")
     if k < 0:
         raise ValueError("real branch needs k >= 0")
     tau = abs(float(tau_tilde))
-    ups = m.upsilon
-    if tau < 2.0 * ups + k:
+    if tau < 2.0 * m.upsilon + k:
         raise ValueError("|tau_tilde| < 2 Upsilon + k: use dispersion_plemelj")
-    wk = w(k)
-    x_p = (tau + k) / 2.0
-    x_m = (tau - k) / 2.0
-
-    gap = x_m - ups
-    if gap < 1e-12 * max(1.0, ups):
-        # pole exactly at the endpoint: integrand ~ phi(u)/(ups - u)
-        alpha = _edge_exponent(m)
-        if alpha <= 0.05:
-            raise DivergentIntegral(
-                f"phi vanishes like (Upsilon-u)^{alpha:.2f} at the edge; the "
-                "branch-point integral diverges")
-
-    def f(u):
-        return np.asarray(m.phi(u)) / ((x_m - u) * (x_p - u))
-
-    # fixed shells: adaptive bisection would chase (x_m - u) cancellation
-    # noise when the pole crowds the support edge
-    value, err, _ = edge_shells(f, -ups, ups, tol_abs)
-    val = 1.0 - (wk / 2.0) * value
+    value, err = dispersion_row(m, w, k, 1j * tau, tol_abs)
     return DispersionSample(lam=1j * tau_tilde * k, k_mag=float(k),
-                            value=complex(val), route="plemelj_boundary",
-                            error_estimate=abs(wk) / 2.0 * err)
+                            value=complex(value[0]), route="plemelj_boundary",
+                            error_estimate=float(err[0]))
 
 
 def dispersion_k_zero(m: Marginal, w: Potential, lam_tilde: complex,

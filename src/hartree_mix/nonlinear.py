@@ -347,11 +347,6 @@ def density_trajectory_from_state(state: KernelState) -> DensityTrajectory:
     return _cartesian_trajectory(state, rows)
 
 
-def _zero_trajectory(state: KernelState) -> DensityTrajectory:
-    return _cartesian_trajectory(state, np.zeros(
-        (state.n_pts ** state.d, state.t_grid.size), dtype=complex))
-
-
 def _linear_stage_solver(state: KernelState, g0: InitialKernel, w: Potential,
                          f: EquilibriumProfile,
                          free_rho: DensityTrajectory):
@@ -414,7 +409,7 @@ def _linear_stage_solver(state: KernelState, g0: InitialKernel, w: Potential,
 
         return correct
 
-    imp = _zero_trajectory(state)
+    imp = _cartesian_trajectory(state, np.zeros((n ** d, n_t), dtype=complex))
     imp.rho_hat[:, 0] = 1.0
     imp_state = picard_step(state, imp, g0, w, f)
     imp_rho = density_trajectory_from_state(imp_state)
@@ -479,11 +474,10 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
         warnings.warn(f"initial size {eps:.3g} is outside the perturbative "
                       "regime; contraction is not expected", RuntimeWarning,
                       stacklevel=2)
-    free_state = picard_step(state, _zero_trajectory(state), g0, w, f)
-    free_rho = density_trajectory_from_state(free_state)
+    # a Duhamel update on a zero density returns the initial profile
+    free_rho = density_trajectory_from_state(state)
     correct = _linear_stage_solver(state, g0, w, f, free_rho)
 
-    state = free_state
     rows0 = correct(free_rho.rho_hat)
     rows0 = 0.5 * (rows0 + np.conj(rows0[::-1]))
     rho = DensityTrajectory(k_grid=free_rho.k_grid, t_grid=free_rho.t_grid,

@@ -212,11 +212,11 @@ def parse_config(doc: dict, out: str | None = None,
     if not green_tol > 0:
         raise ConfigError("field 'tolerances.green': must be > 0")
     window = tol.get("fit_window", (5.0, 50.0))
-    try:
-        window = tuple(float(x) for x in window)
-    except (TypeError, ValueError):
-        window = ()
-    if len(window) != 2 or not 0 < window[0] < window[1]:
+    pair = isinstance(window, (list, tuple)) and len(window) == 2
+    if pair:
+        window = tuple(_number({"fit_window": x}, "tolerances.",
+                               "fit_window", None) for x in window)
+    if not pair or not 0 < window[0] < window[1]:
         raise ConfigError("field 'tolerances.fit_window': need [lo, hi] "
                           "with 0 < lo < hi")
     return RunConfig(
@@ -399,10 +399,10 @@ def _cmd_marginal(cfg: RunConfig, out: str) -> int:
     m = profiles.build_marginal(cfg.profile)
     us = np.linspace(-m.u_support, m.u_support, 801)
     _write_csv(os.path.join(out, "marginal.csv"), ["u", "phi", "dphi"],
-               ((u, m.phi(u), m.dphi(u)) for u in us))
+               zip(us, m.phi(us), m.dphi(us)))
     ts = np.linspace(0.0, m.t_support, 801)
     _write_csv(os.path.join(out, "marginal_hat.csv"), ["t", "phi_hat"],
-               ((t, m.phi_hat(t)) for t in ts))
+               zip(ts, m.phi_hat(ts)))
     report = profiles.validate_assumptions(cfg.profile, cfg.potential, m,
                                            seed=cfg.seed)
     _write_json(os.path.join(out, "marginal.json"), {

@@ -4,8 +4,10 @@ Five pieces, used throughout the package:
 
 * ``adaptive_gauss``: adaptive Gauss-Legendre panels for regular (possibly
   complex-valued) integrands on a finite interval,
-* ``edge_shells``: dyadic shells of fixed panels toward a singular upper
-  end, returned shell by shell so callers can read the tail's decay,
+* ``graded_layout``: 16-node Gauss-Legendre panels, uniform inside, cut
+  into dyadic shells toward the ends of a compact support, and
+  ``refine_panels``, which doubles them until a whole array of integrals
+  settles: every integral over the marginal's support goes through it,
 * ``filon_transform``: a composite Filon-Simpson rule for
   ``int f(x) exp(-i w x) dx`` on a uniform grid, vectorized over
   frequencies.  An arithmetic progression of frequencies is evaluated as
@@ -33,16 +35,10 @@ import numpy as np
 from scipy import fft as sp_fft
 
 __all__ = [
-    "QuadResult",
-    "QuadratureError",
-    "UnresolvedOscillation",
-    "EvaluationBudgetExceeded",
-    "adaptive_gauss",
-    "edge_shells",
-    "filon_transform",
-    "halfline_laplace_fourier",
-    "DEFAULT_ABS_TOL",
-    "DEFAULT_EVAL_CAP",
+    "QuadResult", "QuadratureError", "UnresolvedOscillation",
+    "EvaluationBudgetExceeded", "adaptive_gauss", "graded_layout",
+    "refine_panels", "filon_transform", "halfline_laplace_fourier",
+    "DEFAULT_ABS_TOL", "DEFAULT_EVAL_CAP",
 ]
 
 # Defaults shared by the whole package: absolute tolerance for adaptive
@@ -79,16 +75,6 @@ _GL_HI_X, _GL_HI_W = np.polynomial.legendre.leggauss(31)
 _GL_LO_X, _GL_LO_W = np.polynomial.legendre.leggauss(15)
 
 
-def _panel_pair(f, a, b):
-    """31-node value and 15-node comparison on one panel."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    xs = np.concatenate([mid + half * _GL_HI_X, mid + half * _GL_LO_X])
-    ys = np.asarray(f(xs))
-    hi = half * (ys[: _GL_HI_X.size] @ _GL_HI_W)
-    lo = half * (ys[_GL_HI_X.size:] @ _GL_LO_W)
-    return hi, abs(hi - lo), xs.size
-
-
 def adaptive_gauss(f, a, b, tol_abs=DEFAULT_ABS_TOL, eval_cap=DEFAULT_EVAL_CAP,
                    min_depth=0):
     """Adaptive 15/31 Gauss-Legendre bisection on [a, b].
@@ -105,8 +91,13 @@ def adaptive_gauss(f, a, b, tol_abs=DEFAULT_ABS_TOL, eval_cap=DEFAULT_EVAL_CAP,
     evals = 0
     while stack:
         lo, hi, depth = stack.pop()
-        val, e, n = _panel_pair(f, lo, hi)
-        evals += n
+        # 31-node value and 15-node comparison on the panel
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        ys = np.asarray(f(np.concatenate([mid + half * _GL_HI_X,
+                                          mid + half * _GL_LO_X])))
+        val = half * (ys[:_GL_HI_X.size] @ _GL_HI_W)
+        e = abs(val - half * (ys[_GL_HI_X.size:] @ _GL_LO_W))
+        evals += ys.size
         if evals > eval_cap:
             raise EvaluationBudgetExceeded(
                 f"adaptive_gauss exceeded {eval_cap} evaluations on [{a}, {b}]")
@@ -121,32 +112,61 @@ def adaptive_gauss(f, a, b, tol_abs=DEFAULT_ABS_TOL, eval_cap=DEFAULT_EVAL_CAP,
     return QuadResult(total, err, evals)
 
 
-def edge_shells(f, a, b, tol_abs):
-    """int_a^b f for an integrand singular (or steep) at the upper end b.
+# ---------------------------------------------------------------------------
+# the edge-graded panel layout
 
-    The first half [a, (a + b)/2] is integrated adaptively; the rest is
-    cut into dyadic shells [b - w, b - w/2], w = (b - a) 2^-j, each taken
-    with one fixed 31-node panel.  A shell holds the singularity at arm's
-    length, where the fixed panel is at roundoff already, while adaptive
-    bisection would chase (b - u) cancellation noise.  Shells stop once
-    one falls below max(tol_abs, 1e-15 |total|) past the sixth, and at 48
-    at most.  Returns (total, error, shells), shells outermost first, so
-    the caller can judge the decay of the tail.
+_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
+# first and largest panel counts; the shells stop (b - a) 2^-43 short of
+# an end (1024 ulps on [-1, 1]), far enough that no node rounds onto it
+_PANELS_START, _PANELS_CAP, _SHELL_DEPTH = 16, 8192, 43
+
+
+def graded_layout(a, b, panels, graded):
+    """Nodes u and weights wt of ``panels`` (a power of two) uniform
+    16-node Gauss-Legendre panels on [a, b], 16 per panel from a to b.
+
+    When ``graded``, each end panel is cut into dyadic shells, halving
+    down to width (b - a) 2^-_SHELL_DEPTH, plus one cell of that width on
+    the end; the shells that narrow are the same at every panel count.
+    ``(f(u) * wt).reshape(-1, 16).sum(axis=1)`` lists the panel sums.
     """
-    length = b - a
-    bulk = adaptive_gauss(f, a, b - length / 2.0, tol_abs=tol_abs)
-    total = complex(bulk.value).real
-    err = bulk.abs_error_estimate
-    shells = []
-    for j in range(1, 49):
-        w = length * 2.0 ** (-j)
-        val, e, _ = _panel_pair(f, b - w, b - w / 2.0)
-        shells.append(complex(val).real)
-        err += e
-        total += shells[-1]
-        if abs(shells[-1]) < max(tol_abs, 1e-15 * abs(total)) and j > 6:
-            break
-    return total, err, shells
+    edges = np.linspace(a, b, panels + 1)
+    if graded:
+        cuts = (b - a) * 2.0 ** -np.arange(panels.bit_length(),
+                                           _SHELL_DEPTH + 1)
+        edges = np.concatenate([[a], a + cuts[::-1], edges[1:-1], b - cuts,
+                                [b]])
+    half = 0.5 * np.diff(edges)
+    u = ((edges[:-1] + half)[:, None] + half[:, None] * _GL16_X).ravel()
+    wt = (half[:, None] * _GL16_W).ravel()
+    return u, wt
+
+
+def refine_panels(sums, count, tol_abs):
+    """(values, gaps) of ``count`` integrals; ``sums(panels, idx)`` sums
+    those numbered idx at ``panels`` panels.  Panels double from
+    ``_PANELS_START`` until an integral's fine and coarse sums agree to
+    ``tol_abs``; that gap is its error estimate.  Raises
+    EvaluationBudgetExceeded past ``_PANELS_CAP`` panels.
+    """
+    values = np.empty(count, dtype=complex)
+    gaps = np.empty(count)
+    todo = np.arange(count)
+    panels = _PANELS_START
+    coarse = sums(panels, todo)
+    while todo.size:
+        panels *= 2
+        if panels > _PANELS_CAP:
+            raise EvaluationBudgetExceeded(
+                f"panel doubling: {todo.size} of {count} integrals still "
+                f"above {tol_abs:g} at {panels // 2} panels")
+        fine = sums(panels, todo)
+        gap = np.abs(fine - coarse)
+        done = gap <= tol_abs
+        values[todo[done]] = fine[done]
+        gaps[todo[done]] = gap[done]
+        todo, coarse = todo[~done], fine[~done]
+    return values, gaps
 
 
 # ---------------------------------------------------------------------------

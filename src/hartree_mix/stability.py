@@ -4,8 +4,9 @@ The decision chain mirrors the analytic one.  First the criterion integral
 
     Phi(0) = 1 - (w_hat(0)/2) int phi(u) / (Upsilon - u)^2 du
 
-is evaluated with the dyadic edge shells of ``quadrature.edge_shells``;
-the fitted shell decay legitimizes the value, flags divergence (slowly
+is summed on ``quadrature.graded_layout``, the node layout of every
+integral over a compact support, whose dyadic shells toward Upsilon give
+the fitted decay that legitimizes the value, flags divergence (slowly
 vanishing phi), or declares the condition vacuous (Upsilon = inf).  A
 divergent integral is its own verdict.  A negative value forces an
 imaginary-axis zero of the dispersion function on the real branch, which
@@ -31,7 +32,7 @@ from scipy.optimize import brentq
 from .dispersion import (DivergentIntegral, dispersion_real_branch,
                          dispersion_row, evaluate)
 from .profiles import Marginal, Potential
-from .quadrature import edge_shells
+from .quadrature import graded_layout, refine_panels
 
 __all__ = [
     "CriterionResult",
@@ -122,12 +123,13 @@ _SCAN_TOL = 1e-9
 def criterion_integral(m: Marginal, w: Potential) -> CriterionResult:
     """Left side of the stability criterion, or its divergence/vacuity flag.
 
-    The integrand phi(u)/(Upsilon - u)^2 concentrates at the right edge;
-    shells decaying like 2^{-j(alpha-1)} (phi ~ c (Upsilon-u)^alpha) give a
-    finite value only for alpha > 1.  The least-squares slope of log2 |I_j|
-    over the last six shells decides: slope >= -0.05 means the shell sums
-    do not contract and the integral is flagged divergent; otherwise the
-    tail past the last shell is summed as a geometric series.
+    The integrand phi(u)/(Upsilon - u)^2 concentrates at the right edge,
+    where the graded layout's dyadic shells I_j decay like 2^{-j(alpha-1)}
+    (phi ~ c (Upsilon-u)^alpha): a finite value only for alpha > 1.  The
+    least-squares slope of log2 |I_j| over the last six nonzero shells
+    before the cell on Upsilon decides: slope >= -0.05 means the shell
+    sums do not contract and the integral is flagged divergent; otherwise
+    that cell is replaced by the geometric series past the last shell.
     """
     if not np.isfinite(m.upsilon):
         return CriterionResult(kind="vacuous", value=None, shell_slope=None,
@@ -137,18 +139,24 @@ def criterion_integral(m: Marginal, w: Potential) -> CriterionResult:
     def f(u):
         return np.asarray(m.phi(u)) / (ups - u) ** 2
 
-    total, _, shells = edge_shells(f, -ups, ups, 1e-12)
-    tail = np.asarray(shells[-6:])
-    if tail.size < 2 or np.any(np.abs(tail) < 1e-300):
-        slope = -np.inf
-    else:
-        slope = float(np.polyfit(np.arange(tail.size), np.log2(np.abs(tail)),
-                                 1)[0])
+    def sums(panels, _):
+        # every panel but the cell on Upsilon: 16 nodes each
+        u, wt = graded_layout(-ups, ups, panels, True)
+        return np.array([f(u[:-16]) @ wt[:-16]])
+
+    # the panel sums before the cell on Upsilon, ending in the shells that
+    # are the same at every count; a smooth edge underflows the last ones
+    u, wt = graded_layout(-ups, ups, 16, True)
+    shells = (f(u) * wt).reshape(-1, 16).sum(axis=1)[:-1]
+    tail = shells[np.abs(shells) >= 1e-300][-6:]
+    slope = float(np.polyfit(np.arange(tail.size), np.log2(np.abs(tail)),
+                             1)[0]) if tail.size > 1 else -np.inf
     if slope >= -0.05:
         return CriterionResult(kind="divergent", value=None, shell_slope=slope,
                                integral=None, remainder=0.0)
+    total = float(refine_panels(sums, 1, 1e-12)[0][0].real)
     r_ratio = 2.0 ** slope
-    remainder = shells[-1] * r_ratio / (1.0 - r_ratio)
+    remainder = float(shells[-1]) * r_ratio / (1.0 - r_ratio)
     integral = total + remainder
     return CriterionResult(kind="finite",
                            value=1.0 - (w.w_hat_zero / 2.0) * integral,
@@ -167,11 +175,8 @@ def phi_curve(m: Marginal, w: Potential, k_grid) -> PhiCurve:
     if not np.isfinite(m.upsilon):
         raise ValueError("the Phi curve needs compact support")
     crit = criterion_integral(m, w)
-    rows = []
-    for k in np.asarray(k_grid, dtype=float):
-        if k <= 0:
-            continue
-        rows.append((k, _phi_at(m, w, k)))
+    rows = [(k, _phi_at(m, w, k)) for k in np.asarray(k_grid, dtype=float)
+            if k > 0]
     return PhiCurve(samples=np.asarray(rows),
                     phi_at_zero=crit.value if crit.kind == "finite" else None,
                     divergent_at_zero=crit.kind == "divergent")
@@ -192,17 +197,14 @@ def find_imaginary_zero(m: Marginal, w: Potential, k: float) -> float | None:
     if not np.isfinite(m.upsilon):
         raise ValueError("imaginary-axis zero hunting needs compact support")
     tau0 = 2.0 * m.upsilon + k
+    g = lambda t: float(dispersion_real_branch(m, w, t, k).value.real)
     try:
-        phi_k = _phi_at(m, w, k)
-        lo = tau0
-        lo_val = phi_k
+        lo, lo_val = tau0, _phi_at(m, w, k)
     except DivergentIntegral:
         lo = tau0 * (1.0 + 1e-9)
-        lo_val = float(dispersion_real_branch(m, w, lo, k).value.real)
+        lo_val = g(lo)
     if lo_val >= 0.0:
         return None
-
-    g = lambda t: float(dispersion_real_branch(m, w, t, k).value.real)
     hi = tau0 + max(1.0, k)
     for _ in range(60):
         if g(hi) > 0.0:

@@ -9,6 +9,7 @@ from hartree_mix.profiles import (
     fermi_zero_t_profile,
     gaussian_profile,
     screened_coulomb,
+    smooth_bump_profile,
 )
 
 
@@ -23,13 +24,28 @@ def gauss3():
 
 
 @pytest.fixture(scope="session")
+def fermi2():
+    return build_marginal(fermi_zero_t_profile(2))
+
+
+@pytest.fixture(scope="session")
 def fermi3():
     return build_marginal(fermi_zero_t_profile(3))
 
 
 @pytest.fixture(scope="session")
+def fermi4():
+    return build_marginal(fermi_zero_t_profile(4))
+
+
+@pytest.fixture(scope="session")
 def fermi5():
     return build_marginal(fermi_zero_t_profile(5))
+
+
+@pytest.fixture(scope="session")
+def bump3():
+    return build_marginal(smooth_bump_profile(3))
 
 
 @pytest.fixture(scope="session")

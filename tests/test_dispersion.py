@@ -19,6 +19,7 @@ from scipy.integrate import quad
 from scipy.special import dawsn
 
 from hartree_mix import dispersion as dsp
+from hartree_mix import quadrature
 from hartree_mix.dispersion import (
     DispersionSample,
     HilbertTransformCache,
@@ -68,6 +69,34 @@ class TestRouteAgreement:
         assert abs(v0 - vk) < 1e-4
 
 
+# D at tau_tilde = 2 Upsilon + k + delta on the real branch, coupling 0.1,
+# delta = 0, 1e-9, 1e-3, 1, from the pointwise rule (adaptive bulk plus
+# 31-node dyadic shells, 48 at most) that the graded rows replaced
+REAL_BRANCH_POINTWISE = {
+    ("fermi3", 0.02): (-0.15022243446571748, -0.15022228993605258,
+                       -0.1140916104302041, 0.8723200440133583),
+    ("fermi3", 1.5): (0.8483329369802721, 0.8483329391782675,
+                      0.8490846315925449, 0.9441445713661559),
+    ("fermi4", 0.02): (0.24044509850880025, 0.2404451066311759,
+                       0.24759351661730367, 0.858530061247981),
+    ("fermi4", 1.5): (0.8483419915815054, 0.8483419918961249,
+                      0.8486431031424111, 0.9363408375663621),
+    ("fermi5", 0.02): (0.40515008193199165, 0.4051500846308308,
+                       0.40778760446142137, 0.8554353505690282),
+    ("fermi5", 1.5): (0.8525558869898064, 0.8525558871940362,
+                      0.8527590018695272, 0.933655337768019),
+    ("bump3", 0.02): (0.9646644743017972, 0.964664474366434,
+                      0.9647289893546265, 0.9885546212082078),
+    ("bump3", 1.5): (0.9889261222061217, 0.988926122217098,
+                     0.9889370870224633, 0.994607420524553),
+}
+
+
+def _fermi2_hilbert(x):
+    """int phi/(x - u) du for x >= 1 and phi = 2 sqrt(1 - u^2) (fermi2)."""
+    return 2.0 * np.pi * (x - np.sqrt(x * x - 1.0))
+
+
 class TestRealBranch:
     def test_needs_compact_support(self, gauss3, coulomb):
         with pytest.raises(ValueError):
@@ -81,6 +110,32 @@ class TestRealBranch:
         vm = dispersion_real_branch(fermi5, w, -tt, k).value
         assert vp.imag == 0.0
         assert vp == vm
+
+    @pytest.mark.parametrize("name", ["fermi3", "fermi4", "fermi5", "bump3"])
+    def test_matches_pointwise_values(self, name, request):
+        m = request.getfixturevalue(name)
+        w = delta_potential(0.1)
+        for k in (0.02, 1.5):
+            want = REAL_BRANCH_POINTWISE[(name, k)]
+            for delta, v in zip((0.0, 1e-9, 1e-3, 1.0), want):
+                got = dispersion_real_branch(m, w, 2.0 + k + delta, k).value
+                assert abs(got - v) < 1e-12
+
+    def test_fermi2_closed_form(self, fermi2):
+        # D = 1 - (g/2k) [H(x_-) - H(x_+)], x_-+ = (tau_tilde -+ k)/2; the
+        # pointwise rule was off it by up to 8e-7 at delta = 0, where the
+        # integrand grows like (1 - u)^-1/2 into the edge and the graded
+        # layout's end cell resolves it to about 1e-7 relative
+        w = delta_potential(0.1)
+        for k in (0.02, 1.5):
+            for delta in (0.0, 1e-9, 1e-3, 1.0):
+                tau = 2.0 + k + delta
+                x_m = max((tau - k) / 2, 1.0)
+                want = 1.0 - 0.05 / k * (_fermi2_hilbert(x_m)
+                                         - _fermi2_hilbert((tau + k) / 2))
+                got = dispersion_real_branch(fermi2, w, tau, k).value
+                tol = 1e-7 * abs(1.0 - want) if delta == 0.0 else 1e-12
+                assert abs(got - want) < tol
 
     def test_unit_limit_far_out(self, fermi5):
         # far beyond the support the symbol tends to 1
@@ -127,7 +182,7 @@ class TestCache:
         cache = HilbertTransformCache(gauss3)
         z = 0.35 - 0.25j
         U = gauss3.u_support
-        direct = dsp._cauchy_rows(gauss3.phi, -U, U, z, 1e-11)[0][0]
+        direct = dsp._cauchy_rows(gauss3.phi, -U, U, z, 1e-11, False)[0][0]
         c1 = cache.value(z)
         c2 = cache.value(z + 1e-6j)
         # snapped arguments collapse to the same table entry
@@ -172,7 +227,8 @@ class TestCauchyRows:
         zs = np.array([0.3 * U, -0.71 * U, 0.05, 1.3 * U,
                        0.4 * U - 0.05j, -0.9 * U - 0.3j, 0.2 - 2.0j,
                        1.1 * U - 0.1j])
-        got, err = dsp._cauchy_rows(m.phi, -U, U, zs, 1e-13)
+        got, err = dsp._cauchy_rows(m.phi, -U, U, zs, 1e-13,
+                                    np.isfinite(m.upsilon))
         s = np.clip(zs.real, -U, U)
         taylor = dsp._taylor(m.phi, -U, U, s)
         taylor[np.abs(zs - s) > 1.0] = 0.0
@@ -185,43 +241,45 @@ class TestCauchyRows:
         # PV int exp(-u^2)/(1-u) du = 2 sqrt(pi) dawsn(1); the boundary
         # value from below adds i pi exp(-1)
         g = lambda u: np.exp(-u * u)
-        v = dsp._cauchy_rows(g, -8.0, 8.0, 1.0, 1e-12)[0][0]
+        v = dsp._cauchy_rows(g, -8.0, 8.0, 1.0, 1e-12, False)[0][0]
         assert abs(v.real - 2.0 * np.sqrt(np.pi) * dawsn(1.0)) < 1e-10
         assert abs(v.imag - np.pi * np.exp(-1.0)) < 1e-14
 
     def test_odd_integrand_cancels(self):
         g = lambda u: np.exp(-u * u)
-        v = dsp._cauchy_rows(g, -6.0, 6.0, 0.0, 1e-12)[0][0]
+        v = dsp._cauchy_rows(g, -6.0, 6.0, 0.0, 1e-12, False)[0][0]
         assert abs(v.real) < 1e-10
         assert abs(v.imag - np.pi) < 1e-14
 
     def test_pole_outside_support_is_regular(self):
         g = lambda u: np.exp(-u * u)
-        v = dsp._cauchy_rows(g, -6.0, 6.0, 10.0, 1e-12)[0][0]
+        v = dsp._cauchy_rows(g, -6.0, 6.0, 10.0, 1e-12, False)[0][0]
         want = quad(lambda u: np.exp(-u * u) / (10.0 - u), -6.0, 6.0)[0]
         assert abs(v - want) < 1e-10
 
     def test_real_pole_on_support_endpoint_raises(self):
         g = lambda u: np.exp(-u * u)
         with pytest.raises(ValueError):
-            dsp._cauchy_rows(g, -6.0, 6.0, np.array([0.5, 6.0]), 1e-12)
+            dsp._cauchy_rows(g, -6.0, 6.0, np.array([0.5, 6.0]), 1e-12,
+                             False)
         # off the axis the endpoint is harmless
         assert np.isfinite(dsp._cauchy_rows(g, -6.0, 6.0, 6.0 - 0.1j,
-                                            1e-12)[0][0])
+                                            1e-12, False)[0][0])
 
     def test_panel_cap_raises(self):
         # a jump inside the segment converges like the panel width only
         step = lambda u: (np.asarray(u) > 0.3).astype(float)
         with pytest.raises(EvaluationBudgetExceeded):
-            dsp._cauchy_rows(step, -1.0, 1.0, 2.0 - 1.0j, 1e-12)
+            dsp._cauchy_rows(step, -1.0, 1.0, 2.0 - 1.0j, 1e-12, False)
 
     def test_near_axis_cubic_needs_no_refinement(self, monkeypatch):
         # the cubic subtraction leaves a quadratic: the first fine level is
         # exact even at |Im z| = 5e-4, far below the panel width
-        monkeypatch.setattr(dsp, "_PANELS_CAP", 2 * dsp._PANELS_START)
+        monkeypatch.setattr(quadrature, "_PANELS_CAP",
+                            2 * quadrature._PANELS_START)
         p = np.polynomial.Polynomial([0.3, -0.2, 0.5, 0.7])
         z = 0.37 - 5e-4j
-        got = dsp._cauchy_rows(p, -1.0, 1.0, z, 1e-12)[0][0]
+        got = dsp._cauchy_rows(p, -1.0, 1.0, z, 1e-12, False)[0][0]
         q = (p - p(z)) // np.polynomial.Polynomial([-z, 1.0])
         want = p(z) * (np.log(z + 1.0) - np.log(z - 1.0)) \
             - (q.integ()(1.0) - q.integ()(-1.0))
@@ -238,7 +296,7 @@ class TestCauchyRows:
         assume(min(abs(x - a), abs(x - b)) > 1e-3 * width or height != 0.0)
         z = complex(x, height)
         p = np.polynomial.Polynomial(coef)
-        got = dsp._cauchy_rows(p, a, b, z, 1e-13)[0][0]
+        got = dsp._cauchy_rows(p, a, b, z, 1e-13, False)[0][0]
         # p(u) = p(z) + (u - z) q(u): the integral is p(z) I0 - int q
         i0 = np.log(z - a) - np.log(z - b)
         q = sum(coef[j] * np.polynomial.Polynomial(
@@ -268,6 +326,32 @@ class TestRows:
         row, _ = dispersion_row(gauss3, coulomb, 0.0, lts)
         for lt, v in zip(lts, row):
             assert abs(v - dispersion_k_zero(gauss3, coulomb, lt).value) < 1e-12
+
+    @pytest.mark.parametrize("name", ["fermi2", "fermi4"])
+    @pytest.mark.parametrize("k", [0.01, 0.5])
+    def test_algebraic_edges_converge(self, name, k, request):
+        # phi = c (1 - u^2)^(d-1)/2 has an algebraic edge that uniform
+        # panels cannot resolve; the graded layout meets tol 1e-9 on 400
+        # boundary points and on poles 5e-7 from the edge.  The midpoint
+        # grid keeps every pole off +-1, where a real pole raises.
+        m = request.getfixturevalue(name)
+        g = 0.1
+        taus = np.concatenate([(np.arange(400) + 0.5) * (2.0 + k) / 400,
+                               2.0 - k + np.array([-1e-6, 1e-6])])
+        got, err = dispersion_row(m, delta_potential(g), k, 1j * taus, 1e-9)
+        # int phi/(z - u) du from below the cut: c pi r(x) for d = 2 and
+        # c pi [(1 - x^2) r(x) + x/2] for d = 4, r = x + i sqrt(1 - x^2)
+        # inside and x - sign(x) sqrt(x^2 - 1) outside
+        def hilbert(x):
+            root = np.sqrt(np.abs(1.0 - x * x))
+            r = np.where(np.abs(x) < 1.0, x + 1j * root, x - np.sign(x) * root)
+            if m.d == 2:
+                return 2.0 * np.pi * r
+            return 4.0 * np.pi ** 2 / 3.0 * ((1.0 - x * x) * r + x / 2.0)
+        want = 1.0 + g / (2.0 * k) * (hilbert((taus + k) / 2)
+                                      - hilbert((taus - k) / 2))
+        assert np.max(np.abs(got - want)) < 2e-9
+        assert np.max(err) <= g / k * 1e-9
 
     def test_rejects_left_half_plane(self, gauss3, coulomb):
         with pytest.raises(ValueError):

@@ -147,7 +147,8 @@ class TestConfig:
             == 1e-6
 
     @pytest.mark.parametrize("window", [[50, 5], [0, 5], [-1, 5], [5, 5],
-                                        [5], [1, 2, 3], "5-50", [5, "x"]])
+                                        [5], [1, 2, 3], "5-50", [5, "x"],
+                                        ["5", 50], [True, 50], [5, "inf"]])
     def test_fit_window_must_be_increasing_pair(self, window):
         with pytest.raises(ConfigError, match="'tolerances.fit_window'"):
             parse_config(_doc(tolerances={"fit_window": window}))

@@ -19,9 +19,9 @@ from hartree_mix import quadrature
 from hartree_mix.quadrature import (
     EvaluationBudgetExceeded,
     adaptive_gauss,
-    edge_shells,
     filon_transform,
     filon_weights,
+    graded_layout,
     halfline_laplace_fourier,
     refine_filon,
 )
@@ -187,31 +187,50 @@ class TestAdaptiveGauss:
 
 
 class TestEdgeShells:
+    """The dyadic shells of ``graded_layout`` toward b, read off its
+    per-panel sums (16 nodes per panel, the shells toward b and the cell
+    on b last)."""
+
+    @staticmethod
+    def _panel_sums(f, panels):
+        u, wt = graded_layout(-1.0, 1.0, panels, True)
+        return (f(u) * wt).reshape(-1, 16).sum(axis=1)
+
     def test_exact_on_polynomial(self):
         # int_{-1}^{1} (1 - u)^8 (u + 3) du = int_0^2 v^8 (4 - v) dv = 5632/45;
-        # the adaptive half and every 31-node shell are exact on it
-        total, err, shells = edge_shells(
-            lambda u: (1.0 - u) ** 8 * (u + 3.0), -1.0, 1.0, 1e-12)
-        assert abs(total - 5632.0 / 45.0) < 1e-12 * 5632.0 / 45.0
-        assert err < 1e-10
-        # the sixth shell is already below 1e-12, but callers fit a slope
-        # over the last six, so the loop runs to the seventh
-        assert abs(shells[5]) < 1e-12
-        assert len(shells) == 7
-
+        # every 16-node panel, shell and end cell is exact on it
+        for panels in (16, 128, 8192):
+            total = self._panel_sums(lambda u: (1.0 - u) ** 8 * (u + 3.0),
+                                     panels).sum()
+            assert abs(total - 5632.0 / 45.0) < 1e-12 * 5632.0 / 45.0
 
     def test_log_divergent_shells_do_not_decay(self):
-        # every dyadic shell of 1/(b - u) holds exactly ln 2, so the shells
-        # never fall below the tolerance, and the log2 slope over the last
-        # six stays near 0 (above the -0.05 that would mean convergence)
-        # although rounding of b - u grows like 2^j eps in the late shells
-        total, _, shells = edge_shells(lambda u: 1.0 / (1.0 - u), -1.0, 1.0,
-                                       1e-12)
-        assert len(shells) == 48
-        assert np.max(np.abs(np.asarray(shells[:12]) - np.log(2.0))) < 1e-11
+        # every dyadic shell of 1/(b - u) holds exactly ln 2, and the log2
+        # slope over the six before the end cell stays near 0 (above the
+        # -0.05 that would mean convergence) although rounding of b - u
+        # grows like 2^j eps in the late shells; 16 panels leave 39 shells
+        # toward b, from h/2 wide down to 2^-43 (b - a)
+        shells = self._panel_sums(lambda u: 1.0 / (1.0 - u), 16)[-40:-1]
+        assert np.max(np.abs(shells[:12] - np.log(2.0))) < 1e-11
         slope = np.polyfit(np.arange(6), np.log2(np.abs(shells[-6:])), 1)[0]
         assert abs(slope) < 0.01
-        assert abs(total - 49 * np.log(2.0)) < 1e-2
+
+    def test_layout_keeps_nodes_off_the_ends(self):
+        # the last cell is 2^-43 (b - a) = 1024 ulps of b wide here, and its
+        # outermost node sits about 5 ulps inside
+        for panels in (16, 8192):
+            u, wt = graded_layout(-1.0, 1.0, panels, True)
+            assert -1.0 < u.min() and u.max() < 1.0
+            assert abs(wt.sum() - 2.0) < 1e-14
+        # the shells below the first panel width, and the end cells, are
+        # the same at every panel count, so doubling compares only the rest
+        coarse = graded_layout(-1.0, 1.0, 16, True)[0]
+        fine = graded_layout(-1.0, 1.0, 8192, True)[0]
+        assert np.array_equal(coarse[-16 * 31:], fine[-16 * 31:])
+        assert np.array_equal(coarse[:16 * 31], fine[:16 * 31])
+        # without grading the panels are uniform
+        u, wt = graded_layout(-2.0, 3.0, 16, False)
+        assert u.size == 256 and np.allclose(wt.reshape(16, 16).sum(1), 5 / 16)
 
 
 class TestHalfline:

@@ -119,6 +119,14 @@ class TestCertify:
         assert cert.verdict == "CriterionDiverges"
         assert cert.notes
 
+    def test_d4_zero_temperature_stable(self, fermi4):
+        # an algebraic edge phi ~ (1 - u)^3/2: uniform panels ran out of
+        # budget here; the pointwise scan before the row engine gave this
+        # theta0 to 12 digits
+        cert = certify(fermi4, delta_potential(0.05))
+        assert cert.verdict == "Stable"
+        assert abs(cert.theta0 - 0.4818307635452) < 1e-8
+
     @pytest.mark.slow
     def test_d5_coupling_flip(self, fermi5):
         stable = certify(fermi5, delta_potential(0.1))
