@@ -142,24 +142,38 @@ def _cauchy_rows(g, a, b, z, tol_abs, graded):
     I_j = (z-s) I_(j-1) - ((b-s)^j - (a-s)^j)/j.  The rest vanishes to
     fourth order at the pole, so fixed panels converge without resolving
     the layer of width |Im z|.  A real z gives the limit from below,
-    PV + i pi g(z).  The rest is summed by ``quadrature.refine_panels``
-    on ``graded_layout(a, b, panels, graded)``.  Raises ValueError for a
-    real z on an end of the segment, and EvaluationBudgetExceeded when
-    the panels run out.
+    PV + i pi g(z).  A real z on an end of the segment, where g vanishes,
+    is snapped onto that end and takes the finite limit: g(s) = 0 drops
+    the I0 term, and z - s = 0 starts the recursion at I_j = -((b-s)^j -
+    (a-s)^j)/j.  The rest is summed by ``quadrature.refine_panels`` on
+    ``graded_layout(a, b, panels, graded)``.  Raises ValueError for a
+    real z on an end where g does not vanish, and
+    EvaluationBudgetExceeded when the panels run out.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    x = z.real
     on_axis = z.imag == 0.0
     eps = 1e-12 * (1.0 + abs(a) + abs(b))
-    if np.any(on_axis & ((np.abs(x - a) < eps) | (np.abs(x - b) < eps))):
-        raise ValueError("real pole on an end of the segment: the integral "
-                         "diverges")
+    at_end = np.zeros(z.shape, dtype=bool)
+    for end in (a, b):
+        hit = on_axis & (np.abs(z.real - end) < eps)
+        if np.any(hit):
+            if np.asarray(g(np.array([end])), dtype=float)[0] != 0.0:
+                raise ValueError("real pole on an end of the segment where "
+                                 "the integrand does not vanish: the "
+                                 "integral diverges")
+            z = np.where(hit, end, z)
+            at_end |= hit
+    x = z.real
     s = np.clip(x, a, b)
     zeta = z - s
     taylor = _taylor(g, a, b, s)
     taylor[np.abs(zeta) > 1.0] = 0.0
-    moment = np.log(z - a) - np.log(z - b)
+    taylor[at_end, 0] = 0.0
+    # keep log(0) out; the end points get their moments below
+    z_log = np.where(at_end, 0.5 * (a + b) + 1j, z)
+    moment = np.log(z_log - a) - np.log(z_log - b)
     moment = np.where(on_axis, moment.real, moment)
+    moment[at_end] = 0.0
     base = taylor[:, 0] * moment \
         + np.where(on_axis & (a < x) & (x < b), 1j * np.pi * taylor[:, 0], 0.0)
     for j in (1, 2, 3):

@@ -350,11 +350,16 @@ def filon_weights(n, x0, h, omega):
     om1 = np.atleast_1d(om)
     alpha, beta, gamma = filon_coefficients(om1 * h)
     x = x0 + h * np.arange(n)
-    even = np.arange(n) % 2 == 0
-    w = np.where(even[None, :], beta[:, None], gamma[:, None]).astype(complex)
+    # built in place: the nonlinear solve asks for one (M, n) table of all
+    # its time nodes, and each full-size temporary would cost as much
+    w = np.empty((om1.size, n), dtype=complex)
+    w[:, 0::2] = beta[:, None]
+    w[:, 1::2] = gamma[:, None]
     w[:, 0] = beta / 2.0 - 1j * alpha
     w[:, -1] = beta / 2.0 + 1j * alpha
-    w = h * w * np.exp(-1j * om1[:, None] * x[None, :])
+    w *= h
+    phase = np.multiply(-1j * om1[:, None], x[None, :])
+    w *= np.exp(phase, out=phase)
     return w[0] if om.ndim == 0 else w
 
 

@@ -266,6 +266,14 @@ class TestCauchyRows:
         assert np.isfinite(dsp._cauchy_rows(g, -6.0, 6.0, 6.0 - 0.1j,
                                             1e-12, False)[0][0])
 
+    def test_real_pole_on_vanishing_endpoint_is_finite(self):
+        # int (1 - u^2)/(+-1 - u) du over [-1, 1] = +-int (1 +- u) du = +-2
+        g = lambda u: 1.0 - u * u
+        v = dsp._cauchy_rows(g, -1.0, 1.0, np.array([1.0, -1.0]), 1e-13,
+                             False)[0]
+        assert np.max(np.abs(v.real - [2.0, -2.0])) < 1e-12
+        assert np.all(v.imag == 0.0)
+
     def test_panel_cap_raises(self):
         # a jump inside the segment converges like the panel width only
         step = lambda u: (np.asarray(u) > 0.3).astype(float)

@@ -8,8 +8,12 @@ grid is memory-hungry and lives behind the slow marker.
 
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from hartree_mix.dynamics import (
     DensityTrajectory,
@@ -19,7 +23,10 @@ from hartree_mix.dynamics import (
 )
 from hartree_mix.nonlinear import (
     KernelState,
+    _linear_stage_solver,
+    _weight_table,
     density_from_state,
+    density_trajectory_from_state,
     hermitian_defect,
     hs_norm,
     initial_state,
@@ -27,6 +34,7 @@ from hartree_mix.nonlinear import (
     scattering_diagnostic,
     solve_selfconsistent,
 )
+from hartree_mix.quadrature import filon_weights
 from hartree_mix.profiles import (
     build_marginal,
     custom_potential,
@@ -179,6 +187,128 @@ class TestPicardStep:
         got = picard_step(state, rho, _kernel(), w, f).mu_hat
         want = _picard_by_direct_sums(state, rho, w, f)
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _random_state(rng, d, n, n_t):
+    axis = np.linspace(-2.0, 2.0, n)
+    shape = (n_t,) + (n,) * (2 * d)
+    mu = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    state = KernelState(axis=axis, mu_hat=mu, d=d, dt=0.1,
+                        t_max=0.1 * (n_t - 1))
+    rho = DensityTrajectory(
+        k_grid=np.zeros(n ** d), t_grid=state.t_grid, kind="cartesian",
+        rho_hat=(rng.standard_normal((n ** d, n_t))
+                 + 1j * rng.standard_normal((n ** d, n_t))))
+    return state, rho
+
+
+def _shift_update_by_fftconvolve(state, rho, w):
+    """picard_step's update from its shift terms alone, each computed as
+    the two ``fftconvolve(mode="same")`` calls the step once made."""
+    from scipy.signal import fftconvolve
+
+    d, n, axis, mu = state.d, state.n_pts, state.axis, state.mu_hat
+    n_t = mu.shape[0]
+    ksq = sum(g ** 2 for g in np.meshgrid(*([axis] * d), indexing="ij"))
+    kshape, pshape = (n,) * d + (1,) * d, (1,) * d + (n,) * d
+    k_axes, p_axes = tuple(range(d)), tuple(range(d, 2 * d))
+    r = np.moveaxis(rho.rho_hat, -1, 0).reshape((n_t,) + (n,) * d)
+    coeffs = np.asarray(w.w_hat(np.sqrt(ksq))) * r * (axis[1] - axis[0]) ** d
+    terms = np.empty_like(mu)
+    for i, s in enumerate(state.t_grid):
+        eks = np.exp(-1j * s * ksq)
+        p1 = fftconvolve(coeffs[i].reshape(kshape),
+                         eks.reshape(kshape) * mu[i], mode="same",
+                         axes=k_axes)
+        p2 = fftconvolve(coeffs[i].reshape(pshape),
+                         np.conj(eks).reshape(pshape) * mu[i], mode="same",
+                         axes=p_axes)
+        terms[i] = np.conj(eks).reshape(kshape) * p1 \
+            - eks.reshape(pshape) * p2
+    out = np.empty_like(mu)
+    out[0] = mu[0]
+    acc = np.zeros_like(mu[0])
+    for i in range(1, n_t):
+        acc = acc + (0.5 * state.dt) * (terms[i - 1] + terms[i])
+        out[i] = mu[0] - 1j * acc
+    return out
+
+
+class TestStreamedStep:
+    @pytest.mark.parametrize("d,n", [(1, 9), (2, 5)])
+    def test_shift_terms_match_fftconvolve(self, d, n):
+        # a flat f removes the linear term, so the step is its shift terms
+        rng = np.random.default_rng(7 + d)
+        state, rho = _random_state(rng, d, n, 4)
+        before = state.mu_hat.copy()
+        w = screened_coulomb(0.5, 1.0)
+        flat = replace(gaussian_profile(d), f=lambda e: np.ones_like(e))
+        got = picard_step(state, rho, _kernel(d=d), w, flat).mu_hat
+        want = _shift_update_by_fftconvolve(state, rho, w)
+        np.testing.assert_array_equal(got, want)
+        # the step never writes into its input history
+        np.testing.assert_array_equal(state.mu_hat, before)
+
+
+def _dense_linear_stage(state, w, f):
+    """The d = 1 linear stage as n dense lower-triangular time matrices."""
+    axis, t_grid, dt = state.axis, state.t_grid, state.dt
+    n, n_t = axis.size, t_grid.size
+    c, h = (n - 1) // 2, axis[1] - axis[0]
+    fax = np.asarray(f.f(axis ** 2), dtype=float)
+    wk = np.asarray(w.w_hat(np.abs(axis)), dtype=float)
+    coef = np.tril(np.full((n_t, n_t), dt))
+    idx = np.arange(n_t)
+    coef[:, 0] = 0.5 * dt
+    coef[idx, idx] = 0.5 * dt
+    coef[0, :] = 0.0
+    jp = np.arange(n)
+    mats = []
+    for i, k in enumerate(axis):
+        m = i - jp + c
+        mc = np.clip(m, 0, n - 1)
+        fd = np.where((m >= 0) & (m < n), fax[jp] - fax[mc], 0.0)
+        wts = filon_weights(n, axis[0], h, -2.0 * t_grid * k)
+        g_mat = np.exp(-1j * t_grid * k * k)[:, None] * wts * fd[None, :]
+        phases = np.exp(1j * np.outer(axis[mc] ** 2 - axis ** 2, t_grid))
+        lin = -1j * wk[i] * (g_mat @ phases) * coef
+        mats.append(np.eye(n_t) - lin)
+    return lambda r: np.array([solve_triangular(mats[i], r[i], lower=True)
+                               for i in range(n)])
+
+
+class TestLinearStageMarch:
+    def test_march_matches_dense_triangular_solve(self):
+        g0, f = _kernel(), gaussian_profile(1)
+        w = screened_coulomb(0.5, 1.0)
+        state = initial_state(g0, 4.0, 9, 0.1, 3.0)
+        assert state.t_grid.size == 31
+        table = _weight_table(state)
+        free = density_trajectory_from_state(state, table)
+        correct = _linear_stage_solver(state, g0, w, f, free, table)
+        rng = np.random.default_rng(11)
+        re, im = rng.standard_normal((2, 9, 31))
+        resid = re + 1j * im
+        for r in (resid, free.rho_hat):
+            want = _dense_linear_stage(state, w, f)(r)
+            got = correct(r)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestMemory:
+    def test_solve_holds_under_four_histories(self):
+        # the old step kept four histories and the old d = 1 solver n dense
+        # n_t x n_t matrices on top; now the peak is two histories plus one
+        # (n_t, n, n) weight table
+        history = 301 * 33 ** 2 * 16
+        tracemalloc.start()
+        try:
+            solve_selfconsistent(_kernel(), gaussian_profile(1),
+                                 screened_coulomb(0.5, 1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * history
 
 
 class TestDegenerateCouplings:

@@ -273,6 +273,24 @@ class TestCliStages:
         assert text[0].startswith("k,")
         assert len(text) > 4
 
+    def test_dispersion_stage_on_support_end_poles(self, tmp_path):
+        # d = 5 zero-T Fermi: the tau step 0.2 puts Plemelj poles on the
+        # support end +Upsilon at k = 0.2 and k = 2, where phi vanishes
+        doc = _doc(d=5, equilibrium={"kind": "fermi_zero_t"},
+                   potential={"kind": "delta", "coupling": 0.2}, N1=12, N2=6,
+                   k_grid={"count": 3, "min": 0.2, "max": 2.0},
+                   tau_grid={"max": 40.0, "count": 201},
+                   out=str(tmp_path / "out"))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        assert main(["dispersion", "--config", str(path)]) == 0
+        rows = np.genfromtxt(tmp_path / "out" / "dispersion.csv",
+                             delimiter=",", names=True, dtype=None,
+                             encoding="utf-8")
+        boundary = rows[rows["route"] == "plemelj_boundary"]
+        assert boundary.size == 3 * 201
+        assert np.all(np.isfinite(rows["re_D"]) & np.isfinite(rows["im_D"]))
+
     def test_free_stage_reports_decay(self, cfg_path):
         path, out = cfg_path
         assert main(["free", "--config", str(path)]) == 0
