@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .green import m_f
 from .profiles import Marginal, Potential
-from .quadrature import graded_layout, refine_panels
+from .quadrature import graded_layout, refine_panels, shell_slope
 
 __all__ = [
     "DispersionSample", "HilbertTransformCache", "DivergentIntegral",
@@ -143,12 +143,12 @@ def _cauchy_rows(g, a, b, z, tol_abs, graded):
     fourth order at the pole, so fixed panels converge without resolving
     the layer of width |Im z|.  A real z gives the limit from below,
     PV + i pi g(z).  A real z on an end of the segment, where g vanishes,
-    is snapped onto that end and takes the finite limit: g(s) = 0 drops
-    the I0 term, and z - s = 0 starts the recursion at I_j = -((b-s)^j -
-    (a-s)^j)/j.  The rest is summed by ``quadrature.refine_panels`` on
-    ``graded_layout(a, b, panels, graded)``.  Raises ValueError for a
-    real z on an end where g does not vanish, and
-    EvaluationBudgetExceeded when the panels run out.
+    is snapped onto that end and takes the finite limit: there is no layer
+    to remove, so nothing is subtracted, and on a graded layout the cell on
+    that end is replaced by ``_end_cell_correction``.  The rest is summed
+    by ``quadrature.refine_panels`` on ``graded_layout(a, b, panels,
+    graded)``.  Raises ValueError for a real z on an end where g does not
+    vanish, and EvaluationBudgetExceeded when the panels run out.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     on_axis = z.imag == 0.0
@@ -167,13 +167,11 @@ def _cauchy_rows(g, a, b, z, tol_abs, graded):
     s = np.clip(x, a, b)
     zeta = z - s
     taylor = _taylor(g, a, b, s)
-    taylor[np.abs(zeta) > 1.0] = 0.0
-    taylor[at_end, 0] = 0.0
-    # keep log(0) out; the end points get their moments below
+    taylor[(np.abs(zeta) > 1.0) | at_end] = 0.0
+    # an end pole subtracts nothing; keep its log(0) out of the moments
     z_log = np.where(at_end, 0.5 * (a + b) + 1j, z)
     moment = np.log(z_log - a) - np.log(z_log - b)
     moment = np.where(on_axis, moment.real, moment)
-    moment[at_end] = 0.0
     base = taylor[:, 0] * moment \
         + np.where(on_axis & (a < x) & (x < b), 1j * np.pi * taylor[:, 0], 0.0)
     for j in (1, 2, 3):
@@ -184,7 +182,32 @@ def _cauchy_rows(g, a, b, z, tol_abs, graded):
         u, wt = graded_layout(a, b, panels, graded)
         return _residual_sums(g, u, wt, z[j], s[j], taylor[j])
     values, gaps = refine_panels(sums, z.size, tol_abs)
+    if graded and np.any(at_end):
+        values[at_end] += _end_cell_correction(g, a, b, z[at_end].real)
     return values + base, gaps
+
+
+def _end_cell_correction(g, a, b, ends):
+    """For each pole e of ``ends`` (a or b), the geometric remainder past
+    the last dyadic shell at e minus the graded layout's sum over the
+    cell on e.
+
+    Where g vanishes like |u - e|^alpha, g(u)/(e - u) grows like
+    |u - e|^(alpha - 1) into that cell, which its Gauss nodes do not
+    resolve (7e-8 off for g = 2 sqrt(1 - u^2)), while the shell sums
+    contract like 2^(-j alpha): the series past the last one is the cell,
+    as in ``stability.criterion_integral``.
+    """
+    u, wt = graded_layout(a, b, 16, True)
+    gu = np.asarray(g(u), dtype=float)
+    out = np.empty(ends.size)
+    for i, e in enumerate(ends):
+        cells = (gu / (e - u) * wt).reshape(-1, 16).sum(axis=1)
+        if e == a:
+            cells = cells[::-1]
+        r = 2.0 ** shell_slope(cells[:-1])
+        out[i] = cells[-2] * r / (1.0 - r) - cells[-1]
+    return out
 
 
 class HilbertTransformCache:

@@ -391,20 +391,15 @@ def _cartesian_trajectory(state: KernelState,
 
 
 def density_trajectory_from_state(state: KernelState,
-                                  weights: np.ndarray | None = None
-                                  ) -> DensityTrajectory:
-    """Full density history, row-major flattened over the box grid.
-
-    ``weights`` is the state grid's ``_weight_table``, for a caller that
-    sweeps the same grid repeatedly; without it the table is built here.
-    """
+                                  weights: np.ndarray) -> DensityTrajectory:
+    """Full density history, row-major flattened over the box grid, from
+    the state grid's ``_weight_table`` ``weights``."""
     t_grid = state.t_grid
-    table = _weight_table(state) if weights is None else weights
     gather = _shift_gather(state)
     rows = np.empty((state.n_pts ** state.d, t_grid.size), dtype=complex)
     for i, t in enumerate(t_grid):
         rows[:, i] = _density_slice(state, gather, i, float(t),
-                                    table[i]).ravel()
+                                    weights[i]).ravel()
     return _cartesian_trajectory(state, rows)
 
 

@@ -7,7 +7,8 @@ Five pieces, used throughout the package:
 * ``graded_layout``: 16-node Gauss-Legendre panels, uniform inside, cut
   into dyadic shells toward the ends of a compact support, and
   ``refine_panels``, which doubles them until a whole array of integrals
-  settles: every integral over the marginal's support goes through it,
+  settles: every integral over the marginal's support goes through it;
+  ``shell_slope`` reads the decay of the shells toward an end,
 * ``filon_transform``: a composite Filon-Simpson rule for
   ``int f(x) exp(-i w x) dx`` on a uniform grid, vectorized over
   frequencies.  An arithmetic progression of frequencies is evaluated as
@@ -37,7 +38,7 @@ from scipy import fft as sp_fft
 __all__ = [
     "QuadResult", "QuadratureError", "UnresolvedOscillation",
     "EvaluationBudgetExceeded", "adaptive_gauss", "graded_layout",
-    "refine_panels", "filon_transform", "halfline_laplace_fourier",
+    "refine_panels", "shell_slope", "filon_transform", "halfline_laplace_fourier",
     "DEFAULT_ABS_TOL", "DEFAULT_EVAL_CAP",
 ]
 
@@ -140,6 +141,17 @@ def graded_layout(a, b, panels, graded):
     u = ((edges[:-1] + half)[:, None] + half[:, None] * _GL16_X).ravel()
     wt = (half[:, None] * _GL16_W).ravel()
     return u, wt
+
+
+def shell_slope(shells):
+    """Least-squares slope of log2 |shell sum| over the last six nonzero
+    of ``shells``, the panel sums of ``graded_layout`` toward one end up
+    to the shell before the end cell; -inf with fewer than two."""
+    tail = shells[np.abs(shells) >= 1e-300][-6:]
+    if tail.size < 2:
+        return -np.inf
+    return float(np.polyfit(np.arange(tail.size), np.log2(np.abs(tail)),
+                            1)[0])
 
 
 def refine_panels(sums, count, tol_abs):

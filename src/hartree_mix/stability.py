@@ -32,7 +32,7 @@ from scipy.optimize import brentq
 from .dispersion import (DivergentIntegral, dispersion_real_branch,
                          dispersion_row, evaluate)
 from .profiles import Marginal, Potential
-from .quadrature import graded_layout, refine_panels
+from .quadrature import graded_layout, refine_panels, shell_slope
 
 __all__ = [
     "CriterionResult",
@@ -148,9 +148,7 @@ def criterion_integral(m: Marginal, w: Potential) -> CriterionResult:
     # are the same at every count; a smooth edge underflows the last ones
     u, wt = graded_layout(-ups, ups, 16, True)
     shells = (f(u) * wt).reshape(-1, 16).sum(axis=1)[:-1]
-    tail = shells[np.abs(shells) >= 1e-300][-6:]
-    slope = float(np.polyfit(np.arange(tail.size), np.log2(np.abs(tail)),
-                             1)[0]) if tail.size > 1 else -np.inf
+    slope = shell_slope(shells)
     if slope >= -0.05:
         return CriterionResult(kind="divergent", value=None, shell_slope=slope,
                                integral=None, remainder=0.0)

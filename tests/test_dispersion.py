@@ -274,6 +274,16 @@ class TestCauchyRows:
         assert np.max(np.abs(v.real - [2.0, -2.0])) < 1e-12
         assert np.all(v.imag == 0.0)
 
+    def test_real_pole_on_square_root_endpoint_meets_tol(self, fermi2):
+        # int 2 sqrt(1 - u^2)/(+-1 - u) du over [-1, 1] = +-2 pi; the
+        # integrand grows like (1 -+ u)^-1/2 into the graded layout's end
+        # cell, whose Gauss sum alone was 7e-8 off
+        v, err = dsp._cauchy_rows(fermi2.phi, -1.0, 1.0, np.array([1.0, -1.0]),
+                                  1e-10, True)
+        assert np.max(np.abs(v.real - [2.0 * np.pi, -2.0 * np.pi])) < 1e-10
+        assert np.all(v.imag == 0.0)
+        assert np.all(err <= 1e-10)
+
     def test_panel_cap_raises(self):
         # a jump inside the segment converges like the panel width only
         step = lambda u: (np.asarray(u) > 0.3).astype(float)
