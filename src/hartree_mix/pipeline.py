@@ -31,6 +31,8 @@ __all__ = [
     "load_config",
     "parse_config",
     "fit_decay",
+    "nonlinear_bytes",
+    "NONLINEAR_BUDGET",
     "run",
     "SUBCOMMANDS",
 ]
@@ -552,6 +554,19 @@ def _cmd_linear(cfg: RunConfig, out: str) -> int:
     return 0
 
 
+# the most the nonlinear stage may hold, in bytes: the README d = 3 example
+# (9 points, 31 time nodes) needs 0.53e9
+NONLINEAR_BUDGET = 2 ** 30
+
+
+def nonlinear_bytes(cfg: RunConfig) -> int:
+    """Bytes the nonlinear stage holds: two histories of n_t * n^(2d)
+    complex entries plus the n_t * n * n synthesis weight table."""
+    n_t = int(round(cfg.nl_t_max / cfg.nl_dt)) + 1
+    n = cfg.nl_points
+    return 16 * n_t * (2 * n ** (2 * cfg.d) + n * n)
+
+
 def _cmd_nonlinear(cfg: RunConfig, out: str) -> int:
     state, traj, tracker, report = nonlinear.solve_selfconsistent(
         cfg.kernel, cfg.profile, cfg.potential, k_box=cfg.nl_box,
@@ -608,10 +623,23 @@ _COMMANDS = {
 
 
 def run(cfg: RunConfig, subcommand: str) -> int:
-    """Dispatch one subcommand; returns the process exit code."""
+    """Dispatch one subcommand; returns the process exit code.
+
+    A ``nonlinear`` run whose ``nonlinear_bytes`` exceed NONLINEAR_BUDGET
+    raises ConfigError before any work.  The check sits here, not in
+    parse_config, because the stages share one config and the default
+    nonlinear group is far over budget for d >= 2.
+    """
     if subcommand not in _COMMANDS:
         raise ValueError(f"unknown subcommand '{subcommand}'; choose from "
                          f"{', '.join(SUBCOMMANDS)}")
+    nl_bytes = nonlinear_bytes(cfg) if subcommand == "nonlinear" else 0
+    if nl_bytes > NONLINEAR_BUDGET:
+        raise ConfigError(
+            f"field 'nonlinear.points': the nonlinear state would hold "
+            f"{nl_bytes / 1e9:.3g} GB, over the "
+            f"{NONLINEAR_BUDGET / 1e9:.3g} GB budget; lower "
+            "'nonlinear.points' or 'nonlinear.t_max'")
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     return _COMMANDS[subcommand](cfg, out)

@@ -27,9 +27,8 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline
+from scipy import fft as sp_fft
 from scipy.special import gamma as _gamma_fn
-from scipy.special import roots_jacobi
 
 from .quadrature import adaptive_gauss, filon_transform
 
@@ -254,6 +253,23 @@ class Marginal:
     profile: EquilibriumProfile
 
 
+def _gauss_jacobi(n: int, nu: float):
+    """n-point Gauss rule for the weight (1 + x)^nu on [-1, 1], by
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix, the
+    weights the weight's mass 2^(nu+1) / (nu+1) times the squared first
+    eigenvector components (within 2e-13 of the exact weights at n = 48)."""
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + nu
+    diag = np.empty(n)
+    diag[0] = nu / (nu + 2.0)
+    diag[1:] = nu * nu / (s[1:] * (s[1:] + 2.0))
+    k, s = k[1:], s[1:]
+    off = np.sqrt(4.0 * k * k * (k + nu) ** 2
+                  / (s * s * (s + 1.0) * (s - 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, 2.0 ** (nu + 1.0) / (nu + 1.0) * v[0] ** 2
+
+
 def _radial_reduction(prof: EquilibriumProfile):
     """Vectorized phi and phi' from the energy-shell representation
     (48 Gauss-Jacobi nodes; full-support panels stop below 1e-16)."""
@@ -269,7 +285,7 @@ def _radial_reduction(prof: EquilibriumProfile):
         return phi, dphi
 
     nu = (d - 3) / 2.0
-    xj, wj = roots_jacobi(48, 0.0, nu)
+    xj, wj = _gauss_jacobi(48, nu)
     x01 = (xj + 1.0) / 2.0
     w01 = wj * 0.5 ** (nu + 1.0)      # weight x^nu on [0, 1]
     A = sphere_area(d - 1) / 2.0
@@ -340,6 +356,52 @@ def _radial_reduction(prof: EquilibriumProfile):
     return phi, dphi
 
 
+def _uniform_spline(h: float, y: np.ndarray, odd: bool = False):
+    """Cubic spline through y[j] at x = j h, served on [0, (len(y) - 1) h].
+
+    The B-spline coefficients solve (c[j-1] + 4 c[j] + c[j+1]) / 6 = y[j]
+    on the table mirrored about both ends: evenly by a DCT-I, so the
+    slope at 0 is 0, or oddly by a DST-I for an odd function (y[0] = 0,
+    and a zero value one node past the end), so the second derivative at
+    0 is 0.  One refinement step on the residual brings the rounding error
+    of each coefficient down to that of its neighbours, as a banded solve
+    has it, rather than that of the largest entry.  The mirror at the far
+    end perturbs the spline by a factor (2 - sqrt 3)^j at j nodes from the
+    end, so a table must reach a negligible floor, or run past the served
+    range.  A point costs four gathered coefficients.
+    """
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    if odd:
+        eig = (2.0 + np.cos(np.pi * np.arange(1, n) / n)) / 3.0
+    else:
+        eig = (2.0 + np.cos(np.pi * np.arange(n) / (n - 1))) / 3.0
+
+    def prefilter(r):
+        c = np.zeros(n + 2)       # c[j + 1] is the coefficient of node j
+        if odd:
+            c[2:n + 1] = sp_fft.idst(sp_fft.dst(r[1:], 1) / eig, 1)
+            c[0] = -c[2]
+        else:
+            c[1:n + 1] = sp_fft.idct(sp_fft.dct(r, 1) / eig, 1)
+            c[0], c[n + 1] = c[2], c[n - 1]
+        return c
+
+    c = prefilter(y)
+    c += prefilter(y - (c[:-2] + 4.0 * c[1:-1] + c[2:]) / 6.0)
+
+    def spline(x):
+        x = np.asarray(x, dtype=float) / h
+        j = np.clip(np.floor(x), 0, n - 2).astype(np.intp)
+        t = x - j
+        t2 = t * t
+        u = 1.0 - t
+        return ((u * u * u) * c[j] + (4.0 - 6.0 * t2 + 3.0 * t2 * t) * c[j + 1]
+                + (1.0 + 3.0 * t * (1.0 + t * u)) * c[j + 2]
+                + (t2 * t) * c[j + 3]) / 6.0
+    return spline
+
+
 def _support_radius(g, start, floor):
     """Smallest radius past which |g| stays below floor (by doubling + bisection)."""
     hi = start
@@ -391,19 +453,32 @@ def _envelope_tail(tg: np.ndarray, vals: np.ndarray) -> float:
     return (2.0 / np.pi) * c * t_end ** (1.0 - q) / (q - 1.0)
 
 
+# least count of exact phi_hat nodes past the served end of the spline
+# table (rounded up to a fast transform length), so that the spline's
+# mirror image of its far end, decaying by 0.268 per node, stays below
+# 1e-22 of the table on the served range
+_HAT_PAD = 40
+
+
 def build_marginal(prof: EquilibriumProfile) -> Marginal:
     """Construct the velocity marginal of an equilibrium profile.
 
     Raises NonIntegrableError when the declared decay metadata cannot make
-    the reduction converge.  phi_hat is served from a cubic spline over a
-    dense uniform table (node spacing resolves the cos(tu) oscillation with
-    margin, keeping the interpolation error near 1e-11); node values come
-    from a Filon cosine rule on a dense phi table, with plain adaptive
-    quadrature below the oscillatory regime.  Profiles whose transform
-    decays only algebraically get a truncated spline plus the exact rule
-    beyond it, and their L1 diagnostics carry a fitted envelope tail.
-    The phi table holds 8193 samples; the adaptive quadratures run to an
-    absolute 1e-12.
+    the reduction converge.  phi is sampled on 8193 uniform nodes over
+    [0, u_support].  For full support, phi and phi' are then served from
+    ``_uniform_spline`` over that table: even for phi (slope 0 at 0), odd
+    for phi' (second derivative 0 at 0); the table ends where phi has
+    fallen to 1e-18 of phi(0), so the mirrored far end is immaterial.
+    phi_hat node values come from a Filon cosine rule on the phi table,
+    with plain adaptive quadrature below the oscillatory regime, and are
+    served from an even uniform spline on [0, t_cap] (node spacing
+    resolves the cos(tu) oscillation with margin, keeping the
+    interpolation error near 1e-11).  Its table holds at least
+    ``_HAT_PAD`` exact nodes past t_cap, so the mirrored far end never
+    reaches the served range.  Profiles whose transform decays only
+    algebraically are served by the exact rule past t_cap, and their L1
+    diagnostics carry a fitted envelope tail.  The adaptive quadratures
+    run to an absolute 1e-12.
     """
     phi, dphi = _radial_reduction(prof)
 
@@ -424,11 +499,8 @@ def build_marginal(prof: EquilibriumProfile) -> Marginal:
         # no support edge to respect: serve phi and dphi from splines over
         # the dense table (the exact reduction costs geometric panels per
         # call, and boundary scans evaluate phi millions of times)
-        dphi_table = np.asarray(dphi(u_grid), dtype=float)
-        phi_spl = CubicSpline(u_grid, phi_table, bc_type=((1, 0.0),
-                                                          "not-a-knot"))
-        dphi_spl = CubicSpline(u_grid, dphi_table, bc_type=((2, 0.0),
-                                                            "not-a-knot"))
+        phi_spl = _uniform_spline(h_u, phi_table)
+        dphi_spl = _uniform_spline(h_u, dphi(u_grid), odd=True)
 
         def phi(u):  # noqa: F811 - deliberate fast replacement
             scalar = np.isscalar(u) or np.asarray(u).ndim == 0
@@ -472,7 +544,10 @@ def build_marginal(prof: EquilibriumProfile) -> Marginal:
     n_sp = int(np.ceil(t_cap / h_t)) + 1
     t_nodes = np.linspace(0.0, t_cap, n_sp)
     node_vals = phi_hat_exact(t_nodes)
-    spline = CubicSpline(t_nodes, node_vals, bc_type=((1, 0.0), "not-a-knot"))
+    h_sp = t_nodes[1]
+    n_pad = sp_fft.next_fast_len(n_sp - 1 + _HAT_PAD) - (n_sp - 1)
+    pad = phi_hat_exact(t_cap + h_sp * np.arange(1, n_pad + 1))
+    spline = _uniform_spline(h_sp, np.concatenate([node_vals, pad]))
 
     def phi_hat(t):
         scalar = np.isscalar(t) or np.asarray(t).ndim == 0

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dispersion import (DivergentIntegral, dispersion_real_branch,
                          dispersion_row, evaluate)
@@ -205,14 +204,21 @@ def find_imaginary_zero(m: Marginal, w: Potential, k: float) -> float | None:
         return None
     hi = tau0 + max(1.0, k)
     for _ in range(60):
-        if g(hi) > 0.0:
+        hi_val = g(hi)
+        if hi_val > 0.0:
             break
         hi = 2.0 * hi
     else:
         return None
-    if lo == tau0:
-        lo = tau0 + 1e-13 * max(1.0, tau0)
-    return float(brentq(g, lo, hi, xtol=1e-12, rtol=8.9e-16))
+    # bisect until the bracket is two adjacent floats; keep the end where
+    # the branch is smaller
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        val = g(mid)
+        if val > 0.0:
+            hi, hi_val = mid, val
+        else:
+            lo, lo_val = mid, val
+    return lo if -lo_val < hi_val else hi
 
 
 # ---------------------------------------------------------------------------

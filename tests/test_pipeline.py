@@ -8,6 +8,9 @@ assert on the files.  Heavier stages have their own acceptance runs.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +18,13 @@ import pytest
 
 from hartree_mix.cli import main
 from hartree_mix.pipeline import (
+    NONLINEAR_BUDGET,
     ConfigError,
     InsufficientSamples,
     NonPositiveValue,
     RunConfig,
     fit_decay,
+    nonlinear_bytes,
     parse_config,
 )
 from hartree_mix.dynamics import DensityTrajectory, y_norm
@@ -358,3 +363,64 @@ class TestCliStages:
         assert main(["stability", "--config", str(path)]) == 2
         report = json.loads((out / "stability.json").read_text())
         assert report["verdict"] == "Inconclusive"
+
+    def test_nonlinear_stage_refuses_state_over_budget(self, tmp_path,
+                                                        capsys):
+        # the d = 3 defaults: two histories of 301 nodes x 9^6 entries
+        doc = _doc(out=str(tmp_path / "out"))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        assert nonlinear_bytes(parse_config(doc)) > 5e9 > NONLINEAR_BUDGET
+        assert main(["nonlinear", "--config", str(path)]) == 1
+        assert "'nonlinear.points'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_nonlinear_budget_admits_readme_example(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        cfg = parse_config(json.loads(
+            text.split("```json\n", 1)[1].split("```", 1)[0]))
+        assert nonlinear_bytes(cfg) == 16 * 31 * (2 * 9 ** 6 + 9 ** 2)
+        assert nonlinear_bytes(cfg) <= NONLINEAR_BUDGET
+        # the d = 1 benchmark run: 65 points to t = 30
+        small = parse_config(_doc(d=1, nonlinear={"points": 65}))
+        assert nonlinear_bytes(small) == 16 * 301 * 3 * 65 ** 2
+
+
+_HEAVY_SCIPY = ("scipy.interpolate", "scipy.optimize", "scipy.linalg",
+                "scipy.signal")
+
+
+class TestStartup:
+    def test_stages_load_only_fft_and_special(self, tmp_path):
+        # a fresh process, as each CLI stage is: the marginal (spline,
+        # Gauss-Jacobi nodes) and stability (boundary scan, and the zero
+        # hunt on fermi5) stages must not pull in the heavier subpackages
+        docs = {"gauss3": _doc(),
+                "fermi5": _doc(d=5, equilibrium={"kind": "fermi_zero_t"},
+                               potential={"kind": "delta", "coupling": 0.2},
+                               N1=12, N2=6)}
+        calls = []
+        for name, doc in docs.items():
+            doc["out"] = str(tmp_path / name)
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            calls += [[stage, "--config", str(path)]
+                      for stage in ("marginal", "stability")]
+        script = ("import json, sys\n"
+                  "from hartree_mix.cli import main\n"
+                  f"codes = [main(a) for a in {calls!r}]\n"
+                  f"heavy = [m for m in {_HEAVY_SCIPY!r}"
+                  " if m in sys.modules]\n"
+                  "print(json.dumps([codes, heavy]))\n")
+        src = str(Path(__file__).parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        codes, heavy = json.loads(done.stdout.splitlines()[-1])
+        assert codes == [0, 0, 0, 0]
+        assert heavy == []
+        report = json.loads((tmp_path / "fermi5" / "stability.json")
+                            .read_text())
+        assert report["verdict"] == "Unstable"

@@ -144,3 +144,67 @@ class TestAssumptionReport:
         assert {"positivity", "potential_finite_at_zero",
                 "marginal_decreasing"} <= names
         assert all(c.status != "fail" for c in rep.checks)
+
+
+class TestNumpyKernels:
+    """The spline and the Gauss-Jacobi rule against scipy's routines, which
+    the package no longer imports; scipy serves only as the oracle here."""
+
+    @staticmethod
+    def _gauss3_tables():
+        from hartree_mix.profiles import _radial_reduction, _support_radius
+        phi, dphi = _radial_reduction(gaussian_profile(3))
+        u_max = _support_radius(phi, 1.0, 1e-18)
+        h = u_max / 8192
+        u = np.arange(8193) * h
+        return h, u, phi(u), dphi(u)
+
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_spline_matches_cubic_spline_on_gauss3_tables(self, odd):
+        from scipy.interpolate import CubicSpline
+
+        from hartree_mix.profiles import _uniform_spline
+        h, u, phi_table, dphi_table = self._gauss3_tables()
+        y = dphi_table if odd else phi_table
+        # phi: clamped slope 0 at 0; phi': natural at 0
+        oracle = CubicSpline(u, y, bc_type=((2 if odd else 1, 0.0),
+                                            "not-a-knot"))
+        x = np.concatenate([u, np.random.default_rng(0).uniform(
+            0.0, u[-1], 20000)])
+        gap = np.abs(_uniform_spline(h, y, odd=odd)(x) - oracle(x))
+        assert np.max(gap) <= 1e-14 * np.max(np.abs(y))
+
+    def test_spline_keeps_sign_in_the_far_tail(self):
+        # each coefficient carries the rounding of its neighbours, not of
+        # the table maximum, so phi' stays negative down to 1e-17
+        from hartree_mix.profiles import _uniform_spline
+        h, u, _, dphi_table = self._gauss3_tables()
+        x = np.linspace(0.5, 0.99, 100001) * u[-1]
+        assert np.all(_uniform_spline(h, dphi_table, odd=True)(x) < 0.0)
+
+    def test_truncated_fermi5_hat_matches_cubic_spline(self, fermi5):
+        from scipy.interpolate import CubicSpline
+        # fermi5's transform decays algebraically, so the table stops at
+        # the 32768-node cap t_cap and the exact rule serves beyond it
+        h_t = min(0.01, np.pi / (16.0 * fermi5.u_support))
+        t_cap = 32768 * h_t
+        assert t_cap < fermi5.t_support
+        t = np.linspace(0.0, t_cap, 32769)
+        y = fermi5.phi_hat(t)
+        oracle = CubicSpline(t, y, bc_type=((1, 0.0), "not-a-knot"))
+        mids = 0.5 * (t[1:] + t[:-1])
+        last = t_cap - h_t * (np.arange(20)
+                              + np.random.default_rng(1).uniform(size=20))
+        x = np.concatenate([mids[:2000], mids[-20:], last])
+        gap = np.abs(fermi5.phi_hat(x) - oracle(x))
+        assert np.max(gap) <= 1e-14 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.0])
+    def test_gauss_jacobi_matches_roots_jacobi(self, nu):
+        from scipy.special import roots_jacobi
+
+        from hartree_mix.profiles import _gauss_jacobi
+        x, w = _gauss_jacobi(48, nu)
+        xr, wr = roots_jacobi(48, 0.0, nu)
+        assert np.max(np.abs(x - xr)) <= 1e-15
+        assert np.max(np.abs(w / wr - 1.0)) <= 1e-11

@@ -135,3 +135,21 @@ class TestCertify:
         assert unstable.verdict == "Unstable"
         assert unstable.zero_residual is not None
         assert unstable.zero_residual < 1e-8
+
+
+class TestZeroHuntOracle:
+    @pytest.mark.parametrize("k", [0.02, 0.03, 0.05])
+    def test_bisection_matches_brentq(self, fermi5, k):
+        # brentq, which the package no longer imports, on the same real
+        # branch and the same tolerances
+        from scipy.optimize import brentq
+
+        from hartree_mix.dispersion import dispersion_real_branch, evaluate
+        w = delta_potential(0.2)
+        tau0 = 2.0 * fermi5.upsilon + k
+        g = lambda t: dispersion_real_branch(fermi5, w, t, k).value.real
+        oracle = brentq(g, tau0 + 1e-13 * tau0, tau0 + 1.0, xtol=1e-12,
+                        rtol=8.9e-16)
+        tt = find_imaginary_zero(fermi5, w, k)
+        assert abs(tt - oracle) <= 1e-12
+        assert abs(evaluate(fermi5, w, 1j * tt * k, k).value) < 1e-8
