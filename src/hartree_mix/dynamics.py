@@ -22,6 +22,7 @@ which is the quantity the decay fits run on.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -150,7 +151,10 @@ def gaussian_pure_kernel(d: int, alpha: float = 1.0, amplitude: float | None = N
 # free density
 
 
-_R_NODES, _R_WEIGHTS = leggauss(128)
+@functools.cache
+def _radial_rule():
+    """128-node Gauss-Legendre rule of the d >= 2 rows, built on first use."""
+    return leggauss(128)
 
 
 def _free_density_row(g0: InitialKernel, k: float, t_grid: np.ndarray,
@@ -169,8 +173,9 @@ def _free_density_row(g0: InitialKernel, k: float, t_grid: np.ndarray,
         H = np.asarray(g0.gamma0_hat(K, P)).astype(complex).ravel()
     else:
         R = V
-        r = (_R_NODES + 1.0) * R / 2.0
-        wr = _R_WEIGHTS * R / 2.0
+        nodes, weights = _radial_rule()
+        r = (nodes + 1.0) * R / 2.0
+        wr = weights * R / 2.0
         r2 = (r * r)[None, :]
         a2 = ((k + v1[:, None]) ** 2 + r2) / 4.0
         b2 = ((k - v1[:, None]) ** 2 + r2) / 4.0

@@ -27,11 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .dynamics import DensityTrajectory
 from .profiles import Marginal, Potential
-from .quadrature import (UnresolvedOscillation, filon_transform,
+from .quadrature import (UnresolvedOscillation, fast_len, filon_transform,
                          halfline_laplace_fourier, refine_filon)
 
 __all__ = [
@@ -211,12 +210,12 @@ def convolve_green(G: GreenTable, S: DensityTrajectory) -> DensityTrajectory:
         raise GridMismatch("green table and source use different k grids")
     dt = S.dt
     n = S.t_grid.size
-    size = sp_fft.next_fast_len(2 * n - 1, False)
+    size = fast_len(2 * n - 1)
     rho = np.empty_like(S.rho_hat)
     for i in range(S.k_grid.size):
         g = G.values[i]
         s = S.rho_hat[i]
-        full = sp_fft.ifft(sp_fft.fft(g, size) * sp_fft.fft(s, size))[:n]
+        full = np.fft.ifft(np.fft.fft(g, size) * np.fft.fft(s, size))[:n]
         full -= 0.5 * (g * s[0] + g[0] * s)
         rho[i] = s + dt * full
     meta = dict(S.meta)

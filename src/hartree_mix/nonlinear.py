@@ -41,11 +41,10 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .dynamics import DensityTrajectory, InitialKernel, volterra_march, y_norm
 from .profiles import EquilibriumProfile, Potential
-from .quadrature import filon_weights
+from .quadrature import fast_len, filon_weights
 
 __all__ = [
     "KernelState",
@@ -289,10 +288,10 @@ def _central_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``fftconvolve(a[i], b[i], mode="same")`` for every i."""
     n, d = a.shape[1], a.ndim - 1
     c = (n - 1) // 2
-    size = (sp_fft.next_fast_len(2 * n - 1, False),) * d
+    size = (fast_len(2 * n - 1),) * d
     axes = tuple(range(1, d + 1))
-    full = sp_fft.ifftn(sp_fft.fftn(a, size, axes=axes)
-                        * sp_fft.fftn(b, size, axes=axes), size, axes=axes)
+    full = np.fft.ifftn(np.fft.fftn(a, size, axes=axes)
+                        * np.fft.fftn(b, size, axes=axes), size, axes=axes)
     return full[(slice(None),) + (slice(c, c + n),) * d]
 
 

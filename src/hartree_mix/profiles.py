@@ -27,10 +27,8 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import fft as sp_fft
-from scipy.special import gamma as _gamma_fn
 
-from .quadrature import adaptive_gauss, filon_transform
+from .quadrature import adaptive_gauss, fast_len, filon_transform
 
 __all__ = [
     "EquilibriumProfile",
@@ -65,7 +63,7 @@ class TruncationWarning(UserWarning):
 
 def sphere_area(m: int) -> float:
     """|S^{m-1}|, surface area of the unit sphere in R^m (|S^0| = 2)."""
-    return 2.0 * np.pi ** (m / 2.0) / _gamma_fn(m / 2.0)
+    return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +354,24 @@ def _radial_reduction(prof: EquilibriumProfile):
     return phi, dphi
 
 
+def _dct1(x: np.ndarray) -> np.ndarray:
+    """Unnormalised DCT-I of x (n >= 2 entries): the real FFT of x
+    mirrored evenly about both ends, length 2 (n - 1).  Applied twice it
+    multiplies by 2 (n - 1)."""
+    return np.fft.rfft(np.concatenate([x, x[-2:0:-1]])).real
+
+
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """Unnormalised DST-I of x: the real FFT of x mirrored oddly about a
+    zero before and after it, length 2 (n + 1).  Applied twice it
+    multiplies by 2 (n + 1)."""
+    n = x.size
+    z = np.zeros(2 * n + 2)
+    z[1:n + 1] = x
+    z[n + 2:] = -x[::-1]
+    return -np.fft.rfft(z)[1:n + 1].imag
+
+
 def _uniform_spline(h: float, y: np.ndarray, odd: bool = False):
     """Cubic spline through y[j] at x = j h, served on [0, (len(y) - 1) h].
 
@@ -380,10 +396,10 @@ def _uniform_spline(h: float, y: np.ndarray, odd: bool = False):
     def prefilter(r):
         c = np.zeros(n + 2)       # c[j + 1] is the coefficient of node j
         if odd:
-            c[2:n + 1] = sp_fft.idst(sp_fft.dst(r[1:], 1) / eig, 1)
+            c[2:n + 1] = _dst1(_dst1(r[1:]) / eig) / (2 * n)
             c[0] = -c[2]
         else:
-            c[1:n + 1] = sp_fft.idct(sp_fft.dct(r, 1) / eig, 1)
+            c[1:n + 1] = _dct1(_dct1(r) / eig) / (2 * (n - 1))
             c[0], c[n + 1] = c[2], c[n - 1]
         return c
 
@@ -545,7 +561,7 @@ def build_marginal(prof: EquilibriumProfile) -> Marginal:
     t_nodes = np.linspace(0.0, t_cap, n_sp)
     node_vals = phi_hat_exact(t_nodes)
     h_sp = t_nodes[1]
-    n_pad = sp_fft.next_fast_len(n_sp - 1 + _HAT_PAD) - (n_sp - 1)
+    n_pad = fast_len(n_sp - 1 + _HAT_PAD) - (n_sp - 1)
     pad = phi_hat_exact(t_cap + h_sp * np.arange(1, n_pad + 1))
     spline = _uniform_spline(h_sp, np.concatenate([node_vals, pad]))
 

@@ -22,6 +22,8 @@ Five pieces, used throughout the package:
 * ``halfline_laplace_fourier``: Laplace-Fourier integrals on the half
   line, built on ``refine_filon`` with explicit tail accounting.
 
+``fast_len`` gives the padded length of every FFT in the package.
+
 All integrand callables must accept and return numpy arrays.  Every
 operation reports an error estimate; none of them mutate shared state, so
 they are safe to call from parallel scans.
@@ -33,13 +35,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
 __all__ = [
     "QuadResult", "QuadratureError", "UnresolvedOscillation",
     "EvaluationBudgetExceeded", "adaptive_gauss", "graded_layout",
     "refine_panels", "shell_slope", "filon_transform", "halfline_laplace_fourier",
-    "DEFAULT_ABS_TOL", "DEFAULT_EVAL_CAP",
+    "fast_len", "DEFAULT_ABS_TOL", "DEFAULT_EVAL_CAP",
 ]
 
 # Defaults shared by the whole package: absolute tolerance for adaptive
@@ -299,6 +300,31 @@ def _filon_direct(fvals, x0, h, omegas):
     return out
 
 
+def fast_len(n: int) -> int:
+    """Smallest 11-smooth integer >= n, for n >= 1.
+
+    Its prime factors are all 2, 3, 5, 7 or 11, the radices numpy's
+    pocketfft splits a transform into, so an FFT padded to it runs at full
+    speed.  Every odd part 3^a 5^b 7^c 11^e below the best length found is
+    scaled by the least power of 2 that reaches n.
+    """
+    best = 1 << (n - 1).bit_length()
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p3 = p5
+                while p3 < best:
+                    best = min(best, p3 << (-(-n // p3) - 1).bit_length())
+                    p3 *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
+
+
 def _chirp(r, q):
     """exp(-i r q^2) for integer q, with the phase kept exact.
 
@@ -334,14 +360,14 @@ def _filon_chirp(fvals, x0, h, omegas, step):
     # chirp over q = -half .. max(m, half + 1) - 1 covers m - l, m and l
     q = np.arange(-half, max(m, half + 1))
     chirp = _chirp(r, q)
-    size = sp_fft.next_fast_len(half + m)
+    size = fast_len(half + m)
     kernel = np.zeros(size, dtype=complex)
     kernel[:half + m] = np.conj(chirp[:half + m])
     seq = np.zeros((2, size), dtype=complex)
     tilt = np.exp(-2j * omegas[0] * h * np.arange(half + 1))
     seq[0, :half + 1] = fvals[0::2] * tilt * chirp[half:2 * half + 1]
     seq[1, :half] = fvals[1::2] * tilt[:half] * chirp[half:2 * half]
-    conv = sp_fft.ifft(sp_fft.fft(seq) * sp_fft.fft(kernel))
+    conv = np.fft.ifft(np.fft.fft(seq) * np.fft.fft(kernel))
     sums = conv[:, half:half + m] * chirp[half:half + m]
     lead = np.exp(-1j * omegas * x0)
     last = fvals[-1] * np.exp(-1j * omegas * (x0 + h * (2 * half)))

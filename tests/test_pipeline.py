@@ -386,41 +386,41 @@ class TestCliStages:
         assert nonlinear_bytes(small) == 16 * 301 * 3 * 65 ** 2
 
 
-_HEAVY_SCIPY = ("scipy.interpolate", "scipy.optimize", "scipy.linalg",
-                "scipy.signal")
-
-
 class TestStartup:
     def test_stages_load_only_fft_and_special(self, tmp_path):
-        # a fresh process, as each CLI stage is: the marginal (spline,
-        # Gauss-Jacobi nodes) and stability (boundary scan, and the zero
-        # hunt on fermi5) stages must not pull in the heavier subpackages
-        docs = {"gauss3": _doc(),
-                "fermi5": _doc(d=5, equilibrium={"kind": "fermi_zero_t"},
-                               potential={"kind": "delta", "coupling": 0.2},
-                               N1=12, N2=6)}
+        # a fresh process, as each CLI stage is: every stage runs on numpy
+        # and the standard library alone, so after all of them no module
+        # named scipy or scipy.* may be loaded; the d = 1 run covers the
+        # other stages, among them the FFTs of the green table's chirp-z
+        # Filon rows and of the nonlinear shift terms
+        docs = {"gauss3": (_doc(), ("marginal", "stability")),
+                "fermi5": (_doc(d=5, equilibrium={"kind": "fermi_zero_t"},
+                                potential={"kind": "delta", "coupling": 0.2},
+                                N1=12, N2=6), ("marginal", "stability")),
+                "gauss1": (_doc(d=1, nonlinear={"points": 9, "t_max": 2.0}),
+                           ("dispersion", "green", "free", "linear",
+                            "nonlinear"))}
         calls = []
-        for name, doc in docs.items():
+        for name, (doc, stages) in docs.items():
             doc["out"] = str(tmp_path / name)
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(doc))
-            calls += [[stage, "--config", str(path)]
-                      for stage in ("marginal", "stability")]
+            calls += [[stage, "--config", str(path)] for stage in stages]
         script = ("import json, sys\n"
                   "from hartree_mix.cli import main\n"
                   f"codes = [main(a) for a in {calls!r}]\n"
-                  f"heavy = [m for m in {_HEAVY_SCIPY!r}"
-                  " if m in sys.modules]\n"
-                  "print(json.dumps([codes, heavy]))\n")
+                  "scipy = [m for m in sys.modules"
+                  " if m == 'scipy' or m.startswith('scipy.')]\n"
+                  "print(json.dumps([codes, scipy]))\n")
         src = str(Path(__file__).parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        codes, heavy = json.loads(done.stdout.splitlines()[-1])
-        assert codes == [0, 0, 0, 0]
-        assert heavy == []
+        codes, scipy = json.loads(done.stdout.splitlines()[-1])
+        assert codes == [0] * len(calls)
+        assert scipy == []
         report = json.loads((tmp_path / "fermi5" / "stability.json")
                             .read_text())
         assert report["verdict"] == "Unstable"

@@ -31,8 +31,10 @@ T = np.array([0.0, 0.4, 1.1, 2.6, 6.0])
 
 
 def test_sphere_and_ball_constants():
-    assert abs(sphere_area(2) - 2.0 * np.pi) < 1e-14
-    assert abs(sphere_area(3) - 4.0 * np.pi) < 1e-13
+    closed = [2.0, 2.0 * np.pi, 4.0 * np.pi, 2.0 * np.pi ** 2,
+              8.0 * np.pi ** 2 / 3.0, np.pi ** 3]
+    for m, area in enumerate(closed, start=1):
+        assert sphere_area(m) == pytest.approx(area, rel=1e-15, abs=0.0)
 
 
 class TestGaussianMarginals:
@@ -147,8 +149,9 @@ class TestAssumptionReport:
 
 
 class TestNumpyKernels:
-    """The spline and the Gauss-Jacobi rule against scipy's routines, which
-    the package no longer imports; scipy serves only as the oracle here."""
+    """The spline, its DCT-I/DST-I prefilter and the Gauss-Jacobi rule
+    against scipy's routines, which the package does not import; scipy
+    serves only as the oracle here."""
 
     @staticmethod
     def _gauss3_tables():
@@ -198,6 +201,19 @@ class TestNumpyKernels:
         x = np.concatenate([mids[:2000], mids[-20:], last])
         gap = np.abs(fermi5.phi_hat(x) - oracle(x))
         assert np.max(gap) <= 1e-14 * np.max(np.abs(y))
+
+    # 32929: the padded phi_hat table of fermi5, fast_len(32768 + 40) + 1
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 1000, 1001, 32929])
+    def test_dct1_dst1_match_scipy(self, n):
+        from scipy.fft import dct, dst, idct, idst
+
+        from hartree_mix.profiles import _dct1, _dst1
+        y = np.random.default_rng(n).standard_normal(n)
+        tol = 1e-15 * np.max(np.abs(y))
+        for ours, theirs, inverse, scale in (
+                (_dct1, dct, idct, 2 * (n - 1)), (_dst1, dst, idst, 2 * (n + 1))):
+            assert np.max(np.abs(ours(y) - theirs(y, 1))) <= tol
+            assert np.max(np.abs(ours(y) / scale - inverse(y, 1))) <= tol
 
     @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.0])
     def test_gauss_jacobi_matches_roots_jacobi(self, nu):

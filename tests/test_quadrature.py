@@ -19,6 +19,7 @@ from hartree_mix import quadrature
 from hartree_mix.quadrature import (
     EvaluationBudgetExceeded,
     adaptive_gauss,
+    fast_len,
     filon_transform,
     filon_weights,
     graded_layout,
@@ -171,6 +172,28 @@ class TestFilonChirpZ:
         oms = np.linspace(-9.0, 7.0, 11) ** 3
         got = quadrature._filon_direct(fv, 0.5, 0.1, oms)
         assert np.max(np.abs(got - filon_weights(n, 0.5, 0.1, oms) @ fv)) < 1e-13
+
+
+class TestFastLen:
+    """``fast_len`` against scipy's ``next_fast_len`` for complex
+    transforms; scipy serves only as the oracle here."""
+
+    def test_every_length_up_to_2_16(self):
+        from scipy.fft import next_fast_len
+        ns = range(1, 2 ** 16 + 1)
+        assert [fast_len(n) for n in ns] == [next_fast_len(n, False)
+                                              for n in ns]
+
+    def test_spread_up_to_2_22(self):
+        # chirp-z Filon kernels on 2^21 + 1 samples reach about 1e6
+        from scipy.fft import next_fast_len
+        ns = np.concatenate([
+            np.random.default_rng(0).integers(2 ** 16, 2 ** 22, 2000,
+                                              endpoint=True),
+            [2 ** k + j for k in range(17, 23) for j in (-1, 0, 1)]])
+        ns = [int(n) for n in ns]
+        assert [fast_len(n) for n in ns] == [next_fast_len(n, False)
+                                              for n in ns]
 
 
 class TestAdaptiveGauss:
