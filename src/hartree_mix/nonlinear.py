@@ -19,15 +19,20 @@ reported as a leakage fraction, never raised).  Each shift term is one
 d-dim FFT convolution against the central p (resp. k) slice of the
 dressed profile, broadcast back over the other block of axes; that is
 what the update has always computed, and it is not the written-out sum
-(see ``picard_step``).  The update is streamed: the terms of one time
-node are formed, folded into the running trapezoid sum and written as
-that node of the new history, so a step holds the old history, the new
-one and a few slices.  Density recovery takes one path in every
-dimension: the shifted slab mu_hat(t, k-p, p) is gathered at once, and
-each p axis is contracted with oscillatory quadrature weights, since the
-phase under the p-integral is exactly linear in p and plain Riemann sums
-alias once 2t|k| passes the grid Nyquist rate.  A density sweep takes
-the weights of every time node from one ``filon_weights`` call.
+(see ``picard_step``).  No exponential is taken on the (k, p) grid: the
+linear term's phase separates, e^{is(|k|^2-|p|^2)} = e^{is|k|^2}
+e^{-is|p|^2}, into an outer product of the dressing rows, and the d = 1
+linear-stage march advances its phases e^{i t_a ((k-p)^2-p^2)} by a
+running product with one e^{i dt ((k-p)^2-p^2)} per node.  The update
+is streamed: the terms of one time node are formed, folded into the
+running trapezoid sum and written as that node of the new history, so a
+step holds the old history, the new one and a few slices.  Density
+recovery takes one path in every dimension: the shifted slab mu_hat(t,
+k-p, p) is gathered at once, and each p axis is contracted with
+oscillatory quadrature weights, since the phase under the p-integral is
+exactly linear in p and plain Riemann sums alias once 2t|k| passes the
+grid Nyquist rate.  A density sweep takes the weights of every time node
+from one ``filon_weights`` call.
 
 Everything is dimension-generic; the supported workhorse is d = 1 with
 33 points per axis, and d = 3 runs at 9 points per axis behind a runtime
@@ -199,6 +204,8 @@ def picard_step(state: KernelState, rho_hat: DensityTrajectory,
     The terms of node i are formed from the old slice mu_hat[i] and
     folded into the trapezoid sum at once, so only the old history, the
     new one and a few slices are alive; the input state is not written.
+    The linear term's phase e^{is(|k|^2-|p|^2)} is the outer product of
+    the shift terms' dressing row e^{-is|.|^2} with its conjugate.
     """
     d, n = state.d, state.n_pts
     axis = state.axis
@@ -210,29 +217,25 @@ def picard_step(state: KernelState, rho_hat: DensityTrajectory,
     kshape = (n,) * d + (1,) * d
     pshape = (1,) * d + (n,) * d
 
-    # time-independent linear-term factors
-    kk = _stack_points(axis, d)
-    sums = np.repeat(kk, kk.shape[0], axis=0) + np.tile(kk, (kk.shape[0], 1))
-    w_sum = np.asarray(w.w_hat(np.linalg.norm(sums, axis=-1)))
-    w_sum = w_sum.reshape((n,) * (2 * d))
-    f_of = np.asarray(f.f(ksq))
-    f_diff = f_of.reshape(pshape) - f_of.reshape(kshape)
-    phase_kp = ksq.reshape(kshape) - ksq.reshape(pshape)
+    # index arrays for rho(s, k+p); off-box entries get zero weight
+    c = (n - 1) // 2
+    idx = np.indices((n,) * (2 * d), sparse=True)
+    m = [idx[ax] + idx[d + ax] - c for ax in range(d)]
+    ok_mask = np.all(np.broadcast_arrays(*[(x >= 0) & (x < n) for x in m]),
+                     axis=0)
+    sum_idx = tuple(np.clip(x, 0, n - 1) for x in m)
 
-    # index arrays for rho(s, k+p); off-box entries masked to zero
-    ok_mask = np.ones((n,) * (2 * d), dtype=bool)
-    sum_idx = []
-    for ax in range(d):
-        ik = np.arange(n).reshape((1,) * ax + (n,) + (1,) * (2 * d - ax - 1))
-        ip = np.arange(n).reshape((1,) * (d + ax) + (n,) + (1,) * (d - ax - 1))
-        m = ik + ip - (n - 1) // 2
-        ok_mask &= (m >= 0) & (m < n)
-        sum_idx.append(np.broadcast_to(np.clip(m, 0, n - 1), (n,) * (2 * d)))
-    sum_idx = tuple(sum_idx) if d > 1 else (sum_idx[0],)
-    lin_coeff = np.abs(w_sum * f_diff)
-    lin_total = float(np.sum(lin_coeff))
-    lin_frac = float(np.sum(lin_coeff * ~ok_mask) / lin_total) \
+    # time-independent linear-term factor w_hat(k+p) (f(|p|^2) - f(|k|^2))
+    kp = np.sqrt(sum((axis[idx[ax]] + axis[idx[d + ax]]) ** 2
+                     for ax in range(d)))
+    f_of = np.asarray(f.f(ksq))
+    lin_coeff = np.asarray(w.w_hat(kp)) \
+        * (f_of.reshape(pshape) - f_of.reshape(kshape))
+    lin_abs = np.abs(lin_coeff)
+    lin_total = float(np.sum(lin_abs))
+    lin_frac = float(np.sum(lin_abs * ~ok_mask) / lin_total) \
         if lin_total > 0 else 0.0
+    lin_coeff[~ok_mask] = 0.0
 
     w_axis = np.asarray(w.w_hat(np.sqrt(ksq)))
     # The shift terms convolve against the central p (resp. k) slice only
@@ -240,7 +243,6 @@ def picard_step(state: KernelState, rho_hat: DensityTrajectory,
     # known defect, kept on purpose: the written-out l-sums convolve every
     # slice (TestPicardStep::test_matches_direct_sums, a strict xfail), and
     # mending it changes the solution the acceptance suite checks.
-    c = (n - 1) // 2
     central_p = (slice(None),) * (d + 1) + (c,) * d
     central_k = (slice(None),) + (c,) * d
 
@@ -260,24 +262,28 @@ def picard_step(state: KernelState, rho_hat: DensityTrajectory,
     new_mu[0] = base
     acc = np.zeros_like(base)
     prev = None
-    conv_mass = 0.0
-    conv_lost = 0.0
-    for i, s in enumerate(t_grid):
-        rs = rho[i]
-        rho_sum = np.where(ok_mask, rs[sum_idx], 0.0)
-        lin = np.exp(1j * s * phase_kp) * w_sum * rho_sum * f_diff
-        nl = p1[i].reshape(kshape) - p2[i].reshape(pshape)
-
+    for i in range(t_grid.size):
+        # e^{is|k|^2} e^{-is|p|^2} w_hat(k+p) rho(s,k+p) (f(p^2) - f(k^2))
+        term = np.conj(eks[i]).reshape(kshape) * eks[i].reshape(pshape)
+        term *= lin_coeff
+        term *= rho[i][sum_idx]
+        term += p1[i].reshape(kshape)
+        term -= p2[i].reshape(pshape)
         if i > 0:
-            acc = acc + (0.5 * dt) * (prev + lin + nl)
-            new_mu[i] = base - 1j * acc
-        prev = lin + nl
+            prev += term
+            prev *= 0.5 * dt
+            acc += prev
+            np.subtract(base, 1j * acc, out=new_mu[i])
+        prev = term
 
-        cm = float(np.sum(np.abs(coeff[i])))
-        conv_mass += 2.0 * cm
-        conv_lost += 2.0 * cm * _edge_loss_fraction(coeff[i], n, d)
-
-    conv_frac = conv_lost / conv_mass if conv_mass > 0 else 0.0
+    # a shift by l pushes |j - c| of the n targets per axis out of the box
+    # (j the index of l); the keep-weights do not depend on time
+    keep = np.prod(np.meshgrid(*[1.0 - np.abs(np.arange(n) - c) / n] * d,
+                               indexing="ij"), axis=0)
+    mass = np.abs(coeff)
+    conv_mass = float(np.sum(mass))
+    conv_frac = float(np.sum(mass * (1.0 - keep)) / conv_mass) \
+        if conv_mass > 0 else 0.0
     leak = 0.5 * (lin_frac + conv_frac)
     return replace(state, mu_hat=new_mu, leakage=leak)
 
@@ -293,25 +299,6 @@ def _central_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     full = np.fft.ifftn(np.fft.fftn(a, size, axes=axes)
                         * np.fft.fftn(b, size, axes=axes), size, axes=axes)
     return full[(slice(None),) + (slice(c, c + n),) * d]
-
-
-def _edge_loss_fraction(coeff: np.ndarray, n: int, d: int) -> float:
-    """Fraction of |coeff|-weighted shift targets k - l that exit the box.
-
-    For target index i - j + (n-1)/2 the count of k indices pushed out by
-    a given l index j is |j - (n-1)/2| per axis.
-    """
-    c = (n - 1) // 2
-    out_frac_axis = np.abs(np.arange(n) - c) / n
-    w = np.abs(coeff)
-    tot = float(np.sum(w))
-    if tot == 0.0:
-        return 0.0
-    keep = np.ones_like(w)
-    for ax in range(d):
-        shape = (1,) * ax + (n,) + (1,) * (d - ax - 1)
-        keep = keep * (1.0 - out_frac_axis.reshape(shape))
-    return float(np.sum(w * (1.0 - keep)) / tot)
 
 
 # einsum subscripts: the first d letters index k axes, the next d p axes
@@ -333,7 +320,8 @@ def density_from_state(state: KernelState, t: float) -> np.ndarray:
         raise ValueError("t is not on the state's time grid")
     h = float(axis[1] - axis[0])
     wts = filon_weights(state.n_pts, float(axis[0]), h, -2.0 * t * axis)
-    return _density_slice(state, _shift_gather(state), i_t, t, wts)
+    return _density_slice(state, _shift_gather(state), i_t, t, wts,
+                          _ksq_grid(axis, state.d))
 
 
 def _weight_table(state: KernelState) -> np.ndarray:
@@ -350,24 +338,18 @@ def _weight_table(state: KernelState) -> np.ndarray:
 def _shift_gather(state: KernelState):
     """Mask and index tuple that gather mu_hat(t, k-p, p) from a slice."""
     d, n = state.d, state.n_pts
-    c = (n - 1) // 2
-    valid = np.ones((n,) * (2 * d), dtype=bool)
-    k_idx, p_idx = [], []
-    for ax in range(d):
-        ik = np.arange(n).reshape((1,) * ax + (n,) + (1,) * (2 * d - ax - 1))
-        ip = np.arange(n).reshape((1,) * (d + ax) + (n,) + (1,) * (d - ax - 1))
-        m = ik - ip + c
-        valid &= (m >= 0) & (m < n)
-        k_idx.append(np.clip(m, 0, n - 1))
-        p_idx.append(ip)
-    return valid, tuple(k_idx + p_idx)
+    idx = np.indices((n,) * (2 * d), sparse=True)
+    m = [idx[ax] - idx[d + ax] + (n - 1) // 2 for ax in range(d)]
+    valid = np.all(np.broadcast_arrays(*[(x >= 0) & (x < n) for x in m]),
+                   axis=0)
+    return valid, tuple(np.clip(x, 0, n - 1) for x in m) + idx[d:]
 
 
 def _density_slice(state: KernelState, gather, i_t: int, t: float,
-                   wts: np.ndarray) -> np.ndarray:
+                   wts: np.ndarray, ksq: np.ndarray) -> np.ndarray:
     """``density_from_state`` at node i_t (time t) from the
-    ``_shift_gather`` of the grid and the weight rows of that node, one
-    per axis value, shared by every k axis."""
+    ``_shift_gather`` of the grid, the weight rows of that node, one per
+    axis value, shared by every k axis, and the grid's ``_ksq_grid``."""
     d = state.d
     valid, idx = gather
     out = np.where(valid, state.mu_hat[i_t][idx], 0.0)
@@ -375,7 +357,7 @@ def _density_slice(state: KernelState, gather, i_t: int, t: float,
     for ax in range(d - 1, -1, -1):
         out = np.einsum(f"{ks[ax]}{ps[ax]},{ks}{ps[:ax + 1]}->{ks}{ps[:ax]}",
                         wts, out)
-    return np.exp(-1j * t * _ksq_grid(state.axis, d)) * out
+    return np.exp(-1j * t * ksq) * out
 
 
 def _cartesian_trajectory(state: KernelState,
@@ -395,10 +377,11 @@ def density_trajectory_from_state(state: KernelState,
     the state grid's ``_weight_table`` ``weights``."""
     t_grid = state.t_grid
     gather = _shift_gather(state)
+    ksq = _ksq_grid(state.axis, state.d)
     rows = np.empty((state.n_pts ** state.d, t_grid.size), dtype=complex)
     for i, t in enumerate(t_grid):
-        rows[:, i] = _density_slice(state, gather, i, float(t),
-                                    weights[i]).ravel()
+        rows[:, i] = _density_slice(state, gather, i, float(t), weights[i],
+                                    ksq).ravel()
     return _cartesian_trajectory(state, rows)
 
 
@@ -427,8 +410,11 @@ def _linear_stage_solver(state: KernelState, g0: InitialKernel, w: Potential,
         x_a = (r_a + alpha sum_p G_ap (dt/2 Phi_p0 x_0 + dt U_p))
               / (1 - dt/2 alpha sum_p G_ap Phi_pa),
 
-    so the solver forms G_a and Phi_a one node at a time from the
-    density sweep's weight table ``weights``.  For d >= 2 a table of G alone
+    so the solver forms G_a and Phi_a one node at a time, G_a from the
+    density sweep's weight table ``weights`` and Phi_a = step^a from a
+    running product, since t_a = a dt and step = e^{i dt ((k-p)^2 - p^2)};
+    the product drifts from the node-wise exponentials by a few units of
+    rounding per node.  For d >= 2 a table of G alone
     would be as large as a history; instead a convolution surrogate is
     calibrated from the grid's impulse response (one update-plus-synthesis
     pass on a time impulse, differenced against the free pass) and
@@ -454,10 +440,12 @@ def _linear_stage_solver(state: KernelState, g0: InitialKernel, w: Potential,
         def gain(a: int) -> np.ndarray:
             return free_phase[a] * weights[a] * fd
 
-        expo = axis[mc] ** 2 - axis[jp] ** 2
+        # t_grid[a] = a dt, so Phi at node a is step^a: a running product
+        step = np.exp(1j * ((axis[mc] ** 2 - axis[jp] ** 2) * dt))
         den = np.ones((n_t, n), dtype=complex)
+        phi = np.ones((n, n), dtype=complex)
         for a in range(1, n_t):
-            phi = np.exp(1j * (expo * t_grid[a]))
+            phi *= step
             den[a] -= 0.5 * dt * alpha * np.sum(gain(a) * phi, axis=1)
 
         def correct(resid: np.ndarray) -> np.ndarray:
@@ -465,10 +453,12 @@ def _linear_stage_solver(state: KernelState, g0: InitialKernel, w: Potential,
             x[:, 0] = resid[:, 0]
             head = (0.5 * dt) * x[:, :1]
             run = np.zeros((n, n), dtype=complex)
+            phi = np.ones((n, n), dtype=complex)
             for a in range(1, n_t):
                 hist = np.sum(gain(a) * (head + dt * run), axis=1)
                 x[:, a] = (resid[:, a] + alpha * hist) / den[a]
-                run += np.exp(1j * (expo * t_grid[a])) * x[:, a:a + 1]
+                phi *= step
+                run += phi * x[:, a:a + 1]
             return x
 
         return correct

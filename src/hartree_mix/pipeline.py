@@ -10,7 +10,6 @@ Inconclusive, 1 on any error.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -334,23 +333,27 @@ def fit_decay(samples, window: tuple[float, float] = (5.0, 50.0)) -> DecayFit:
 # artifact helpers
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+# rows per formatted block, which is one string in memory
+_CSV_BLOCK = 2048
 
 
-def _write_csv(path: str, header: list[str], rows) -> int:
+def _write_csv(path: str, header: list[str], table) -> int:
+    """Write ``header`` and the rows of ``table``, a 2-D numeric array or
+    a list of columns (strings written unquoted), as CRLF lines, numbers
+    at 17 significant digits; return the row count."""
+    if isinstance(table, np.ndarray):
+        fields = ["%.17g"] * table.shape[1]
+    else:
+        fields = ["%s" if np.asarray(c).dtype.kind == "U" else "%.17g"
+                  for c in table]
+        table = np.array(list(zip(*table)), dtype=object)
+    line = ",".join(fields) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        n = 0
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
-            n += 1
-    return n
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(table), _CSV_BLOCK):
+            block = table[lo:lo + _CSV_BLOCK]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+    return len(table)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -401,10 +404,10 @@ def _cmd_marginal(cfg: RunConfig, out: str) -> int:
     m = profiles.build_marginal(cfg.profile)
     us = np.linspace(-m.u_support, m.u_support, 801)
     _write_csv(os.path.join(out, "marginal.csv"), ["u", "phi", "dphi"],
-               zip(us, m.phi(us), m.dphi(us)))
+               np.column_stack([us, m.phi(us), m.dphi(us)]))
     ts = np.linspace(0.0, m.t_support, 801)
     _write_csv(os.path.join(out, "marginal_hat.csv"), ["t", "phi_hat"],
-               zip(ts, m.phi_hat(ts)))
+               np.column_stack([ts, m.phi_hat(ts)]))
     report = profiles.validate_assumptions(cfg.profile, cfg.potential, m,
                                            seed=cfg.seed)
     _write_json(os.path.join(out, "marginal.json"), {
@@ -426,20 +429,20 @@ def _cmd_dispersion(cfg: RunConfig, out: str) -> int:
     m = profiles.build_marginal(cfg.profile)
     pot = cfg.potential
     taus = np.linspace(0.0, cfg.tau_max, cfg.tau_count)
-    rows = []
-    for k in _k_grid(cfg):
-        values, errs = disp.dispersion_row(m, pot, float(k), 1j * taus)
-        rows.extend((k, 0.0, tau * k, "plemelj_boundary", v.real, v.imag, e)
-                    for tau, v, e in zip(taus, values, errs))
     # a strip of strictly unstable-side samples documents the analytic route
     strip = np.array([0.5, 0.1, 0.02]) + 0.5j
-    for k in _k_grid(cfg)[:: max(cfg.k_count // 6, 1)]:
-        values, errs = disp.dispersion_row(m, pot, float(k), strip)
-        rows.extend((k, k * lt.real, k * lt.imag, "hilbert_form", v.real,
-                     v.imag, e) for lt, v, e in zip(strip, values, errs))
+    rows = [(k, 1j * taus, "plemelj_boundary") for k in _k_grid(cfg)] + [
+        (k, strip, "hilbert_form")
+        for k in _k_grid(cfg)[:: max(cfg.k_count // 6, 1)]]
+    blocks = []
+    for k, lt, route in rows:
+        values, errs = disp.dispersion_row(m, pot, float(k), lt)
+        blocks.append((np.full(lt.size, k), k * lt.real, k * lt.imag,
+                       np.full(lt.size, route), values.real, values.imag,
+                       errs))
     _write_csv(os.path.join(out, "dispersion.csv"),
                ["k", "re_lambda", "im_lambda", "route", "re_D", "im_D",
-                "err"], rows)
+                "err"], [np.concatenate(c) for c in zip(*blocks)])
     return 0
 
 
@@ -477,7 +480,7 @@ def _cmd_stability(cfg: RunConfig, out: str) -> int:
         try:
             curve = stability.phi_curve(m, cfg.potential, ks)
             _write_csv(os.path.join(out, "phi_curve.csv"), ["k", "phi"],
-                       ((r[0], r[1]) for r in curve.samples))
+                       curve.samples)
         except disp.DivergentIntegral:
             pass
     return 2 if cert.verdict == "Inconclusive" else 0
@@ -490,10 +493,10 @@ def _cmd_green(cfg: RunConfig, out: str) -> int:
     gtol = cfg.green_tol
     table = green.green_table(m, cfg.potential, ks, ts, tol=gtol,
                               tail_tol=10 * gtol)
-    rows = ((k, t, table.values[i, j].real, table.values[i, j].imag)
-            for i, k in enumerate(ks) for j, t in enumerate(ts))
     _write_csv(os.path.join(out, "green.csv"), ["k", "t", "re_G", "im_G"],
-               rows)
+               np.column_stack([np.repeat(ks, ts.size), np.tile(ts, ks.size),
+                                table.values.real.ravel(),
+                                table.values.imag.ravel()]))
     # quarter-octave blocks; block maxima under 100 times the synthesis
     # tolerance are quadrature noise and stay out of the fit
     floor = 100.0 * gtol
@@ -526,11 +529,12 @@ def _decay_payload(cfg: RunConfig, traj: dynamics.DensityTrajectory) -> dict:
             "y_norm": dynamics.y_norm(traj, cfg.n1, cfg.n2)}
 
 
-def _traj_rows(traj: dynamics.DensityTrajectory):
-    for i, k in enumerate(traj.k_grid):
-        for j, t in enumerate(traj.t_grid):
-            v = traj.rho_hat[i, j]
-            yield (t, k, v.real, v.imag)
+def _traj_rows(traj: dynamics.DensityTrajectory) -> np.ndarray:
+    """(t, k, re rho_hat, im rho_hat) rows, k-major."""
+    k, t = traj.k_grid, traj.t_grid
+    return np.column_stack([np.tile(t, k.size), np.repeat(k, t.size),
+                            traj.rho_hat.real.ravel(),
+                            traj.rho_hat.imag.ravel()])
 
 
 def _cmd_free(cfg: RunConfig, out: str) -> int:
@@ -576,7 +580,7 @@ def _cmd_nonlinear(cfg: RunConfig, out: str) -> int:
                ["t", "k", "re_rho", "im_rho"], _traj_rows(traj))
     scat = nonlinear.scattering_diagnostic(state)
     _write_csv(os.path.join(out, "scattering.csv"), ["t", "hs_distance"],
-               (tuple(r) for r in scat))
+               scat)
     hs = nonlinear.hs_norm(state)
     _write_json(os.path.join(out, "nonlinear_report.json"), {
         "iterations": report.iterations,

@@ -300,29 +300,35 @@ def _filon_direct(fvals, x0, h, omegas):
     return out
 
 
+def _smooth_numbers(limit: int) -> np.ndarray:
+    """Every 11-smooth integer <= limit, ascending."""
+    table = [1]
+    for p in (2, 3, 5, 7, 11):
+        grown = []
+        for v in table:
+            while v <= limit:
+                grown.append(v)
+                v *= p
+        table = grown
+    return np.array(sorted(table), dtype=np.int64)
+
+
+# built at import: made at the first call, it can sit at the top of the
+# heap above freed work arrays and keep their pages resident
+_SMOOTH = _smooth_numbers(1 << 24)
+
+
 def fast_len(n: int) -> int:
     """Smallest 11-smooth integer >= n, for n >= 1.
 
     Its prime factors are all 2, 3, 5, 7 or 11, the radices numpy's
     pocketfft splits a transform into, so an FFT padded to it runs at full
-    speed.  Every odd part 3^a 5^b 7^c 11^e below the best length found is
-    scaled by the least power of 2 that reaches n.
+    speed.  It is a binary search in the sorted table of 11-smooth
+    numbers, past 2^24 in one built up to the power of 2 >= n.
     """
-    best = 1 << (n - 1).bit_length()
-    p11 = 1
-    while p11 < best:
-        p7 = p11
-        while p7 < best:
-            p5 = p7
-            while p5 < best:
-                p3 = p5
-                while p3 < best:
-                    best = min(best, p3 << (-(-n // p3) - 1).bit_length())
-                    p3 *= 3
-                p5 *= 5
-            p7 *= 7
-        p11 *= 11
-    return best
+    table = _SMOOTH if n <= _SMOOTH[-1] else _smooth_numbers(
+        1 << (n - 1).bit_length())
+    return int(table[np.searchsorted(table, n)])
 
 
 def _chirp(r, q):

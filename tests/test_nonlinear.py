@@ -294,6 +294,94 @@ class TestStreamedStep:
         np.testing.assert_array_equal(state.mu_hat, before)
 
 
+def _linear_terms_by_entry_phases(state, rho, w, f):
+    """picard_step's linear term with one complex exponential per (k, p)
+    entry and node, e^{is(|k|^2-|p|^2)} w_hat(k+p) rho(s,k+p) (f(|p|^2) -
+    f(|k|^2)), zero where k + p leaves the box; and the fraction of
+    |w_hat(k+p) (f(|p|^2) - f(|k|^2))| that falls off the box."""
+    d, n, axis = state.d, state.n_pts, state.axis
+    n_t = state.mu_hat.shape[0]
+    grids = np.meshgrid(*([axis] * (2 * d)), indexing="ij")
+    k, p = grids[:d], grids[d:]
+    ksq, psq = sum(g ** 2 for g in k), sum(g ** 2 for g in p)
+    kpsum = np.sqrt(sum((a + b) ** 2 for a, b in zip(k, p)))
+    coeff = np.asarray(w.w_hat(kpsum)) * (f.f(psq) - f.f(ksq))
+    idx = np.indices((n,) * (2 * d))
+    m = [idx[ax] + idx[d + ax] - (n - 1) // 2 for ax in range(d)]
+    ok = np.all([(x >= 0) & (x < n) for x in m], axis=0)
+    r = np.moveaxis(rho.rho_hat, -1, 0).reshape((n_t,) + (n,) * d)
+    terms = np.empty_like(state.mu_hat)
+    for i, s in enumerate(state.t_grid):
+        r_sum = np.where(ok, r[i][tuple(np.clip(x, 0, n - 1) for x in m)], 0)
+        terms[i] = np.exp(1j * s * (ksq - psq)) * coeff * r_sum
+    return terms, float(np.sum(np.abs(coeff) * ~ok) / np.sum(np.abs(coeff)))
+
+
+def _shift_leakage_by_node(state, rho, w):
+    """The shift terms' leakage summed node by node: each node's
+    coefficient mass weighted by the fraction of targets k - l that a
+    shift by l pushes off the box, |j - c| / n per axis for index j."""
+    d, n = state.d, state.n_pts
+    _, coeffs = _shift_coefficients(state, rho, w)
+    out = np.abs(np.arange(n) - (n - 1) // 2) / n
+    keep = np.ones((n,) * d)
+    for ax in range(d):
+        keep = keep * (1.0 - out.reshape((1,) * ax + (n,) + (1,) * (d - ax - 1)))
+    mass = lost = 0.0
+    for c in coeffs:
+        mass += float(np.sum(np.abs(c)))
+        lost += float(np.sum(np.abs(c) * (1.0 - keep)))
+    return lost / mass
+
+
+class TestSeparablePhase:
+    @pytest.mark.parametrize("d,n", [(1, 9), (2, 5)])
+    def test_step_matches_entrywise_phases(self, d, n):
+        rng = np.random.default_rng(17 + d)
+        state, rho = _random_state(rng, d, n, 4)
+        w, f = screened_coulomb(0.5, 1.0), gaussian_profile(d)
+        got = picard_step(state, rho, _kernel(d=d), w, f)
+        lin, lin_frac = _linear_terms_by_entry_phases(state, rho, w, f)
+        want = (_trapezoid_update(state, lin)
+                + _shift_update_by_fftconvolve(state, rho, w)
+                - state.mu_hat[0])
+        np.testing.assert_allclose(got.mu_hat, want, rtol=0,
+                                   atol=1e-14 * np.max(np.abs(want)))
+        leak = 0.5 * (lin_frac + _shift_leakage_by_node(state, rho, w))
+        assert got.leakage == pytest.approx(leak, rel=1e-14, abs=0)
+
+
+def _march_by_node_exponentials(state, w, f, weights):
+    """The d = 1 linear-stage march with Phi = e^{i t_a ((k-p)^2 - p^2)}
+    taken as one exponential per entry and node."""
+    axis, t_grid, dt = state.axis, state.t_grid, state.dt
+    n, n_t, c = axis.size, t_grid.size, (axis.size - 1) // 2
+    fax = np.asarray(f.f(axis ** 2), dtype=float)
+    alpha = -1j * np.asarray(w.w_hat(np.abs(axis)), dtype=float)
+    jp = np.arange(n)
+    m = jp[:, None] - jp[None, :] + c
+    mc = np.clip(m, 0, n - 1)
+    fd = np.where((m >= 0) & (m < n), fax[None, :] - fax[mc], 0.0)
+    gain = [np.exp(-1j * t * axis * axis)[:, None] * weights[a] * fd
+            for a, t in enumerate(t_grid)]
+    phi = [np.exp(1j * t * (axis[mc] ** 2 - axis[jp] ** 2)) for t in t_grid]
+    den = np.ones((n_t, n), dtype=complex)
+    for a in range(1, n_t):
+        den[a] -= 0.5 * dt * alpha * np.sum(gain[a] * phi[a], axis=1)
+
+    def correct(resid):
+        x = np.empty(resid.shape, dtype=complex)
+        x[:, 0] = resid[:, 0]
+        run = np.zeros((n, n), dtype=complex)
+        for a in range(1, n_t):
+            hist = np.sum(gain[a] * (0.5 * dt * x[:, :1] + dt * run), axis=1)
+            x[:, a] = (resid[:, a] + alpha * hist) / den[a]
+            run += phi[a] * x[:, a:a + 1]
+        return x
+
+    return correct
+
+
 def _dense_linear_stage(state, w, f):
     """The d = 1 linear stage as n dense lower-triangular time matrices."""
     axis, t_grid, dt = state.axis, state.t_grid, state.dt
@@ -337,6 +425,25 @@ class TestLinearStageMarch:
             want = _dense_linear_stage(state, w, f)(r)
             got = correct(r)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+    def test_running_product_matches_node_exponentials(self):
+        # 301 nodes: the running product e^{i dt expo}^a drifts from the
+        # node-wise exponentials by rounding only
+        g0, f = _kernel(), gaussian_profile(1)
+        w = screened_coulomb(0.5, 1.0)
+        state = initial_state(g0, 4.0, 9, 0.1, 30.0)
+        assert state.t_grid.size == 301
+        table = _weight_table(state)
+        free = density_trajectory_from_state(state, table)
+        correct = _linear_stage_solver(state, g0, w, f, free, table)
+        direct = _march_by_node_exponentials(state, w, f, table)
+        rng = np.random.default_rng(13)
+        re, im = rng.standard_normal((2, 9, 301))
+        for r in (re + 1j * im, free.rho_hat):
+            want = direct(r)
+            got = correct(r)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestMemory:

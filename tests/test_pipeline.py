@@ -7,6 +7,7 @@ assert on the files.  Heavier stages have their own acceptance runs.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ from hartree_mix.pipeline import (
     InsufficientSamples,
     NonPositiveValue,
     RunConfig,
+    _write_csv,
     fit_decay,
     nonlinear_bytes,
     parse_config,
@@ -242,6 +244,51 @@ class TestDecayFit:
         vals[7] = 0.0
         with pytest.raises(NonPositiveValue):
             fit_decay(np.column_stack([t, vals]), window=(5.0, 50.0))
+
+
+def _csv_by_row(path, header, rows):
+    """The row-by-row CSV writer the array writer replaced: csv.writer,
+    strings as they are and numbers through format(x, ".17g")."""
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(header)
+        for row in rows:
+            out.writerow([x if isinstance(x, str) else format(float(x), ".17g")
+                          for x in row])
+
+
+class TestWriteCsv:
+    EDGE = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308]
+
+    @pytest.mark.parametrize("rows", [0, 1, 2047, 2048, 2049])
+    def test_array_bytes_match_row_writer(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        table = rng.standard_normal((rows, 4)) * 10.0 ** rng.integers(
+            -300, 300, (rows, 4))
+        flat = table.ravel()
+        flat[:len(self.EDGE)] = self.EDGE[:flat.size]
+        header = ["t", "k", "re_rho", "im_rho"]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        assert _write_csv(str(got), header, table) == rows
+        _csv_by_row(str(want), header, table.tolist())
+        assert got.read_bytes() == want.read_bytes()
+        assert got.read_bytes().count(b"\r\n") == rows + 1
+
+    @pytest.mark.parametrize("rows", [0, 1, 2049])
+    def test_string_column_bytes_match_row_writer(self, tmp_path, rows):
+        # the column layout of dispersion.csv: a route name among numbers
+        rng = np.random.default_rng(rows)
+        nums = rng.standard_normal((6, rows))
+        nums[:, :len(self.EDGE)] = np.array(self.EDGE)[:rows]
+        route = np.where(np.arange(rows) % 3 == 0, "hilbert_form",
+                         "plemelj_boundary")
+        cols = [nums[0], nums[1], nums[2], route, nums[3], nums[4], nums[5]]
+        header = ["k", "re_lambda", "im_lambda", "route", "re_D", "im_D",
+                  "err"]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        assert _write_csv(str(got), header, cols) == rows
+        _csv_by_row(str(want), header, zip(*[c.tolist() for c in cols]))
+        assert got.read_bytes() == want.read_bytes()
 
 
 class TestYNorm:

@@ -195,6 +195,15 @@ class TestFastLen:
         assert [fast_len(n) for n in ns] == [next_fast_len(n, False)
                                               for n in ns]
 
+    def test_lengths_past_2_24(self):
+        # lengths over 2^24 bisect a larger table
+        from scipy.fft import next_fast_len
+        ns = [2 ** 24 + 1, 2 ** 24 + 7, 3 ** 16 + 1, 2 ** 25 - 1,
+              11 ** 7 + 1, 2 ** 26 + 12345]
+        assert all(n > 2 ** 24 for n in ns)
+        assert [fast_len(n) for n in ns] == [next_fast_len(n, False)
+                                              for n in ns]
+
 
 class TestAdaptiveGauss:
     def test_sine_area(self):
