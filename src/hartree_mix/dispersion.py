@@ -6,15 +6,15 @@ For k > 0 the dispersion function has two independent routes:
     H(z) = int phi(u)/(z - u) du and z+- = (-i lambda +- k^2)/(2k),
     valid off the real axis (Re lambda > 0), whose boundary values on
     lambda = i tau are the Plemelj split of H into a principal value
-    plus i pi phi at the pole; and
+    plus i pi phi at the pole: ``dispersion_row``, the route every
+    caller in the package takes; and
   * the time-integral form  D = 1 + w_hat(k) m_f(lambda, k), valid up to
-    the imaginary axis.
+    the imaginary axis: ``dispersion_time_integral``, kept as the
+    independent check of the first.
 
-The module works in the rescaled frame lambda = k lambda_tilde throughout
-its boundary routines; samples carry the unrescaled lambda.  Every Cauchy
-integral of phi or phi' goes through one fixed-node engine for a whole
-array of z, ``_cauchy_rows`` (public as ``dispersion_row``; the
-single-point routes are one-element calls).  It subtracts the numerator's
+Both take whole arrays in the rescaled frame lambda = k lambda_tilde.
+Every Cauchy integral of phi or phi' goes through one fixed-node engine
+for a whole array of z, ``_cauchy_rows``.  It subtracts the numerator's
 cubic Taylor polynomial at the pole's real coordinate, which removes the
 thin boundary layer instead of asking the quadrature to resolve it: the
 subtracted moments have closed forms.  Gauss-Legendre panels, shared by
@@ -31,47 +31,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from dataclasses import dataclass
-
 from .green import m_f
 from .profiles import Marginal, Potential
 from .quadrature import graded_layout, refine_panels, shell_slope
 
 __all__ = [
-    "DispersionSample", "HilbertTransformCache", "DivergentIntegral",
-    "dispersion_row", "dispersion_hilbert", "dispersion_time_integral",
-    "dispersion_plemelj", "dispersion_real_branch", "dispersion_k_zero",
-    "evaluate",
+    "HilbertTransformCache", "DivergentIntegral", "dispersion_row",
+    "dispersion_time_integral",
 ]
-
-ROUTES = ("hilbert_form", "time_integral_form", "plemelj_boundary", "k_zero_limit")
 
 
 class DivergentIntegral(Exception):
     """Endpoint behavior of phi makes the requested integral infinite."""
-
-
-@dataclass(frozen=True)
-class DispersionSample:
-    """One dispersion value with its route and error bookkeeping.
-
-    ``lam`` is the unrescaled Laplace variable, except on the k = 0 route
-    where only the rescaled lambda_tilde is meaningful and is stored as is.
-    """
-
-    lam: complex
-    k_mag: float
-    value: complex
-    route: str
-    error_estimate: float
-
-    def __post_init__(self):
-        if self.route not in ROUTES:
-            raise ValueError(f"unknown route {self.route!r}")
-        if self.route == "plemelj_boundary" and abs(self.lam.real) > 0:
-            raise ValueError("plemelj_boundary samples live on Re lambda = 0")
-        if self.route == "k_zero_limit" and self.k_mag != 0.0:
-            raise ValueError("k_zero_limit samples require k = 0")
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +187,7 @@ class HilbertTransformCache:
     Values are computed at the snapped argument, so a hit is exact for the
     snapped point and off by at most O(step) in the argument: acceptable
     for coarse half-plane scans, wrong for tolerance-critical comparisons.
-    The package's scans evaluate whole rows instead, and nothing in it
+    The package's scans take whole rows instead, and nothing in it
     creates one; the class stays only because the stage benchmark's
     tracer (``perfbench/tracer.py``) patches it.
     """
@@ -246,7 +217,7 @@ class HilbertTransformCache:
 
 
 # ---------------------------------------------------------------------------
-# the routes
+# the two routes
 
 
 def dispersion_row(m: Marginal, w: Potential, k: float, lam_tilde,
@@ -259,9 +230,11 @@ def dispersion_row(m: Marginal, w: Potential, k: float, lam_tilde,
     (|tau_tilde| -+ k)/2 sit outside the support, and the two integrals
     merge into the real D = 1 - (w_hat(k)/2) int phi(u) / ((x_- - u)(x_+ -
     u)) du, finite at |tau_tilde| = 2 Upsilon + k unless phi vanishes
-    slowly there (``_edge_exponent``; DivergentIntegral).  At k = 0 the
-    row is the rescaled limit.  A compact support is summed on the
-    edge-graded layout.  Returns the values and their error estimates.
+    slowly there (``_edge_exponent``; DivergentIntegral); there the end
+    cell on Upsilon takes ``_end_cell_correction``, as an end pole of the
+    Hilbert form does.  At k = 0 the row is the rescaled limit.  A compact
+    support is summed on the edge-graded layout.  Returns the values and
+    their error estimates.
     """
     lt = np.atleast_1d(np.asarray(lam_tilde, dtype=complex))
     if np.any(lt.real < 0):
@@ -282,8 +255,10 @@ def dispersion_row(m: Marginal, w: Potential, k: float, lam_tilde,
     if np.any(real_branch):
         x_m = (np.abs(lt[real_branch].imag) - k) / 2.0
         x_p = (np.abs(lt[real_branch].imag) + k) / 2.0
-        # pole exactly at the edge: the integrand ~ phi(u)/(ups - u)
-        if np.any(x_m - ups < 1e-12 * max(1.0, ups)):
+        # pole exactly at the edge: the integrand ~ phi(u)/(ups - u), which
+        # the graded layout's end cell does not resolve
+        at_edge = x_m - ups < 1e-12 * max(1.0, ups)
+        if np.any(at_edge):
             alpha = _edge_exponent(m)
             if alpha <= 0.05:
                 raise DivergentIntegral(
@@ -297,6 +272,9 @@ def dispersion_row(m: Marginal, w: Potential, k: float, lam_tilde,
             return _block_sums(u, wt, j.size,
                                lambda r: phi / ((xm[r] - u) * (xp[r] - u)))
         integral, gaps = refine_panels(sums, x_m.size, tol_abs)
+        for i in np.nonzero(at_edge)[0]:
+            integral[i] += _end_cell_correction(
+                lambda u: m.phi(u) / (x_p[i] - u), -ups, ups, np.array([ups]))[0]
         values[real_branch] = 1.0 - (wk / 2.0) * integral.real
         errs[real_branch] = abs(wk) / 2.0 * gaps
     hilbert = np.nonzero(~real_branch)[0]
@@ -309,53 +287,23 @@ def dispersion_row(m: Marginal, w: Potential, k: float, lam_tilde,
     return values, errs
 
 
-def dispersion_hilbert(m: Marginal, w: Potential, lam: complex, k: float,
-                       tol_abs: float = 1e-11) -> DispersionSample:
-    """D(lambda, k) through the Hilbert transform of the marginal."""
-    lam = complex(lam)
-    if lam.real <= 0:
-        raise ValueError("hilbert route needs Re lambda > 0; use a boundary route")
+def dispersion_time_integral(m: Marginal, w: Potential, k: float, lam_tilde,
+                             tol_abs: float = 1e-10):
+    """D(k lambda_tilde, k) = 1 + w_hat(k) m_f as the Laplace transform of
+    the memory kernel, over an array of lambda_tilde with one real part
+    >= 0 (one Filon pass serves them all).  Returns the values and one
+    error estimate per value."""
+    lt = np.atleast_1d(np.asarray(lam_tilde, dtype=complex))
     if k <= 0:
-        raise ValueError("hilbert route needs k > 0; use dispersion_k_zero")
-    value, err = dispersion_row(m, w, k, lam / k, tol_abs)
-    return DispersionSample(lam=lam, k_mag=float(k), value=complex(value[0]),
-                            route="hilbert_form", error_estimate=float(err[0]))
-
-
-def dispersion_time_integral(m: Marginal, w: Potential, lam: complex,
-                             k: float) -> DispersionSample:
-    """D(lambda, k) as the Laplace transform of the memory kernel."""
-    lam = complex(lam)
-    if lam.real < 0:
-        raise ValueError("time-integral route needs Re lambda >= 0")
-    if k <= 0:
-        raise ValueError("time-integral route needs k > 0")
+        raise ValueError("the time-integral route needs k > 0")
+    if np.any(lt.real != lt.real[0]) or lt.real[0] < 0:
+        raise ValueError("the time-integral route needs one real part "
+                         "Re lambda_tilde >= 0 for the whole array")
     wk = w(k)
     if wk == 0.0:
-        return DispersionSample(lam=lam, k_mag=float(k), value=1.0 + 0.0j,
-                                route="time_integral_form", error_estimate=0.0)
-    mf = m_f(m, lam, k)
-    return DispersionSample(lam=lam, k_mag=float(k), value=1.0 + wk * mf.value,
-                            route="time_integral_form",
-                            error_estimate=abs(wk) * mf.error_estimate)
-
-
-def dispersion_plemelj(m: Marginal, w: Potential, tau_tilde: float, k: float,
-                       tol_abs: float = 1e-11) -> DispersionSample:
-    """Boundary value D(i k tau_tilde, k) by the Plemelj split.
-
-    The limit is taken from Re lambda > 0, which approaches the pole from
-    below and turns each Hilbert integral into PV + i pi phi(pole).
-    """
-    if k <= 0:
-        raise ValueError("plemelj route needs k > 0")
-    tau_tilde = float(tau_tilde)
-    if abs(tau_tilde) >= 2.0 * m.upsilon + k:
-        raise ValueError("|tau_tilde| >= 2 Upsilon + k: use dispersion_real_branch")
-    value, err = dispersion_row(m, w, k, 1j * tau_tilde, tol_abs)
-    return DispersionSample(lam=1j * tau_tilde * k, k_mag=float(k),
-                            value=complex(value[0]), route="plemelj_boundary",
-                            error_estimate=float(err[0]))
+        return np.ones(lt.size, dtype=complex), np.zeros(lt.size)
+    mf, err = m_f(m, k, k * lt.imag, k * lt.real[0], tol_abs)
+    return 1.0 + wk * mf, np.full(lt.size, abs(wk) * err)
 
 
 def _edge_exponent(m: Marginal) -> float:
@@ -366,57 +314,3 @@ def _edge_exponent(m: Marginal) -> float:
     vals = np.abs(vals) + 1e-300
     fit = np.polyfit(np.log(hs), np.log(vals), 1)
     return float(fit[0])
-
-
-def dispersion_real_branch(m: Marginal, w: Potential, tau_tilde: float, k: float,
-                           tol_abs: float = 1e-11) -> DispersionSample:
-    """Real even boundary branch for |tau_tilde| >= 2 Upsilon + k.
-
-    A one-element row at |tau_tilde| (at k = 0, the rescaled limit's), so
-    the value is real and exactly even in tau_tilde.
-    """
-    if not np.isfinite(m.upsilon):
-        raise ValueError("real branch needs compact support (Upsilon < inf)")
-    if k < 0:
-        raise ValueError("real branch needs k >= 0")
-    tau = abs(float(tau_tilde))
-    if tau < 2.0 * m.upsilon + k:
-        raise ValueError("|tau_tilde| < 2 Upsilon + k: use dispersion_plemelj")
-    value, err = dispersion_row(m, w, k, 1j * tau, tol_abs)
-    return DispersionSample(lam=1j * tau_tilde * k, k_mag=float(k),
-                            value=complex(value[0]), route="plemelj_boundary",
-                            error_estimate=float(err[0]))
-
-
-def dispersion_k_zero(m: Marginal, w: Potential, lam_tilde: complex,
-                      tol_abs: float = 1e-11) -> DispersionSample:
-    """Rescaled k -> 0 limit; the unrescaled D(lambda, 0) has no limit.
-
-    D(lambda_tilde, 0) = 1 + (w_hat(0)/2) int phi'(u)/(-i lambda_tilde/2 - u) du,
-    with the Plemelj version on the boundary.
-    """
-    lam_tilde = complex(lam_tilde)
-    if lam_tilde.real < 0:
-        raise ValueError("k-zero route needs Re lambda_tilde >= 0")
-    value, err = dispersion_row(m, w, 0.0, lam_tilde, tol_abs)
-    return DispersionSample(lam=lam_tilde, k_mag=0.0, value=complex(value[0]),
-                            route="k_zero_limit", error_estimate=float(err[0]))
-
-
-def evaluate(m: Marginal, w: Potential, lam: complex, k: float,
-             tol_abs: float = 1e-10) -> DispersionSample:
-    """Route dispatch: picks the appropriate form for (lambda, k).
-
-    k = 0 queries go to the rescaled limit (lam is then read as
-    lambda_tilde).  Interior points use the Hilbert form, boundary points
-    the Plemelj or real branch depending on the pole location.
-    """
-    lam = complex(lam)
-    if k == 0.0:
-        return dispersion_k_zero(m, w, lam, tol_abs=tol_abs)
-    if lam.real > 0:
-        return dispersion_hilbert(m, w, lam, k, tol_abs=tol_abs)
-    tau_tilde = lam.imag / k
-    if np.isfinite(m.upsilon) and abs(tau_tilde) >= 2.0 * m.upsilon + k:
-        return dispersion_real_branch(m, w, tau_tilde, k, tol_abs=tol_abs)
-    return dispersion_plemelj(m, w, tau_tilde, k, tol_abs=tol_abs)

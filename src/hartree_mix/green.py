@@ -6,8 +6,10 @@ The memory symbol is the half-line Laplace-Fourier integral
 
 evaluated by splitting the sine into exponentials so the quadrature grid
 only has to resolve phi_hat while the Filon rule carries the phases
-exactly.  The dispersion function is D = 1 + w_hat(k) m_f, and the regular
-part of the Green symbol is G_reg = -w_hat(k) m_f / D.
+exactly.  ``m_f`` takes a whole array of lambda = gamma + i tau on one
+vertical line in a single refined Filon pass.  The dispersion function
+is D = 1 + w_hat(k) m_f, and the regular part of the Green symbol is
+G_reg = -w_hat(k) m_f / D.
 
 Time-domain synthesis inverts G_reg(i tau) along the imaginary axis.  The
 symbol only decays like tau^{-2}, so the Lorentzian model
@@ -31,15 +33,13 @@ import numpy as np
 from .dynamics import DensityTrajectory
 from .profiles import Marginal, Potential
 from .quadrature import (UnresolvedOscillation, fast_len, filon_transform,
-                         halfline_laplace_fourier, refine_filon)
+                         refine_filon)
 
 __all__ = [
-    "MfSample",
     "GreenTable",
     "NearZeroDivisor",
     "GridMismatch",
     "m_f",
-    "m_f_boundary",
     "green_table",
     "convolve_green",
     "dyadic_envelope",
@@ -52,14 +52,6 @@ class NearZeroDivisor(Exception):
 
 class GridMismatch(Exception):
     """Green table and source trajectory do not share their grids."""
-
-
-@dataclass(frozen=True)
-class MfSample:
-    lam: complex
-    k: float
-    value: complex
-    error_estimate: float
 
 
 @dataclass(frozen=True)
@@ -83,43 +75,39 @@ def _support_time(m: Marginal, k: float) -> float:
     return 1.05 * m.t_support / (2.0 * k)
 
 
-def m_f(m: Marginal, lam: complex, k: float, tol_abs: float = 1e-10) -> MfSample:
-    """One symbol value for Re(lambda) >= 0, k > 0."""
+def m_f(m: Marginal, k: float, taus, gamma: float = 0.0,
+        tol_abs: float = 1e-11):
+    """m_f(gamma + i tau, k) for a whole array of real tau, gamma >= 0,
+    k > 0, in one Filon pass; returns the values and one error estimate.
+
+    exp(-gamma t) is sampled with phi_hat, and the integral stops at
+    60/gamma when that comes first, adding its tail bound to the estimate.
+    Raises UnresolvedOscillation when the sample cap stops the pass short
+    of tol_abs.
+    """
     if k <= 0:
         raise ValueError("m_f needs k > 0")
-    lam = complex(lam)
+    if gamma < 0:
+        raise ValueError("m_f needs gamma = Re lambda >= 0")
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
     T = _support_time(m, k)
     tail = 0.0
-    if lam.real > 0 and lam.real * T > 60.0:
-        T = 60.0 / lam.real
+    if gamma * T > 60.0:
+        T = 60.0 / gamma
         tail = np.exp(-60.0) * m.phi_hat_l1 / (2.0 * k)
-
-    g = lambda t: np.asarray(m.phi_hat(2.0 * t * k))
-    up = halfline_laplace_fourier(g, lam - 1j * k * k, T, tol_abs=tol_abs,
-                                  tail_bound=tail)
-    dn = halfline_laplace_fourier(g, lam + 1j * k * k, T, tol_abs=tol_abs,
-                                  tail_bound=tail)
-    value = -1j * (up.value - dn.value)
-    return MfSample(lam=lam, k=float(k), value=value,
-                    error_estimate=up.abs_error_estimate + dn.abs_error_estimate)
-
-
-def m_f_boundary(m: Marginal, k: float, taus,
-                 tol_abs: float = 1e-11) -> np.ndarray:
-    """m_f(i tau, k) for a whole array of real tau in one Filon pass;
-    UnresolvedOscillation when the sample cap stops it short of tol_abs."""
-    if k <= 0:
-        raise ValueError("m_f_boundary needs k > 0")
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    if gamma > 0:
+        sample = lambda t: m.phi_hat(2.0 * k * t) * np.exp(-gamma * t)
+    else:
+        sample = lambda t: m.phi_hat(2.0 * k * t)
     # one transform per shifted copy, so a uniform tau grid stays uniform;
     # the cap stops the doubling at 2^21 + 1 samples
-    r = refine_filon(lambda t: m.phi_hat(2.0 * k * t), 0.0, _support_time(m, k),
-                     (taus - k * k, taus + k * k), 4097, tol_abs, 2 ** 22)
+    r = refine_filon(sample, 0.0, T, (taus - k * k, taus + k * k), 4097,
+                     tol_abs, 2 ** 22)
     if r.gap > tol_abs:
         raise UnresolvedOscillation(
-            f"m_f_boundary at k = {k:g}: filon grid capped at "
+            f"m_f at k = {k:g}: filon grid capped at "
             f"{r.samples.size} samples, error estimate {r.gap:g}")
-    return -1j * (r.transforms[0] - r.transforms[1])
+    return -1j * (r.transforms[0] - r.transforms[1]), 2.0 * (r.gap + tail)
 
 
 def _row_synthesis(m: Marginal, w: Potential, k: float, t_grid: np.ndarray,
@@ -134,7 +122,7 @@ def _row_synthesis(m: Marginal, w: Potential, k: float, t_grid: np.ndarray,
     floor = (theta0 / 2.0) if theta0 else 1e-12
 
     def residual(taus):
-        mf = m_f_boundary(m, k, taus, tol_abs=tol)
+        mf = m_f(m, k, taus, tol_abs=tol)[0]
         D = 1.0 + wk * mf
         dmin = float(np.min(np.abs(D)))
         if dmin < floor:

@@ -514,7 +514,7 @@ def build_marginal(prof: EquilibriumProfile) -> Marginal:
     if not np.isfinite(prof.upsilon):
         # no support edge to respect: serve phi and dphi from splines over
         # the dense table (the exact reduction costs geometric panels per
-        # call, and boundary scans evaluate phi millions of times)
+        # call, and boundary scans call phi millions of times)
         phi_spl = _uniform_spline(h_u, phi_table)
         dphi_spl = _uniform_spline(h_u, dphi(u_grid), odd=True)
 

@@ -1,6 +1,6 @@
 """Shared 1-D quadrature engine.
 
-Five pieces, used throughout the package:
+Four pieces, used throughout the package:
 
 * ``adaptive_gauss``: adaptive Gauss-Legendre panels for regular (possibly
   complex-valued) integrands on a finite interval,
@@ -18,9 +18,7 @@ Five pieces, used throughout the package:
   blocks of bounded size,
 * ``refine_filon``: the Filon rule on a sampled callable, with the grid
   doubled until the fine rule and the rule on every other sample agree;
-  every adaptive oscillatory integral in the package goes through it,
-* ``halfline_laplace_fourier``: Laplace-Fourier integrals on the half
-  line, built on ``refine_filon`` with explicit tail accounting.
+  every adaptive oscillatory integral in the package goes through it.
 
 ``fast_len`` gives the padded length of every FFT in the package.
 
@@ -39,7 +37,7 @@ import numpy as np
 __all__ = [
     "QuadResult", "QuadratureError", "UnresolvedOscillation",
     "EvaluationBudgetExceeded", "adaptive_gauss", "graded_layout",
-    "refine_panels", "shell_slope", "filon_transform", "halfline_laplace_fourier",
+    "refine_panels", "shell_slope", "filon_transform",
     "fast_len", "DEFAULT_ABS_TOL", "DEFAULT_EVAL_CAP",
 ]
 
@@ -408,7 +406,7 @@ def filon_weights(n, x0, h, omega):
 
 
 # ---------------------------------------------------------------------------
-# grid refinement and the half-line Laplace-Fourier integral
+# grid refinement
 
 
 @dataclass(frozen=True)
@@ -452,36 +450,3 @@ def refine_filon(sample, x0, length, omegas, n0, tol, n_cap) -> FilonRefinement:
             return FilonRefinement(samples=fv, h=h, transforms=fine, gap=gap,
                                    evaluations=evals)
         n = 2 * n - 1
-
-
-def halfline_laplace_fourier(g, lam, t_max, tol_abs=DEFAULT_ABS_TOL,
-                             tail_bound=0.0) -> QuadResult:
-    """int_0^{t_max} exp(-lam t) g(t) dt for Re(lam) >= 0.
-
-    The decaying factor exp(-Re(lam) t) is absorbed into the sampled
-    integrand; the oscillation exp(-i Im(lam) t) is carried by the Filon
-    rule.  ``tail_bound`` is the caller's bound on the discarded tail
-    |int_{t_max}^inf| and is added to the reported error estimate.
-    Raises UnresolvedOscillation when ``DEFAULT_EVAL_CAP`` samples do not
-    reach ``tol_abs``.
-    """
-    lam = complex(lam)
-    if lam.real < -1e-12:
-        raise ValueError("halfline_laplace_fourier needs Re(lam) >= 0")
-    if t_max <= 0:
-        return QuadResult(0.0 + 0.0j, tail_bound, 0)
-    gam = max(lam.real, 0.0)
-
-    def sample(t):
-        return np.asarray(g(t)) * np.exp(-gam * t)
-
-    # enough initial samples to resolve exp(-gam t) on top of g's own scale
-    n_start = max(1025, int(8 * gam * t_max) | 1)
-    r = refine_filon(sample, 0.0, t_max, (np.atleast_1d(lam.imag),), n_start,
-                     tol_abs, DEFAULT_EVAL_CAP)
-    if r.gap > tol_abs:
-        raise UnresolvedOscillation(
-            f"filon grid capped at {r.samples.size} samples, error estimate "
-            f"{r.gap:g}")
-    return QuadResult(complex(r.transforms[0][0]), r.gap + tail_bound,
-                      r.evaluations)

@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dispersion import (DivergentIntegral, dispersion_real_branch,
-                         dispersion_row, evaluate)
+from .dispersion import DivergentIntegral, dispersion_row
 from .profiles import Marginal, Potential
 from .quadrature import graded_layout, refine_panels, shell_slope
 
@@ -163,8 +162,8 @@ def criterion_integral(m: Marginal, w: Potential) -> CriterionResult:
 
 def _phi_at(m: Marginal, w: Potential, k: float) -> float:
     """Phi(k) = D(i(2 Upsilon + k) k, k), the real-branch edge value."""
-    return float(dispersion_real_branch(
-        m, w, 2.0 * m.upsilon + k, k).value.real)
+    return float(dispersion_row(m, w, k, 1j * (2.0 * m.upsilon + k),
+                                1e-11)[0][0].real)
 
 
 def phi_curve(m: Marginal, w: Potential, k_grid) -> PhiCurve:
@@ -194,7 +193,7 @@ def find_imaginary_zero(m: Marginal, w: Potential, k: float) -> float | None:
     if not np.isfinite(m.upsilon):
         raise ValueError("imaginary-axis zero hunting needs compact support")
     tau0 = 2.0 * m.upsilon + k
-    g = lambda t: float(dispersion_real_branch(m, w, t, k).value.real)
+    g = lambda t: float(dispersion_row(m, w, k, 1j * t, 1e-11)[0][0].real)
     try:
         lo, lo_val = tau0, _phi_at(m, w, k)
     except DivergentIntegral:
@@ -330,7 +329,7 @@ def certify(m: Marginal, w: Potential) -> StabilityCertificate:
         for k in _HUNT_K:
             tau_star = find_imaginary_zero(m, w, k)
             if tau_star is not None:
-                resid = abs(evaluate(m, w, 1j * tau_star * k, k).value)
+                resid = abs(dispersion_row(m, w, k, 1j * tau_star)[0][0])
                 notes.append("negative criterion forced an imaginary-axis zero")
                 return StabilityCertificate(
                     verdict="Unstable", theta0=None, phi0=crit.value,

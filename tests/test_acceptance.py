@@ -50,18 +50,18 @@ def test_criterion_1_cross_route_dispersion(gauss3, coulomb):
     for _ in range(88):
         k = float(rng.uniform(0.05, 3.0))
         lam = complex(rng.uniform(0.02, 2.0), rng.uniform(-4.0, 4.0))
-        a = dsp.dispersion_hilbert(gauss3, coulomb, lam, k).value
-        b = dsp.dispersion_time_integral(gauss3, coulomb, lam, k).value
+        a = dsp.dispersion_row(gauss3, coulomb, k, lam / k, 1e-11)[0][0]
+        b = dsp.dispersion_time_integral(gauss3, coulomb, k, lam / k)[0][0]
         worst = max(worst, abs(a - b))
         n_samples += 1
 
     # boundary ladder: extrapolate the interior form onto Re lambda = 0 and
     # meet the jump formula there
     for k, tt in ((0.7, 0.9), (1.3, -1.7), (0.4, 2.1)):
-        pl = dsp.dispersion_plemelj(gauss3, coulomb, tt, k).value
-        vals = [dsp.dispersion_hilbert(gauss3, coulomb,
-                                       1.6e-2 / 2 ** j + 1j * k * tt, k).value
-                for j in range(5)]
+        pl = dsp.dispersion_row(gauss3, coulomb, k, 1j * tt, 1e-11)[0][0]
+        vals = list(dsp.dispersion_row(
+            gauss3, coulomb, k, 1.6e-2 / 2.0 ** np.arange(5) / k + 1j * tt,
+            1e-11)[0])
         for j in range(1, 5):
             vals = [(2 ** j * vals[i + 1] - vals[i]) / (2 ** j - 1)
                     for i in range(len(vals) - 1)]
@@ -116,12 +116,12 @@ def test_criterion_3_static_bound_and_real_branch(gauss3, fermi5, coulomb):
     w5 = delta_potential(0.1)
     for _ in range(40):
         k = float(rng.uniform(0.05, 2.5))
-        v = dsp.evaluate(gauss3, coulomb, 0.0 + 0.0j, k, tol_abs=1e-10).value
+        v = dsp.dispersion_row(gauss3, coulomb, k, 0.0j, 1e-10)[0][0]
         min_static = min(min_static, v.real)
         worst_imag = max(worst_imag, abs(v.imag))
         tt = 2.0 * fermi5.upsilon + k + float(rng.uniform(0.3, 3.0))
-        vp = dsp.dispersion_real_branch(fermi5, w5, tt, k).value
-        vm = dsp.dispersion_real_branch(fermi5, w5, -tt, k).value
+        vp = dsp.dispersion_row(fermi5, w5, k, 1j * tt, 1e-11)[0][0]
+        vm = dsp.dispersion_row(fermi5, w5, k, -1j * tt, 1e-11)[0][0]
         worst_imag = max(worst_imag, abs(vp.imag), abs(vm.imag))
         worst_even = max(worst_even, abs(vp - vm))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import wofz
 
 from hartree_mix.dynamics import DensityTrajectory, volterra_kernel, volterra_march
 from hartree_mix.green import (
@@ -19,7 +20,6 @@ from hartree_mix.green import (
     dyadic_envelope,
     green_table,
     m_f,
-    m_f_boundary,
 )
 from hartree_mix.quadrature import UnresolvedOscillation
 
@@ -27,10 +27,38 @@ from hartree_mix.quadrature import UnresolvedOscillation
 class TestBoundaryValues:
     def test_matches_interior_limit(self, gauss3):
         taus = np.array([0.9, 2.3])
-        bd = np.asarray(m_f_boundary(gauss3, 0.7, taus))
-        for i, t in enumerate(taus):
-            interior = m_f(gauss3, 1e-6 + 1j * t, 0.7).value
-            assert abs(bd[i] - interior) < 1e-4
+        bd = m_f(gauss3, 0.7, taus)[0]
+        interior = m_f(gauss3, 0.7, taus, gamma=1e-6)[0]
+        assert np.max(np.abs(bd - interior)) < 1e-4
+
+
+class TestMfClosedForm:
+    """m_f against the Faddeeva function on the d = 1 Gaussian marginal.
+
+    There phi_hat(t) = sqrt(pi) exp(-t^2/4), so with b = lambda -+ i k^2
+    each half-line integral int_0^inf exp(-b t - k^2 t^2) dt is
+    I(b) = (sqrt(pi)/2k) w(i b/2k), and m_f = -i sqrt(pi) [I(lambda - i k^2)
+    - I(lambda + i k^2)].
+    """
+
+    @staticmethod
+    def _closed_form(k, lam):
+        half = lambda b: np.sqrt(np.pi) / (2.0 * k) * wofz(1j * b / (2.0 * k))
+        return -1j * np.sqrt(np.pi) * (half(lam - 1j * k * k)
+                                       - half(lam + 1j * k * k))
+
+    @pytest.mark.parametrize("k", [0.1, 0.7, 2.0])
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 5.0])
+    def test_matches_faddeeva(self, gauss1, k, gamma):
+        taus = np.linspace(-3.0, 3.0, 17)
+        got, err = m_f(gauss1, k, taus, gamma)
+        want = self._closed_form(k, gamma + 1j * taus)
+        assert np.max(np.abs(got - want)) < 1e-10
+        assert 0.0 <= err <= 1e-10
+
+    def test_rejects_negative_gamma(self, gauss1):
+        with pytest.raises(ValueError):
+            m_f(gauss1, 0.7, np.array([0.0, 1.0]), gamma=-0.1)
 
 
 class TestRowSynthesis:
@@ -49,11 +77,12 @@ class TestRowSynthesis:
         # phi_hat of the d = 3 zero-temperature marginal decays too slowly
         # for the sample cap: the rows would be off by ~4e-2
         with pytest.raises(UnresolvedOscillation):
-            m_f_boundary(fermi3, 0.5, np.array([0.7, 1.3]))
+            m_f(fermi3, 0.5, np.array([0.7, 1.3]))
 
     def test_positive_k_required(self, gauss3):
-        with pytest.raises(ValueError):
-            m_f_boundary(gauss3, 0.0, np.array([0.0, 1.0]))
+        for k in (0.0, -0.5):
+            with pytest.raises(ValueError):
+                m_f(gauss3, k, np.array([0.0, 1.0]))
 
     def test_table_shape_and_metadata(self, gauss3, coulomb):
         ks = np.array([0.3, 0.8])

@@ -8,8 +8,10 @@ assert on the files.  Heavier stages have their own acceptance runs.
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hartree_mix
 from hartree_mix.cli import main
 from hartree_mix.pipeline import (
     NONLINEAR_BUDGET,
@@ -30,7 +33,7 @@ from hartree_mix.pipeline import (
     parse_config,
 )
 from hartree_mix.dynamics import DensityTrajectory, y_norm
-from hartree_mix import green, stability
+from hartree_mix import dispersion, green, quadrature, stability
 
 
 def _doc(**over):
@@ -471,3 +474,22 @@ class TestStartup:
         report = json.loads((tmp_path / "fermi5" / "stability.json")
                             .read_text())
         assert report["verdict"] == "Unstable"
+
+
+class TestTracerContract:
+    """What the stage benchmark's tracer (``perfbench/tracer.py``) reads
+    of the package: it wraps every public function by name and counts the
+    lookups of every ``HilbertTransformCache``, so a deletion here would
+    break a traced run, not this suite."""
+
+    def test_every_public_name_resolves(self):
+        for info in pkgutil.iter_modules(hartree_mix.__path__):
+            mod = importlib.import_module(f"hartree_mix.{info.name}")
+            for name in getattr(mod, "__all__", ()):
+                assert hasattr(mod, name), f"{info.name}.{name}"
+        assert callable(quadrature.filon_weights)
+
+    def test_cache_keeps_init_and_counters(self, gauss3):
+        assert "__init__" in vars(dispersion.HilbertTransformCache)
+        cache = dispersion.HilbertTransformCache(gauss3)
+        assert (cache.hits, cache.misses) == (0, 0)

@@ -23,7 +23,6 @@ from hartree_mix.quadrature import (
     filon_transform,
     filon_weights,
     graded_layout,
-    halfline_laplace_fourier,
     refine_filon,
 )
 
@@ -103,7 +102,7 @@ class TestFilonChirpZ:
     @pytest.mark.parametrize("n, omegas, x0, h", [
         (4097, np.linspace(0.5, 60.0, 551), -3.0, 0.004),      # ascending
         (4097, np.linspace(45.0, -12.0, 551), 1.5, 0.004),     # descending
-        # through 0, shifted like the tau grids of green.m_f_boundary
+        # through 0, shifted like the tau grids of green.m_f
         (1025, np.linspace(-30.7, 30.7, 501) + 0.7 ** 2, -2.0, 0.02),
         (1025, 0.35 + 0.07 * np.arange(501), 0.25, 0.02),      # arange-built
     ])
@@ -263,25 +262,6 @@ class TestEdgeShells:
         # without grading the panels are uniform
         u, wt = graded_layout(-2.0, 3.0, 16, False)
         assert u.size == 256 and np.allclose(wt.reshape(16, 16).sum(1), 5 / 16)
-
-
-class TestHalfline:
-    def test_exponential_laplace(self):
-        lam = 0.3 + 2.7j
-        r = halfline_laplace_fourier(lambda t: np.exp(-t), lam, 40.0,
-                                     tol_abs=1e-11)
-        assert abs(r.value - 1.0 / (1.0 + lam)) < 1e-8
-
-    def test_start_count_3_mod_4(self):
-        # 8 * 5.007 * 40 rounds to a start count of 3 mod 4, whose
-        # half-sampled grid used to be even
-        lam = 5.007 + 1j
-        r = halfline_laplace_fourier(lambda t: np.exp(-t), lam, 40.0)
-        assert abs(r.value - 1.0 / (1.0 + lam)) < 1e-8
-
-    def test_left_half_plane_rejected(self):
-        with pytest.raises(ValueError):
-            halfline_laplace_fourier(lambda t: np.exp(-t), -0.1 + 1j, 10.0)
 
 
 class TestRefineFilon:

@@ -144,12 +144,12 @@ class TestZeroHuntOracle:
         # branch and the same tolerances
         from scipy.optimize import brentq
 
-        from hartree_mix.dispersion import dispersion_real_branch, evaluate
+        from hartree_mix.dispersion import dispersion_row
         w = delta_potential(0.2)
         tau0 = 2.0 * fermi5.upsilon + k
-        g = lambda t: dispersion_real_branch(fermi5, w, t, k).value.real
+        g = lambda t: dispersion_row(fermi5, w, k, 1j * t, 1e-11)[0][0].real
         oracle = brentq(g, tau0 + 1e-13 * tau0, tau0 + 1.0, xtol=1e-12,
                         rtol=8.9e-16)
         tt = find_imaginary_zero(fermi5, w, k)
         assert abs(tt - oracle) <= 1e-12
-        assert abs(evaluate(fermi5, w, 1j * tt * k, k).value) < 1e-8
+        assert abs(dispersion_row(fermi5, w, k, 1j * tt)[0][0]) < 1e-8
