@@ -19,7 +19,9 @@ cubic Taylor polynomial at the pole's real coordinate, which removes the
 thin boundary layer instead of asking the quadrature to resolve it: the
 subtracted moments have closed forms.  Gauss-Legendre panels, shared by
 every z and graded toward +-Upsilon on a compact support, double until
-each value agrees with the coarser one.
+each value agrees with the coarser one.  The sums run in real arithmetic,
+1/(z - u) = (x - u - iy)/((x - u)^2 + y^2) for z = x + iy (a node on a
+real pole adds 0), on blocks of fixed 64 KiB work buffers.
 
 For |tau_tilde| >= 2 Upsilon + k the poles leave the support and the
 boundary value collapses to a manifestly real, even integral (the branch
@@ -48,19 +50,23 @@ class DivergentIntegral(Exception):
 # ---------------------------------------------------------------------------
 # the Cauchy-row engine
 
-# z x node entries per block of the engine's matrices (1 MiB complex)
-_BLOCK_ENTRIES = 1 << 16
+# entries of one work buffer of the engine: 64 KiB of floats, under
+# glibc's mmap threshold, so its blocks never page-fault fresh mappings
+_BUF = 1 << 13
 
 
-def _block_sums(u, wt, n, integrand):
-    """integrand(j) @ wt for the n rows of a z x node matrix, built one
-    block of rows j (a slice) at a time."""
-    out = np.empty(n, dtype=complex)
-    rows = max(1, _BLOCK_ENTRIES // u.size)
+def _blocks(n, m, k):
+    """Tile an n x m matrix with blocks of at most ``_BUF`` entries: yield
+    each block's row and column slices and k work arrays of its shape,
+    views of buffers allocated once."""
+    cols = min(m, _BUF)
+    rows = _BUF // cols
+    buf = np.empty((k, _BUF))
     for lo in range(0, n, rows):
-        j = slice(lo, lo + rows)
-        out[j] = integrand(j) @ wt
-    return out
+        for c in range(0, m, cols):
+            shape = (min(rows, n - lo), min(cols, m - c))
+            yield (slice(lo, lo + rows), slice(c, c + cols),
+                   *(b[:shape[0] * shape[1]].reshape(shape) for b in buf))
 
 
 def _residual_sums(g, u, wt, z, s, taylor):
@@ -68,16 +74,23 @@ def _residual_sums(g, u, wt, z, s, taylor):
     (g(u) - P(u - s)) / (z - u), one per z; ``taylor`` holds the
     coefficients of the cubic P, one row per z."""
     gu = np.asarray(g(u), dtype=float)
-
-    def integrand(j):
-        v = u - s[j, None]
-        c = taylor[j, :, None]
-        num = gu - (c[:, 0] + v * (c[:, 1] + v * (c[:, 2] + v * c[:, 3])))
-        den = z[j, None] - u
-        # a node exactly at a real pole: the residual vanishes there
-        return np.divide(num, den, out=np.zeros(den.shape, dtype=complex),
-                         where=den != 0)
-    return _block_sums(u, wt, z.size, integrand)
+    x, y2 = z.real, z.imag ** 2
+    re, im = np.zeros(z.size), np.zeros(z.size)
+    for r, c, num, dx, q in _blocks(z.size, u.size, 3):
+        p = taylor[r, :, None]
+        np.subtract(u[c], s[r, None], out=dx)
+        np.multiply(dx, p[:, 3], out=num)
+        for i in (2, 1):
+            num += p[:, i]
+            num *= dx
+        num += p[:, 0]
+        np.subtract(gu[c], num, out=num)
+        np.subtract(x[r, None], u[c], out=dx)
+        np.add(np.multiply(dx, dx, out=q), y2[r, None], out=q)
+        q[q == 0.0] = np.inf
+        im[r] += np.divide(num, q, out=num) @ wt[c]
+        re[r] += np.multiply(num, dx, out=num) @ wt[c]
+    return re - 1j * z.imag * im
 
 
 def _taylor(g, a, b, s):
@@ -269,8 +282,12 @@ def dispersion_row(m: Marginal, w: Potential, k: float, lam_tilde,
             u, wt = graded_layout(-ups, ups, panels, True)
             phi = np.asarray(m.phi(u), dtype=float)
             xm, xp = x_m[j, None], x_p[j, None]
-            return _block_sums(u, wt, j.size,
-                               lambda r: phi / ((xm[r] - u) * (xp[r] - u)))
+            out = np.zeros(j.size)
+            for r, c, a, b in _blocks(j.size, u.size, 2):
+                np.subtract(xm[r], u[c], out=a)
+                a *= np.subtract(xp[r], u[c], out=b)
+                out[r] += np.divide(phi[c], a, out=a) @ wt[c]
+            return out
         integral, gaps = refine_panels(sums, x_m.size, tol_abs)
         for i in np.nonzero(at_edge)[0]:
             integral[i] += _end_cell_correction(

@@ -410,11 +410,11 @@ def _linear_stage_solver(state: KernelState, g0: InitialKernel, w: Potential,
         x_a = (r_a + alpha sum_p G_ap (dt/2 Phi_p0 x_0 + dt U_p))
               / (1 - dt/2 alpha sum_p G_ap Phi_pa),
 
-    so the solver forms G_a and Phi_a one node at a time, G_a from the
-    density sweep's weight table ``weights`` and Phi_a = step^a from a
-    running product, since t_a = a dt and step = e^{i dt ((k-p)^2 - p^2)};
-    the product drifts from the node-wise exponentials by a few units of
-    rounding per node.  For d >= 2 a table of G alone
+    so the solver forms G_a Phi_a one node at a time: the p-sum takes the
+    weight row of ``weights`` (the density sweeps' table) against a running
+    product fd step^a (t_a = a dt, step = e^{i dt ((k-p)^2 - p^2)}, fd the
+    profile factor), drifting by a few roundings a node, and the phase of
+    G_a multiplies its k row.  For d >= 2 a table of G alone
     would be as large as a history; instead a convolution surrogate is
     calibrated from the grid's impulse response (one update-plus-synthesis
     pass on a time impulse, differenced against the free pass) and
@@ -435,27 +435,25 @@ def _linear_stage_solver(state: KernelState, g0: InitialKernel, w: Potential,
         m = jp[:, None] - jp[None, :] + c
         mc = np.clip(m, 0, n - 1)
         fd = np.where((m >= 0) & (m < n), fax[None, :] - fax[mc], 0.0)
-        free_phase = np.exp(-1j * t_grid[:, None] * axis * axis)[:, :, None]
+        free_phase = np.exp(-1j * t_grid[:, None] * axis * axis)
 
-        def gain(a: int) -> np.ndarray:
-            return free_phase[a] * weights[a] * fd
-
-        # t_grid[a] = a dt, so Phi at node a is step^a: a running product
+        # t_grid[a] = a dt, so fd Phi at node a is fd step^a
         step = np.exp(1j * ((axis[mc] ** 2 - axis[jp] ** 2) * dt))
         den = np.ones((n_t, n), dtype=complex)
-        phi = np.ones((n, n), dtype=complex)
+        phi = fd.astype(complex)
         for a in range(1, n_t):
             phi *= step
-            den[a] -= 0.5 * dt * alpha * np.sum(gain(a) * phi, axis=1)
+            den[a] -= 0.5 * dt * alpha * free_phase[a] * np.sum(
+                weights[a] * phi, axis=1)
 
         def correct(resid: np.ndarray) -> np.ndarray:
             x = np.empty(resid.shape, dtype=complex)
             x[:, 0] = resid[:, 0]
-            head = (0.5 * dt) * x[:, :1]
-            run = np.zeros((n, n), dtype=complex)
-            phi = np.ones((n, n), dtype=complex)
+            # the running sum starts at its trapezoid end term at node 0
+            run = 0.5 * x[:, :1] * fd
+            phi = fd.astype(complex)
             for a in range(1, n_t):
-                hist = np.sum(gain(a) * (head + dt * run), axis=1)
+                hist = dt * free_phase[a] * np.sum(weights[a] * run, axis=1)
                 x[:, a] = (resid[:, a] + alpha * hist) / den[a]
                 phi *= step
                 run += phi * x[:, a:a + 1]

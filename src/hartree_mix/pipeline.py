@@ -13,13 +13,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import zipfile
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from . import dispersion as disp
-from . import dynamics, green, nonlinear, profiles, stability
+from . import __version__, dynamics, green, nonlinear, profiles, stability
 
 __all__ = [
     "ConfigError",
@@ -400,8 +401,32 @@ def _t_grid(cfg: RunConfig) -> np.ndarray:
     return np.arange(n) * cfg.dt
 
 
+def _marginal(cfg: RunConfig, out: str, rebuild: bool = False):
+    """The profile's marginal from ``out/marginal.npz`` if its stamp
+    matches and it reads whole; else, or on ``rebuild``, built and written
+    there through a temporary file, so no reader sees half a file."""
+    prof = cfg.profile
+    path = os.path.join(out, "marginal.npz")
+    stamp = json.dumps([__version__, prof.kind, prof.d,
+                        sorted(prof.params.items())])
+    if not rebuild:
+        try:
+            with np.load(path, allow_pickle=False) as npz:
+                if str(npz["stamp"]) == stamp:
+                    return profiles.marginal_from_tables(
+                        prof, {k: npz[k] for k in npz.files if k != "stamp"})
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+            pass
+    m = profiles.build_marginal(prof)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "wb") as fh:
+        np.savez(fh, stamp=np.array(stamp), **m.tables)
+    os.replace(tmp, path)
+    return m
+
+
 def _cmd_marginal(cfg: RunConfig, out: str) -> int:
-    m = profiles.build_marginal(cfg.profile)
+    m = _marginal(cfg, out, rebuild=True)
     us = np.linspace(-m.u_support, m.u_support, 801)
     _write_csv(os.path.join(out, "marginal.csv"), ["u", "phi", "dphi"],
                np.column_stack([us, m.phi(us), m.dphi(us)]))
@@ -426,7 +451,7 @@ def _cmd_marginal(cfg: RunConfig, out: str) -> int:
 
 
 def _cmd_dispersion(cfg: RunConfig, out: str) -> int:
-    m = profiles.build_marginal(cfg.profile)
+    m = _marginal(cfg, out)
     pot = cfg.potential
     taus = np.linspace(0.0, cfg.tau_max, cfg.tau_count)
     # a strip of strictly unstable-side samples documents the analytic route
@@ -447,7 +472,7 @@ def _cmd_dispersion(cfg: RunConfig, out: str) -> int:
 
 
 def _cmd_stability(cfg: RunConfig, out: str) -> int:
-    m = profiles.build_marginal(cfg.profile)
+    m = _marginal(cfg, out)
     cert = stability.certify(m, cfg.potential)
     payload = {
         "verdict": cert.verdict,
@@ -487,7 +512,7 @@ def _cmd_stability(cfg: RunConfig, out: str) -> int:
 
 
 def _cmd_green(cfg: RunConfig, out: str) -> int:
-    m = profiles.build_marginal(cfg.profile)
+    m = _marginal(cfg, out)
     ks = _k_grid(cfg)
     ts = _t_grid(cfg)
     gtol = cfg.green_tol
@@ -547,7 +572,7 @@ def _cmd_free(cfg: RunConfig, out: str) -> int:
 
 
 def _cmd_linear(cfg: RunConfig, out: str) -> int:
-    m = profiles.build_marginal(cfg.profile)
+    m = _marginal(cfg, out)
     source = dynamics.free_density_trajectory(
         cfg.kernel, _k_grid(cfg), _t_grid(cfg), N1=cfg.n1, N2=cfg.n2)
     traj = dynamics.volterra_solve(m, cfg.potential, source)

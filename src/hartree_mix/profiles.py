@@ -47,6 +47,7 @@ __all__ = [
     "gaussian_hat_potential",
     "custom_potential",
     "build_marginal",
+    "marginal_from_tables",
     "shifted_l2_difference",
     "validate_assumptions",
     "sphere_area",
@@ -235,7 +236,8 @@ class Marginal:
     upsilon for compact support), ``t_support`` the analogous radius for
     phi_hat, and ``phi_hat_l1`` / ``phi_hat_deriv_l1`` the integrals
     int |phi_hat| and int |phi_hat'| feeding the large-argument tail
-    bounds downstream.  Instances are immutable and safe to share.
+    bounds downstream.  ``tables`` holds what ``marginal_from_tables``
+    serves it from.  Instances are immutable and safe to share.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
@@ -249,6 +251,7 @@ class Marginal:
     phi_hat_l1: float
     phi_hat_deriv_l1: float
     profile: EquilibriumProfile
+    tables: dict = field(repr=False)
 
 
 def _gauss_jacobi(n: int, nu: float):
@@ -266,6 +269,14 @@ def _gauss_jacobi(n: int, nu: float):
                   / (s * s * (s + 1.0) * (s - 1.0)))
     x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     return x, 2.0 ** (nu + 1.0) / (nu + 1.0) * v[0] ** 2
+
+
+def _pointwise(rule):
+    """``rule`` on 1-D float arrays, serving a scalar argument as a float."""
+    def served(x):
+        out = rule(np.atleast_1d(np.asarray(x, dtype=float)))
+        return float(out[0]) if np.ndim(x) == 0 else out
+    return served
 
 
 def _radial_reduction(prof: EquilibriumProfile):
@@ -293,30 +304,21 @@ def _radial_reduction(prof: EquilibriumProfile):
 
         def shell(g, u):
             """(|S|/2)(ups^2-u^2)^{nu+1} int_0^1 g(u^2+(ups^2-u^2)x) x^nu dx"""
-            u = np.atleast_1d(np.asarray(u, dtype=float))
             s = np.maximum(ups2 - u * u, 0.0)
             vals = np.asarray(g(u[:, None] ** 2 + s[:, None] * x01[None, :])) @ w01
             return A * s ** (nu + 1.0) * vals
 
-        def phi(u):
-            scalar = np.isscalar(u) or np.asarray(u).ndim == 0
-            out = shell(prof.f, u)
-            return float(out[0]) if scalar else out
-
-        def dphi(u):
+        @_pointwise
+        def dphi(ua):
             # phi(u) = G(u^2), G'(m) = (|S|/2)[int_0^{ups^2-m} f'(m+s) s^nu ds
             #                                  - f_edge (ups^2-m)^nu]
-            scalar = np.isscalar(u) or np.asarray(u).ndim == 0
-            ua = np.atleast_1d(np.asarray(u, dtype=float))
             s = np.maximum(ups2 - ua * ua, 0.0)
             inner = np.asarray(prof.df(ua[:, None] ** 2 + s[:, None] * x01[None, :])) @ w01
             inside = s > 0.0
             safe = np.where(inside, s, 1.0)
             edge = prof.f_edge * np.where(inside, safe ** nu, 0.0)
-            gprime = A * (s ** (nu + 1.0) * inner - edge)
-            out = 2.0 * ua * gprime
-            return float(out[0]) if scalar else out
-        return phi, dphi
+            return 2.0 * ua * (A * (s ** (nu + 1.0) * inner - edge))
+        return _pointwise(lambda u: shell(prof.f, u)), dphi
 
     # full support: Jacobi on s in [0,1], geometric Legendre panels beyond
     xl, wl = leggauss(32)
@@ -325,7 +327,6 @@ def _radial_reduction(prof: EquilibriumProfile):
             f"declared decay n1 = {prof.n1} cannot make the radial integral converge")
 
     def halfline(g, u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
         total = np.asarray(g(u[:, None] ** 2 + x01[None, :])) @ w01
         a = 1.0
         scale = float(np.max(np.abs(total))) + 1e-300
@@ -340,18 +341,8 @@ def _radial_reduction(prof: EquilibriumProfile):
             a = b
         return A * total
 
-    def phi(u):
-        scalar = np.isscalar(u) or np.asarray(u).ndim == 0
-        out = halfline(prof.f, u)
-        return float(out[0]) if scalar else out
-
-    def dphi(u):
-        scalar = np.isscalar(u) or np.asarray(u).ndim == 0
-        ua = np.atleast_1d(np.asarray(u, dtype=float))
-        out = 2.0 * ua * halfline(prof.df, ua)
-        return float(out[0]) if scalar else out
-
-    return phi, dphi
+    return (_pointwise(lambda u: halfline(prof.f, u)),
+            _pointwise(lambda u: 2.0 * u * halfline(prof.df, u)))
 
 
 def _dct1(x: np.ndarray) -> np.ndarray:
@@ -476,68 +467,41 @@ def _envelope_tail(tg: np.ndarray, vals: np.ndarray) -> float:
 _HAT_PAD = 40
 
 
-def build_marginal(prof: EquilibriumProfile) -> Marginal:
-    """Construct the velocity marginal of an equilibrium profile.
+# phi table nodes on [0, u_support]
+_N_U = 8193
 
-    Raises NonIntegrableError when the declared decay metadata cannot make
-    the reduction converge.  phi is sampled on 8193 uniform nodes over
-    [0, u_support].  For full support, phi and phi' are then served from
-    ``_uniform_spline`` over that table: even for phi (slope 0 at 0), odd
-    for phi' (second derivative 0 at 0); the table ends where phi has
-    fallen to 1e-18 of phi(0), so the mirrored far end is immaterial.
-    phi_hat node values come from a Filon cosine rule on the phi table,
-    with plain adaptive quadrature below the oscillatory regime, and are
-    served from an even uniform spline on [0, t_cap] (node spacing
-    resolves the cos(tu) oscillation with margin, keeping the
-    interpolation error near 1e-11).  Its table holds at least
-    ``_HAT_PAD`` exact nodes past t_cap, so the mirrored far end never
-    reaches the served range.  Profiles whose transform decays only
-    algebraically are served by the exact rule past t_cap, and their L1
-    diagnostics carry a fitted envelope tail.  The adaptive quadratures
-    run to an absolute 1e-12.
-    """
-    phi, dphi = _radial_reduction(prof)
 
-    if np.isfinite(prof.upsilon):
-        u_max = float(prof.upsilon)
-    else:
-        u_max = _support_radius(phi, 1.0, 1e-18)
+def _table(tables: dict, key: str, size: int | None = None) -> np.ndarray:
+    """tables[key] as floats: a scalar, or ``size`` entries (ValueError)."""
+    a = np.asarray(tables[key], dtype=float)
+    if a.shape != ((size,) if size else ()):
+        raise ValueError(f"marginal table '{key}' has shape {a.shape}")
+    return a
 
-    n = 8193
-    h_u = u_max / (n - 1)
-    u_grid = np.arange(n) * h_u
-    phi_table = np.asarray(phi(u_grid), dtype=float)
 
-    total_mass = 2.0 * float(np.real(
-        adaptive_gauss(lambda u: phi(u), 0.0, u_max, tol_abs=1e-12).value))
-
-    if not np.isfinite(prof.upsilon):
+def _served_phi(prof: EquilibriumProfile, tables: dict):
+    """u_support, phi, phi' and the exact phi_hat rule from the tables."""
+    phi_table = _table(tables, "phi", _N_U)
+    full = not np.isfinite(prof.upsilon)
+    u_max = float(_table(tables, "u_support") if full else prof.upsilon)
+    h_u = u_max / (_N_U - 1)
+    if full:
         # no support edge to respect: serve phi and dphi from splines over
-        # the dense table (the exact reduction costs geometric panels per
+        # the dense tables (the exact reduction costs geometric panels per
         # call, and boundary scans call phi millions of times)
         phi_spl = _uniform_spline(h_u, phi_table)
-        dphi_spl = _uniform_spline(h_u, dphi(u_grid), odd=True)
-
-        def phi(u):  # noqa: F811 - deliberate fast replacement
-            scalar = np.isscalar(u) or np.asarray(u).ndim == 0
-            ua = np.abs(np.atleast_1d(np.asarray(u, dtype=float)))
-            out = np.where(ua <= u_max, phi_spl(np.minimum(ua, u_max)), 0.0)
-            return float(out[0]) if scalar else out
-
-        def dphi(u):  # noqa: F811
-            scalar = np.isscalar(u) or np.asarray(u).ndim == 0
-            ua = np.atleast_1d(np.asarray(u, dtype=float))
-            mag = np.abs(ua)
-            out = np.where(mag <= u_max,
-                           dphi_spl(np.minimum(mag, u_max)), 0.0)
-            out = out * np.sign(ua)
-            return float(out[0]) if scalar else out
+        dphi_spl = _uniform_spline(h_u, _table(tables, "dphi", _N_U), odd=True)
+        on_support = lambda u, spl: np.where(np.abs(u) <= u_max, spl(
+            np.minimum(np.abs(u), u_max)), 0.0)
+        phi = _pointwise(lambda u: on_support(u, phi_spl))
+        dphi = _pointwise(lambda u: on_support(u, dphi_spl) * np.sign(u))
+    else:
+        phi, dphi = _radial_reduction(prof)
 
     t_switch = 10.0 / u_max
 
-    def phi_hat_exact(t):
-        scalar = np.isscalar(t) or np.asarray(t).ndim == 0
-        ta = np.atleast_1d(np.asarray(t, dtype=float))
+    @_pointwise
+    def phi_hat_exact(ta):
         out = np.empty_like(ta)
         osc = np.abs(ta) >= t_switch
         if np.any(osc):
@@ -548,35 +512,79 @@ def build_marginal(prof: EquilibriumProfile) -> Marginal:
                 out[i] = 2.0 * float(np.real(adaptive_gauss(
                     lambda u: np.cos(ti * u) * phi(u), 0.0, u_max,
                     tol_abs=1e-12).value))
-        return float(out[0]) if scalar else out
+        return out
 
-    t_support = _support_radius(lambda t: phi_hat_exact(np.abs(t)),
-                                max(4.0 / u_max, 1.0), 1e-13)
+    return u_max, phi, dphi, phi_hat_exact
 
-    # dense spline table: repeated transform values are the hot path of the
-    # Laplace-Fourier and Green syntheses
+
+def _hat_grid(u_max: float, t_support: float):
+    """The phi_hat spline nodes on [0, t_cap], and the pad past t_cap."""
+    # node spacing resolves the cos(tu) oscillation with margin
     h_t = min(0.01, np.pi / (16.0 * u_max))
     t_cap = min(t_support, 32768 * h_t)
-    n_sp = int(np.ceil(t_cap / h_t)) + 1
-    t_nodes = np.linspace(0.0, t_cap, n_sp)
-    node_vals = phi_hat_exact(t_nodes)
-    h_sp = t_nodes[1]
-    n_pad = fast_len(n_sp - 1 + _HAT_PAD) - (n_sp - 1)
-    pad = phi_hat_exact(t_cap + h_sp * np.arange(1, n_pad + 1))
-    spline = _uniform_spline(h_sp, np.concatenate([node_vals, pad]))
+    t_nodes = np.linspace(0.0, t_cap, int(np.ceil(t_cap / h_t)) + 1)
+    n_pad = fast_len(t_nodes.size - 1 + _HAT_PAD) - (t_nodes.size - 1)
+    return t_nodes, t_cap + t_nodes[1] * np.arange(1, n_pad + 1)
 
+
+def build_marginal(prof: EquilibriumProfile) -> Marginal:
+    """Construct the velocity marginal of an equilibrium profile.
+
+    Raises NonIntegrableError when the declared decay metadata cannot make
+    the reduction converge.  All quadrature goes into ``Marginal.tables``,
+    which ``marginal_from_tables`` serves: ``phi`` on 8193 uniform nodes
+    over [0, u_support]; for full support ``u_support``, where phi falls
+    to 1e-18 of phi(0), and ``dphi`` on the same nodes; ``total_mass``;
+    ``t_support``, past which |phi_hat| stays below 1e-13 of phi_hat(0);
+    and ``phi_hat`` on the spline nodes of [0, t_cap], t_cap = min(t_support,
+    32768 node spacings), then on ``_HAT_PAD`` or more nodes past t_cap,
+    from a Filon cosine rule on the phi table, with adaptive quadrature
+    below the oscillatory regime (to an absolute 1e-12, as total_mass).
+    """
+    phi, dphi = _radial_reduction(prof)
+    full = not np.isfinite(prof.upsilon)
+    u_max = _support_radius(phi, 1.0, 1e-18) if full else float(prof.upsilon)
+    u_grid = np.arange(_N_U) * (u_max / (_N_U - 1))
+    tables = {"phi": np.asarray(phi(u_grid), dtype=float),
+              "total_mass": 2.0 * float(np.real(adaptive_gauss(
+                  phi, 0.0, u_max, tol_abs=1e-12).value))}
+    if full:
+        tables.update(u_support=u_max, dphi=dphi(u_grid))
+    exact = _served_phi(prof, tables)[3]
+    t_support = _support_radius(lambda t: exact(np.abs(t)),
+                                max(4.0 / u_max, 1.0), 1e-13)
+    t_nodes, t_pad = _hat_grid(u_max, t_support)
+    tables.update(t_support=t_support,
+                  phi_hat=np.concatenate([exact(t_nodes), exact(t_pad)]))
+    return marginal_from_tables(prof, tables)
+
+
+def marginal_from_tables(prof: EquilibriumProfile, tables: dict) -> Marginal:
+    """The marginal of ``prof`` served from ``build_marginal``'s tables
+    with no quadrature: phi, phi' (full support) and phi_hat (up to t_cap)
+    from ``_uniform_spline``s, near 1e-11 from the exact rules, and the L1
+    diagnostics, with a fitted envelope tail where phi_hat outlives t_cap.
+    Raises KeyError for a missing table and ValueError for a misshapen one.
+    """
+    u_max, phi, dphi, exact = _served_phi(prof, tables)
+    t_support = float(_table(tables, "t_support"))
+    t_nodes, t_pad = _hat_grid(u_max, t_support)
+    t_cap = t_nodes[-1]
+    vals = _table(tables, "phi_hat", t_nodes.size + t_pad.size)
+    spline = _uniform_spline(t_nodes[1], vals)
+
+    @_pointwise
     def phi_hat(t):
-        scalar = np.isscalar(t) or np.asarray(t).ndim == 0
-        ta = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
+        ta = np.abs(t)
         out = np.empty_like(ta)
         inside = ta <= t_cap
         if np.any(inside):
             out[inside] = spline(ta[inside])
         if np.any(~inside):
-            out[~inside] = np.atleast_1d(phi_hat_exact(ta[~inside]))
-        return float(out[0]) if scalar else out
+            out[~inside] = exact(ta[~inside])
+        return out
 
-    ph = node_vals
+    ph = vals[:t_nodes.size]
     l1 = float(np.trapezoid(np.abs(ph), t_nodes))
     dph = np.gradient(ph, t_nodes)
     dl1 = float(np.trapezoid(np.abs(dph), t_nodes))
@@ -585,9 +593,10 @@ def build_marginal(prof: EquilibriumProfile) -> Marginal:
         dl1 += _envelope_tail(t_nodes, dph)
 
     return Marginal(phi=phi, dphi=dphi, phi_hat=phi_hat,
-                    total_mass=total_mass, upsilon=prof.upsilon, d=prof.d,
-                    u_support=u_max, t_support=t_support, phi_hat_l1=l1,
-                    phi_hat_deriv_l1=dl1, profile=prof)
+                    total_mass=float(_table(tables, "total_mass")),
+                    upsilon=prof.upsilon, d=prof.d, u_support=u_max,
+                    t_support=t_support, phi_hat_l1=l1,
+                    phi_hat_deriv_l1=dl1, profile=prof, tables=dict(tables))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ the Dawson function, and closed forms for cubic numerators.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -297,6 +299,70 @@ class TestCauchyRows:
         else:
             want = p(z) * i0 - (qi(b) - qi(a))
         assert abs(got - want) < 1e-12
+
+
+def _complex_residual_sums(g, u, wt, z, s, taylor):
+    """The subtracted Cauchy sums in complex arithmetic, the whole
+    z x node matrix at once."""
+    v = u - s[:, None]
+    c = taylor[:, :, None]
+    num = np.asarray(g(u), dtype=float) \
+        - (c[:, 0] + v * (c[:, 1] + v * (c[:, 2] + v * c[:, 3])))
+    den = z[:, None] - u
+    return np.divide(num, den, out=np.zeros(den.shape, dtype=complex),
+                     where=den != 0) @ wt
+
+
+class TestRealArithmeticKernel:
+    """The blocked real-arithmetic sums behind ``_cauchy_rows`` against
+    the complex division they replace."""
+
+    @pytest.mark.parametrize("name", ["gauss3", "fermi5"])
+    def test_matches_complex_division(self, name, request, monkeypatch):
+        m = request.getfixturevalue(name)
+        U = m.u_support
+        graded = np.isfinite(m.upsilon)
+        u, wt = quadrature.graded_layout(-U, U, 32, graded)
+        # on the axis, on a node of the layout (where the complex
+        # denominator is 0), just off the axis, and off the segment
+        zs = np.array([0.3 * U, -0.71 * U, u[37], u[-40], 0.4 * U - 1e-6j,
+                       -0.2 * U + 1e-6j, 1.3 * U, -1.05 * U, 1.1 * U - 0.1j,
+                       0.2 - 2.0j])
+        s = np.clip(zs.real, -U, U)
+        taylor = dsp._taylor(m.phi, -U, U, s)
+        sums = dsp._residual_sums(m.phi, u, wt, zs, s, taylor)
+        oracle = _complex_residual_sums(m.phi, u, wt, zs, s, taylor)
+        assert np.max(np.abs(sums - oracle)) <= 1e-13
+        got, err = dsp._cauchy_rows(m.phi, -U, U, zs, 1e-10, graded)
+        monkeypatch.setattr(dsp, "_residual_sums", _complex_residual_sums)
+        want, want_err = dsp._cauchy_rows(m.phi, -U, U, zs, 1e-10, graded)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-13
+        assert np.max(np.abs(err - want_err)) <= 1e-13
+
+    def test_boundary_row_work_memory_is_bounded(self, gauss3, monkeypatch):
+        # the 402 poles of a 201-point boundary row at k = 0.2 over the
+        # gauss3 support, phi = pi exp(-u^2) in closed form (its spline
+        # alone holds several 128 KiB temporaries at 16384 nodes), summed
+        # at 512 and 1024 panels: the work buffers hold 64 KiB each, so the
+        # peak is the layout's own arrays, not z x node matrices
+        U = gauss3.u_support
+        taus = np.linspace(0.0, 40.0, 201)
+        zs = np.concatenate([taus / 2 + 0.1, taus / 2 - 0.1]) + 0j
+        panels = []
+        layout = dsp.graded_layout
+        monkeypatch.setattr(dsp, "graded_layout", lambda a, b, p, g: (
+            panels.append(p) or layout(a, b, p, g)))
+        monkeypatch.setattr(quadrature, "_PANELS_START", 512)
+        g = lambda u: np.pi * np.exp(-u * u)
+        tracemalloc.start()
+        try:
+            dsp._cauchy_rows(g, -U, U, zs, 1e-10, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(panels) >= 1024
+        assert peak < 2 ** 20
 
 
 class TestRows:

@@ -27,13 +27,14 @@ from hartree_mix.pipeline import (
     InsufficientSamples,
     NonPositiveValue,
     RunConfig,
+    _marginal,
     _write_csv,
     fit_decay,
     nonlinear_bytes,
     parse_config,
 )
 from hartree_mix.dynamics import DensityTrajectory, y_norm
-from hartree_mix import dispersion, green, quadrature, stability
+from hartree_mix import dispersion, green, profiles, quadrature, stability
 
 
 def _doc(**over):
@@ -303,6 +304,49 @@ class TestYNorm:
         assert y_norm(tr, 2, 1) == pytest.approx(want, rel=1e-12)
 
 
+def _count_builds(monkeypatch) -> list:
+    """Make profiles.build_marginal record each profile it builds."""
+    built, real = [], profiles.build_marginal
+    monkeypatch.setattr(profiles, "build_marginal",
+                        lambda prof: built.append(prof) or real(prof))
+    return built
+
+
+class TestMarginalFile:
+    @pytest.mark.parametrize("over", [
+        {"equilibrium": {"kind": "gaussian", "scale": 1.1}}, {"d": 4}])
+    def test_stamp_mismatch_rebuilds_and_overwrites(self, tmp_path,
+                                                    monkeypatch, over):
+        _marginal(parse_config(_doc()), str(tmp_path))
+        built = _count_builds(monkeypatch)
+        cfg = parse_config(_doc(**over))
+        m = _marginal(cfg, str(tmp_path))
+        assert built == [cfg.profile]
+        again = _marginal(cfg, str(tmp_path))
+        assert len(built) == 1
+        assert again.total_mass == m.total_mass
+        assert again.d == cfg.d
+        assert os.listdir(tmp_path) == ["marginal.npz"]
+
+    @pytest.mark.parametrize("damage", ["truncated", "not_npz", "empty"])
+    def test_unreadable_file_is_rebuilt(self, tmp_path, monkeypatch, damage):
+        cfg = parse_config(_doc())
+        path = tmp_path / "marginal.npz"
+        want = _marginal(cfg, str(tmp_path))
+        data = path.read_bytes()
+        path.write_bytes({"truncated": data[:len(data) // 2],
+                          "not_npz": b"phi,dphi\r\n1,2\r\n",
+                          "empty": b""}[damage])
+        built = _count_builds(monkeypatch)
+        got = _marginal(cfg, str(tmp_path))
+        assert len(built) == 1
+        assert path.read_bytes()[:4] == b"PK\x03\x04"
+        u = np.linspace(0.0, 3.0, 7)
+        assert np.array_equal(got.phi(u), want.phi(u))
+        _marginal(cfg, str(tmp_path))
+        assert len(built) == 1
+
+
 class TestCliStages:
     @pytest.fixture()
     def cfg_path(self, tmp_path):
@@ -320,6 +364,23 @@ class TestCliStages:
         report = json.loads((out / "marginal.json").read_text())
         assert "total_mass" in report
         assert report["ok"] in (True, False)
+
+    def test_later_stages_load_the_marginal_stage_file(self, tmp_path,
+                                                       cfg_path, monkeypatch):
+        path, out = cfg_path
+        fresh = tmp_path / "fresh"
+        assert main(["stability", "--config", str(path), "--out",
+                     str(fresh)]) == 0
+        assert main(["marginal", "--config", str(path)]) == 0
+        assert (out / "marginal.npz").exists()
+
+        def no_build(prof):
+            raise RuntimeError("the marginal was built again")
+        monkeypatch.setattr(profiles, "build_marginal", no_build)
+        for stage in ("dispersion", "stability", "green"):
+            assert main([stage, "--config", str(path)]) == 0, stage
+        assert (out / "stability.json").read_bytes() == \
+            (fresh / "stability.json").read_bytes()
 
     def test_dispersion_stage_writes_samples(self, cfg_path):
         path, out = cfg_path

@@ -20,6 +20,7 @@ from hartree_mix.profiles import (
     fermi_zero_t_profile,
     gaussian_hat_potential,
     gaussian_profile,
+    marginal_from_tables,
     screened_coulomb,
     shifted_l2_difference,
     sphere_area,
@@ -98,6 +99,44 @@ class TestMarginalStructure:
         u = np.linspace(-12.0, 12.0, 4001)
         want = np.trapezoid(gauss3.phi(u), u)
         assert abs(gauss3.total_mass - want) < 1e-7
+
+
+class TestMarginalTables:
+    @pytest.mark.parametrize("name", ["gauss3", "fermi5", "bump3"])
+    def test_loaded_marginal_is_bitwise_the_built_one(self, name, request,
+                                                      tmp_path):
+        m = request.getfixturevalue(name)
+        np.savez(tmp_path / "marginal.npz", **m.tables)
+        with np.load(tmp_path / "marginal.npz", allow_pickle=False) as npz:
+            got = marginal_from_tables(m.profile,
+                                       {k: npz[k] for k in npz.files})
+        u = np.linspace(-1.2, 1.2, 241) * m.u_support
+        # phi_hat below the adaptive switch 10 / u_support, on the spline
+        # up to t_cap, and past t_cap (fermi5's t_support exceeds its cap)
+        h_t = min(0.01, np.pi / (16.0 * m.u_support))
+        t_cap = min(m.t_support, 32768 * h_t)
+        t = np.concatenate([np.linspace(0.0, 10.0 / m.u_support, 7)[1:],
+                            np.linspace(0.0, t_cap, 301),
+                            t_cap * np.array([1.0001, 1.3, 2.0])])
+        assert name != "fermi5" or t_cap < m.t_support
+        for fn in ("phi", "dphi"):
+            assert np.array_equal(getattr(got, fn)(u), getattr(m, fn)(u))
+        assert np.array_equal(got.phi_hat(t), m.phi_hat(t))
+        for field in ("total_mass", "upsilon", "d", "u_support", "t_support",
+                      "phi_hat_l1", "phi_hat_deriv_l1"):
+            assert getattr(got, field) == getattr(m, field), field
+
+    def test_missing_or_misshapen_table_raises(self, gauss3):
+        tables = dict(gauss3.tables)
+        del tables["t_support"]
+        with pytest.raises(KeyError):
+            marginal_from_tables(gauss3.profile, tables)
+        for key, bad in (("phi", gauss3.tables["phi"][:-1]),
+                         ("phi_hat", gauss3.tables["phi_hat"][1:]),
+                         ("total_mass", np.ones(2))):
+            with pytest.raises(ValueError, match=key):
+                marginal_from_tables(gauss3.profile,
+                                     dict(gauss3.tables, **{key: bad}))
 
 
 class TestShiftedDifference:
