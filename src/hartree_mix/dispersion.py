@@ -56,9 +56,8 @@ _BUF = 1 << 13
 
 
 def _blocks(n, m, k):
-    """Tile an n x m matrix with blocks of at most ``_BUF`` entries: yield
-    each block's row and column slices and k work arrays of its shape,
-    views of buffers allocated once."""
+    """Yield the row and column slices of each block (at most ``_BUF``
+    entries) of an n x m matrix, with k work views of once-made buffers."""
     cols = min(m, _BUF)
     rows = _BUF // cols
     buf = np.empty((k, _BUF))
@@ -79,11 +78,10 @@ def _residual_sums(g, u, wt, z, s, taylor):
     for r, c, num, dx, q in _blocks(z.size, u.size, 3):
         p = taylor[r, :, None]
         np.subtract(u[c], s[r, None], out=dx)
-        np.multiply(dx, p[:, 3], out=num)
-        for i in (2, 1):
-            num += p[:, i]
+        num[...] = p[:, 3]
+        for i in (2, 1, 0):
             num *= dx
-        num += p[:, 0]
+            num += p[:, i]
         np.subtract(gu[c], num, out=num)
         np.subtract(x[r, None], u[c], out=dx)
         np.add(np.multiply(dx, dx, out=q), y2[r, None], out=q)

@@ -14,12 +14,14 @@ import json
 import math
 import os
 import zipfile
+import zlib
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from . import dispersion as disp
+from . import dispersion as disp, quadrature
 from . import __version__, dynamics, green, nonlinear, profiles, stability
 
 __all__ = [
@@ -401,32 +403,34 @@ def _t_grid(cfg: RunConfig) -> np.ndarray:
     return np.arange(n) * cfg.dt
 
 
-def _marginal(cfg: RunConfig, out: str, rebuild: bool = False):
-    """The profile's marginal from ``out/marginal.npz`` if its stamp
-    matches and it reads whole; else, or on ``rebuild``, built and written
-    there through a temporary file, so no reader sees half a file."""
-    prof = cfg.profile
-    path = os.path.join(out, "marginal.npz")
-    stamp = json.dumps([__version__, prof.kind, prof.d,
-                        sorted(prof.params.items())])
-    if not rebuild:
-        try:
-            with np.load(path, allow_pickle=False) as npz:
-                if str(npz["stamp"]) == stamp:
-                    return profiles.marginal_from_tables(
-                        prof, {k: npz[k] for k in npz.files if k != "stamp"})
-        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
-            pass
-    m = profiles.build_marginal(prof)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "wb") as fh:
-        np.savez(fh, stamp=np.array(stamp), **m.tables)
-    os.replace(tmp, path)
-    return m
+def _marginal_stamp(prof: profiles.EquilibriumProfile) -> str:
+    """The code (sources, numpy) and profile fields ``marginal.npz`` holds."""
+    # a CRC: hashlib would load OpenSSL, 3.7 MB of RSS in every stage
+    code = b"".join(Path(mod.__file__).read_bytes() for mod in (profiles, quadrature))
+    return json.dumps([__version__, np.__version__, zlib.crc32(code), prof.kind, prof.d,
+                       prof.n1, prof.upsilon, prof.f_edge, sorted(prof.params.items())])
+
+
+def _marginal(cfg: RunConfig, out: str):
+    """The marginal from ``out/marginal.npz`` if whole and stamped so, else built."""
+    try:
+        with np.load(os.path.join(out, "marginal.npz"), allow_pickle=False) as npz:
+            if str(npz["stamp"]) == _marginal_stamp(cfg.profile):
+                return profiles.marginal_from_tables(
+                    cfg.profile, {k: npz[k] for k in npz.files if k != "stamp"})
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        pass
+    return profiles.build_marginal(cfg.profile)
 
 
 def _cmd_marginal(cfg: RunConfig, out: str) -> int:
-    m = _marginal(cfg, out, rebuild=True)
+    m = profiles.build_marginal(cfg.profile)
+    # ZipInfo's fixed 1980 member date: equal tables give equal bytes
+    with zipfile.ZipFile(os.path.join(out, f"marginal.{os.getpid()}.tmp"), "w") as zf:
+        for key, val in dict(m.tables, stamp=_marginal_stamp(cfg.profile)).items():
+            with zf.open(zipfile.ZipInfo(f"{key}.npy"), "w") as fh:
+                np.lib.format.write_array(fh, np.asarray(val))
+    os.replace(zf.filename, os.path.join(out, "marginal.npz"))
     us = np.linspace(-m.u_support, m.u_support, 801)
     _write_csv(os.path.join(out, "marginal.csv"), ["u", "phi", "dphi"],
                np.column_stack([us, m.phi(us), m.dphi(us)]))

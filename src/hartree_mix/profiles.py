@@ -560,12 +560,11 @@ def build_marginal(prof: EquilibriumProfile) -> Marginal:
 
 
 def marginal_from_tables(prof: EquilibriumProfile, tables: dict) -> Marginal:
-    """The marginal of ``prof`` served from ``build_marginal``'s tables
-    with no quadrature: phi, phi' (full support) and phi_hat (up to t_cap)
-    from ``_uniform_spline``s, near 1e-11 from the exact rules, and the L1
-    diagnostics, with a fitted envelope tail where phi_hat outlives t_cap.
-    Raises KeyError for a missing table and ValueError for a misshapen one.
-    """
+    """The marginal of ``prof`` served from ``build_marginal``'s tables with
+    no quadrature: phi, phi' (full support) and phi_hat (to t_cap) from
+    ``_uniform_spline``s, near 1e-11 from the exact rules, and the L1 sums
+    (envelope tail past t_cap).  KeyError: a missing table; ValueError: a
+    misshapen one."""
     u_max, phi, dphi, exact = _served_phi(prof, tables)
     t_support = float(_table(tables, "t_support"))
     t_nodes, t_pad = _hat_grid(u_max, t_support)

@@ -382,42 +382,6 @@ def _march_by_node_exponentials(state, w, f, weights):
     return correct
 
 
-def _march_by_node_gain(state, w, f, weights):
-    """The d = 1 linear-stage march with the gain
-    free_phase[a] * weights[a] * fd formed per node and the running
-    product of Phi started at ones."""
-    axis, t_grid, dt = state.axis, state.t_grid, state.dt
-    n, n_t, c = axis.size, t_grid.size, (axis.size - 1) // 2
-    fax = np.asarray(f.f(axis ** 2), dtype=float)
-    alpha = -1j * np.asarray(w.w_hat(np.abs(axis)), dtype=float)
-    jp = np.arange(n)
-    m = jp[:, None] - jp[None, :] + c
-    mc = np.clip(m, 0, n - 1)
-    fd = np.where((m >= 0) & (m < n), fax[None, :] - fax[mc], 0.0)
-    free_phase = np.exp(-1j * t_grid[:, None] * axis * axis)[:, :, None]
-    gain = lambda a: free_phase[a] * weights[a] * fd
-    step = np.exp(1j * ((axis[mc] ** 2 - axis[jp] ** 2) * dt))
-    den = np.ones((n_t, n), dtype=complex)
-    phi = np.ones((n, n), dtype=complex)
-    for a in range(1, n_t):
-        phi *= step
-        den[a] -= 0.5 * dt * alpha * np.sum(gain(a) * phi, axis=1)
-
-    def correct(resid):
-        x = np.empty(resid.shape, dtype=complex)
-        x[:, 0] = resid[:, 0]
-        run = np.zeros((n, n), dtype=complex)
-        phi = np.ones((n, n), dtype=complex)
-        for a in range(1, n_t):
-            hist = np.sum(gain(a) * (0.5 * dt * x[:, :1] + dt * run), axis=1)
-            x[:, a] = (resid[:, a] + alpha * hist) / den[a]
-            phi *= step
-            run += phi * x[:, a:a + 1]
-        return x
-
-    return correct
-
-
 def _dense_linear_stage(state, w, f):
     """The d = 1 linear stage as n dense lower-triangular time matrices."""
     axis, t_grid, dt = state.axis, state.t_grid, state.dt
@@ -464,41 +428,24 @@ class TestLinearStageMarch:
 
 
     def test_running_product_matches_node_exponentials(self):
-        # 301 nodes: the running product e^{i dt expo}^a drifts from the
-        # node-wise exponentials by rounding only
+        # 301 nodes: the running product fd e^{i dt expo}^a drifts from the
+        # node-wise exponentials by rounding only, on 9 and 33 points
         g0, f = _kernel(), gaussian_profile(1)
         w = screened_coulomb(0.5, 1.0)
-        state = initial_state(g0, 4.0, 9, 0.1, 30.0)
-        assert state.t_grid.size == 301
-        table = _weight_table(state)
-        free = density_trajectory_from_state(state, table)
-        correct = _linear_stage_solver(state, g0, w, f, free, table)
-        direct = _march_by_node_exponentials(state, w, f, table)
         rng = np.random.default_rng(13)
-        re, im = rng.standard_normal((2, 9, 301))
-        for r in (re + 1j * im, free.rho_hat):
-            want = direct(r)
-            got = correct(r)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-    def test_folded_gain_matches_per_node_gain(self):
-        # the march folds fd into its running product and takes the phase
-        # e^{-i t_a k^2} out of the p-sum as a factor of each k row: the
-        # same sums as the per-node gain, to rounding
-        g0, f = _kernel(), gaussian_profile(1)
-        w = screened_coulomb(0.5, 1.0)
-        state = initial_state(g0, 4.0, 33, 0.1, 30.0)
-        table = _weight_table(state)
-        free = density_trajectory_from_state(state, table)
-        correct = _linear_stage_solver(state, g0, w, f, free, table)
-        direct = _march_by_node_gain(state, w, f, table)
-        rng = np.random.default_rng(17)
-        re, im = rng.standard_normal((2, 33, 301))
-        for r in (re + 1j * im, free.rho_hat):
-            want = direct(r)
-            assert np.max(np.abs(correct(r) - want)) \
-                <= 1e-15 * np.max(np.abs(want))
+        for n in (9, 33):
+            state = initial_state(g0, 4.0, n, 0.1, 30.0)
+            assert state.t_grid.size == 301
+            table = _weight_table(state)
+            free = density_trajectory_from_state(state, table)
+            correct = _linear_stage_solver(state, g0, w, f, free, table)
+            direct = _march_by_node_exponentials(state, w, f, table)
+            re, im = rng.standard_normal((2, n, 301))
+            for r in (re + 1j * im, free.rho_hat):
+                want = direct(r)
+                got = correct(r)
+                assert np.max(np.abs(got - want)) \
+                    <= 1e-12 * np.max(np.abs(want))
 
 
 class TestMemory:

@@ -32,6 +32,7 @@ from hartree_mix.pipeline import (
     fit_decay,
     nonlinear_bytes,
     parse_config,
+    run,
 )
 from hartree_mix.dynamics import DensityTrajectory, y_norm
 from hartree_mix import dispersion, green, profiles, quadrature, stability
@@ -312,39 +313,77 @@ def _count_builds(monkeypatch) -> list:
     return built
 
 
+def _marginal_stage(out, **over) -> RunConfig:
+    """Run the marginal stage of ``_doc(**over)`` into ``out``."""
+    cfg = parse_config(_doc(out=str(out), **over))
+    assert run(cfg, "marginal") == 0
+    return cfg
+
+
 class TestMarginalFile:
     @pytest.mark.parametrize("over", [
-        {"equilibrium": {"kind": "gaussian", "scale": 1.1}}, {"d": 4}])
-    def test_stamp_mismatch_rebuilds_and_overwrites(self, tmp_path,
-                                                    monkeypatch, over):
-        _marginal(parse_config(_doc()), str(tmp_path))
+        {"equilibrium": {"kind": "gaussian", "scale": 1.1}}, {"d": 4},
+        {"equilibrium": {"kind": "gaussian", "n1": 5.0}}])
+    def test_stamp_mismatch_builds_and_only_the_marginal_stage_writes(
+            self, tmp_path, monkeypatch, over):
+        _marginal_stage(tmp_path)
+        path = tmp_path / "marginal.npz"
+        data = path.read_bytes()
         built = _count_builds(monkeypatch)
-        cfg = parse_config(_doc(**over))
+        cfg = parse_config(_doc(out=str(tmp_path), **over))
         m = _marginal(cfg, str(tmp_path))
         assert built == [cfg.profile]
+        assert path.read_bytes() == data
+        _marginal_stage(tmp_path, **over)
+        assert len(built) == 2
         again = _marginal(cfg, str(tmp_path))
-        assert len(built) == 1
+        assert len(built) == 2
         assert again.total_mass == m.total_mass
         assert again.d == cfg.d
-        assert os.listdir(tmp_path) == ["marginal.npz"]
+        assert path.read_bytes() != data
+
+    def test_stamp_tracks_the_table_code(self, tmp_path, monkeypatch):
+        # an edit to the modules that compute the tables, here one more
+        # comment line in quadrature.py, makes an existing file stale
+        cfg = _marginal_stage(tmp_path)
+        edited = tmp_path / "quadrature.py"
+        edited.write_bytes(Path(quadrature.__file__).read_bytes() + b"#\n")
+        monkeypatch.setattr(quadrature, "__file__", str(edited))
+        built = _count_builds(monkeypatch)
+        _marginal(cfg, str(tmp_path))
+        assert len(built) == 1
+
+    def test_undeclared_decay_is_not_served_from_the_file(self, tmp_path):
+        # n1 <= (d - 1)/2 cannot make the radial integral converge: the
+        # build refuses it, so a file built under another n1 must not
+        # serve it either
+        _marginal_stage(tmp_path)
+        cfg = parse_config(_doc(out=str(tmp_path), N1=7, equilibrium={
+            "kind": "gaussian", "n1": 0.5}))
+        with pytest.raises(profiles.NonIntegrableError):
+            _marginal(cfg, str(tmp_path))
+
+    def test_file_bytes_are_reproducible(self, tmp_path):
+        _marginal_stage(tmp_path / "a")
+        _marginal_stage(tmp_path / "b")
+        assert (tmp_path / "a" / "marginal.npz").read_bytes() == \
+            (tmp_path / "b" / "marginal.npz").read_bytes()
 
     @pytest.mark.parametrize("damage", ["truncated", "not_npz", "empty"])
     def test_unreadable_file_is_rebuilt(self, tmp_path, monkeypatch, damage):
-        cfg = parse_config(_doc())
+        cfg = _marginal_stage(tmp_path)
         path = tmp_path / "marginal.npz"
         want = _marginal(cfg, str(tmp_path))
         data = path.read_bytes()
-        path.write_bytes({"truncated": data[:len(data) // 2],
-                          "not_npz": b"phi,dphi\r\n1,2\r\n",
-                          "empty": b""}[damage])
+        bad = {"truncated": data[:len(data) // 2],
+               "not_npz": b"phi,dphi\r\n1,2\r\n", "empty": b""}[damage]
+        path.write_bytes(bad)
         built = _count_builds(monkeypatch)
         got = _marginal(cfg, str(tmp_path))
         assert len(built) == 1
-        assert path.read_bytes()[:4] == b"PK\x03\x04"
+        assert path.read_bytes() == bad
         u = np.linspace(0.0, 3.0, 7)
         assert np.array_equal(got.phi(u), want.phi(u))
-        _marginal(cfg, str(tmp_path))
-        assert len(built) == 1
 
 
 class TestCliStages:
@@ -371,6 +410,7 @@ class TestCliStages:
         fresh = tmp_path / "fresh"
         assert main(["stability", "--config", str(path), "--out",
                      str(fresh)]) == 0
+        assert "marginal.npz" not in os.listdir(fresh)
         assert main(["marginal", "--config", str(path)]) == 0
         assert (out / "marginal.npz").exists()
 
