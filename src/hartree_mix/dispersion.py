@@ -35,7 +35,8 @@ import numpy as np
 
 from .green import m_f
 from .profiles import Marginal, Potential
-from .quadrature import graded_layout, refine_panels, shell_slope
+from .quadrature import (blocks, end_cell_correction, graded_layout,
+                         refine_panels)
 
 __all__ = [
     "HilbertTransformCache", "DivergentIntegral", "dispersion_row",
@@ -50,23 +51,6 @@ class DivergentIntegral(Exception):
 # ---------------------------------------------------------------------------
 # the Cauchy-row engine
 
-# entries of one work buffer of the engine: 64 KiB of floats, under
-# glibc's mmap threshold, so its blocks never page-fault fresh mappings
-_BUF = 1 << 13
-
-
-def _blocks(n, m, k):
-    """Yield the row and column slices of each block (at most ``_BUF``
-    entries) of an n x m matrix, with k work views of once-made buffers."""
-    cols = min(m, _BUF)
-    rows = _BUF // cols
-    buf = np.empty((k, _BUF))
-    for lo in range(0, n, rows):
-        for c in range(0, m, cols):
-            shape = (min(rows, n - lo), min(cols, m - c))
-            yield (slice(lo, lo + rows), slice(c, c + cols),
-                   *(b[:shape[0] * shape[1]].reshape(shape) for b in buf))
-
 
 def _residual_sums(g, u, wt, z, s, taylor):
     """Sums over the nodes u of the subtracted integrand
@@ -75,7 +59,7 @@ def _residual_sums(g, u, wt, z, s, taylor):
     gu = np.asarray(g(u), dtype=float)
     x, y2 = z.real, z.imag ** 2
     re, im = np.zeros(z.size), np.zeros(z.size)
-    for r, c, num, dx, q in _blocks(z.size, u.size, 3):
+    for r, c, num, dx, q in blocks(z.size, u.size, 3):
         p = taylor[r, :, None]
         np.subtract(u[c], s[r, None], out=dx)
         num[...] = p[:, 3]
@@ -127,7 +111,7 @@ def _cauchy_rows(g, a, b, z, tol_abs, graded):
     PV + i pi g(z).  A real z on an end of the segment, where g vanishes,
     is snapped onto that end and takes the finite limit: there is no layer
     to remove, so nothing is subtracted, and on a graded layout the cell on
-    that end is replaced by ``_end_cell_correction``.  The rest is summed
+    that end is replaced by ``end_cell_correction``.  The rest is summed
     by ``quadrature.refine_panels`` on ``graded_layout(a, b, panels,
     graded)``.  Raises ValueError for a real z on an end where g does not
     vanish, and EvaluationBudgetExceeded when the panels run out.
@@ -165,31 +149,8 @@ def _cauchy_rows(g, a, b, z, tol_abs, graded):
         return _residual_sums(g, u, wt, z[j], s[j], taylor[j])
     values, gaps = refine_panels(sums, z.size, tol_abs)
     if graded and np.any(at_end):
-        values[at_end] += _end_cell_correction(g, a, b, z[at_end].real)
+        values[at_end] += end_cell_correction(g, a, b, z[at_end].real)
     return values + base, gaps
-
-
-def _end_cell_correction(g, a, b, ends):
-    """For each pole e of ``ends`` (a or b), the geometric remainder past
-    the last dyadic shell at e minus the graded layout's sum over the
-    cell on e.
-
-    Where g vanishes like |u - e|^alpha, g(u)/(e - u) grows like
-    |u - e|^(alpha - 1) into that cell, which its Gauss nodes do not
-    resolve (7e-8 off for g = 2 sqrt(1 - u^2)), while the shell sums
-    contract like 2^(-j alpha): the series past the last one is the cell,
-    as in ``stability.criterion_integral``.
-    """
-    u, wt = graded_layout(a, b, 16, True)
-    gu = np.asarray(g(u), dtype=float)
-    out = np.empty(ends.size)
-    for i, e in enumerate(ends):
-        cells = (gu / (e - u) * wt).reshape(-1, 16).sum(axis=1)
-        if e == a:
-            cells = cells[::-1]
-        r = 2.0 ** shell_slope(cells[:-1])
-        out[i] = cells[-2] * r / (1.0 - r) - cells[-1]
-    return out
 
 
 class HilbertTransformCache:
@@ -242,7 +203,7 @@ def dispersion_row(m: Marginal, w: Potential, k: float, lam_tilde,
     merge into the real D = 1 - (w_hat(k)/2) int phi(u) / ((x_- - u)(x_+ -
     u)) du, finite at |tau_tilde| = 2 Upsilon + k unless phi vanishes
     slowly there (``_edge_exponent``; DivergentIntegral); there the end
-    cell on Upsilon takes ``_end_cell_correction``, as an end pole of the
+    cell on Upsilon takes ``end_cell_correction``, as an end pole of the
     Hilbert form does.  At k = 0 the row is the rescaled limit.  A compact
     support is summed on the edge-graded layout.  Returns the values and
     their error estimates.
@@ -281,14 +242,14 @@ def dispersion_row(m: Marginal, w: Potential, k: float, lam_tilde,
             phi = np.asarray(m.phi(u), dtype=float)
             xm, xp = x_m[j, None], x_p[j, None]
             out = np.zeros(j.size)
-            for r, c, a, b in _blocks(j.size, u.size, 2):
+            for r, c, a, b in blocks(j.size, u.size, 2):
                 np.subtract(xm[r], u[c], out=a)
                 a *= np.subtract(xp[r], u[c], out=b)
                 out[r] += np.divide(phi[c], a, out=a) @ wt[c]
             return out
         integral, gaps = refine_panels(sums, x_m.size, tol_abs)
         for i in np.nonzero(at_edge)[0]:
-            integral[i] += _end_cell_correction(
+            integral[i] += end_cell_correction(
                 lambda u: m.phi(u) / (x_p[i] - u), -ups, ups, np.array([ups]))[0]
         values[real_branch] = 1.0 - (wk / 2.0) * integral.real
         errs[real_branch] = abs(wk) / 2.0 * gaps

@@ -14,8 +14,9 @@ radial reduction
 with Gauss-Jacobi nodes absorbing the endpoint weight, so compactly
 supported profiles keep their exact vanishing rate at the support edge.
 phi_hat comes from a dense sample of phi pushed through the Filon cosine
-rule.  All evaluators are vectorized and the Marginal is immutable, so
-scans may share one instance across workers.
+rule, and at small t from the panel engine over phi's support.  All
+evaluators are vectorized and the Marginal is immutable, so scans may
+share one instance across workers.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .quadrature import adaptive_gauss, fast_len, filon_transform
+from .quadrature import (blocks, fast_len, filon_transform, graded_layout,
+                         refine_panels)
 
 __all__ = [
     "EquilibriumProfile",
@@ -480,8 +482,14 @@ def _table(tables: dict, key: str, size: int | None = None) -> np.ndarray:
 
 
 def _served_phi(prof: EquilibriumProfile, tables: dict):
-    """u_support, phi, phi' and the exact phi_hat rule from the tables."""
+    """u_support, phi, phi' and the exact phi_hat rule from the tables.
+
+    The radial reduction is set up for every profile, so its decay check
+    (NonIntegrableError) guards a marginal served from loaded tables too.
+    """
     phi_table = _table(tables, "phi", _N_U)
+    reduced, dphi = _radial_reduction(prof)
+    phi = reduced
     full = not np.isfinite(prof.upsilon)
     u_max = float(_table(tables, "u_support") if full else prof.upsilon)
     h_u = u_max / (_N_U - 1)
@@ -495,10 +503,24 @@ def _served_phi(prof: EquilibriumProfile, tables: dict):
             np.minimum(np.abs(u), u_max)), 0.0)
         phi = _pointwise(lambda u: on_support(u, phi_spl))
         dphi = _pointwise(lambda u: on_support(u, dphi_spl) * np.sign(u))
-    else:
-        phi, dphi = _radial_reduction(prof)
 
     t_switch = 10.0 / u_max
+
+    def below_switch(t):
+        """2 int_0^u_max cos(t u) phi(u) du at every t, on the panel
+        engine: phi once per layout, cos(t u) in fixed work buffers.  phi
+        is the reduction, not the spline, whose knots on a coarse table
+        (power_decay) would keep the panel sums from settling."""
+        def sums(panels, j):
+            u, wt = graded_layout(0.0, u_max, panels, not full)
+            pw = np.asarray(reduced(u), dtype=float) * wt
+            tj = t[j]
+            out = np.zeros(j.size)
+            for r, c, tu in blocks(j.size, u.size, 1):
+                np.multiply(tj[r, None], u[c], out=tu)
+                out[r] += np.cos(tu, out=tu) @ pw[c]
+            return out
+        return 2.0 * refine_panels(sums, t.size, 1e-12)[0].real
 
     @_pointwise
     def phi_hat_exact(ta):
@@ -506,12 +528,8 @@ def _served_phi(prof: EquilibriumProfile, tables: dict):
         osc = np.abs(ta) >= t_switch
         if np.any(osc):
             out[osc] = 2.0 * filon_transform(phi_table, 0.0, h_u, np.abs(ta[osc])).real
-        if np.any(~osc):
-            for i in np.nonzero(~osc)[0]:
-                ti = abs(ta[i])
-                out[i] = 2.0 * float(np.real(adaptive_gauss(
-                    lambda u: np.cos(ti * u) * phi(u), 0.0, u_max,
-                    tol_abs=1e-12).value))
+        if not np.all(osc):
+            out[~osc] = below_switch(np.abs(ta[~osc]))
         return out
 
     return u_max, phi, dphi, phi_hat_exact
@@ -534,28 +552,29 @@ def build_marginal(prof: EquilibriumProfile) -> Marginal:
     the reduction converge.  All quadrature goes into ``Marginal.tables``,
     which ``marginal_from_tables`` serves: ``phi`` on 8193 uniform nodes
     over [0, u_support]; for full support ``u_support``, where phi falls
-    to 1e-18 of phi(0), and ``dphi`` on the same nodes; ``total_mass``;
-    ``t_support``, past which |phi_hat| stays below 1e-13 of phi_hat(0);
-    and ``phi_hat`` on the spline nodes of [0, t_cap], t_cap = min(t_support,
-    32768 node spacings), then on ``_HAT_PAD`` or more nodes past t_cap,
-    from a Filon cosine rule on the phi table, with adaptive quadrature
-    below the oscillatory regime (to an absolute 1e-12, as total_mass).
+    to 1e-18 of phi(0), and ``dphi`` on the same nodes; ``t_support``,
+    past which |phi_hat| stays below 1e-13 of phi_hat(0); ``phi_hat`` on
+    the spline nodes of [0, t_cap], t_cap = min(t_support, 32768 node
+    spacings), then on ``_HAT_PAD`` or more nodes past t_cap; and
+    ``total_mass``, its value at 0.  phi_hat comes from a Filon cosine
+    rule on the phi table, and below t = 10 / u_support from one
+    ``quadrature.refine_panels`` run over every such t at an absolute
+    1e-12, on ``graded_layout`` over [0, u_support] (graded on a compact
+    support; EvaluationBudgetExceeded when the panels run out).
     """
     phi, dphi = _radial_reduction(prof)
     full = not np.isfinite(prof.upsilon)
     u_max = _support_radius(phi, 1.0, 1e-18) if full else float(prof.upsilon)
     u_grid = np.arange(_N_U) * (u_max / (_N_U - 1))
-    tables = {"phi": np.asarray(phi(u_grid), dtype=float),
-              "total_mass": 2.0 * float(np.real(adaptive_gauss(
-                  phi, 0.0, u_max, tol_abs=1e-12).value))}
+    tables = {"phi": np.asarray(phi(u_grid), dtype=float)}
     if full:
         tables.update(u_support=u_max, dphi=dphi(u_grid))
     exact = _served_phi(prof, tables)[3]
     t_support = _support_radius(lambda t: exact(np.abs(t)),
                                 max(4.0 / u_max, 1.0), 1e-13)
     t_nodes, t_pad = _hat_grid(u_max, t_support)
-    tables.update(t_support=t_support,
-                  phi_hat=np.concatenate([exact(t_nodes), exact(t_pad)]))
+    hat = np.concatenate([exact(t_nodes), exact(t_pad)])
+    tables.update(t_support=t_support, phi_hat=hat, total_mass=hat[0])
     return marginal_from_tables(prof, tables)
 
 

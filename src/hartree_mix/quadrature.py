@@ -1,14 +1,15 @@
 """Shared 1-D quadrature engine.
 
-Four pieces, used throughout the package:
+Three pieces, used throughout the package:
 
-* ``adaptive_gauss``: adaptive Gauss-Legendre panels for regular (possibly
-  complex-valued) integrands on a finite interval,
 * ``graded_layout``: 16-node Gauss-Legendre panels, uniform inside, cut
   into dyadic shells toward the ends of a compact support, and
   ``refine_panels``, which doubles them until a whole array of integrals
   settles: every integral over the marginal's support goes through it;
-  ``shell_slope`` reads the decay of the shells toward an end,
+  ``shell_slope`` reads the decay of the shells toward an end, and
+  ``end_cell_correction`` replaces the cell on an end by the geometric
+  series past the last shell; ``blocks`` tiles a node matrix into fixed
+  64 KiB work buffers,
 * ``filon_transform``: a composite Filon-Simpson rule for
   ``int f(x) exp(-i w x) dx`` on a uniform grid, vectorized over
   frequencies.  An arithmetic progression of frequencies is evaluated as
@@ -35,16 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "QuadResult", "QuadratureError", "UnresolvedOscillation",
-    "EvaluationBudgetExceeded", "adaptive_gauss", "graded_layout",
-    "refine_panels", "shell_slope", "filon_transform",
-    "fast_len", "DEFAULT_ABS_TOL", "DEFAULT_EVAL_CAP",
+    "QuadratureError", "UnresolvedOscillation", "EvaluationBudgetExceeded",
+    "graded_layout", "refine_panels", "shell_slope", "filon_transform",
+    "fast_len",
 ]
-
-# Defaults shared by the whole package: absolute tolerance for adaptive
-# rules and a hard cap on integrand evaluations per call.
-DEFAULT_ABS_TOL = 1e-10
-DEFAULT_EVAL_CAP = 2_000_000
 
 
 class QuadratureError(Exception):
@@ -56,60 +51,7 @@ class UnresolvedOscillation(QuadratureError):
 
 
 class EvaluationBudgetExceeded(QuadratureError):
-    """Adaptive refinement hit the evaluation cap before converging."""
-
-
-@dataclass(frozen=True)
-class QuadResult:
-    """Value of an integral together with its accounting."""
-
-    value: complex
-    abs_error_estimate: float
-    evaluations: int
-
-
-# ---------------------------------------------------------------------------
-# adaptive Gauss-Legendre panels
-
-_GL_HI_X, _GL_HI_W = np.polynomial.legendre.leggauss(31)
-_GL_LO_X, _GL_LO_W = np.polynomial.legendre.leggauss(15)
-
-
-def adaptive_gauss(f, a, b, tol_abs=DEFAULT_ABS_TOL, eval_cap=DEFAULT_EVAL_CAP,
-                   min_depth=0):
-    """Adaptive 15/31 Gauss-Legendre bisection on [a, b].
-
-    ``f`` is vectorized and may return complex values.  ``min_depth`` forces
-    that many initial bisection levels, which guards against integrands
-    whose structure a single panel would miss entirely.
-    """
-    if b <= a:
-        return QuadResult(0.0 + 0.0j, 0.0, 0)
-    stack = [(a, b, 0)]
-    total = 0.0 + 0.0j
-    err = 0.0
-    evals = 0
-    while stack:
-        lo, hi, depth = stack.pop()
-        # 31-node value and 15-node comparison on the panel
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        ys = np.asarray(f(np.concatenate([mid + half * _GL_HI_X,
-                                          mid + half * _GL_LO_X])))
-        val = half * (ys[:_GL_HI_X.size] @ _GL_HI_W)
-        e = abs(val - half * (ys[_GL_HI_X.size:] @ _GL_LO_W))
-        evals += ys.size
-        if evals > eval_cap:
-            raise EvaluationBudgetExceeded(
-                f"adaptive_gauss exceeded {eval_cap} evaluations on [{a}, {b}]")
-        width_tol = tol_abs * (hi - lo) / (b - a)
-        if depth >= min_depth and (e <= max(width_tol, 1e-16 * abs(val)) or hi - lo < 1e-14 * (abs(a) + abs(b) + 1)):
-            total += val
-            err += e
-            continue
-        mid = 0.5 * (lo + hi)
-        stack.append((lo, mid, depth + 1))
-        stack.append((mid, hi, depth + 1))
-    return QuadResult(total, err, evals)
+    """Panel doubling hit the panel cap before converging."""
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +95,28 @@ def shell_slope(shells):
                             1)[0])
 
 
+def end_cell_correction(g, a, b, ends):
+    """For each pole e of ``ends`` (a or b), the geometric remainder past
+    the last dyadic shell at e minus the graded layout's sum over the
+    cell on e, for the integrand g(u)/(e - u).
+
+    Where g vanishes like |u - e|^alpha, g(u)/(e - u) grows like
+    |u - e|^(alpha - 1) into that cell, which its Gauss nodes do not
+    resolve (7e-8 off for g = 2 sqrt(1 - u^2)), while the shell sums
+    contract like 2^(-j alpha): the series past the last one is the cell.
+    """
+    u, wt = graded_layout(a, b, 16, True)
+    gu = np.asarray(g(u), dtype=float)
+    out = np.empty(ends.size)
+    for i, e in enumerate(ends):
+        cells = (gu / (e - u) * wt).reshape(-1, 16).sum(axis=1)
+        if e == a:
+            cells = cells[::-1]
+        r = 2.0 ** shell_slope(cells[:-1])
+        out[i] = cells[-2] * r / (1.0 - r) - cells[-1]
+    return out
+
+
 def refine_panels(sums, count, tol_abs):
     """(values, gaps) of ``count`` integrals; ``sums(panels, idx)`` sums
     those numbered idx at ``panels`` panels.  Panels double from
@@ -178,6 +142,24 @@ def refine_panels(sums, count, tol_abs):
         gaps[todo[done]] = gap[done]
         todo, coarse = todo[~done], fine[~done]
     return values, gaps
+
+
+# entries of one work buffer of ``blocks``: 64 KiB of floats, under
+# glibc's mmap threshold, so its blocks never page-fault fresh mappings
+_BUF = 1 << 13
+
+
+def blocks(n, m, k):
+    """Yield the row and column slices of each block (at most ``_BUF``
+    entries) of an n x m matrix, with k work views of once-made buffers."""
+    cols = min(m, _BUF)
+    rows = _BUF // cols
+    buf = np.empty((k, _BUF))
+    for lo in range(0, n, rows):
+        for c in range(0, m, cols):
+            shape = (min(rows, n - lo), min(cols, m - c))
+            yield (slice(lo, lo + rows), slice(c, c + cols),
+                   *(b[:shape[0] * shape[1]].reshape(shape) for b in buf))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ import numpy as np
 
 from .dispersion import DivergentIntegral, dispersion_row
 from .profiles import Marginal, Potential
-from .quadrature import graded_layout, refine_panels, shell_slope
+from .quadrature import (end_cell_correction, graded_layout, refine_panels,
+                         shell_slope)
 
 __all__ = [
     "CriterionResult",
@@ -63,8 +64,6 @@ class CriterionResult:
     kind: str
     value: float | None
     shell_slope: float | None
-    integral: float | None
-    remainder: float
 
 
 @dataclass(frozen=True)
@@ -127,37 +126,32 @@ def criterion_integral(m: Marginal, w: Potential) -> CriterionResult:
     least-squares slope of log2 |I_j| over the last six nonzero shells
     before the cell on Upsilon decides: slope >= -0.05 means the shell
     sums do not contract and the integral is flagged divergent; otherwise
-    that cell is replaced by the geometric series past the last shell.
+    the whole layout is summed and ``end_cell_correction`` replaces that
+    cell by the geometric series past the last shell.
     """
     if not np.isfinite(m.upsilon):
-        return CriterionResult(kind="vacuous", value=None, shell_slope=None,
-                               integral=None, remainder=0.0)
+        return CriterionResult(kind="vacuous", value=None, shell_slope=None)
     ups = m.upsilon
 
-    def f(u):
-        return np.asarray(m.phi(u)) / (ups - u) ** 2
+    def g(u):
+        return np.asarray(m.phi(u)) / (ups - u)
 
     def sums(panels, _):
-        # every panel but the cell on Upsilon: 16 nodes each
         u, wt = graded_layout(-ups, ups, panels, True)
-        return np.array([f(u[:-16]) @ wt[:-16]])
+        return np.array([g(u) / (ups - u) @ wt])
 
     # the panel sums before the cell on Upsilon, ending in the shells that
     # are the same at every count; a smooth edge underflows the last ones
     u, wt = graded_layout(-ups, ups, 16, True)
-    shells = (f(u) * wt).reshape(-1, 16).sum(axis=1)[:-1]
-    slope = shell_slope(shells)
+    cells = (g(u) / (ups - u) * wt).reshape(-1, 16).sum(axis=1)
+    slope = shell_slope(cells[:-1])
     if slope >= -0.05:
-        return CriterionResult(kind="divergent", value=None, shell_slope=slope,
-                               integral=None, remainder=0.0)
-    total = float(refine_panels(sums, 1, 1e-12)[0][0].real)
-    r_ratio = 2.0 ** slope
-    remainder = float(shells[-1]) * r_ratio / (1.0 - r_ratio)
-    integral = total + remainder
+        return CriterionResult(kind="divergent", value=None, shell_slope=slope)
+    integral = float(refine_panels(sums, 1, 1e-12)[0][0].real
+                     + end_cell_correction(g, -ups, ups, np.array([ups]))[0])
     return CriterionResult(kind="finite",
                            value=1.0 - (w.w_hat_zero / 2.0) * integral,
-                           shell_slope=slope, integral=integral,
-                           remainder=remainder)
+                           shell_slope=slope)
 
 
 def _phi_at(m: Marginal, w: Potential, k: float) -> float:

@@ -504,8 +504,7 @@ class TestCliStages:
     def test_inconclusive_stability_exits_2(self, cfg_path, monkeypatch):
         path, out = cfg_path
         crit = stability.CriterionResult(kind="vacuous", value=None,
-                                         shell_slope=None, integral=None,
-                                         remainder=0.0)
+                                         shell_slope=None)
         cert = stability.StabilityCertificate(
             verdict="Inconclusive", theta0=None, phi0=None, criterion=crit,
             zero_location=None, zero_residual=None, scan_min=None,

@@ -12,8 +12,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import j1
 
 from hartree_mix.profiles import (
+    NonIntegrableError,
+    _hat_grid,
     build_marginal,
     custom_potential,
     delta_potential,
@@ -21,11 +24,13 @@ from hartree_mix.profiles import (
     gaussian_hat_potential,
     gaussian_profile,
     marginal_from_tables,
+    power_decay_profile,
     screened_coulomb,
     shifted_l2_difference,
     sphere_area,
     validate_assumptions,
 )
+from hartree_mix.quadrature import EvaluationBudgetExceeded
 
 U = np.array([0.0, 0.2, 0.5, 0.9, 1.7, 3.0])
 T = np.array([0.0, 0.4, 1.1, 2.6, 6.0])
@@ -111,7 +116,7 @@ class TestMarginalTables:
             got = marginal_from_tables(m.profile,
                                        {k: npz[k] for k in npz.files})
         u = np.linspace(-1.2, 1.2, 241) * m.u_support
-        # phi_hat below the adaptive switch 10 / u_support, on the spline
+        # phi_hat below the panel-engine switch 10 / u_support, on the spline
         # up to t_cap, and past t_cap (fermi5's t_support exceeds its cap)
         h_t = min(0.01, np.pi / (16.0 * m.u_support))
         t_cap = min(m.t_support, 32768 * h_t)
@@ -137,6 +142,47 @@ class TestMarginalTables:
             with pytest.raises(ValueError, match=key):
                 marginal_from_tables(gauss3.profile,
                                      dict(gauss3.tables, **{key: bad}))
+
+
+HAT_CLOSED_FORMS = {
+    "gauss1": lambda t: np.sqrt(np.pi) * np.exp(-t * t / 4.0),
+    "gauss3": lambda t: np.pi ** 1.5 * np.exp(-t * t / 4.0),
+    "fermi2": lambda t: 2.0 * np.pi * _over_t(j1(t), t, 0.5),
+    "fermi3": lambda t: 4.0 * np.pi * _over_t(np.sin(t) - t * np.cos(t),
+                                              t ** 3, 1.0 / 3.0),
+}
+
+
+def _over_t(num, den, limit):
+    """num / den, with its limit at t = 0."""
+    return np.divide(num, den, out=np.full_like(num, limit), where=den != 0)
+
+
+class TestExactHatRule:
+    """The phi_hat table below t = 10 / u_support and total_mass come
+    from the panel engine; both against closed forms."""
+
+    @pytest.mark.parametrize("name", sorted(HAT_CLOSED_FORMS))
+    def test_table_below_switch_matches_closed_form(self, name, request):
+        m = request.getfixturevalue(name)
+        t = _hat_grid(m.u_support, m.t_support)[0]
+        below = t < 10.0 / m.u_support
+        assert np.count_nonzero(below) > 40
+        want = HAT_CLOSED_FORMS[name](t[below])
+        got = m.tables["phi_hat"][:t.size][below]
+        assert np.max(np.abs(got - want)) < 1e-11
+        assert abs(m.total_mass - want[0]) < 1e-11
+
+    def test_power_decay_lower_bound_fails_loudly(self):
+        # phi peaks at u = 0 inside a support radius of 1e9: the panels
+        # cannot settle, and a missed peak must not become a wrong mass
+        with pytest.raises(EvaluationBudgetExceeded):
+            build_marginal(power_decay_profile(1, 1))
+
+    def test_loaded_tables_keep_the_decay_check(self, gauss3):
+        # n1 <= (d - 1) / 2 at d = 3: the radial integral cannot converge
+        with pytest.raises(NonIntegrableError):
+            marginal_from_tables(gaussian_profile(3, n1=1.0), gauss3.tables)
 
 
 class TestShiftedDifference:

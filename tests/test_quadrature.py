@@ -18,7 +18,6 @@ from scipy.integrate import quad
 from hartree_mix import quadrature
 from hartree_mix.quadrature import (
     EvaluationBudgetExceeded,
-    adaptive_gauss,
     fast_len,
     filon_transform,
     filon_weights,
@@ -202,19 +201,6 @@ class TestFastLen:
         assert all(n > 2 ** 24 for n in ns)
         assert [fast_len(n) for n in ns] == [next_fast_len(n, False)
                                               for n in ns]
-
-
-class TestAdaptiveGauss:
-    def test_sine_area(self):
-        r = adaptive_gauss(np.sin, 0.0, np.pi, tol_abs=1e-12)
-        assert abs(r.value - 2.0) < 1e-11
-        assert r.evaluations > 0
-        assert r.abs_error_estimate >= 0.0
-
-    def test_budget_cap(self):
-        with pytest.raises(EvaluationBudgetExceeded):
-            adaptive_gauss(lambda x: np.sin(1e4 * x), 0.0, 1.0,
-                           tol_abs=1e-14, eval_cap=200)
 
 
 class TestEdgeShells:

@@ -41,6 +41,13 @@ class TestCriterionIntegral:
             assert r.kind == "finite"
             assert abs(r.value - (1.0 - 2.0 * np.pi ** 2 * g / 3.0)) < 1e-7
 
+    def test_d4_closed_form(self, fermi4):
+        # int_{-1}^{1} (4 pi / 3) (1 - u^2)^{3/2} / (1 - u)^2 du = 2 pi^2:
+        # the end cell on Upsilon carries a (1 - u)^{-1/2} singularity
+        r = criterion_integral(fermi4, delta_potential(0.05))
+        assert r.kind == "finite"
+        assert abs(r.value - (1.0 - 0.05 * np.pi ** 2)) < 1e-11
+
     def test_d3_divergence_flag(self, fermi3):
         r = criterion_integral(fermi3, delta_potential(0.1))
         assert r.kind == "divergent"
