@@ -25,8 +25,11 @@ e^{-is|p|^2}, into an outer product of the dressing rows, and the d = 1
 linear-stage march advances its phases e^{i t_a ((k-p)^2-p^2)} by a
 running product with one e^{i dt ((k-p)^2-p^2)} per node.  The update
 is streamed: the terms of one time node are formed, folded into the
-running trapezoid sum and written as that node of the new history, so a
-step holds the old history, the new one and a few slices.  Density
+running trapezoid sum and written as that node of the new history.  A
+step reads the central slices of the old history before its node loop,
+and in it only node 0, which it never writes, so the solver writes every
+sweep into the initial state's history in place and holds one history
+and a few slices.  Density
 recovery takes one path in every dimension: the shifted slab mu_hat(t,
 k-p, p) is gathered at once, and each p axis is contracted with
 oscillatory quadrature weights, since the phase under the p-integral is
@@ -36,8 +39,9 @@ from one ``filon_weights`` call.
 
 Everything is dimension-generic; the supported workhorse is d = 1 with
 33 points per axis, and d = 3 runs at 9 points per axis behind a runtime
-warning (the state alone is n_t * 9^6 complex numbers).  At d = 1 a solve
-holds about two histories plus one (n_t, n, n) weight table.
+warning (the state alone is n_t * 9^6 complex numbers).  A solve holds
+one history plus one (n_t, n, n) weight table, which at d = 1 is as large
+as the history (``pipeline.nonlinear_bytes`` counts the rest).
 """
 
 from __future__ import annotations
@@ -201,11 +205,26 @@ def picard_step(state: KernelState, rho_hat: DensityTrajectory,
                 f: EquilibriumProfile) -> KernelState:
     """One full-history Duhamel update of mu_hat for a given density.
 
-    The terms of node i are formed from the old slice mu_hat[i] and
-    folded into the trapezoid sum at once, so only the old history, the
-    new one and a few slices are alive; the input state is not written.
-    The linear term's phase e^{is(|k|^2-|p|^2)} is the outer product of
-    the shift terms' dressing row e^{-is|.|^2} with its conjugate.
+    The update is written into a fresh history, so the input state is
+    not written; the solver itself runs the same update in place (see
+    ``_update_into``).  The linear term's phase e^{is(|k|^2-|p|^2)} is
+    the outer product of the shift terms' dressing row e^{-is|.|^2} with
+    its conjugate.
+    """
+    new_mu = np.empty_like(state.mu_hat)
+    leak = _update_into(new_mu, state, rho_hat, w, f)
+    return replace(state, mu_hat=new_mu, leakage=leak)
+
+
+def _update_into(out: np.ndarray, state: KernelState,
+                 rho_hat: DensityTrajectory, w: Potential,
+                 f: EquilibriumProfile) -> float:
+    """Write ``picard_step``'s history into ``out`` and return its leakage.
+
+    ``out`` may be ``state.mu_hat`` itself: the step reads the central
+    slices of the old history before its node loop, and in it only node
+    0, which it never writes, so the update runs in place and a sweep
+    holds one history and a few slices.
     """
     d, n = state.d, state.n_pts
     axis = state.axis
@@ -224,18 +243,7 @@ def picard_step(state: KernelState, rho_hat: DensityTrajectory,
     ok_mask = np.all(np.broadcast_arrays(*[(x >= 0) & (x < n) for x in m]),
                      axis=0)
     sum_idx = tuple(np.clip(x, 0, n - 1) for x in m)
-
-    # time-independent linear-term factor w_hat(k+p) (f(|p|^2) - f(|k|^2))
-    kp = np.sqrt(sum((axis[idx[ax]] + axis[idx[d + ax]]) ** 2
-                     for ax in range(d)))
-    f_of = np.asarray(f.f(ksq))
-    lin_coeff = np.asarray(w.w_hat(kp)) \
-        * (f_of.reshape(pshape) - f_of.reshape(kshape))
-    lin_abs = np.abs(lin_coeff)
-    lin_total = float(np.sum(lin_abs))
-    lin_frac = float(np.sum(lin_abs * ~ok_mask) / lin_total) \
-        if lin_total > 0 else 0.0
-    lin_coeff[~ok_mask] = 0.0
+    lin_coeff, lin_frac = _linear_coefficient(state, w, f, ok_mask)
 
     w_axis = np.asarray(w.w_hat(np.sqrt(ksq)))
     # The shift terms convolve against the central p (resp. k) slice only
@@ -247,24 +255,31 @@ def picard_step(state: KernelState, rho_hat: DensityTrajectory,
     central_k = (slice(None),) + (c,) * d
 
     # the shift terms need one (n,)*d slice per node, so every node's
-    # convolutions run as one batch over the time axis
+    # convolutions run as one batch over the time axis, and both take the
+    # one spectrum of the coefficient rows
     eks = np.exp((-1j * t_grid).reshape((-1,) + (1,) * d) * ksq)
     coeff = w_axis * rho * dl
+    spec = np.fft.fftn(coeff, (fast_len(2 * n - 1),) * d,
+                       axes=tuple(range(1, d + 1)))
     # e^{isl.(2k-l)} mu(k-l,p): dress with e^{-is|.|^2}, convolve in k
     p1 = np.conj(eks) * _central_convolution(
-        coeff, eks * state.mu_hat[central_p])
+        spec, eks * state.mu_hat[central_p])
     # e^{-isl.(2p-l)} mu(k,p-l): conjugate dressing, convolve in p
     p2 = eks * _central_convolution(
-        coeff, np.conj(eks) * state.mu_hat[central_k])
+        spec, np.conj(eks) * state.mu_hat[central_k])
 
-    new_mu = np.empty_like(state.mu_hat)
     base = state.mu_hat[0]
-    new_mu[0] = base
+    if out is not state.mu_hat:
+        out[0] = base
+    # three slices carry the trapezoid sum: the running integral and the
+    # terms of the last two nodes, whose buffers trade places each node
     acc = np.zeros_like(base)
-    prev = None
+    prev = np.empty_like(base)
+    term = np.empty_like(base)
     for i in range(t_grid.size):
         # e^{is|k|^2} e^{-is|p|^2} w_hat(k+p) rho(s,k+p) (f(p^2) - f(k^2))
-        term = np.conj(eks[i]).reshape(kshape) * eks[i].reshape(pshape)
+        np.multiply(np.conj(eks[i]).reshape(kshape), eks[i].reshape(pshape),
+                    out=term)
         term *= lin_coeff
         term *= rho[i][sum_idx]
         term += p1[i].reshape(kshape)
@@ -273,8 +288,8 @@ def picard_step(state: KernelState, rho_hat: DensityTrajectory,
             prev += term
             prev *= 0.5 * dt
             acc += prev
-            np.subtract(base, 1j * acc, out=new_mu[i])
-        prev = term
+            np.subtract(base, np.multiply(acc, 1j, out=prev), out=out[i])
+        prev, term = term, prev
 
     # a shift by l pushes |j - c| of the n targets per axis out of the box
     # (j the index of l); the keep-weights do not depend on time
@@ -284,20 +299,39 @@ def picard_step(state: KernelState, rho_hat: DensityTrajectory,
     conv_mass = float(np.sum(mass))
     conv_frac = float(np.sum(mass * (1.0 - keep)) / conv_mass) \
         if conv_mass > 0 else 0.0
-    leak = 0.5 * (lin_frac + conv_frac)
-    return replace(state, mu_hat=new_mu, leakage=leak)
+    return 0.5 * (lin_frac + conv_frac)
 
 
-def _central_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _linear_coefficient(state: KernelState, w: Potential,
+                        f: EquilibriumProfile, ok_mask: np.ndarray):
+    """The linear term's time-independent factor w_hat(k+p) (f(|p|^2) -
+    f(|k|^2)), zero where k + p leaves the box (``ok_mask`` false), and
+    the fraction of its absolute mass that falls there."""
+    d, n, axis = state.d, state.n_pts, state.axis
+    idx = np.indices((n,) * (2 * d), sparse=True)
+    kp = np.sqrt(sum((axis[idx[ax]] + axis[idx[d + ax]]) ** 2
+                     for ax in range(d)))
+    f_of = np.asarray(f.f(_ksq_grid(axis, d)))
+    f_p = f_of.reshape((1,) * d + (n,) * d)
+    lin_coeff = np.asarray(w.w_hat(kp)) * (f_p - f_of.reshape(f_p.shape[::-1]))
+    lin_abs = np.abs(lin_coeff)
+    lin_total = float(np.sum(lin_abs))
+    lin_frac = float(np.sum(lin_abs * ~ok_mask) / lin_total) \
+        if lin_total > 0 else 0.0
+    lin_coeff[~ok_mask] = 0.0
+    return lin_coeff, lin_frac
+
+
+def _central_convolution(spec: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Central (n,)*d block of the full linear convolution of two
-    (n_t,) + (n,)*d arrays over all but the first axis, zero fill outside:
+    (n_t,) + (n,)*d arrays a and b over all but the first axis, zero fill
+    outside, from ``spec``, the ``fftn`` of a at the padded size:
     ``fftconvolve(a[i], b[i], mode="same")`` for every i."""
-    n, d = a.shape[1], a.ndim - 1
+    n, d = b.shape[1], b.ndim - 1
     c = (n - 1) // 2
-    size = (fast_len(2 * n - 1),) * d
-    axes = tuple(range(1, d + 1))
-    full = np.fft.ifftn(np.fft.fftn(a, size, axes=axes)
-                        * np.fft.fftn(b, size, axes=axes), size, axes=axes)
+    size, axes = spec.shape[1:], tuple(range(1, d + 1))
+    prod = np.fft.fftn(b, size, axes=axes)
+    full = np.fft.ifftn(np.multiply(spec, prod, out=prod), size, axes=axes)
     return full[(slice(None),) + (slice(c, c + n),) * d]
 
 
@@ -385,8 +419,8 @@ def density_trajectory_from_state(state: KernelState,
     return _cartesian_trajectory(state, rows)
 
 
-def _linear_stage_solver(state: KernelState, g0: InitialKernel, w: Potential,
-                         f: EquilibriumProfile, free_rho: DensityTrajectory,
+def _linear_stage_solver(state: KernelState, w: Potential,
+                         f: EquilibriumProfile, free_rows: np.ndarray,
                          weights: np.ndarray):
     """Return a row-wise solver delta = (I - L)^{-1} resid.
 
@@ -418,8 +452,10 @@ def _linear_stage_solver(state: KernelState, g0: InitialKernel, w: Potential,
     would be as large as a history; instead a convolution surrogate is
     calibrated from the grid's impulse response (one update-plus-synthesis
     pass on a time impulse, differenced against the free pass) and
-    marched; the few-percent calibration drift slows the late sweeps but
-    leaves the fixed point untouched.
+    marched.  That pass runs in ``state``'s own history, which must be
+    the initial one (every node equal to node 0) and is restored after.
+    The few-percent calibration drift slows the late sweeps but leaves
+    the fixed point untouched.
     """
     axis = state.axis
     n, d, dt = state.n_pts, state.d, state.dt
@@ -461,11 +497,13 @@ def _linear_stage_solver(state: KernelState, g0: InitialKernel, w: Potential,
 
         return correct
 
+    # in place; node 0, which a step never writes, restores the rest
     imp = _cartesian_trajectory(state, np.zeros((n ** d, n_t), dtype=complex))
     imp.rho_hat[:, 0] = 1.0
-    imp_state = picard_step(state, imp, g0, w, f)
-    imp_rho = density_trajectory_from_state(imp_state, weights)
-    kernel_rows = -(imp_rho.rho_hat - free_rho.rho_hat) * (2.0 / dt)
+    _update_into(state.mu_hat, state, imp, w, f)
+    imp_rho = density_trajectory_from_state(state, weights)
+    state.mu_hat[1:] = state.mu_hat[0]
+    kernel_rows = -(imp_rho.rho_hat - free_rows) * (2.0 / dt)
     kernel_rows = 0.5 * (kernel_rows + np.conj(kernel_rows[::-1]))
 
     def correct(resid: np.ndarray) -> np.ndarray:
@@ -475,6 +513,13 @@ def _linear_stage_solver(state: KernelState, g0: InitialKernel, w: Potential,
         return out
 
     return correct
+
+
+def _sweep(state: KernelState, rho_hat: DensityTrajectory, w: Potential,
+           f: EquilibriumProfile) -> KernelState:
+    """``picard_step`` written into the state's own history."""
+    return replace(state, leakage=_update_into(state.mu_hat, state, rho_hat,
+                                               w, f))
 
 
 # Picard sweeps before giving up, and the time-weight exponent delta of
@@ -528,32 +573,28 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
                       stacklevel=2)
     # every sweep synthesizes on the same grid: one weight table serves all
     weights = _weight_table(state)
-    # a Duhamel update on a zero density returns the initial profile
-    free_rho = density_trajectory_from_state(state, weights)
-    correct = _linear_stage_solver(state, g0, w, f, free_rho, weights)
+    # a Duhamel update on a zero density returns the initial profile; its
+    # density rows are not kept past the first iterate
+    rho = density_trajectory_from_state(state, weights)
+    correct = _linear_stage_solver(state, w, f, rho.rho_hat, weights)
 
-    rows0 = correct(free_rho.rho_hat)
-    rows0 = 0.5 * (rows0 + np.conj(rows0[::-1]))
-    rho = DensityTrajectory(k_grid=free_rho.k_grid, t_grid=free_rho.t_grid,
-                            rho_hat=rows0, kind=free_rho.kind,
-                            meta=free_rho.meta)
+    rows = correct(rho.rho_hat)
+    rho = replace(rho, rho_hat=0.5 * (rows + np.conj(rows[::-1])))
     distances: list[float] = []
     ratios: list[float] = []
     bad = 0
     it = 0
     for it in range(1, _MAX_SWEEPS + 1):
-        state = picard_step(state, rho, g0, w, f)
-        full = density_trajectory_from_state(state, weights)
-        rows = rho.rho_hat + correct(full.rho_hat - rho.rho_hat)
+        state = _sweep(state, rho, w, f)
+        rows = density_trajectory_from_state(state, weights).rho_hat
+        rows = rho.rho_hat + correct(rows - rho.rho_hat)
         # the oscillatory p-quadrature carries a small non-Hermitian error
         # (its endpoint corrections sit at fixed grid slots and do not pair
         # under p -> k - p), while the update itself preserves the symmetry
         # exactly; project it back out before the density feeds the next
         # sweep.  Reversing the flattened axis negates every k component.
         rows = 0.5 * (rows + np.conj(rows[::-1]))
-        new_rho = DensityTrajectory(k_grid=full.k_grid, t_grid=full.t_grid,
-                                    rho_hat=rows, kind=full.kind,
-                                    meta=full.meta)
+        new_rho = replace(rho, rho_hat=rows)
         dist = y_norm(replace(new_rho, rho_hat=rows - rho.rho_hat), n1, n2)
         if distances:
             prev = distances[-1]
@@ -573,7 +614,7 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
             break
     # one closing Duhamel pass so the returned profile matches the final
     # density, not the one from the previous sweep
-    state = picard_step(state, rho, g0, w, f)
+    state = _sweep(state, rho, w, f)
     tracker = _track_norms(state, rho, n1, n2)
     report = SolveReport(iterations=it, distances=tuple(distances),
                          contraction_factors=tuple(ratios),

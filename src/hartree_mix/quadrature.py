@@ -374,16 +374,21 @@ def filon_weights(n, x0, h, omega):
     om1 = np.atleast_1d(om)
     alpha, beta, gamma = filon_coefficients(om1 * h)
     x = x0 + h * np.arange(n)
-    # built in place: the nonlinear solve asks for one (M, n) table of all
-    # its time nodes, and each full-size temporary would cost as much
+    # built in place, the phases in row blocks of one 64 KiB buffer: the
+    # nonlinear solve asks for one (M, n) table of all its time nodes, and
+    # each full-size temporary would cost as much
     w = np.empty((om1.size, n), dtype=complex)
     w[:, 0::2] = beta[:, None]
     w[:, 1::2] = gamma[:, None]
     w[:, 0] = beta / 2.0 - 1j * alpha
     w[:, -1] = beta / 2.0 + 1j * alpha
     w *= h
-    phase = np.multiply(-1j * om1[:, None], x[None, :])
-    w *= np.exp(phase, out=phase)
+    rows = max(1, _BUF // (2 * n))
+    buf = np.empty((rows, n), dtype=complex)
+    for lo in range(0, om1.size, rows):
+        phase = buf[:min(rows, om1.size - lo)]
+        np.multiply(-1j * om1[lo:lo + rows, None], x[None, :], out=phase)
+        w[lo:lo + rows] *= np.exp(phase, out=phase)
     return w[0] if om.ndim == 0 else w
 
 

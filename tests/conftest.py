@@ -1,6 +1,9 @@
-"""Shared fixtures: the handful of equilibria every module exercises."""
+"""Shared fixtures: the handful of equilibria every module exercises, and
+the tracemalloc peak of a call."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import pytest
 
@@ -11,6 +14,21 @@ from hartree_mix.profiles import (
     screened_coulomb,
     smooth_bump_profile,
 )
+
+
+def _peak_bytes(fn):
+    """tracemalloc peak of one call fn(), in bytes, traced from its start."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def peak_bytes():
+    return _peak_bytes
 
 
 @pytest.fixture(scope="session")

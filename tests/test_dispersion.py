@@ -10,8 +10,6 @@ integrand, the Dawson function, and closed forms for cubic numerators.
 
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -347,7 +345,8 @@ class TestRealArithmeticKernel:
         assert np.max(np.abs(got - want)) <= 1e-13
         assert np.max(np.abs(err - want_err)) <= 1e-13
 
-    def test_boundary_row_work_memory_is_bounded(self, gauss3, monkeypatch):
+    def test_boundary_row_work_memory_is_bounded(self, gauss3, monkeypatch,
+                                                 peak_bytes):
         # the 402 poles of a 201-point boundary row at k = 0.2 over the
         # gauss3 support, phi = pi exp(-u^2) in closed form (its spline
         # alone holds several 128 KiB temporaries at 16384 nodes), summed
@@ -362,12 +361,7 @@ class TestRealArithmeticKernel:
             panels.append(p) or layout(a, b, p, g)))
         monkeypatch.setattr(quadrature, "_PANELS_START", 512)
         g = lambda u: np.pi * np.exp(-u * u)
-        tracemalloc.start()
-        try:
-            dsp._cauchy_rows(g, -U, U, zs, 1e-10, False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: dsp._cauchy_rows(g, -U, U, zs, 1e-10, False))
         assert max(panels) >= 1024
         assert peak < 2 ** 20
 

@@ -8,7 +8,6 @@ grid is memory-hungry and lives behind the slow marker.
 
 from __future__ import annotations
 
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +23,7 @@ from hartree_mix.dynamics import (
 from hartree_mix.nonlinear import (
     KernelState,
     _linear_stage_solver,
+    _sweep,
     _weight_table,
     density_from_state,
     density_trajectory_from_state,
@@ -417,7 +417,7 @@ class TestLinearStageMarch:
         assert state.t_grid.size == 31
         table = _weight_table(state)
         free = density_trajectory_from_state(state, table)
-        correct = _linear_stage_solver(state, g0, w, f, free, table)
+        correct = _linear_stage_solver(state, w, f, free.rho_hat, table)
         rng = np.random.default_rng(11)
         re, im = rng.standard_normal((2, 9, 31))
         resid = re + 1j * im
@@ -438,7 +438,7 @@ class TestLinearStageMarch:
             assert state.t_grid.size == 301
             table = _weight_table(state)
             free = density_trajectory_from_state(state, table)
-            correct = _linear_stage_solver(state, g0, w, f, free, table)
+            correct = _linear_stage_solver(state, w, f, free.rho_hat, table)
             direct = _march_by_node_exponentials(state, w, f, table)
             re, im = rng.standard_normal((2, n, 301))
             for r in (re + 1j * im, free.rho_hat):
@@ -449,19 +449,41 @@ class TestLinearStageMarch:
 
 
 class TestMemory:
-    def test_solve_holds_under_four_histories(self):
-        # the old step kept four histories and the old d = 1 solver n dense
-        # n_t x n_t matrices on top; now the peak is two histories plus one
-        # (n_t, n, n) weight table
+    def test_solve_holds_under_two_and_a_half_histories(self, peak_bytes):
+        # the sweeps write into the initial state's history in place, and the
+        # weight table is built without a second table-sized temporary: the
+        # peak is one history, the (n_t, n, n) table (one more at d = 1) and
+        # a few density rows and spectra; two histories at once would read
+        # at least 3 here
         history = 301 * 33 ** 2 * 16
-        tracemalloc.start()
-        try:
-            solve_selfconsistent(_kernel(), gaussian_profile(1),
-                                 screened_coulomb(0.5, 1.0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * history
+        peak = peak_bytes(lambda: solve_selfconsistent(
+            _kernel(), gaussian_profile(1), screened_coulomb(0.5, 1.0)))
+        assert peak < 2.5 * history
+
+
+class TestInPlaceSweep:
+    @pytest.mark.parametrize("d,n", [(1, 9), (2, 5)])
+    def test_sweep_equals_picard_step_bitwise(self, d, n):
+        # a random history, so every node differs from node 0
+        rng = np.random.default_rng(29 + d)
+        state, rho = _random_state(rng, d, n, 4)
+        w, f = screened_coulomb(0.5, 1.0), gaussian_profile(d)
+        want = picard_step(state, rho, _kernel(d=d), w, f)
+        got = _sweep(replace(state, mu_hat=state.mu_hat.copy()), rho, w, f)
+        np.testing.assert_array_equal(got.mu_hat, want.mu_hat)
+        assert got.leakage == want.leakage
+
+    def test_surrogate_calibration_restores_the_state(self):
+        # the d = 2 impulse pass runs in the initial history and restores it
+        g0, f = _kernel(d=2), gaussian_profile(2)
+        with pytest.warns(RuntimeWarning, match="d = 2"):
+            state = initial_state(g0, 4.0, 5, 0.1, 0.3)
+        before = state.mu_hat.copy()
+        table = _weight_table(state)
+        free = density_trajectory_from_state(state, table)
+        _linear_stage_solver(state, screened_coulomb(0.5, 1.0), f,
+                             free.rho_hat, table)
+        np.testing.assert_array_equal(state.mu_hat, before)
 
 
 class TestDegenerateCouplings:

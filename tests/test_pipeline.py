@@ -14,6 +14,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -516,11 +517,11 @@ class TestCliStages:
 
     def test_nonlinear_stage_refuses_state_over_budget(self, tmp_path,
                                                         capsys):
-        # the d = 3 defaults: two histories of 301 nodes x 9^6 entries
+        # the d = 3 defaults: one history of 301 nodes x 9^6 entries
         doc = _doc(out=str(tmp_path / "out"))
         path = tmp_path / "run.json"
         path.write_text(json.dumps(doc))
-        assert nonlinear_bytes(parse_config(doc)) > 5e9 > NONLINEAR_BUDGET
+        assert nonlinear_bytes(parse_config(doc)) > 2.5e9 > NONLINEAR_BUDGET
         assert main(["nonlinear", "--config", str(path)]) == 1
         assert "'nonlinear.points'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -529,11 +530,32 @@ class TestCliStages:
         text = (Path(__file__).parents[1] / "README.md").read_text()
         cfg = parse_config(json.loads(
             text.split("```json\n", 1)[1].split("```", 1)[0]))
-        assert nonlinear_bytes(cfg) == 16 * 31 * (2 * 9 ** 6 + 9 ** 2)
+        # one history, the weight table, eight slices, four 18^3 spectra
+        # and eight density rows per node, and 256 KiB
+        assert nonlinear_bytes(cfg) == 16 * (
+            31 * (9 ** 6 + 9 ** 2 + 4 * 18 ** 3 + 8 * 9 ** 3)
+            + 8 * 9 ** 6) + 2 ** 18
         assert nonlinear_bytes(cfg) <= NONLINEAR_BUDGET
-        # the d = 1 benchmark run: 65 points to t = 30
+        # the d = 1 benchmark run: 65 points to t = 30, spectra of 132
         small = parse_config(_doc(d=1, nonlinear={"points": 65}))
-        assert nonlinear_bytes(small) == 16 * 301 * 3 * 65 ** 2
+        assert nonlinear_bytes(small) == 16 * (
+            301 * (2 * 65 ** 2 + 4 * 132 + 8 * 65) + 8 * 65 ** 2) + 2 ** 18
+
+    @pytest.mark.parametrize("d,points", [(1, 33), (2, 9)])
+    def test_nonlinear_stage_peak_is_under_its_budget(self, tmp_path, d,
+                                                      points, peak_bytes):
+        # the whole stage, solve and artifacts, on the same grid, so the
+        # budget never admits a run that holds more than it says
+        cfg = parse_config(_doc(
+            d=d, potential={"kind": "screened_coulomb", "amplitude": 0.5},
+            initial={"alpha": 0.125},
+            nonlinear={"points": points, "t_max": 30.0 if d == 1 else 3.0},
+            out=str(tmp_path)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            peak = peak_bytes(lambda: run(cfg, "nonlinear"))
+        assert (tmp_path / "nonlinear_report.json").exists()
+        assert peak <= nonlinear_bytes(cfg)
 
 
 class TestStartup:
