@@ -21,9 +21,9 @@ dressed profile, broadcast back over the other block of axes; that is
 what the update has always computed, and it is not the written-out sum
 (see ``picard_step``).  No exponential is taken on the (k, p) grid: the
 linear term's phase separates, e^{is(|k|^2-|p|^2)} = e^{is|k|^2}
-e^{-is|p|^2}, into an outer product of the dressing rows, and the d = 1
-linear-stage march advances its phases e^{i t_a ((k-p)^2-p^2)} by a
-running product with one e^{i dt ((k-p)^2-p^2)} per node.  The update
+e^{-is|p|^2}, into an outer product of the dressing rows, and the
+linear-stage march advances its phases e^{i t_a (|k-p|^2-|p|^2)} by a
+running product with one e^{i dt (|k-p|^2-|p|^2)} per node.  The update
 is streamed: the terms of one time node are formed, folded into the
 running trapezoid sum and written as that node of the new history.  A
 step reads the central slices of the old history before its node loop,
@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import DensityTrajectory, InitialKernel, volterra_march, y_norm
+from .dynamics import DensityTrajectory, InitialKernel, y_norm
 from .profiles import EquilibriumProfile, Potential
 from .quadrature import fast_len, filon_weights
 
@@ -72,7 +72,8 @@ __all__ = [
 
 
 class NoContraction(Exception):
-    """Successive Picard distances refused to contract three times."""
+    """The Picard distances refused to contract three times running, turned
+    non-finite, or were still above the tolerance when the sweeps ran out."""
 
 
 @dataclass(frozen=True)
@@ -183,9 +184,10 @@ def hermitian_defect(state: KernelState) -> float:
     d = state.d
     rev = (slice(None, None, -1),) * (2 * d)
     swap = tuple(range(d, 2 * d)) + tuple(range(d))
-    return max(float(np.max(np.abs(mu_t - np.conj(np.transpose(mu_t[rev],
-                                                               swap)))))
-               for mu_t in state.mu_hat)
+    # np.max, unlike Python's max, keeps a NaN node
+    return float(np.max([np.max(np.abs(mu_t - np.conj(np.transpose(mu_t[rev],
+                                                                  swap))))
+                         for mu_t in state.mu_hat]))
 
 
 def _rho_grid(rho_hat: DensityTrajectory, state: KernelState) -> np.ndarray:
@@ -384,14 +386,21 @@ def _density_slice(state: KernelState, gather, i_t: int, t: float,
     """``density_from_state`` at node i_t (time t) from the
     ``_shift_gather`` of the grid, the weight rows of that node, one per
     axis value, shared by every k axis, and the grid's ``_ksq_grid``."""
-    d = state.d
     valid, idx = gather
-    out = np.where(valid, state.mu_hat[i_t][idx], 0.0)
+    slab = np.where(valid, state.mu_hat[i_t][idx], 0.0)
+    return np.exp(-1j * t * ksq) * _synthesize(wts, slab)
+
+
+def _synthesize(wts: np.ndarray, slab: np.ndarray) -> np.ndarray:
+    """sum_p prod_ax wts[k_ax, p_ax] slab[k, p] on the (n,)*d k grid: each
+    p axis of the (n,)*2d slab, last first, is contracted against the
+    weight rows of one node, indexed by the value of its own k axis."""
+    d = slab.ndim // 2
     ks, ps = _LETTERS[:d], _LETTERS[d:2 * d]
     for ax in range(d - 1, -1, -1):
-        out = np.einsum(f"{ks[ax]}{ps[ax]},{ks}{ps[:ax + 1]}->{ks}{ps[:ax]}",
-                        wts, out)
-    return np.exp(-1j * t * ksq) * out
+        slab = np.einsum(f"{ks[ax]}{ps[ax]},{ks}{ps[:ax + 1]}->{ks}{ps[:ax]}",
+                         wts, slab)
+    return slab
 
 
 def _cartesian_trajectory(state: KernelState,
@@ -420,97 +429,66 @@ def density_trajectory_from_state(state: KernelState,
 
 
 def _linear_stage_solver(state: KernelState, w: Potential,
-                         f: EquilibriumProfile, free_rows: np.ndarray,
-                         weights: np.ndarray):
-    """Return a row-wise solver delta = (I - L)^{-1} resid.
+                         f: EquilibriumProfile, weights: np.ndarray):
+    """Return a row-wise solver x = (I - L)^{-1} r.
 
     L is the composite map density-of-update restricted to its term that
     is linear in the density history with no profile memory: feeding a
-    density delta-rho through the update's first correction integral and
+    density x through the update's first correction integral and
     synthesizing gives, per k row,
 
-        (L r)(t_a) = alpha_k sum_p G_ap sum_{b<=a} c_ab Phi_pb r(s_b),
+        (L x)(t_a) = alpha_k e^{-i t_a |k|^2}
+                     S_a(fd sum_{b<=a} c_ab Phi_b x_b),
         alpha_k = -i w_hat(|k|),
-        G_ap = e^{-i t_a k^2} W_p(t_a) (f(p^2) - f((k-p)^2)),
-        Phi_pb = e^{i s_b ((k-p)^2 - p^2)},
+        fd(k, p) = f(|p|^2) - f(|k-p|^2),
+        Phi_b(k, p) = e^{i s_b (|k-p|^2 - |p|^2)},
 
-    with W the synthesis weights and c the trapezoid coefficients (c_a0 =
-    c_aa = dt/2, dt in between, none at a = 0), all taken from the grid
-    itself, so L matches the code's own linear action to rounding.  For
-    d = 1 the solve is a forward march that never forms the time matrix
-    (GPhi) o c: one running sum U[k, p] = sum_{0<b<a} Phi_pb x_b, shared
-    by every k row, gives
+    with S_a the p-synthesis against node a's rows of ``weights`` (the
+    density sweeps' table, see ``_synthesize``) and c the trapezoid
+    coefficients (c_a0 = c_aa = dt/2, dt in between, none at a = 0), all
+    taken from the grid itself, so L matches the code's own linear action
+    to rounding.  The density at k reads the linear term at (k - p, p),
+    whose argument k - p + p is k again, so L acts on each k row alone
+    and the solve is a forward march that never forms a time matrix: one
+    running sum U(k, p) = sum_{0<b<a} Phi_b x_b on the (n,)*2d slab gives
 
-        x_a = (r_a + alpha sum_p G_ap (dt/2 Phi_p0 x_0 + dt U_p))
-              / (1 - dt/2 alpha sum_p G_ap Phi_pa),
+        x_a = (r_a + alpha e^{-i t_a |k|^2} S_a(fd (dt/2 x_0 + dt U)))
+              / (1 - dt/2 alpha e^{-i t_a |k|^2} S_a(fd Phi_a)).
 
-    so the solver forms G_a Phi_a one node at a time: the p-sum takes the
-    weight row of ``weights`` (the density sweeps' table) against a running
-    product fd step^a (t_a = a dt, step = e^{i dt ((k-p)^2 - p^2)}, fd the
-    profile factor), drifting by a few roundings a node, and the phase of
-    G_a multiplies its k row.  For d >= 2 a table of G alone
-    would be as large as a history; instead a convolution surrogate is
-    calibrated from the grid's impulse response (one update-plus-synthesis
-    pass on a time impulse, differenced against the free pass) and
-    marched.  That pass runs in ``state``'s own history, which must be
-    the initial one (every node equal to node 0) and is restored after.
-    The few-percent calibration drift slows the late sweeps but leaves
-    the fixed point untouched.
+    fd is zero where k - p leaves the box, and fd Phi_a is a running
+    product fd step^a (t_a = a dt, step = e^{i dt (|k-p|^2 - |p|^2)}),
+    drifting by a few roundings a node.
     """
-    axis = state.axis
-    n, d, dt = state.n_pts, state.d, state.dt
-    t_grid = state.t_grid
-    n_t = t_grid.size
+    d, dt, t_grid = state.d, state.dt, state.t_grid
+    ksq = _ksq_grid(state.axis, d)
+    kshape, pshape = ksq.shape + (1,) * d, (1,) * d + ksq.shape
+    # idx[:d] indexes k - p, clipped where fd is 0
+    valid, idx = _shift_gather(state)
+    f_of = np.asarray(f.f(ksq), dtype=float)
+    fd = np.where(valid, f_of.reshape(pshape) - f_of[idx[:d]], 0.0)
+    step = np.exp(1j * ((ksq[idx[:d]] - ksq.reshape(pshape)) * dt))
+    alpha = -1j * np.asarray(w.w_hat(np.sqrt(ksq)), dtype=float).ravel()
+    free_phase = np.exp(-1j * t_grid[:, None] * ksq.ravel())
 
-    if d == 1:
-        c = (n - 1) // 2
-        fax = np.asarray(f.f(axis ** 2), dtype=float)
-        alpha = -1j * np.asarray(w.w_hat(np.abs(axis)), dtype=float)
-        jp = np.arange(n)
-        # rows index k, columns p; mc indexes k - p, clipped where fd is 0
-        m = jp[:, None] - jp[None, :] + c
-        mc = np.clip(m, 0, n - 1)
-        fd = np.where((m >= 0) & (m < n), fax[None, :] - fax[mc], 0.0)
-        free_phase = np.exp(-1j * t_grid[:, None] * axis * axis)
-
-        # t_grid[a] = a dt, so fd Phi at node a is fd step^a
-        step = np.exp(1j * ((axis[mc] ** 2 - axis[jp] ** 2) * dt))
-        den = np.ones((n_t, n), dtype=complex)
-        phi = fd.astype(complex)
-        for a in range(1, n_t):
-            phi *= step
-            den[a] -= 0.5 * dt * alpha * free_phase[a] * np.sum(
-                weights[a] * phi, axis=1)
-
-        def correct(resid: np.ndarray) -> np.ndarray:
-            x = np.empty(resid.shape, dtype=complex)
-            x[:, 0] = resid[:, 0]
-            # the running sum starts at its trapezoid end term at node 0
-            run = 0.5 * x[:, :1] * fd
-            phi = fd.astype(complex)
-            for a in range(1, n_t):
-                hist = dt * free_phase[a] * np.sum(weights[a] * run, axis=1)
-                x[:, a] = (resid[:, a] + alpha * hist) / den[a]
-                phi *= step
-                run += phi * x[:, a:a + 1]
-            return x
-
-        return correct
-
-    # in place; node 0, which a step never writes, restores the rest
-    imp = _cartesian_trajectory(state, np.zeros((n ** d, n_t), dtype=complex))
-    imp.rho_hat[:, 0] = 1.0
-    _update_into(state.mu_hat, state, imp, w, f)
-    imp_rho = density_trajectory_from_state(state, weights)
-    state.mu_hat[1:] = state.mu_hat[0]
-    kernel_rows = -(imp_rho.rho_hat - free_rows) * (2.0 / dt)
-    kernel_rows = 0.5 * (kernel_rows + np.conj(kernel_rows[::-1]))
+    den = np.ones((t_grid.size, ksq.size), dtype=complex)
+    phi = fd.astype(complex)
+    for a in range(1, t_grid.size):
+        phi *= step
+        den[a] -= 0.5 * dt * alpha * free_phase[a] * _synthesize(
+            weights[a], phi).ravel()
 
     def correct(resid: np.ndarray) -> np.ndarray:
-        out = np.empty_like(resid)
-        for i in range(kernel_rows.shape[0]):
-            out[i] = volterra_march(kernel_rows[i], resid[i], dt)
-        return out
+        x = np.empty(resid.shape, dtype=complex)
+        x[:, 0] = resid[:, 0]
+        # the running sum starts at its trapezoid end term at node 0
+        run = 0.5 * x[:, 0].reshape(kshape) * fd
+        phi = fd.astype(complex)
+        for a in range(1, t_grid.size):
+            hist = dt * free_phase[a] * _synthesize(weights[a], run).ravel()
+            x[:, a] = (resid[:, a] + alpha * hist) / den[a]
+            phi *= step
+            run += phi * x[:, a].reshape(kshape)
+        return x
 
     return correct
 
@@ -550,17 +528,16 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
     then scale like the initial size.  Plain alternation would instead
     overshoot for several sweeps at any initial size (the memory kernel
     has unit-order mass, and the high-(kt) weights of the distance norm
-    amplify it), which would misreport large data.  For d = 1, L is
-    known in closed form per k row (the s-integral of the update and
-    the oscillatory p-weights of the synthesis combine into one
-    lower-triangular time operator) and the solve is an exact forward
-    march over the time nodes; for d >= 2 its table is too large, and a
-    convolution surrogate calibrated from the grid's own impulse
-    response is marched instead.  The first iterate is seeded with the
-    linear solution itself, so every recorded distance lives in the
-    remainder regime.  Returns (state, trajectory, tracker, report).
-    NoContraction is raised after three consecutive iterations whose
-    distance ratio fails to stay below 0.9.
+    amplify it), which would misreport large data.  L is known in
+    closed form per k row (the s-integral of the update and the
+    oscillatory p-weights of the synthesis combine into one
+    lower-triangular time operator), and the solve is an exact forward
+    march over the time nodes in every dimension.  The first iterate is
+    seeded with the linear solution itself, so every recorded distance
+    lives in the remainder regime.  Returns (state, trajectory, tracker,
+    report).  NoContraction is raised after three consecutive iterations
+    whose distance ratio fails to stay below 0.9, on a non-finite
+    distance, and when the sweeps run out above ``tol``.
     """
     d = g0.d
     n1 = d + 1 if n1 is None else n1
@@ -576,7 +553,7 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
     # a Duhamel update on a zero density returns the initial profile; its
     # density rows are not kept past the first iterate
     rho = density_trajectory_from_state(state, weights)
-    correct = _linear_stage_solver(state, w, f, rho.rho_hat, weights)
+    correct = _linear_stage_solver(state, w, f, weights)
 
     rows = correct(rho.rho_hat)
     rho = replace(rho, rho_hat=0.5 * (rows + np.conj(rows[::-1])))
@@ -596,6 +573,10 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
         rows = 0.5 * (rows + np.conj(rows[::-1]))
         new_rho = replace(rho, rho_hat=rows)
         dist = y_norm(replace(new_rho, rho_hat=rows - rho.rho_hat), n1, n2)
+        if not np.isfinite(dist):
+            raise NoContraction(
+                f"Picard distance {dist} at sweep {it} after {distances[-3:]};"
+                " shrink the initial size or refine the grid")
         if distances:
             prev = distances[-1]
             ratio = dist / prev if prev > 0 else 0.0
@@ -612,6 +593,10 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
         rho = new_rho
         if dist < tol:
             break
+    else:
+        raise NoContraction(
+            f"distance {dist:.3g} still above tol {tol:.3g} after "
+            f"{_MAX_SWEEPS} sweeps, ratios {ratios[-3:]}")
     # one closing Duhamel pass so the returned profile matches the final
     # density, not the one from the previous sweep
     state = _sweep(state, rho, w, f)

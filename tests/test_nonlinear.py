@@ -8,6 +8,7 @@ grid is memory-hungry and lives behind the slow marker.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,8 +21,10 @@ from hartree_mix.dynamics import (
     gaussian_pure_kernel,
     volterra_solve,
 )
+from hartree_mix import nonlinear
 from hartree_mix.nonlinear import (
     KernelState,
+    NoContraction,
     _linear_stage_solver,
     _sweep,
     _weight_table,
@@ -417,7 +420,7 @@ class TestLinearStageMarch:
         assert state.t_grid.size == 31
         table = _weight_table(state)
         free = density_trajectory_from_state(state, table)
-        correct = _linear_stage_solver(state, w, f, free.rho_hat, table)
+        correct = _linear_stage_solver(state, w, f, table)
         rng = np.random.default_rng(11)
         re, im = rng.standard_normal((2, 9, 31))
         resid = re + 1j * im
@@ -438,7 +441,7 @@ class TestLinearStageMarch:
             assert state.t_grid.size == 301
             table = _weight_table(state)
             free = density_trajectory_from_state(state, table)
-            correct = _linear_stage_solver(state, w, f, free.rho_hat, table)
+            correct = _linear_stage_solver(state, w, f, table)
             direct = _march_by_node_exponentials(state, w, f, table)
             re, im = rng.standard_normal((2, n, 301))
             for r in (re + 1j * im, free.rho_hat):
@@ -446,6 +449,28 @@ class TestLinearStageMarch:
                 got = correct(r)
                 assert np.max(np.abs(got - want)) \
                     <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d,n,t_max", [(1, 9, 3.0), (2, 5, 1.0),
+                                           (2, 9, 3.0), (3, 5, 0.5)])
+    def test_march_inverts_the_update_synthesis_pass(self, d, n, t_max):
+        # with zero data the update is its linear term alone, so the code's
+        # own update-plus-synthesis pass on x is Lx, and x = (I - L)^{-1} r
+        # must satisfy x - Lx = r to rounding
+        g0, f = _kernel(0.0, d), gaussian_profile(d)
+        w = screened_coulomb(0.5, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            state = initial_state(g0, 4.0, n, 0.1, t_max)
+        table = _weight_table(state)
+        free = density_trajectory_from_state(state, table)
+        rng = np.random.default_rng(37 + d)
+        re, im = rng.standard_normal((2,) + free.rho_hat.shape)
+        resid = re + 1j * im
+        x = _linear_stage_solver(state, w, f, table)(resid)
+        lx = density_trajectory_from_state(
+            picard_step(state, replace(free, rho_hat=x), g0, w, f), table)
+        assert np.max(np.abs(x - lx.rho_hat - resid)) \
+            <= 1e-14 * np.max(np.abs(resid))
 
 
 class TestMemory:
@@ -473,18 +498,6 @@ class TestInPlaceSweep:
         np.testing.assert_array_equal(got.mu_hat, want.mu_hat)
         assert got.leakage == want.leakage
 
-    def test_surrogate_calibration_restores_the_state(self):
-        # the d = 2 impulse pass runs in the initial history and restores it
-        g0, f = _kernel(d=2), gaussian_profile(2)
-        with pytest.warns(RuntimeWarning, match="d = 2"):
-            state = initial_state(g0, 4.0, 5, 0.1, 0.3)
-        before = state.mu_hat.copy()
-        table = _weight_table(state)
-        free = density_trajectory_from_state(state, table)
-        _linear_stage_solver(state, screened_coulomb(0.5, 1.0), f,
-                             free.rho_hat, table)
-        np.testing.assert_array_equal(state.mu_hat, before)
-
 
 class TestDegenerateCouplings:
     def test_zero_potential_conserves_hs_exactly(self):
@@ -502,6 +515,43 @@ class TestDegenerateCouplings:
         assert report.iterations == 1
         assert np.max(np.abs(rho.rho_hat)) == 0.0
         assert np.max(np.abs(state.mu_hat)) == 0.0
+
+
+class TestFailedSolves:
+    def test_overflow_to_nan_raises(self):
+        # the distances run past 1e250 and overflow to NaN, which no ratio
+        # test catches
+        g0 = gaussian_pure_kernel(1, 0.125, amplitude=1e30)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.warns(RuntimeWarning, match="perturbative"), \
+                pytest.raises(NoContraction, match="nan"):
+            solve_selfconsistent(g0, gaussian_profile(1),
+                                 screened_coulomb(0.5, 1.0), n_pts=5,
+                                 t_max=3.0)
+
+    def test_running_out_of_sweeps_raises(self, monkeypatch):
+        monkeypatch.setattr(nonlinear, "_MAX_SWEEPS", 2)
+        with pytest.raises(NoContraction, match="after 2 sweeps"):
+            solve_selfconsistent(_kernel(), gaussian_profile(1),
+                                 screened_coulomb(0.5, 1.0), n_pts=9,
+                                 t_max=3.0)
+
+    def test_hermitian_defect_keeps_a_nan_node(self):
+        st = initial_state(_kernel(), 4.0, 9, 0.1, 0.3)
+        st.mu_hat[2, 4, 4] = np.nan
+        assert np.isnan(hermitian_defect(st))
+
+
+class TestTwoDimensional:
+    def test_converges_in_few_sweeps(self):
+        # the exact linear stage leaves only the quadratic remainder to
+        # contract, as at d = 1
+        with pytest.warns(RuntimeWarning, match="d = 2"):
+            _, _, _, report = solve_selfconsistent(
+                _kernel(d=2), gaussian_profile(2), screened_coulomb(0.5, 1.0),
+                n_pts=9, t_max=10.0)
+        assert report.iterations <= 12
+        assert max(report.contraction_factors) < 0.5
 
 
 class TestAmplitudeScaling:

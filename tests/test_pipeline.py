@@ -526,6 +526,25 @@ class TestCliStages:
         assert "'nonlinear.points'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_nonlinear_stage_exits_1_when_the_solve_fails(self, tmp_path, d,
+                                                          capsys):
+        # data far outside the perturbative regime: the distances blow up,
+        # and the stage must say so rather than write NaN rows and exit 0
+        doc = _doc(d=d, potential={"kind": "screened_coulomb",
+                                   "amplitude": 0.5},
+                   initial={"alpha": 0.125, "amplitude": 1.0},
+                   nonlinear={"points": 5, "t_max": 3.0},
+                   out=str(tmp_path / "out"))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(), \
+                np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["nonlinear", "--config", str(path)]) == 1
+        assert "NoContraction" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "nonlinear_report.json").exists()
+
     def test_nonlinear_budget_admits_readme_example(self):
         text = (Path(__file__).parents[1] / "README.md").read_text()
         cfg = parse_config(json.loads(
