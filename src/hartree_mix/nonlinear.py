@@ -34,26 +34,30 @@ recovery takes one path in every dimension: the shifted slab mu_hat(t,
 k-p, p) is gathered at once, and each p axis is contracted with
 oscillatory quadrature weights, since the phase under the p-integral is
 exactly linear in p and plain Riemann sums alias once 2t|k| passes the
-grid Nyquist rate.  A density sweep takes the weights of every time node
-from one ``filon_weights`` call.
+grid Nyquist rate.  Node i's weights sit at frequencies -2 t_i k_axis, so
+their phases advance by one fixed factor per node: every pass forms each
+node's rows in turn, from one ``filon_coefficients`` call and a running
+phase product (see ``_node_weights``), and holds no table of them.
 
 Everything is dimension-generic; the supported workhorse is d = 1 with
 33 points per axis, and d = 3 runs at 9 points per axis behind a runtime
 warning (the state alone is n_t * 9^6 complex numbers).  A solve holds
-one history plus one (n_t, n, n) weight table, which at d = 1 is as large
-as the history (``pipeline.nonlinear_bytes`` counts the rest).
+one history and a few slices, density rows and spectra
+(``pipeline.nonlinear_bytes`` counts them).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
 from .dynamics import DensityTrajectory, InitialKernel, y_norm
 from .profiles import EquilibriumProfile, Potential
-from .quadrature import fast_len, filon_weights
+from .quadrature import (fast_len, filon_amplitudes, filon_coefficients,
+                         filon_slots, filon_weights)
 
 __all__ = [
     "KernelState",
@@ -360,15 +364,26 @@ def density_from_state(state: KernelState, t: float) -> np.ndarray:
                           _ksq_grid(axis, state.d))
 
 
-def _weight_table(state: KernelState) -> np.ndarray:
-    """Synthesis weights of every time node from one ``filon_weights``
-    call: entry [i, j] is the weight row at frequency -2 t_i axis[j]."""
-    axis, t_grid = state.axis, state.t_grid
-    n = state.n_pts
+def _node_weights(state: KernelState):
+    """Yield the synthesis weight rows of every time node in turn: row j of
+    node i is ``filon_weights`` at frequency -2 t_i axis[j], a fresh (n, n)
+    array.  The Filon amplitudes of all nodes come from one
+    ``filon_coefficients`` call on the (n_t, n) theta grid, and the phase
+    e^{2i t_i axis[j] x_m} is a running product with one e^{2i dt axis[j]
+    x_m} per node, drifting by a few roundings a node, so no exponential
+    is taken on the (n, n) grid per node."""
+    axis, n, dt = state.axis, state.n_pts, state.dt
     h = float(axis[1] - axis[0])
-    omega = (-2.0 * t_grid[:, None] * axis[None, :]).ravel()
-    return filon_weights(n, float(axis[0]), h, omega).reshape(
-        t_grid.size, n, n)
+    amps = filon_amplitudes(*filon_coefficients(
+        -2.0 * state.t_grid[:, None] * axis[None, :] * h), h)
+    slots = filon_slots(n)
+    step = np.exp(2j * dt * axis[:, None] * (axis[0] + h * np.arange(n)))
+    phase = np.ones((n, n), dtype=complex)
+    for amp in amps:
+        rows = np.take(amp, slots, axis=1)
+        rows *= phase
+        yield rows
+        phase *= step
 
 
 def _shift_gather(state: KernelState):
@@ -414,22 +429,21 @@ def _cartesian_trajectory(state: KernelState,
                                    "shape": (n,) * d, "source": "nonlinear"})
 
 
-def density_trajectory_from_state(state: KernelState,
-                                  weights: np.ndarray) -> DensityTrajectory:
-    """Full density history, row-major flattened over the box grid, from
-    the state grid's ``_weight_table`` ``weights``."""
+def density_trajectory_from_state(state: KernelState) -> DensityTrajectory:
+    """Full density history, row-major flattened over the box grid: node
+    by node, ``density_from_state`` with the ``_node_weights`` rows."""
     t_grid = state.t_grid
     gather = _shift_gather(state)
     ksq = _ksq_grid(state.axis, state.d)
     rows = np.empty((state.n_pts ** state.d, t_grid.size), dtype=complex)
-    for i, t in enumerate(t_grid):
-        rows[:, i] = _density_slice(state, gather, i, float(t), weights[i],
+    for i, (t, wts) in enumerate(zip(t_grid, _node_weights(state))):
+        rows[:, i] = _density_slice(state, gather, i, float(t), wts,
                                     ksq).ravel()
     return _cartesian_trajectory(state, rows)
 
 
 def _linear_stage_solver(state: KernelState, w: Potential,
-                         f: EquilibriumProfile, weights: np.ndarray):
+                         f: EquilibriumProfile):
     """Return a row-wise solver x = (I - L)^{-1} r.
 
     L is the composite map density-of-update restricted to its term that
@@ -443,8 +457,8 @@ def _linear_stage_solver(state: KernelState, w: Potential,
         fd(k, p) = f(|p|^2) - f(|k-p|^2),
         Phi_b(k, p) = e^{i s_b (|k-p|^2 - |p|^2)},
 
-    with S_a the p-synthesis against node a's rows of ``weights`` (the
-    density sweeps' table, see ``_synthesize``) and c the trapezoid
+    with S_a the p-synthesis against node a's ``_node_weights`` rows (the
+    density sweeps' rows, see ``_synthesize``) and c the trapezoid
     coefficients (c_a0 = c_aa = dt/2, dt in between, none at a = 0), all
     taken from the grid itself, so L matches the code's own linear action
     to rounding.  The density at k reads the linear term at (k - p, p),
@@ -470,12 +484,16 @@ def _linear_stage_solver(state: KernelState, w: Potential,
     alpha = -1j * np.asarray(w.w_hat(np.sqrt(ksq)), dtype=float).ravel()
     free_phase = np.exp(-1j * t_grid[:, None] * ksq.ravel())
 
+    def later_nodes():
+        # node 0 takes no synthesis
+        return enumerate(islice(_node_weights(state), 1, None), 1)
+
     den = np.ones((t_grid.size, ksq.size), dtype=complex)
     phi = fd.astype(complex)
-    for a in range(1, t_grid.size):
+    for a, wts in later_nodes():
         phi *= step
         den[a] -= 0.5 * dt * alpha * free_phase[a] * _synthesize(
-            weights[a], phi).ravel()
+            wts, phi).ravel()
 
     def correct(resid: np.ndarray) -> np.ndarray:
         x = np.empty(resid.shape, dtype=complex)
@@ -483,8 +501,8 @@ def _linear_stage_solver(state: KernelState, w: Potential,
         # the running sum starts at its trapezoid end term at node 0
         run = 0.5 * x[:, 0].reshape(kshape) * fd
         phi = fd.astype(complex)
-        for a in range(1, t_grid.size):
-            hist = dt * free_phase[a] * _synthesize(weights[a], run).ravel()
+        for a, wts in later_nodes():
+            hist = dt * free_phase[a] * _synthesize(wts, run).ravel()
             x[:, a] = (resid[:, a] + alpha * hist) / den[a]
             phi *= step
             run += phi * x[:, a].reshape(kshape)
@@ -548,12 +566,10 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
         warnings.warn(f"initial size {eps:.3g} is outside the perturbative "
                       "regime; contraction is not expected", RuntimeWarning,
                       stacklevel=2)
-    # every sweep synthesizes on the same grid: one weight table serves all
-    weights = _weight_table(state)
     # a Duhamel update on a zero density returns the initial profile; its
     # density rows are not kept past the first iterate
-    rho = density_trajectory_from_state(state, weights)
-    correct = _linear_stage_solver(state, w, f, weights)
+    rho = density_trajectory_from_state(state)
+    correct = _linear_stage_solver(state, w, f)
 
     rows = correct(rho.rho_hat)
     rho = replace(rho, rho_hat=0.5 * (rows + np.conj(rows[::-1])))
@@ -563,7 +579,7 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
     it = 0
     for it in range(1, _MAX_SWEEPS + 1):
         state = _sweep(state, rho, w, f)
-        rows = density_trajectory_from_state(state, weights).rho_hat
+        rows = density_trajectory_from_state(state).rho_hat
         rows = rho.rho_hat + correct(rows - rho.rho_hat)
         # the oscillatory p-quadrature carries a small non-Hermitian error
         # (its endpoint corrections sit at fixed grid slots and do not pair

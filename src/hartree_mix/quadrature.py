@@ -372,24 +372,27 @@ def filon_weights(n, x0, h, omega):
         raise ValueError("need an odd sample count >= 3")
     om = np.asarray(omega, dtype=float)
     om1 = np.atleast_1d(om)
-    alpha, beta, gamma = filon_coefficients(om1 * h)
-    x = x0 + h * np.arange(n)
-    # built in place, the phases in row blocks of one 64 KiB buffer: the
-    # nonlinear solve asks for one (M, n) table of all its time nodes, and
-    # each full-size temporary would cost as much
-    w = np.empty((om1.size, n), dtype=complex)
-    w[:, 0::2] = beta[:, None]
-    w[:, 1::2] = gamma[:, None]
-    w[:, 0] = beta / 2.0 - 1j * alpha
-    w[:, -1] = beta / 2.0 + 1j * alpha
-    w *= h
-    rows = max(1, _BUF // (2 * n))
-    buf = np.empty((rows, n), dtype=complex)
-    for lo in range(0, om1.size, rows):
-        phase = buf[:min(rows, om1.size - lo)]
-        np.multiply(-1j * om1[lo:lo + rows, None], x[None, :], out=phase)
-        w[lo:lo + rows] *= np.exp(phase, out=phase)
+    w = np.take(filon_amplitudes(*filon_coefficients(om1 * h), h),
+                filon_slots(n), axis=-1)
+    w *= np.exp(-1j * om1[:, None] * (x0 + h * np.arange(n))[None, :])
     return w[0] if om.ndim == 0 else w
+
+
+def filon_amplitudes(alpha, beta, gamma, h):
+    """The four distinct sample weights of the Filon rule at each
+    frequency, before their phases e^{-i omega x_j}: h (beta/2 - i alpha,
+    gamma, beta, beta/2 + i alpha) on a new last axis, from
+    ``filon_coefficients``; ``filon_slots`` lays them over the samples."""
+    return h * np.stack([beta / 2.0 - 1j * alpha, gamma, beta,
+                         beta / 2.0 + 1j * alpha], axis=-1)
+
+
+def filon_slots(n):
+    """Index into ``filon_amplitudes`` of each of n (odd) samples: the
+    first end, then gamma and beta in turn, then the last end."""
+    slots = np.tile([2, 1], (n + 1) // 2)[:n]
+    slots[0], slots[-1] = 0, 3
+    return slots
 
 
 # ---------------------------------------------------------------------------

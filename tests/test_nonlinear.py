@@ -26,8 +26,8 @@ from hartree_mix.nonlinear import (
     KernelState,
     NoContraction,
     _linear_stage_solver,
+    _node_weights,
     _sweep,
-    _weight_table,
     density_from_state,
     density_trajectory_from_state,
     hermitian_defect,
@@ -354,10 +354,21 @@ class TestSeparablePhase:
         assert got.leakage == pytest.approx(leak, rel=1e-14, abs=0)
 
 
-def _march_by_node_exponentials(state, w, f, weights):
+def _filon_table(state):
+    """Every node's synthesis weight rows from ``filon_weights`` itself:
+    entry [i, j] is the row at frequency -2 t_i axis[j]."""
+    axis, t_grid, n = state.axis, state.t_grid, state.n_pts
+    omega = (-2.0 * t_grid[:, None] * axis[None, :]).ravel()
+    return filon_weights(n, axis[0], axis[1] - axis[0], omega).reshape(
+        t_grid.size, n, n)
+
+
+def _march_by_node_exponentials(state, w, f):
     """The d = 1 linear-stage march with Phi = e^{i t_a ((k-p)^2 - p^2)}
-    taken as one exponential per entry and node."""
+    taken as one exponential per entry and node, and the weights of every
+    node from ``filon_weights``."""
     axis, t_grid, dt = state.axis, state.t_grid, state.dt
+    weights = _filon_table(state)
     n, n_t, c = axis.size, t_grid.size, (axis.size - 1) // 2
     fax = np.asarray(f.f(axis ** 2), dtype=float)
     alpha = -1j * np.asarray(w.w_hat(np.abs(axis)), dtype=float)
@@ -412,15 +423,30 @@ def _dense_linear_stage(state, w, f):
                                for i in range(n)])
 
 
+class TestNodeWeights:
+    @pytest.mark.parametrize("t_max", [30.0, 100.0])
+    def test_running_phases_match_filon_weights(self, t_max):
+        # up to 1001 nodes: the running phase product drifts from the
+        # exact rows by rounding only, at every node
+        state = initial_state(_kernel(), 4.0, 65, 0.1, t_max)
+        axis = state.axis
+        nodes = 0
+        for t, rows in zip(state.t_grid, _node_weights(state)):
+            want = filon_weights(65, axis[0], axis[1] - axis[0],
+                                 -2.0 * t * axis)
+            assert np.max(np.abs(rows - want)) <= 1e-13 * np.max(np.abs(want))
+            nodes += 1
+        assert nodes == state.t_grid.size
+
+
 class TestLinearStageMarch:
     def test_march_matches_dense_triangular_solve(self):
         g0, f = _kernel(), gaussian_profile(1)
         w = screened_coulomb(0.5, 1.0)
         state = initial_state(g0, 4.0, 9, 0.1, 3.0)
         assert state.t_grid.size == 31
-        table = _weight_table(state)
-        free = density_trajectory_from_state(state, table)
-        correct = _linear_stage_solver(state, w, f, table)
+        free = density_trajectory_from_state(state)
+        correct = _linear_stage_solver(state, w, f)
         rng = np.random.default_rng(11)
         re, im = rng.standard_normal((2, 9, 31))
         resid = re + 1j * im
@@ -439,10 +465,9 @@ class TestLinearStageMarch:
         for n in (9, 33):
             state = initial_state(g0, 4.0, n, 0.1, 30.0)
             assert state.t_grid.size == 301
-            table = _weight_table(state)
-            free = density_trajectory_from_state(state, table)
-            correct = _linear_stage_solver(state, w, f, table)
-            direct = _march_by_node_exponentials(state, w, f, table)
+            free = density_trajectory_from_state(state)
+            correct = _linear_stage_solver(state, w, f)
+            direct = _march_by_node_exponentials(state, w, f)
             re, im = rng.standard_normal((2, n, 301))
             for r in (re + 1j * im, free.rho_hat):
                 want = direct(r)
@@ -461,29 +486,28 @@ class TestLinearStageMarch:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             state = initial_state(g0, 4.0, n, 0.1, t_max)
-        table = _weight_table(state)
-        free = density_trajectory_from_state(state, table)
+        free = density_trajectory_from_state(state)
         rng = np.random.default_rng(37 + d)
         re, im = rng.standard_normal((2,) + free.rho_hat.shape)
         resid = re + 1j * im
-        x = _linear_stage_solver(state, w, f, table)(resid)
+        x = _linear_stage_solver(state, w, f)(resid)
         lx = density_trajectory_from_state(
-            picard_step(state, replace(free, rho_hat=x), g0, w, f), table)
+            picard_step(state, replace(free, rho_hat=x), g0, w, f))
         assert np.max(np.abs(x - lx.rho_hat - resid)) \
             <= 1e-14 * np.max(np.abs(resid))
 
 
 class TestMemory:
-    def test_solve_holds_under_two_and_a_half_histories(self, peak_bytes):
-        # the sweeps write into the initial state's history in place, and the
-        # weight table is built without a second table-sized temporary: the
-        # peak is one history, the (n_t, n, n) table (one more at d = 1) and
-        # a few density rows and spectra; two histories at once would read
-        # at least 3 here
+    def test_solve_holds_under_1_6_histories(self, peak_bytes):
+        # the sweeps write into the initial state's history in place, and
+        # each pass forms its weight rows node by node: the peak is one
+        # history and a few density rows, spectra and Filon amplitudes; a
+        # second history or an (n_t, n, n) weight table would read at
+        # least 2 here
         history = 301 * 33 ** 2 * 16
         peak = peak_bytes(lambda: solve_selfconsistent(
             _kernel(), gaussian_profile(1), screened_coulomb(0.5, 1.0)))
-        assert peak < 2.5 * history
+        assert peak < 1.6 * history
 
 
 class TestInPlaceSweep:
