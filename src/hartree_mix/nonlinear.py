@@ -19,40 +19,50 @@ reported as a leakage fraction, never raised).  Each shift term is one
 d-dim FFT convolution against the central p (resp. k) slice of the
 dressed profile, broadcast back over the other block of axes; that is
 what the update has always computed, and it is not the written-out sum
-(see ``picard_step``).  No exponential is taken on the (k, p) grid: the
-linear term's phase separates, e^{is(|k|^2-|p|^2)} = e^{is|k|^2}
-e^{-is|p|^2}, into an outer product of the dressing rows, and the
-linear-stage march advances its phases e^{i t_a (|k-p|^2-|p|^2)} by a
-running product with one e^{i dt (|k-p|^2-|p|^2)} per node.  The update
-is streamed: the terms of one time node are formed, folded into the
-running trapezoid sum and written as that node of the new history.  A
-step reads the central slices of the old history before its node loop,
-and in it only node 0, which it never writes, so the solver writes every
+(see ``picard_step``).  No exponential is taken on the (k, p) grid per
+node: the linear term's phase e^{is(|k|^2-|p|^2)} advances by one fixed
+factor a node, a running product on its coefficient, and both shift
+terms are rank one on the slab, so their trapezoid sums are taken on
+(n_t,) + (n,)*d rows before the node loop.  The update is streamed: the
+linear term of one time node is folded into a running trapezoid sum and
+written, with the shift sums, as that node of the new history.  A step
+reads the central slices of the old history before its node loop, and
+in it only node 0, which it never writes, so the solver writes every
 sweep into the initial state's history in place and holds one history
-and a few slices.  Density
-recovery takes one path in every dimension: the shifted slab mu_hat(t,
-k-p, p) is gathered at once, and each p axis is contracted with
-oscillatory quadrature weights, since the phase under the p-integral is
-exactly linear in p and plain Riemann sums alias once 2t|k| passes the
-grid Nyquist rate.  Node i's weights sit at frequencies -2 t_i k_axis, so
-their phases advance by one fixed factor per node: every pass forms each
-node's rows in turn, from one ``filon_coefficients`` call and a running
-phase product (see ``_node_weights``), and holds no table of them.
+and a few slices; the tables that do not depend on the density are
+built once per solve (``_updater``).
+
+Density recovery takes one path in every dimension.  The p-integral
+rho_hat(t,k) = int e^{-it(|k-p|^2-|p|^2)} mu_hat(t,k-p,p) dp carries a
+phase exactly linear in p, so each p axis is contracted with Filon
+weights at frequency -2 t k_axis: plain Riemann sums alias once 2t|k|
+passes the grid Nyquist rate.  The weights' phases fold into the
+integrand, e^{-it|k|^2} e^{2itk.p} = e^{it|p|^2} e^{-it|k-p|^2}, a
+rank-one dressing of the slice, so a node needs only the Filon
+amplitudes at its frequencies: one (n_t, n, 4) table per solve from one
+``filon_coefficients`` call (``_amplitudes``).  The shifted slab
+mu_hat(t, k-p, p) is read axis by axis through a strided view of a
+zero-padded buffer (``_shear_pads``), and each p axis is summed into the
+rule's four amplitude slots before it is contracted (``_synthesize``).
+The linear-stage march takes the same amplitudes: its synthesis phases
+cancel or fold into its running sum (``_linear_stage_solver``).
+``density_from_state`` keeps the unfolded route, ``filon_weights`` rows
+against a gathered slab, as the reference.
 
 Everything is dimension-generic; the supported workhorse is d = 1 with
 33 points per axis, and d = 3 runs at 9 points per axis behind a runtime
 warning (the state alone is n_t * 9^6 complex numbers).  A solve holds
-one history and a few slices, density rows and spectra
-(``pipeline.nonlinear_bytes`` counts them).
+one history and a few slices, density rows, spectra and the amplitude
+table (``pipeline.nonlinear_bytes`` counts them).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from itertools import islice
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .dynamics import DensityTrajectory, InitialKernel, y_norm
 from .profiles import EquilibriumProfile, Potential
@@ -213,45 +223,48 @@ def picard_step(state: KernelState, rho_hat: DensityTrajectory,
 
     The update is written into a fresh history, so the input state is
     not written; the solver itself runs the same update in place (see
-    ``_update_into``).  The linear term's phase e^{is(|k|^2-|p|^2)} is
-    the outer product of the shift terms' dressing row e^{-is|.|^2} with
-    its conjugate.
+    ``_updater``).
     """
     new_mu = np.empty_like(state.mu_hat)
-    leak = _update_into(new_mu, state, rho_hat, w, f)
+    leak = _updater(state, w, f)(new_mu, state, rho_hat)
     return replace(state, mu_hat=new_mu, leakage=leak)
 
 
-def _update_into(out: np.ndarray, state: KernelState,
-                 rho_hat: DensityTrajectory, w: Potential,
-                 f: EquilibriumProfile) -> float:
-    """Write ``picard_step``'s history into ``out`` and return its leakage.
+def _updater(state: KernelState, w: Potential, f: EquilibriumProfile):
+    """Return ``update(out, state, rho_hat)``, which writes
+    ``picard_step``'s history into ``out`` and returns its leakage.
 
-    ``out`` may be ``state.mu_hat`` itself: the step reads the central
-    slices of the old history before its node loop, and in it only node
-    0, which it never writes, so the update runs in place and a sweep
-    holds one history and a few slices.
+    The tables that do not depend on the density are built here, once
+    for every update on the state's grid.  ``out`` may be
+    ``state.mu_hat`` itself: an update reads the central slices of the
+    old history before its node loop, and in it only node 0, which it
+    never writes, so a sweep holds one history and a few slices.
     """
-    d, n = state.d, state.n_pts
-    axis = state.axis
-    dt = state.dt
+    d, n, axis, dt = state.d, state.n_pts, state.axis, state.dt
     dl = float(np.diff(axis)[0]) ** d
-    rho = _rho_grid(rho_hat, state)
-    t_grid = state.t_grid
+    n_t = state.mu_hat.shape[0]
     ksq = _ksq_grid(axis, d)
     kshape = (n,) * d + (1,) * d
     pshape = (1,) * d + (n,) * d
-
-    # index arrays for rho(s, k+p); off-box entries get zero weight
     c = (n - 1) // 2
-    idx = np.indices((n,) * (2 * d), sparse=True)
-    m = [idx[ax] + idx[d + ax] - c for ax in range(d)]
-    ok_mask = np.all(np.broadcast_arrays(*[(x >= 0) & (x < n) for x in m]),
-                     axis=0)
-    sum_idx = tuple(np.clip(x, 0, n - 1) for x in m)
-    lin_coeff, lin_frac = _linear_coefficient(state, w, f, ok_mask)
+
+    # rho(s, k+p) is read through a Hankel view of a zero-padded slice, so
+    # off-box entries read zero
+    pad = np.zeros((2 * n - 1,) * d, dtype=complex)
+    inner = pad[(slice(c, c + n),) * d]
+    hankel = as_strided(pad, (n,) * (2 * d), pad.strides * 2)
+    lin_coeff, lin_frac = _linear_coefficient(state, w, f)
+    # the linear term's phase e^{is(|k|^2-|p|^2)} advances by one factor a
+    # node; -i dt/2 is its trapezoid weight in the running sum
+    lin_coeff = lin_coeff * (-0.5j * dt)
+    lin_step = np.exp(1j * dt * (ksq.reshape(kshape) - ksq.reshape(pshape)))
 
     w_axis = np.asarray(w.w_hat(np.sqrt(ksq)))
+    eks = np.exp((-1j * state.t_grid).reshape((-1,) + (1,) * d) * ksq)
+    # a shift by l pushes |j - c| of the n targets per axis out of the box
+    # (j the index of l)
+    keep = np.prod(np.meshgrid(*[1.0 - np.abs(np.arange(n) - c) / n] * d,
+                               indexing="ij"), axis=0)
     # The shift terms convolve against the central p (resp. k) slice only
     # and broadcast the result over the other block of axes.  That is a
     # known defect, kept on purpose: the written-out l-sums convolve every
@@ -260,61 +273,75 @@ def _update_into(out: np.ndarray, state: KernelState,
     central_p = (slice(None),) * (d + 1) + (c,) * d
     central_k = (slice(None),) + (c,) * d
 
-    # the shift terms need one (n,)*d slice per node, so every node's
-    # convolutions run as one batch over the time axis, and both take the
-    # one spectrum of the coefficient rows
-    eks = np.exp((-1j * t_grid).reshape((-1,) + (1,) * d) * ksq)
-    coeff = w_axis * rho * dl
-    spec = np.fft.fftn(coeff, (fast_len(2 * n - 1),) * d,
-                       axes=tuple(range(1, d + 1)))
-    # e^{isl.(2k-l)} mu(k-l,p): dress with e^{-is|.|^2}, convolve in k
-    p1 = np.conj(eks) * _central_convolution(
-        spec, eks * state.mu_hat[central_p])
-    # e^{-isl.(2p-l)} mu(k,p-l): conjugate dressing, convolve in p
-    p2 = eks * _central_convolution(
-        spec, np.conj(eks) * state.mu_hat[central_k])
+    def shift_term(spec: np.ndarray, dress: np.ndarray,
+                   slices: np.ndarray) -> np.ndarray:
+        # -i int_0^{t_i} of conj(dress) (coeff * (dress slices)) at every
+        # node, trapezoid in s
+        terms = np.conj(dress)
+        terms *= _central_convolution(spec, dress * slices)
+        sums = np.cumsum(terms, axis=0)
+        terms *= 0.5
+        sums -= terms
+        sums -= terms[0]
+        sums *= -1j * dt
+        return sums
 
-    base = state.mu_hat[0]
-    if out is not state.mu_hat:
-        out[0] = base
-    # three slices carry the trapezoid sum: the running integral and the
-    # terms of the last two nodes, whose buffers trade places each node
-    acc = np.zeros_like(base)
-    prev = np.empty_like(base)
-    term = np.empty_like(base)
-    for i in range(t_grid.size):
-        # e^{is|k|^2} e^{-is|p|^2} w_hat(k+p) rho(s,k+p) (f(p^2) - f(k^2))
-        np.multiply(np.conj(eks[i]).reshape(kshape), eks[i].reshape(pshape),
-                    out=term)
-        term *= lin_coeff
-        term *= rho[i][sum_idx]
-        term += p1[i].reshape(kshape)
-        term -= p2[i].reshape(pshape)
-        if i > 0:
-            prev += term
-            prev *= 0.5 * dt
-            acc += prev
-            np.subtract(base, np.multiply(acc, 1j, out=prev), out=out[i])
-        prev, term = term, prev
+    def update(out: np.ndarray, state: KernelState,
+               rho_hat: DensityTrajectory) -> float:
+        rho = _rho_grid(rho_hat, state)
+        # the shift terms need one (n,)*d slice per node, so every node's
+        # convolutions run as one batch over the time axis, and both take
+        # the one spectrum of the coefficient rows
+        coeff = w_axis * rho * dl
+        spec = np.fft.fftn(coeff, (fast_len(2 * n - 1),) * d,
+                           axes=tuple(range(1, d + 1)))
+        # e^{isl.(2k-l)} mu(k-l,p): dress with e^{-is|.|^2}, convolve in k;
+        # e^{-isl.(2p-l)} mu(k,p-l): conjugate dressing, convolve in p.
+        # Both are rank one on the slab, so they are integrated on the rows
+        # before the node loop
+        sum_k = shift_term(spec, eks, state.mu_hat[central_p])
+        sum_p = shift_term(spec, np.conj(eks), state.mu_hat[central_k])
 
-    # a shift by l pushes |j - c| of the n targets per axis out of the box
-    # (j the index of l); the keep-weights do not depend on time
-    keep = np.prod(np.meshgrid(*[1.0 - np.abs(np.arange(n) - c) / n] * d,
-                               indexing="ij"), axis=0)
-    mass = np.abs(coeff)
-    conv_mass = float(np.sum(mass))
-    conv_frac = float(np.sum(mass * (1.0 - keep)) / conv_mass) \
-        if conv_mass > 0 else 0.0
-    return 0.5 * (lin_frac + conv_frac)
+        base = state.mu_hat[0]
+        if out is not state.mu_hat:
+            out[0] = base
+        # node i of the history is run + sum_k[i] - sum_p[i], run holding
+        # base and the linear term's trapezoid sum to node i; between
+        # nodes run takes the second half of node i's weight and the first
+        # of node i + 1's
+        lin = lin_coeff.copy()
+        run = base.copy()
+        term = np.empty_like(base)
+        for i in range(n_t):
+            inner[...] = rho[i]
+            np.multiply(lin, hankel, out=term)
+            lin *= lin_step
+            run += term
+            if i > 0:
+                np.subtract(sum_k[i].reshape(kshape),
+                            sum_p[i].reshape(pshape), out=out[i])
+                out[i] += run
+                run += term
+
+        mass = np.abs(coeff)
+        conv_mass = float(np.sum(mass))
+        conv_frac = float(np.sum(mass * (1.0 - keep)) / conv_mass) \
+            if conv_mass > 0 else 0.0
+        return 0.5 * (lin_frac + conv_frac)
+
+    return update
 
 
 def _linear_coefficient(state: KernelState, w: Potential,
-                        f: EquilibriumProfile, ok_mask: np.ndarray):
+                        f: EquilibriumProfile):
     """The linear term's time-independent factor w_hat(k+p) (f(|p|^2) -
-    f(|k|^2)), zero where k + p leaves the box (``ok_mask`` false), and
-    the fraction of its absolute mass that falls there."""
+    f(|k|^2)), zero where k + p leaves the box, and the fraction of its
+    absolute mass that falls there."""
     d, n, axis = state.d, state.n_pts, state.axis
     idx = np.indices((n,) * (2 * d), sparse=True)
+    m = [idx[ax] + idx[d + ax] - (n - 1) // 2 for ax in range(d)]
+    ok_mask = np.all(np.broadcast_arrays(*[(x >= 0) & (x < n) for x in m]),
+                     axis=0)
     kp = np.sqrt(sum((axis[idx[ax]] + axis[idx[d + ax]]) ** 2
                      for ax in range(d)))
     f_of = np.asarray(f.f(_ksq_grid(axis, d)))
@@ -337,7 +364,8 @@ def _central_convolution(spec: np.ndarray, b: np.ndarray) -> np.ndarray:
     c = (n - 1) // 2
     size, axes = spec.shape[1:], tuple(range(1, d + 1))
     prod = np.fft.fftn(b, size, axes=axes)
-    full = np.fft.ifftn(np.multiply(spec, prod, out=prod), size, axes=axes)
+    prod *= spec
+    full = np.fft.ifftn(prod, size, axes=axes, out=prod)
     return full[(slice(None),) + (slice(c, c + n),) * d]
 
 
@@ -352,7 +380,9 @@ def density_from_state(state: KernelState, t: float) -> np.ndarray:
     phase factors as e^{-it|k|^2} e^{2itk.p}.  The shifted slab
     mu_hat(t, k-p, p) (zero where k - p leaves the box) is gathered in one
     indexing pass, and each p axis is then contracted against the
-    linear-phase-exact weights at frequency -2 t k_axis of its own k axis.
+    ``filon_weights`` rows at frequency -2 t k_axis of its own k axis.
+    This is the reference route; ``density_trajectory_from_state`` folds
+    the phases and reads the slab through a view.
     """
     axis = state.axis
     i_t = int(round(t / state.dt))
@@ -360,30 +390,28 @@ def density_from_state(state: KernelState, t: float) -> np.ndarray:
         raise ValueError("t is not on the state's time grid")
     h = float(axis[1] - axis[0])
     wts = filon_weights(state.n_pts, float(axis[0]), h, -2.0 * t * axis)
-    return _density_slice(state, _shift_gather(state), i_t, t, wts,
-                          _ksq_grid(axis, state.d))
+    valid, idx = _shift_gather(state)
+    slab = np.where(valid, state.mu_hat[i_t][idx], 0.0)
+    return np.exp(-1j * t * _ksq_grid(axis, state.d)) * _synthesize(wts, slab)
 
 
-def _node_weights(state: KernelState):
-    """Yield the synthesis weight rows of every time node in turn: row j of
-    node i is ``filon_weights`` at frequency -2 t_i axis[j], a fresh (n, n)
-    array.  The Filon amplitudes of all nodes come from one
-    ``filon_coefficients`` call on the (n_t, n) theta grid, and the phase
-    e^{2i t_i axis[j] x_m} is a running product with one e^{2i dt axis[j]
-    x_m} per node, drifting by a few roundings a node, so no exponential
-    is taken on the (n, n) grid per node."""
-    axis, n, dt = state.axis, state.n_pts, state.dt
+def _amplitudes(state: KernelState) -> np.ndarray:
+    """The (n_t, n, 4) Filon amplitudes of every node's synthesis rows:
+    row j of node i is ``filon_weights`` at frequency -2 t_i axis[j] with
+    its phases taken off, from one ``filon_coefficients`` call."""
+    axis = state.axis
     h = float(axis[1] - axis[0])
-    amps = filon_amplitudes(*filon_coefficients(
+    return filon_amplitudes(*filon_coefficients(
         -2.0 * state.t_grid[:, None] * axis[None, :] * h), h)
-    slots = filon_slots(n)
-    step = np.exp(2j * dt * axis[:, None] * (axis[0] + h * np.arange(n)))
-    phase = np.ones((n, n), dtype=complex)
-    for amp in amps:
-        rows = np.take(amp, slots, axis=1)
-        rows *= phase
-        yield rows
-        phase *= step
+
+
+def _slot_matrix(n: int) -> np.ndarray:
+    """(n, 4) 0/1 matrix summing n samples into the four slots of
+    ``filon_slots``: slab @ slots, contracted with a node's amplitudes,
+    is the synthesis of the slab's last axis."""
+    slots = np.zeros((n, 4))
+    slots[np.arange(n), filon_slots(n)] = 1.0
+    return slots
 
 
 def _shift_gather(state: KernelState):
@@ -396,25 +424,48 @@ def _shift_gather(state: KernelState):
     return valid, tuple(np.clip(x, 0, n - 1) for x in m) + idx[d:]
 
 
-def _density_slice(state: KernelState, gather, i_t: int, t: float,
-                   wts: np.ndarray, ksq: np.ndarray) -> np.ndarray:
-    """``density_from_state`` at node i_t (time t) from the
-    ``_shift_gather`` of the grid, the weight rows of that node, one per
-    axis value, shared by every k axis, and the grid's ``_ksq_grid``."""
-    valid, idx = gather
-    slab = np.where(valid, state.mu_hat[i_t][idx], 0.0)
-    return np.exp(-1j * t * ksq) * _synthesize(wts, slab)
+def _shear_pads(n: int, d: int):
+    """Per k axis, the interior of a zero-padded buffer and the view of
+    the buffer that reads it sheared: with the interior holding x, the
+    view at [..., k, ..., p] holds x[..., k - p + c, ..., p] (c the
+    centre), or zero where that leaves the box.  Axis ax pads a
+    (n,)*(d + ax + 1) array, the shape ``_synthesize`` holds when it
+    reaches that axis, so the buffers never exceed two slices."""
+    c = (n - 1) // 2
+    pads = []
+    for ax in range(d):
+        buf = np.zeros((n,) * ax + (2 * n - 1,) + (n,) * d, dtype=complex)
+        strides = buf.strides[:-1] + (buf.strides[-1] - buf.strides[ax],)
+        view = as_strided(buf[(slice(None),) * ax + (slice(2 * c, None),)],
+                          (n,) * (d + ax + 1), strides)
+        pads.append((buf[(slice(None),) * ax + (slice(c, c + n),)], view))
+    return pads
 
 
-def _synthesize(wts: np.ndarray, slab: np.ndarray) -> np.ndarray:
+def _synthesize(wts: np.ndarray, slab: np.ndarray, slots=None,
+                shear=None) -> np.ndarray:
     """sum_p prod_ax wts[k_ax, p_ax] slab[k, p] on the (n,)*d k grid: each
     p axis of the (n,)*2d slab, last first, is contracted against the
-    weight rows of one node, indexed by the value of its own k axis."""
+    weight rows of one node, indexed by the value of its own k axis.
+
+    With ``slots`` (``_slot_matrix``, its rows maybe dressed by a phase),
+    ``wts`` holds a node's (n, 4) amplitudes and each axis is first
+    summed into its slots.  With ``shear`` = (``_shear_pads``, q phase
+    row), the slab is read at (k - p, p) instead, each k axis dressed by
+    the phase row as it is padded.
+    """
     d = slab.ndim // 2
     ks, ps = _LETTERS[:d], _LETTERS[d:2 * d]
     for ax in range(d - 1, -1, -1):
-        slab = np.einsum(f"{ks[ax]}{ps[ax]},{ks}{ps[:ax + 1]}->{ks}{ps[:ax]}",
-                         wts, slab)
+        if shear is not None:
+            (inner, view), row = shear[0][ax], shear[1]
+            np.multiply(slab, row.reshape((-1,) + (1,) * d), out=inner)
+            slab = view
+        if slots is not None:
+            slab = (slab.reshape(-1, slots.shape[0]) @ slots).reshape(
+                slab.shape[:-1] + (4,))
+        slab = np.einsum(f"{ks[ax]}z,{ks}{ps[:ax]}z->{ks}{ps[:ax]}", wts,
+                         slab)
     return slab
 
 
@@ -429,21 +480,35 @@ def _cartesian_trajectory(state: KernelState,
                                    "shape": (n,) * d, "source": "nonlinear"})
 
 
-def density_trajectory_from_state(state: KernelState) -> DensityTrajectory:
-    """Full density history, row-major flattened over the box grid: node
-    by node, ``density_from_state`` with the ``_node_weights`` rows."""
-    t_grid = state.t_grid
-    gather = _shift_gather(state)
-    ksq = _ksq_grid(state.axis, state.d)
-    rows = np.empty((state.n_pts ** state.d, t_grid.size), dtype=complex)
-    for i, (t, wts) in enumerate(zip(t_grid, _node_weights(state))):
-        rows[:, i] = _density_slice(state, gather, i, float(t), wts,
-                                    ksq).ravel()
+def density_trajectory_from_state(state: KernelState,
+                                  amps: np.ndarray | None = None
+                                  ) -> DensityTrajectory:
+    """Full density history, row-major flattened over the box grid:
+    ``density_from_state`` at every node, with its phases folded.
+
+    e^{-it|k|^2} e^{2itk.p} = e^{it|p|^2} e^{-it|k-p|^2}, so node i's
+    synthesis rows lose their phases to a rank-one dressing of the slice,
+    e^{-it_i|q|^2} on its q = k - p axes (applied as each is padded for
+    the shear) and e^{it_i|p|^2} on its p axes (on the slot matrix), and
+    only the Filon amplitudes are left.  ``amps`` is ``_amplitudes`` of
+    the grid, built when not given.
+    """
+    n, d, t_grid = state.n_pts, state.d, state.t_grid
+    amps = _amplitudes(state) if amps is None else amps
+    phases = np.exp(-1j * t_grid[:, None] * state.axis ** 2)
+    slots = _slot_matrix(n)
+    pads = _shear_pads(n, d)
+    rows = np.empty((n ** d, t_grid.size), dtype=complex)
+    for i, row in enumerate(phases):
+        rows[:, i] = _synthesize(amps[i], state.mu_hat[i],
+                                 slots * np.conj(row)[:, None],
+                                 (pads, row)).ravel()
     return _cartesian_trajectory(state, rows)
 
 
 def _linear_stage_solver(state: KernelState, w: Potential,
-                         f: EquilibriumProfile):
+                         f: EquilibriumProfile,
+                         amps: np.ndarray | None = None):
     """Return a row-wise solver x = (I - L)^{-1} r.
 
     L is the composite map density-of-update restricted to its term that
@@ -451,71 +516,65 @@ def _linear_stage_solver(state: KernelState, w: Potential,
     density x through the update's first correction integral and
     synthesizing gives, per k row,
 
-        (L x)(t_a) = alpha_k e^{-i t_a |k|^2}
-                     S_a(fd sum_{b<=a} c_ab Phi_b x_b),
+        (L x)(t_a) = alpha_k sum_p A_a(k, p) E^a(k, p)
+                     fd sum_{b<=a} c_ab E^{-b}(k, p) x_b,
         alpha_k = -i w_hat(|k|),
         fd(k, p) = f(|p|^2) - f(|k-p|^2),
-        Phi_b(k, p) = e^{i s_b (|k-p|^2 - |p|^2)},
+        E(k, p) = e^{i dt (|p|^2 - |k-p|^2)},
 
-    with S_a the p-synthesis against node a's ``_node_weights`` rows (the
-    density sweeps' rows, see ``_synthesize``) and c the trapezoid
-    coefficients (c_a0 = c_aa = dt/2, dt in between, none at a = 0), all
-    taken from the grid itself, so L matches the code's own linear action
-    to rounding.  The density at k reads the linear term at (k - p, p),
+    with A_a node a's Filon amplitudes laid over the p samples (the
+    density sweeps' rows with their phases folded, see
+    ``density_trajectory_from_state``) and c the trapezoid coefficients
+    (c_a0 = c_aa = dt/2, dt in between, none at a = 0), all taken from
+    the grid itself, so L matches the code's own linear action to
+    rounding.  The density at k reads the linear term at (k - p, p),
     whose argument k - p + p is k again, so L acts on each k row alone
-    and the solve is a forward march that never forms a time matrix: one
-    running sum U(k, p) = sum_{0<b<a} Phi_b x_b on the (n,)*2d slab gives
+    and the solve is a forward march that never forms a time matrix.
+    The b = a term's phases cancel, and the running sum
+    R_a = sum_{b<a} c_ab E^{a-b} fd x_b on the (n,)*2d slab advances as
+    R_{a+1} = E (R_a + dt fd x_a), so
 
-        x_a = (r_a + alpha e^{-i t_a |k|^2} S_a(fd (dt/2 x_0 + dt U)))
-              / (1 - dt/2 alpha e^{-i t_a |k|^2} S_a(fd Phi_a)).
+        x_a = (r_a + alpha S_a(R_a)) / (1 - dt/2 alpha S_a(fd)),
 
-    fd is zero where k - p leaves the box, and fd Phi_a is a running
-    product fd step^a (t_a = a dt, step = e^{i dt (|k-p|^2 - |p|^2)}),
-    drifting by a few roundings a node.
+    S_a the amplitude-only synthesis.  fd is zero where k - p leaves the
+    box.  ``amps`` is ``_amplitudes`` of the grid, built when not given.
     """
-    d, dt, t_grid = state.d, state.dt, state.t_grid
+    d, dt, n_t = state.d, state.dt, state.mu_hat.shape[0]
+    amps = _amplitudes(state) if amps is None else amps
     ksq = _ksq_grid(state.axis, d)
     kshape, pshape = ksq.shape + (1,) * d, (1,) * d + ksq.shape
+    slots = _slot_matrix(state.n_pts)
     # idx[:d] indexes k - p, clipped where fd is 0
     valid, idx = _shift_gather(state)
     f_of = np.asarray(f.f(ksq), dtype=float)
-    fd = np.where(valid, f_of.reshape(pshape) - f_of[idx[:d]], 0.0)
-    step = np.exp(1j * ((ksq[idx[:d]] - ksq.reshape(pshape)) * dt))
+    fd_dt = np.where(valid, f_of.reshape(pshape) - f_of[idx[:d]], 0.0) * dt
+    step = np.exp(1j * ((ksq.reshape(pshape) - ksq[idx[:d]]) * dt))
     alpha = -1j * np.asarray(w.w_hat(np.sqrt(ksq)), dtype=float).ravel()
-    free_phase = np.exp(-1j * t_grid[:, None] * ksq.ravel())
 
-    def later_nodes():
-        # node 0 takes no synthesis
-        return enumerate(islice(_node_weights(state), 1, None), 1)
-
-    den = np.ones((t_grid.size, ksq.size), dtype=complex)
-    phi = fd.astype(complex)
-    for a, wts in later_nodes():
-        phi *= step
-        den[a] -= 0.5 * dt * alpha * free_phase[a] * _synthesize(
-            wts, phi).ravel()
+    den = np.ones((n_t, ksq.size), dtype=complex)
+    for a in range(1, n_t):
+        den[a] -= 0.5 * alpha * _synthesize(amps[a], fd_dt, slots).ravel()
 
     def correct(resid: np.ndarray) -> np.ndarray:
         x = np.empty(resid.shape, dtype=complex)
         x[:, 0] = resid[:, 0]
         # the running sum starts at its trapezoid end term at node 0
-        run = 0.5 * x[:, 0].reshape(kshape) * fd
-        phi = fd.astype(complex)
-        for a, wts in later_nodes():
-            hist = dt * free_phase[a] * _synthesize(wts, run).ravel()
+        run = 0.5 * x[:, 0].reshape(kshape) * fd_dt * step
+        inc = np.empty_like(run)
+        for a in range(1, n_t):
+            hist = _synthesize(amps[a], run, slots).ravel()
             x[:, a] = (resid[:, a] + alpha * hist) / den[a]
-            phi *= step
-            run += phi * x[:, a].reshape(kshape)
+            run += np.multiply(fd_dt, x[:, a].reshape(kshape), out=inc)
+            run *= step
         return x
 
     return correct
 
 
-def _sweep(state: KernelState, rho_hat: DensityTrajectory, w: Potential,
-           f: EquilibriumProfile) -> KernelState:
-    """``picard_step`` written into the state's own history."""
-    return replace(state, leakage=_update_into(state.mu_hat, state, rho_hat,
-                                               w, f))
+def _sweep(state: KernelState, rho_hat: DensityTrajectory,
+           update) -> KernelState:
+    """One ``_updater`` update written into the state's own history."""
+    return replace(state, leakage=update(state.mu_hat, state, rho_hat))
 
 
 # Picard sweeps before giving up, and the time-weight exponent delta of
@@ -566,10 +625,14 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
         warnings.warn(f"initial size {eps:.3g} is outside the perturbative "
                       "regime; contraction is not expected", RuntimeWarning,
                       stacklevel=2)
+    # every pass of the solve shares one amplitude table, and every update
+    # one set of grid tables
+    amps = _amplitudes(state)
+    update = _updater(state, w, f)
     # a Duhamel update on a zero density returns the initial profile; its
     # density rows are not kept past the first iterate
-    rho = density_trajectory_from_state(state)
-    correct = _linear_stage_solver(state, w, f)
+    rho = density_trajectory_from_state(state, amps)
+    correct = _linear_stage_solver(state, w, f, amps)
 
     rows = correct(rho.rho_hat)
     rho = replace(rho, rho_hat=0.5 * (rows + np.conj(rows[::-1])))
@@ -578,8 +641,8 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
     bad = 0
     it = 0
     for it in range(1, _MAX_SWEEPS + 1):
-        state = _sweep(state, rho, w, f)
-        rows = density_trajectory_from_state(state).rho_hat
+        state = _sweep(state, rho, update)
+        rows = density_trajectory_from_state(state, amps).rho_hat
         rows = rho.rho_hat + correct(rows - rho.rho_hat)
         # the oscillatory p-quadrature carries a small non-Hermitian error
         # (its endpoint corrections sit at fixed grid slots and do not pair
@@ -615,7 +678,7 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
             f"{_MAX_SWEEPS} sweeps, ratios {ratios[-3:]}")
     # one closing Duhamel pass so the returned profile matches the final
     # density, not the one from the previous sweep
-    state = _sweep(state, rho, w, f)
+    state = _sweep(state, rho, update)
     tracker = _track_norms(state, rho, n1, n2)
     report = SolveReport(iterations=it, distances=tuple(distances),
                          contraction_factors=tuple(ratios),
@@ -628,26 +691,16 @@ def _diag_difference(mu_t: np.ndarray, order: int, d: int,
     """Centered difference of order <= 2 along the (1,-1) diagonal.
 
     (d_k - d_p) advances one grid step in every k axis and retreats one
-    in every p axis; boundary rings are zeroed (interior sup only).
+    in every p axis.  Orders 1 and 2 are taken on the interior only (the
+    boundary ring has no centred neighbours), order 0 on the whole slice.
     """
     if order == 0:
         return mu_t
-    shift_p = mu_t
-    shift_m = mu_t
-    for ax in range(d):
-        shift_p = np.roll(shift_p, -1, axis=ax)
-        shift_m = np.roll(shift_m, 1, axis=ax)
-    for ax in range(d, 2 * d):
-        shift_p = np.roll(shift_p, 1, axis=ax)
-        shift_m = np.roll(shift_m, -1, axis=ax)
+    fwd = mu_t[(slice(2, None),) * d + (slice(None, -2),) * d]
+    back = mu_t[(slice(None, -2),) * d + (slice(2, None),) * d]
     if order == 1:
-        out = (shift_p - shift_m) / (2.0 * h)
-    else:
-        out = (shift_p - 2.0 * mu_t + shift_m) / (h * h)
-    trimmed = np.zeros_like(out)
-    sl = tuple([slice(1, -1)] * mu_t.ndim)
-    trimmed[sl] = out[sl]
-    return trimmed
+        return (fwd - back) / (2.0 * h)
+    return (fwd - 2.0 * mu_t[(slice(1, -1),) * (2 * d)] + back) / (h * h)
 
 
 def _track_norms(state: KernelState, rho: DensityTrajectory, n1: int,
@@ -657,13 +710,14 @@ def _track_norms(state: KernelState, rho: DensityTrajectory, n1: int,
     ksq = _ksq_grid(state.axis, d)
     joint = (1.0 + ksq.reshape((n,) * d + (1,) * d)
              + ksq.reshape((1,) * d + (n,) * d)) ** (n2 / 2.0)
+    weights = [joint] + [joint[(slice(1, -1),) * (2 * d)]] * 2
     n_t = state.mu_hat.shape[0]
     orders = min(n1, 2)
     x = np.zeros((n_t, orders + 1))
     for i in range(n_t):
         mu_t = state.mu_hat[i]
         for a in range(orders + 1):
-            x[i, a] = float(np.max(joint * np.abs(
+            x[i, a] = float(np.max(weights[a] * np.abs(
                 _diag_difference(mu_t, a, d, h))))
     bracket = np.sqrt(1.0 + state.t_grid ** 2)
 

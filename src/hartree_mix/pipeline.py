@@ -594,15 +594,16 @@ NONLINEAR_BUDGET = 2 ** 30
 
 def nonlinear_bytes(cfg: RunConfig) -> int:
     """Bytes the nonlinear stage holds, complex entries at 16 B: one
-    history of n_t * n^(2d); up to eight n^(2d) slices (the step's
-    trapezoid buffers and gathers, a density sweep's shifted slab and
-    weight rows); four padded shift-term spectra of n_t * fast_len(2n -
-    1)^d and eight arrays of n_t * n^d density rows; and 256 KiB of small
+    history of n_t * n^(2d); up to eight n^(2d) slices (the update's
+    running sums and phase step, the linear-stage march's tables, a
+    density pass's padded shear buffers); four padded shift-term spectra
+    of n_t * fast_len(2n - 1)^d, eight arrays of n_t * n^d density rows
+    and the n_t * 4n Filon amplitude table; and 256 KiB of small
     arrays."""
     n_t = int(round(cfg.nl_t_max / cfg.nl_dt)) + 1
     n, d = cfg.nl_points, cfg.d
     spectrum = quadrature.fast_len(2 * n - 1) ** d
-    return 16 * (n_t * (n ** (2 * d) + 4 * spectrum + 8 * n ** d)
+    return 16 * (n_t * (n ** (2 * d) + 4 * spectrum + 8 * n ** d + 4 * n)
                  + 8 * n ** (2 * d)) + 2 ** 18
 
 

@@ -26,8 +26,8 @@ from hartree_mix.nonlinear import (
     KernelState,
     NoContraction,
     _linear_stage_solver,
-    _node_weights,
     _sweep,
+    _updater,
     density_from_state,
     density_trajectory_from_state,
     hermitian_defect,
@@ -37,7 +37,7 @@ from hartree_mix.nonlinear import (
     scattering_diagnostic,
     solve_selfconsistent,
 )
-from hartree_mix.quadrature import filon_weights
+from hartree_mix.quadrature import filon_coefficients, filon_weights
 from hartree_mix.profiles import (
     build_marginal,
     custom_potential,
@@ -423,20 +423,57 @@ def _dense_linear_stage(state, w, f):
                                for i in range(n)])
 
 
-class TestNodeWeights:
+class TestDensityRows:
+    @staticmethod
+    def _assert_rows_match_reference(state):
+        # the folded phases, sheared views and slot sums of the sweeps
+        # against the filon_weights rows and gather of the reference route
+        rows = density_trajectory_from_state(state).rho_hat
+        for i, t in enumerate(state.t_grid):
+            want = density_from_state(state, float(t)).ravel()
+            assert np.max(np.abs(rows[:, i] - want)) \
+                <= 1e-13 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("t_max", [30.0, 100.0])
-    def test_running_phases_match_filon_weights(self, t_max):
-        # up to 1001 nodes: the running phase product drifts from the
-        # exact rows by rounding only, at every node
-        state = initial_state(_kernel(), 4.0, 65, 0.1, t_max)
-        axis = state.axis
-        nodes = 0
-        for t, rows in zip(state.t_grid, _node_weights(state)):
-            want = filon_weights(65, axis[0], axis[1] - axis[0],
-                                 -2.0 * t * axis)
-            assert np.max(np.abs(rows - want)) <= 1e-13 * np.max(np.abs(want))
-            nodes += 1
-        assert nodes == state.t_grid.size
+    def test_matches_density_from_state_at_every_node(self, t_max):
+        # up to 1001 nodes on 65 points, where 2 t k h runs to 100
+        self._assert_rows_match_reference(
+            initial_state(_kernel(), 4.0, 65, 0.1, t_max))
+
+    def test_random_history_matches_density_from_state(self):
+        # every node different and no decay toward the box edge.  The fold
+        # forms the small phase t(|p|^2 - |k-p|^2) near k = 0 from two
+        # phases as large as t k_box^2, so on such flat data its rounding
+        # grows with t: 3.5e-14 here, and 1.2e-13 against an
+        # extended-precision sum at t = 91.6, where the reference is
+        # within 7.7e-15 of it
+        rng = np.random.default_rng(41)
+        mu = rng.standard_normal((301, 65, 65)) \
+            + 1j * rng.standard_normal((301, 65, 65))
+        self._assert_rows_match_reference(KernelState(
+            axis=np.linspace(-4.0, 4.0, 65), mu_hat=mu, d=1, dt=0.1,
+            t_max=30.0))
+
+    def test_matches_density_from_state_at_d2(self):
+        rng = np.random.default_rng(43)
+        state, _ = _random_state(rng, 2, 9, 6)
+        self._assert_rows_match_reference(replace(state, dt=1.0, t_max=5.0))
+
+    def test_one_filon_coefficients_call_per_solve(self, monkeypatch):
+        # every pass of a solve, and its linear stage, share one amplitude
+        # table
+        calls = []
+
+        def counted(theta):
+            calls.append(np.shape(theta))
+            return filon_coefficients(theta)
+
+        monkeypatch.setattr(nonlinear, "filon_coefficients", counted)
+        _, _, _, report = solve_selfconsistent(
+            _kernel(), gaussian_profile(1), screened_coulomb(0.5, 1.0),
+            n_pts=9, t_max=3.0)
+        assert report.iterations >= 2
+        assert calls == [(31, 9)]
 
 
 class TestLinearStageMarch:
@@ -500,10 +537,9 @@ class TestLinearStageMarch:
 class TestMemory:
     def test_solve_holds_under_1_6_histories(self, peak_bytes):
         # the sweeps write into the initial state's history in place, and
-        # each pass forms its weight rows node by node: the peak is one
-        # history and a few density rows, spectra and Filon amplitudes; a
-        # second history or an (n_t, n, n) weight table would read at
-        # least 2 here
+        # no pass forms weight rows: the peak is one history and a few
+        # density rows, spectra and the Filon amplitude table; a second
+        # history or an (n_t, n, n) weight table would read at least 2 here
         history = 301 * 33 ** 2 * 16
         peak = peak_bytes(lambda: solve_selfconsistent(
             _kernel(), gaussian_profile(1), screened_coulomb(0.5, 1.0)))
@@ -518,7 +554,8 @@ class TestInPlaceSweep:
         state, rho = _random_state(rng, d, n, 4)
         w, f = screened_coulomb(0.5, 1.0), gaussian_profile(d)
         want = picard_step(state, rho, _kernel(d=d), w, f)
-        got = _sweep(replace(state, mu_hat=state.mu_hat.copy()), rho, w, f)
+        got = _sweep(replace(state, mu_hat=state.mu_hat.copy()), rho,
+                     _updater(state, w, f))
         np.testing.assert_array_equal(got.mu_hat, want.mu_hat)
         assert got.leakage == want.leakage
 

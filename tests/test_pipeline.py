@@ -549,15 +549,17 @@ class TestCliStages:
         text = (Path(__file__).parents[1] / "README.md").read_text()
         cfg = parse_config(json.loads(
             text.split("```json\n", 1)[1].split("```", 1)[0]))
-        # one history, eight slices, four 18^3 spectra and eight density
-        # rows per node, and 256 KiB
+        # one history, eight slices, four 18^3 spectra, eight density rows
+        # and four Filon amplitudes per point per node, and 256 KiB
         assert nonlinear_bytes(cfg) == 16 * (
-            31 * (9 ** 6 + 4 * 18 ** 3 + 8 * 9 ** 3) + 8 * 9 ** 6) + 2 ** 18
+            31 * (9 ** 6 + 4 * 18 ** 3 + 8 * 9 ** 3 + 4 * 9)
+            + 8 * 9 ** 6) + 2 ** 18
         assert nonlinear_bytes(cfg) <= NONLINEAR_BUDGET
         # the d = 1 benchmark run: 65 points to t = 30, spectra of 132
         small = parse_config(_doc(d=1, nonlinear={"points": 65}))
         assert nonlinear_bytes(small) == 16 * (
-            301 * (65 ** 2 + 4 * 132 + 8 * 65) + 8 * 65 ** 2) + 2 ** 18
+            301 * (65 ** 2 + 4 * 132 + 8 * 65 + 4 * 65) + 8 * 65 ** 2) \
+            + 2 ** 18
 
     @pytest.mark.parametrize("d,points", [(1, 33), (2, 9)])
     def test_nonlinear_stage_peak_is_under_its_budget(self, tmp_path, d,
