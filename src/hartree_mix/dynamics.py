@@ -81,9 +81,10 @@ class DensityTrajectory:
     """Fourier density rho_hat on a (k, t) product grid.
 
     ``kind`` is "radial" (k_grid holds radii, data radial in k) or
-    "cartesian" (k_grid holds signed coordinates along a fixed axis).
-    ``meta`` carries at least the dimension d and the decay weights
-    N1, N2 used by the norm diagnostics.
+    "cartesian" (one row per point of a box grid, row-major, and k_grid
+    holds each point's |k|).  ``meta`` carries the dimension d, which the
+    sup-norm reconstruction requires, and may carry the decay weights N1,
+    N2 it checks the derivative order against.
     """
 
     k_grid: np.ndarray
@@ -280,11 +281,15 @@ def reconstruct_sup_norm(rho: DensityTrajectory, n: int = 0) -> np.ndarray:
         bound(t) = (2 pi)^{-d} |S^{d-1}| int r^{n+d-1} |rho_hat_r(t)| dr
 
     over the stored radial grid.  The derivative order must respect the
-    trajectory's decay weights: n <= N3 = min(N1, N2) - d - 1.
+    trajectory's decay weights: n <= N3 = min(N1, N2) - d - 1.  The
+    trajectory's ``meta`` must name d (ValueError).
     """
     if rho.kind != "radial":
         raise NonRadialInput("sup-norm reconstruction needs a radial trajectory")
-    d = int(rho.meta.get("d", 3))
+    if "d" not in rho.meta:
+        raise ValueError("sup-norm reconstruction needs the dimension "
+                         "meta['d'] of the trajectory")
+    d = int(rho.meta["d"])
     N1 = int(rho.meta.get("N1", d + 1))
     N2 = int(rho.meta.get("N2", d + 1))
     n3 = min(N1, N2) - d - 1

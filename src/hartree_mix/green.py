@@ -26,7 +26,7 @@ requested times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,6 @@ class GreenTable:
     values: np.ndarray
     theta0: float
     tau_max_used: float
-    meta: dict = field(default_factory=dict)
 
 
 def _support_time(m: Marginal, k: float) -> float:
@@ -111,7 +110,7 @@ def m_f(m: Marginal, k: float, taus, gamma: float = 0.0,
 
 
 def _row_synthesis(m: Marginal, w: Potential, k: float, t_grid: np.ndarray,
-                   theta0: float | None, tol: float, tail_tol: float):
+                   theta0: float | None, tol: float):
     """One Green-table row: closed-form Lorentzian part plus Filon residual."""
     wk = w(k)
     if wk == 0.0:
@@ -155,7 +154,7 @@ def _row_synthesis(m: Marginal, w: Potential, k: float, t_grid: np.ndarray,
         tau_max = hi
         tail_est = float(np.abs(R_seg[-1])) * hi / (3.0 * np.pi)
         lo = hi
-        if tail_est < tail_tol:
+        if tail_est < 10.0 * tol:
             break
 
     vals = (A / (2.0 * a)) * np.exp(-a * np.abs(np.asarray(t_grid))) \
@@ -164,11 +163,12 @@ def _row_synthesis(m: Marginal, w: Potential, k: float, t_grid: np.ndarray,
 
 
 def green_table(m: Marginal, w: Potential, k_grid, t_grid,
-                theta0: float | None = None, tol: float = 1e-10,
-                tail_tol: float = 1e-10) -> GreenTable:
+                theta0: float | None = None, tol: float = 1e-10) -> GreenTable:
     """Tabulate the regular Green function over radial k and uniform t.
 
-    The k = 0 row is identically zero: the symbol carries a |k| prefactor
+    ``tol`` is the target of each row's residual synthesis; its geometric
+    tail panels stop once their estimated remainder is under 10 tol.  The
+    k = 0 row is identically zero: the symbol carries a |k| prefactor
     through m_f, and the zero row is its continuous limit.
     """
     k_grid = np.asarray(k_grid, dtype=float)
@@ -178,12 +178,10 @@ def green_table(m: Marginal, w: Potential, k_grid, t_grid,
     for i, k in enumerate(k_grid):
         if k == 0.0:
             continue
-        values[i], tmax = _row_synthesis(m, w, float(k), t_grid, theta0,
-                                         tol, tail_tol)
+        values[i], tmax = _row_synthesis(m, w, float(k), t_grid, theta0, tol)
         tau_max_used = max(tau_max_used, tmax)
     return GreenTable(k_grid=k_grid, t_grid=t_grid, values=values,
-                      theta0=float(theta0 or 0.0), tau_max_used=tau_max_used,
-                      meta={"tol": tol, "tail_tol": tail_tol})
+                      theta0=float(theta0 or 0.0), tau_max_used=tau_max_used)
 
 
 def convolve_green(G: GreenTable, S: DensityTrajectory) -> DensityTrajectory:

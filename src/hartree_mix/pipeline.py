@@ -507,9 +507,8 @@ def _cmd_stability(cfg: RunConfig, out: str) -> int:
     if np.isfinite(m.upsilon):
         ks = np.linspace(cfg.k_min, cfg.k_max, min(cfg.k_count, 16))
         try:
-            curve = stability.phi_curve(m, cfg.potential, ks)
             _write_csv(os.path.join(out, "phi_curve.csv"), ["k", "phi"],
-                       curve.samples)
+                       stability.phi_curve(m, cfg.potential, ks))
         except disp.DivergentIntegral:
             pass
     return 2 if cert.verdict == "Inconclusive" else 0
@@ -520,8 +519,7 @@ def _cmd_green(cfg: RunConfig, out: str) -> int:
     ks = _k_grid(cfg)
     ts = _t_grid(cfg)
     gtol = cfg.green_tol
-    table = green.green_table(m, cfg.potential, ks, ts, tol=gtol,
-                              tail_tol=10 * gtol)
+    table = green.green_table(m, cfg.potential, ks, ts, tol=gtol)
     _write_csv(os.path.join(out, "green.csv"), ["k", "t", "re_G", "im_G"],
                np.column_stack([np.repeat(ks, ts.size), np.tile(ts, ks.size),
                                 table.values.real.ravel(),

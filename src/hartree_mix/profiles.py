@@ -173,9 +173,15 @@ def smooth_bump_profile(d: int, upsilon: float = 1.0,
 
 
 def power_decay_profile(d: int, n1: float) -> EquilibriumProfile:
-    """f(e) = <e>^{-n1} = (1 + e^2)^{-n1/2}: slowest admissible decay class."""
-    if n1 < d:
-        raise ValueError("need n1 >= d for an admissible decay rate")
+    """f(e) = <e>^{-n1} = (1 + e^2)^{-n1/2}: slowest admissible decay class.
+
+    Needs n1 >= d and 2 n1 - d + 1 >= 5: phi ~ u^{d - 1 - 2 n1} then falls
+    to 1e-18 by u ~ 4e3, inside what the 8193-node phi table of
+    ``build_marginal`` resolves (at 2 n1 - d + 1 = 4, u ~ 3e4 fails).
+    """
+    if n1 < d or 2 * n1 - d + 1 < 5:
+        raise ValueError(f"need n1 >= {max(d, (d + 4) / 2):g} at d = {d} "
+                         f"(n1 >= d and 2 n1 - d + 1 >= 5), got {n1:g}")
     f = lambda e: (1.0 + np.asarray(e, dtype=float) ** 2) ** (-n1 / 2.0)
     df = lambda e: -n1 * np.asarray(e, dtype=float) * \
         (1.0 + np.asarray(e, dtype=float) ** 2) ** (-n1 / 2.0 - 1.0)
@@ -686,7 +692,6 @@ class AssumptionCheck:
     name: str
     status: str           # "pass" | "warn" | "fail"
     detail: str
-    witness: float | None = None
 
 
 @dataclass(frozen=True)
@@ -705,8 +710,8 @@ def validate_assumptions(prof: EquilibriumProfile, pot: Potential,
     Positivity of f inside the support, smoothness metadata, declared decay
     of f, positivity/boundedness/monotonicity of w_hat, and strict decrease
     of the marginal on (0, Ups).  Metadata violations warn rather than
-    fail; sampled counterexamples fail with a witness.  f and w_hat are
-    probed at 2001 points each.
+    fail; sampled counterexamples fail, the detail naming where.  f and
+    w_hat are probed at 2001 points each.
     """
     checks: list[AssumptionCheck] = []
     d, ups = prof.d, prof.upsilon
@@ -721,7 +726,7 @@ def validate_assumptions(prof: EquilibriumProfile, pot: Potential,
     if bad.size:
         checks.append(AssumptionCheck(
             "positivity", "fail",
-            f"f(|p|^2) not positive at |p| = {p[bad[0]]:.6g}", float(p[bad[0]])))
+            f"f(|p|^2) not positive at |p| = {p[bad[0]]:.6g}"))
     else:
         checks.append(AssumptionCheck(
             "positivity", "pass", f"f > 0 on {n_samples} radii in [0, {p_hi:g})"))
@@ -753,7 +758,7 @@ def validate_assumptions(prof: EquilibriumProfile, pot: Potential,
             checks.append(AssumptionCheck(
                 "decay", "warn",
                 f"sampled weighted sup {worst:.4g} exceeds declared C = "
-                f"{prof.decay_constant:.4g}", float(e[int(np.argmax(w0))])))
+                f"{prof.decay_constant:.4g}"))
 
     # potential: positivity, finiteness at zero, monotone decrease
     kk = np.concatenate([[0.0], np.geomspace(1e-4, 1e3, n_samples)])
@@ -768,7 +773,7 @@ def validate_assumptions(prof: EquilibriumProfile, pot: Potential,
     if neg.size:
         checks.append(AssumptionCheck(
             "potential_nonnegative", "fail",
-            f"w_hat < 0 at k = {kk[neg[0]]:.6g}", float(kk[neg[0]])))
+            f"w_hat < 0 at k = {kk[neg[0]]:.6g}"))
     else:
         checks.append(AssumptionCheck("potential_nonnegative", "pass",
                                       "w_hat >= 0 on the probe grid"))
@@ -777,8 +782,7 @@ def validate_assumptions(prof: EquilibriumProfile, pot: Potential,
     if mono_bad.size:
         checks.append(AssumptionCheck(
             "potential_monotone", "fail",
-            f"w_hat increases near k = {kk[mono_bad[0] + 1]:.6g}",
-            float(kk[mono_bad[0] + 1])))
+            f"w_hat increases near k = {kk[mono_bad[0] + 1]:.6g}"))
     else:
         checks.append(AssumptionCheck("potential_monotone", "pass",
                                       "w_hat nonincreasing on the probe grid"))
@@ -791,7 +795,7 @@ def validate_assumptions(prof: EquilibriumProfile, pot: Potential,
     if pos.size:
         checks.append(AssumptionCheck(
             "marginal_decreasing", "fail",
-            f"phi'(u) >= 0 at u = {u[pos[0]]:.6g}", float(u[pos[0]])))
+            f"phi'(u) >= 0 at u = {u[pos[0]]:.6g}"))
     else:
         checks.append(AssumptionCheck("marginal_decreasing", "pass",
                                       "phi' < 0 on sampled (0, Ups)"))

@@ -24,7 +24,7 @@ extents and resolutions are the module constants below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .quadrature import (end_cell_correction, graded_layout, refine_panels,
 
 __all__ = [
     "CriterionResult",
-    "PhiCurve",
     "WindingCheck",
     "StabilityCertificate",
     "ContourTooCoarse",
@@ -67,14 +66,6 @@ class CriterionResult:
 
 
 @dataclass(frozen=True)
-class PhiCurve:
-    samples: np.ndarray
-    phi_at_zero: float | None
-    divergent_at_zero: bool
-    phi_at_infinity: float = 1.0
-
-
-@dataclass(frozen=True)
 class WindingCheck:
     k: float
     rectangle: tuple[float, float, float, float]
@@ -86,18 +77,22 @@ class WindingCheck:
 
 @dataclass(frozen=True)
 class StabilityCertificate:
+    """A verdict and its evidence.  A field the verdict's path does not
+    fill (the zero for Unstable; the boundary scan, and theta0 when it
+    ends Stable) keeps its default."""
+
     verdict: str
-    theta0: float | None
     phi0: float | None
     criterion: CriterionResult
-    zero_location: tuple[float, float] | None
-    zero_residual: float | None
-    scan_min: float | None
-    scan_argmin: tuple[float, float] | None
-    margin: float | None
-    winding_checks: tuple[WindingCheck, ...]
-    k_range: tuple[float, float] | None
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
+    theta0: float | None = None
+    zero_location: tuple[float, float] | None = None
+    zero_residual: float | None = None
+    scan_min: float | None = None
+    scan_argmin: tuple[float, float] | None = None
+    margin: float | None = None
+    winding_checks: tuple[WindingCheck, ...] = ()
+    k_range: tuple[float, float] | None = None
 
 
 # certification scan: smallest k row, k rows up to the tail cap, tau pad
@@ -160,16 +155,12 @@ def _phi_at(m: Marginal, w: Potential, k: float) -> float:
                                 1e-11)[0][0].real)
 
 
-def phi_curve(m: Marginal, w: Potential, k_grid) -> PhiCurve:
-    """Phi over a grid of positive k, with the k = 0 criterion value."""
+def phi_curve(m: Marginal, w: Potential, k_grid) -> np.ndarray:
+    """Rows (k, Phi(k)) over the positive k of a grid."""
     if not np.isfinite(m.upsilon):
         raise ValueError("the Phi curve needs compact support")
-    crit = criterion_integral(m, w)
-    rows = [(k, _phi_at(m, w, k)) for k in np.asarray(k_grid, dtype=float)
-            if k > 0]
-    return PhiCurve(samples=np.asarray(rows),
-                    phi_at_zero=crit.value if crit.kind == "finite" else None,
-                    divergent_at_zero=crit.kind == "divergent")
+    return np.asarray([(k, _phi_at(m, w, k))
+                       for k in np.asarray(k_grid, dtype=float) if k > 0])
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +305,8 @@ def certify(m: Marginal, w: Potential) -> StabilityCertificate:
                      f"(shell slope {crit.shell_slope:.2f}); slowly vanishing "
                      "marginals admit oscillatory modes")
         return StabilityCertificate(
-            verdict="CriterionDiverges", theta0=None, phi0=float("-inf"),
-            criterion=crit, zero_location=None, zero_residual=None,
-            scan_min=None, scan_argmin=None, margin=None, winding_checks=(),
-            k_range=None, notes=tuple(notes))
+            verdict="CriterionDiverges", phi0=float("-inf"), criterion=crit,
+            notes=tuple(notes))
 
     if crit.kind == "finite" and crit.value < 0.0:
         for k in _HUNT_K:
@@ -326,18 +315,14 @@ def certify(m: Marginal, w: Potential) -> StabilityCertificate:
                 resid = abs(dispersion_row(m, w, k, 1j * tau_star)[0][0])
                 notes.append("negative criterion forced an imaginary-axis zero")
                 return StabilityCertificate(
-                    verdict="Unstable", theta0=None, phi0=crit.value,
-                    criterion=crit, zero_location=(tau_star, k),
-                    zero_residual=resid, scan_min=None, scan_argmin=None,
-                    margin=None, winding_checks=(), k_range=None,
-                    notes=tuple(notes))
+                    verdict="Unstable", phi0=crit.value, criterion=crit,
+                    notes=tuple(notes), zero_location=(tau_star, k),
+                    zero_residual=resid)
         notes.append("criterion negative but no axis zero found on the hunt "
                      "grid; widen it")
         return StabilityCertificate(
-            verdict="Inconclusive", theta0=None, phi0=crit.value,
-            criterion=crit, zero_location=None, zero_residual=None,
-            scan_min=None, scan_argmin=None, margin=None, winding_checks=(),
-            k_range=None, notes=tuple(notes))
+            verdict="Inconclusive", phi0=crit.value, criterion=crit,
+            notes=tuple(notes))
 
     # criterion holds (or is vacuous): boundary scan + windings
     phi0 = crit.value
@@ -444,8 +429,7 @@ def certify(m: Marginal, w: Potential) -> StabilityCertificate:
         notes.append("continuity margin swallows the sampled minimum; "
                      "refine the scan")
     return StabilityCertificate(
-        verdict=verdict, theta0=float(theta0) if verdict == "Stable" else None,
-        phi0=phi0, criterion=crit, zero_location=None, zero_residual=None,
+        verdict=verdict, phi0=phi0, criterion=crit, notes=tuple(notes),
+        theta0=float(theta0) if verdict == "Stable" else None,
         scan_min=scan_min, scan_argmin=argmin, margin=margin,
-        winding_checks=tuple(winding_checks), k_range=(_K_MIN, float(k_hi)),
-        notes=tuple(notes))
+        winding_checks=tuple(winding_checks), k_range=(_K_MIN, float(k_hi)))

@@ -164,7 +164,7 @@ def test_criterion_4_green_decay(gauss3, coulomb):
     tol = 1e-8
     ts = np.linspace(0.0, 100.0, 2001)
     tab = grn.green_table(gauss3, coulomb, np.array([0.2, 1.0, 5.0]), ts,
-                          tol=tol, tail_tol=10 * tol)
+                          tol=tol)
     window = (ts >= 2.0) & (ts <= 100.0)
     details = []
     for i, k in enumerate(tab.k_grid):
@@ -190,7 +190,7 @@ def test_criterion_4_green_decay(gauss3, coulomb):
     peak_ts = np.linspace(0.0, 40.0, 801)
     peak_tab = grn.green_table(gauss3, coulomb,
                                np.array([0.05, 0.1, 0.2, 0.4]), peak_ts,
-                               tol=tol, tail_tol=10 * tol)
+                               tol=tol)
     peaks = np.max(np.abs(peak_tab.values), axis=1)
     assert np.all(np.diff(peaks) > 0.0)  # shrinking k shrinks the response
 
@@ -245,7 +245,7 @@ def test_criterion_6_two_solver_agreement(gauss3, coulomb):
                               kind="radial", meta={"d": 3})
 
     direct = dyn.volterra_solve(gauss3, coulomb, S)
-    tab = grn.green_table(gauss3, coulomb, ks, ts, tol=1e-8, tail_tol=1e-7)
+    tab = grn.green_table(gauss3, coulomb, ks, ts, tol=1e-8)
     via_green = grn.convolve_green(tab, S)
     diff = float(np.max(np.abs(direct.rho_hat - via_green.rho_hat)))
 
@@ -308,7 +308,7 @@ def test_criterion_7_optional_d3_run():
     g0 = dyn.gaussian_pure_kernel(3, 0.125, hat_amplitude=1e-2)
     state, _, _, report = nl.solve_selfconsistent(
         g0, gaussian_profile(3), screened_coulomb(0.5, 1.0),
-        n_pts=9, t_max=3.0, tol=1e-9)
+        n_pts=9, t_max=3.0)
     assert nl.hermitian_defect(state) <= 1e-10
     assert max(report.contraction_factors) < 0.9
     _report("criterion 7 addendum (d = 3 coarse box)",

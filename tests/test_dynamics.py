@@ -104,3 +104,13 @@ class TestReconstruction:
                                   meta=tr.meta)
         with pytest.raises(NonRadialInput):
             reconstruct_sup_norm(boxed, 0)
+
+    def test_needs_the_dimension(self):
+        # no d in meta: the weight r^(n + d - 1) and the sphere area
+        # depend on it, so no dimension is assumed
+        tr = self._traj()
+        bare = DensityTrajectory(k_grid=tr.k_grid, t_grid=tr.t_grid,
+                                 rho_hat=tr.rho_hat, kind="radial",
+                                 meta={"N1": 6, "N2": 6})
+        with pytest.raises(ValueError, match=r"meta\['d'\]"):
+            reconstruct_sup_norm(bare, 0)

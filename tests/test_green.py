@@ -67,8 +67,7 @@ class TestRowSynthesis:
         k = 0.2
         dt = 0.01
         t = np.arange(0.0, 25.0 + dt / 2, dt)
-        row = green_table(gauss3, coulomb, [k], t, tol=1e-8,
-                          tail_tol=1e-7).values[0]
+        row = green_table(gauss3, coulomb, [k], t, tol=1e-8).values[0]
         kern = volterra_kernel(gauss3, coulomb, k, t)
         marched = volterra_march(kern, -kern, dt)
         assert np.max(np.abs(row - marched)) < 2e-5
@@ -87,7 +86,7 @@ class TestRowSynthesis:
     def test_table_shape_and_metadata(self, gauss3, coulomb):
         ks = np.array([0.3, 0.8])
         ts = np.linspace(0.0, 5.0, 51)
-        tab = green_table(gauss3, coulomb, ks, ts, tol=1e-6, tail_tol=1e-5)
+        tab = green_table(gauss3, coulomb, ks, ts, tol=1e-6)
         assert isinstance(tab, GreenTable)
         assert tab.values.shape == (2, 51)
         assert tab.tau_max_used > 0.0

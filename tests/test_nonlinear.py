@@ -20,6 +20,7 @@ from hartree_mix.dynamics import (
     free_density_trajectory,
     gaussian_pure_kernel,
     volterra_solve,
+    y_norm,
 )
 from hartree_mix import nonlinear
 from hartree_mix.nonlinear import (
@@ -73,8 +74,8 @@ class TestInitialState:
         st = initial_state(_kernel(), 4.0, 33, 0.1, 30.0)
         # ||gamma0_hat||_HS on the box equals eps sqrt(pi)/2 up to the
         # Gaussian tail beyond |k| = 4
-        assert hs_norm(st, 0) == pytest.approx(EPS * np.sqrt(np.pi) / 2.0,
-                                               rel=1e-6)
+        assert hs_norm(st)[0] == pytest.approx(EPS * np.sqrt(np.pi) / 2.0,
+                                                  rel=1e-6)
 
     def test_initial_density_matches_closed_form(self):
         st = initial_state(_kernel(), 4.0, 33, 0.1, 30.0)
@@ -97,12 +98,12 @@ class TestDensitySynthesis:
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         mu = np.einsum("tac,tbd->tabcd", a, b)
-        two = KernelState(axis=axis, mu_hat=mu, d=2, dt=0.1, t_max=0.3)
+        two = KernelState(axis=axis, mu_hat=mu, d=2, dt=0.1)
         for t in (0.0, 0.2, 0.3):
             rho_a = density_from_state(
-                KernelState(axis=axis, mu_hat=a, d=1, dt=0.1, t_max=0.3), t)
+                KernelState(axis=axis, mu_hat=a, d=1, dt=0.1), t)
             rho_b = density_from_state(
-                KernelState(axis=axis, mu_hat=b, d=1, dt=0.1, t_max=0.3), t)
+                KernelState(axis=axis, mu_hat=b, d=1, dt=0.1), t)
             got = density_from_state(two, t)
             assert got.shape == (9, 9)
             want = np.outer(rho_a, rho_b)
@@ -134,6 +135,21 @@ class TestSolve:
         vals = [r[1] for r in rows]
         assert vals[-1] == 0.0
         assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:]))
+
+    def test_stops_relative_to_the_density(self, solved):
+        # the default weights N1 = N2 = d + 1: Y(rho) is about 0.36, so an
+        # absolute stop of 1e-10 would be 3e-10 of it
+        _, rho, tracker, report = solved
+        y_rho = y_norm(rho, 2, 2)
+        assert report.distances[-1] <= nonlinear._RTOL * y_rho
+        assert tracker.y_norm == y_rho
+
+    def test_stops_relative_to_the_density_at_larger_weights(self):
+        # N1 = 4 on the same grid: Y(rho) is about 4.7e3
+        _, rho, _, report = solve_selfconsistent(
+            _kernel(), gaussian_profile(1), screened_coulomb(0.5, 1.0),
+            n1=4, n2=2)
+        assert report.distances[-1] <= nonlinear._RTOL * y_norm(rho, 4, 2)
 
     def test_norm_tracker_levels(self, solved):
         _, _, tracker, _ = solved
@@ -182,12 +198,12 @@ class TestPicardStep:
         rng = np.random.default_rng(5)
         axis = np.linspace(-2.0, 2.0, 9)
         mu = rng.standard_normal((3, 9, 9)) + 1j * rng.standard_normal((3, 9, 9))
-        state = KernelState(axis=axis, mu_hat=mu, d=1, dt=0.1, t_max=0.2)
+        state = KernelState(axis=axis, mu_hat=mu, d=1, dt=0.1)
         rho = DensityTrajectory(
             k_grid=axis, t_grid=state.t_grid, kind="cartesian",
             rho_hat=rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3)))
         w, f = screened_coulomb(0.5, 1.0), gaussian_profile(1)
-        got = picard_step(state, rho, _kernel(), w, f).mu_hat
+        got = picard_step(state, rho, w, f).mu_hat
         want = _picard_by_direct_sums(state, rho, w, f)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -196,8 +212,7 @@ def _random_state(rng, d, n, n_t):
     axis = np.linspace(-2.0, 2.0, n)
     shape = (n_t,) + (n,) * (2 * d)
     mu = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    state = KernelState(axis=axis, mu_hat=mu, d=d, dt=0.1,
-                        t_max=0.1 * (n_t - 1))
+    state = KernelState(axis=axis, mu_hat=mu, d=d, dt=0.1)
     rho = DensityTrajectory(
         k_grid=np.zeros(n ** d), t_grid=state.t_grid, kind="cartesian",
         rho_hat=(rng.standard_normal((n ** d, n_t))
@@ -286,7 +301,7 @@ class TestStreamedStep:
         before = state.mu_hat.copy()
         w = screened_coulomb(0.5, 1.0)
         flat = replace(gaussian_profile(d), f=lambda e: np.ones_like(e))
-        got = picard_step(state, rho, _kernel(d=d), w, flat).mu_hat
+        got = picard_step(state, rho, w, flat).mu_hat
         # the step's FFTs and scipy's round differently (5e-16 at d = 2),
         # so both oracles are met to 1e-14 of the largest entry
         for want in (_shift_update_by_fftconvolve(state, rho, w),
@@ -343,7 +358,7 @@ class TestSeparablePhase:
         rng = np.random.default_rng(17 + d)
         state, rho = _random_state(rng, d, n, 4)
         w, f = screened_coulomb(0.5, 1.0), gaussian_profile(d)
-        got = picard_step(state, rho, _kernel(d=d), w, f)
+        got = picard_step(state, rho, w, f)
         lin, lin_frac = _linear_terms_by_entry_phases(state, rho, w, f)
         want = (_trapezoid_update(state, lin)
                 + _shift_update_by_fftconvolve(state, rho, w)
@@ -451,13 +466,12 @@ class TestDensityRows:
         mu = rng.standard_normal((301, 65, 65)) \
             + 1j * rng.standard_normal((301, 65, 65))
         self._assert_rows_match_reference(KernelState(
-            axis=np.linspace(-4.0, 4.0, 65), mu_hat=mu, d=1, dt=0.1,
-            t_max=30.0))
+            axis=np.linspace(-4.0, 4.0, 65), mu_hat=mu, d=1, dt=0.1))
 
     def test_matches_density_from_state_at_d2(self):
         rng = np.random.default_rng(43)
         state, _ = _random_state(rng, 2, 9, 6)
-        self._assert_rows_match_reference(replace(state, dt=1.0, t_max=5.0))
+        self._assert_rows_match_reference(replace(state, dt=1.0))
 
     def test_one_filon_coefficients_call_per_solve(self, monkeypatch):
         # every pass of a solve, and its linear stage, share one amplitude
@@ -529,7 +543,7 @@ class TestLinearStageMarch:
         resid = re + 1j * im
         x = _linear_stage_solver(state, w, f)(resid)
         lx = density_trajectory_from_state(
-            picard_step(state, replace(free, rho_hat=x), g0, w, f))
+            picard_step(state, replace(free, rho_hat=x), w, f))
         assert np.max(np.abs(x - lx.rho_hat - resid)) \
             <= 1e-14 * np.max(np.abs(resid))
 
@@ -553,11 +567,37 @@ class TestInPlaceSweep:
         rng = np.random.default_rng(29 + d)
         state, rho = _random_state(rng, d, n, 4)
         w, f = screened_coulomb(0.5, 1.0), gaussian_profile(d)
-        want = picard_step(state, rho, _kernel(d=d), w, f)
+        want = picard_step(state, rho, w, f)
         got = _sweep(replace(state, mu_hat=state.mu_hat.copy()), rho,
                      _updater(state, w, f))
         np.testing.assert_array_equal(got.mu_hat, want.mu_hat)
         assert got.leakage == want.leakage
+
+
+class TestNormTracker:
+    @pytest.mark.parametrize("d,n,n_t", [(1, 33, 40), (2, 9, 5)])
+    def test_blocks_match_node_by_node_differences(self, d, n, n_t):
+        # the tracker reads nodes in blocks (15 and 2 nodes here, the last
+        # block short) and scales its differences in place; x_norms must
+        # equal the per-node formula bit for bit
+        rng = np.random.default_rng(53 + d)
+        state, _ = _random_state(rng, d, n, n_t)
+        x = nonlinear._track_norms(state, 1.0, 4, 2).x_norms
+        axis, h = state.axis, float(np.diff(state.axis)[0])
+        ksq = sum(g ** 2 for g in np.meshgrid(*([axis] * d), indexing="ij"))
+        joint = (1.0 + ksq.reshape((n,) * d + (1,) * d)
+                 + ksq.reshape((1,) * d + (n,) * d)) ** (2 / 2.0)
+        inner = (slice(1, -1),) * (2 * d)
+        want = np.empty((n_t, 3))
+        for i, mu in enumerate(state.mu_hat):
+            fwd = mu[(slice(2, None),) * d + (slice(None, -2),) * d]
+            back = mu[(slice(None, -2),) * d + (slice(2, None),) * d]
+            want[i] = [
+                np.max(joint * np.abs(mu)),
+                np.max(joint[inner] * np.abs((fwd - back) / (2.0 * h))),
+                np.max(joint[inner] * np.abs(
+                    (fwd - 2.0 * mu[inner] + back) / (h * h)))]
+        np.testing.assert_array_equal(x, want)
 
 
 class TestDegenerateCouplings:
@@ -633,6 +673,6 @@ class TestThreeDimensional:
     def test_symmetry_and_contraction_on_coarse_box(self):
         state, _, _, report = solve_selfconsistent(
             _kernel(d=3), gaussian_profile(3), screened_coulomb(0.5, 1.0),
-            n_pts=9, t_max=3.0, tol=1e-9)
+            n_pts=9, t_max=3.0)
         assert hermitian_defect(state) <= 1e-10
         assert max(report.contraction_factors) < 0.9

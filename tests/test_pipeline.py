@@ -136,6 +136,13 @@ class TestConfig:
             parse_config(_doc(potential={"kind": "screened_coulomb",
                                          "screening": 0.0}))
 
+    def test_power_decay_bound_names_equilibrium(self):
+        # at d = 3 the bound is n1 >= 3.5 (2 n1 - d + 1 >= 5)
+        with pytest.raises(ConfigError, match="'equilibrium'.*n1 >= 3.5"):
+            parse_config(_doc(equilibrium={"kind": "power_decay", "n1": 3}))
+        assert parse_config(_doc(equilibrium={"kind": "power_decay",
+                                              "n1": 3.5})).profile.n1 == 3.5
+
     def test_built_objects_carried(self):
         cfg = parse_config(_doc(initial={"alpha": 0.5}, epsilon=0.02))
         assert cfg.profile.kind == "gaussian" and cfg.profile.d == 3
@@ -471,7 +478,7 @@ class TestCliStages:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(doc))
 
-        def fake_table(m, w, ks, ts, tol, tail_tol):
+        def fake_table(m, w, ks, ts, tol):
             vals = np.stack([1e3 * (1.0 + ts) ** -4.0,
                              np.full(ts.size, 1e-7)])
             return green.GreenTable(k_grid=ks, t_grid=ts, values=vals + 0j,
@@ -507,9 +514,7 @@ class TestCliStages:
         crit = stability.CriterionResult(kind="vacuous", value=None,
                                          shell_slope=None)
         cert = stability.StabilityCertificate(
-            verdict="Inconclusive", theta0=None, phi0=None, criterion=crit,
-            zero_location=None, zero_residual=None, scan_min=None,
-            scan_argmin=None, margin=None, winding_checks=(), k_range=None)
+            verdict="Inconclusive", phi0=None, criterion=crit)
         monkeypatch.setattr(stability, "certify", lambda m, w: cert)
         assert main(["stability", "--config", str(path)]) == 2
         report = json.loads((out / "stability.json").read_text())

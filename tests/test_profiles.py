@@ -9,6 +9,7 @@ lean on.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,10 +175,27 @@ class TestExactHatRule:
         assert abs(m.total_mass - want[0]) < 1e-11
 
     def test_power_decay_lower_bound_fails_loudly(self):
-        # phi peaks at u = 0 inside a support radius of 1e9: the panels
-        # cannot settle, and a missed peak must not become a wrong mass
+        # outside n1 >= d and 2 n1 - d + 1 >= 5 the phi table cannot hold
+        # the marginal, so the constructor refuses
+        for d, n1 in [(1, 2), (2, 2.5), (3, 3), (5, 4.9)]:
+            with pytest.raises(ValueError, match="2 n1 - d \\+ 1 >= 5"):
+                power_decay_profile(d, n1)
+
+    def test_power_decay_at_the_bound_builds(self):
+        # 2 n1 - d + 1 = 5 at d = 1: the mass int (1 + u^4)^(-5/4) du is 2
+        m = build_marginal(power_decay_profile(1, 2.5))
+        assert m.total_mass == pytest.approx(2.0, rel=1e-10)
+
+    def test_power_decay_under_the_bound_still_fails_to_build(self):
+        # the same f with n1 = 1, past the constructor's check: phi peaks
+        # at u = 0 inside a support radius of 1e9, the panels cannot
+        # settle, and a missed peak must not become a wrong mass
+        f = lambda e: (1.0 + np.asarray(e, dtype=float) ** 2) ** -0.5
+        df = lambda e: -np.asarray(e, dtype=float) * \
+            (1.0 + np.asarray(e, dtype=float) ** 2) ** -1.5
+        prof = replace(power_decay_profile(1, 3), f=f, df=df, n1=1.0)
         with pytest.raises(EvaluationBudgetExceeded):
-            build_marginal(power_decay_profile(1, 1))
+            build_marginal(prof)
 
     def test_loaded_tables_keep_the_decay_check(self, gauss3):
         # n1 <= (d - 1) / 2 at d = 3: the radial integral cannot converge

@@ -62,7 +62,7 @@ class TestPhiCurve:
     def test_frozen_values(self, fermi5):
         w = delta_potential(0.2)
         curve = phi_curve(fermi5, w, sorted(PHI_D5_G02))
-        for (k, got) in curve.samples:
+        for (k, got) in curve:
             assert abs(got - PHI_D5_G02[round(float(k), 4)]) < 1e-4
 
     def test_needs_compact_support(self, gauss3, coulomb):
