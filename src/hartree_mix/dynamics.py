@@ -1,14 +1,16 @@
 """Free Hartree density, linearized Volterra evolution, and reconstruction.
 
-The free density of an initial kernel gamma0_hat is the oscillatory integral
+The free density of an initial kernel G0(a, b), the Fourier transform of
+the datum gamma0(x, y), is the oscillatory integral
 
-    rho0_hat(t, k) = 2^{-d} int exp(-i t k.v) gamma0_hat((k+v)/2, (k-v)/2) dv,
+    rho0_hat(t, k) = 2^{-d} int exp(-i t k.v) G0((k+v)/2, (k-v)/2) dv,
 
-reduced here to cylindrical coordinates around k: the perpendicular
-directions are integrated by Gauss-Legendre (the kernel enters only through
-|a|^2, |b|^2, a.b for rotation-invariant data), and the remaining axis
-integral is pushed through the Filon rule with omega = t|k|, so one pass
-serves every requested time.
+reduced here to cylindrical coordinates around k: G0 enters only
+through the invariants |a|^2, |b|^2, a.b of its arguments, the
+perpendicular radius r is integrated by Gauss-Legendre in d >= 2 (in
+d = 1 the same formula is taken at r = 0, with no perpendicular rule),
+and the remaining axis integral is pushed through the Filon rule with
+omega = t|k|, so one pass serves every requested time.
 
 The linearized evolution is the second-kind Volterra equation
 
@@ -58,19 +60,16 @@ class StepTooLarge(UserWarning):
 
 @dataclass(frozen=True)
 class InitialKernel:
-    """Initial data gamma0_hat(k, p) for the density-matrix evolution.
+    """Initial data G0(k, p) for the density-matrix evolution.
 
-    ``gamma0_hat`` maps point arrays of shape (n, d) x (n, d) to complex
-    values.  ``quadratic_form`` evaluates the same kernel from the
-    rotation invariants (|k|^2, |p|^2, k.p), which the cylindrical
-    free-density reduction in d >= 2 runs on.  ``energy_radius`` is an
-    R with gamma0_hat negligible once |k|^2 + |p|^2 > R^2; it controls all
-    box truncations.
+    ``quadratic_form`` evaluates G0 from the rotation invariants
+    (|k|^2, |p|^2, k.p), broadcast elementwise, to complex values; the
+    free density and the nonlinear box both run on it.
+    ``energy_radius`` is an R with G0 negligible once
+    |k|^2 + |p|^2 > R^2; it controls all box truncations.
     """
 
-    kind: str
     d: int
-    gamma0_hat: Callable[[np.ndarray, np.ndarray], np.ndarray]
     quadratic_form: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     energy_radius: float
     params: dict = field(default_factory=dict)
@@ -111,45 +110,40 @@ class DensityTrajectory:
 # initial kernels
 
 
-def gaussian_pure_kernel(d: int, alpha: float = 1.0, amplitude: float | None = None,
-                         hat_amplitude: float | None = None) -> InitialKernel:
-    """Pure Gaussian state gamma0(x, y) = A exp(-alpha(|x|^2 + |y|^2)).
+def gaussian_pure_kernel(d: int, alpha: float = 1.0, *,
+                         hat_amplitude: float) -> InitialKernel:
+    """Pure Gaussian state, given by its kernel transform
 
-    Its kernel transform is gamma0_hat(k, p) = A (pi/alpha)^d
-    exp(-(|k|^2+|p|^2)/(4 alpha)).  Pass either the position-space
-    ``amplitude`` A or the Fourier-side prefactor ``hat_amplitude``
-    (exactly one; both default to amplitude = 1).
+        G0(k, p) = hat_amplitude exp(-(|k|^2 + |p|^2)/(4 alpha)),
+
+    the transform of gamma0(x, y) = A exp(-alpha(|x|^2 + |y|^2)) with
+    A = hat_amplitude (alpha/pi)^d.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if amplitude is not None and hat_amplitude is not None:
-        raise ValueError("give amplitude or hat_amplitude, not both")
-    if hat_amplitude is not None:
-        pref = float(hat_amplitude)
-        amplitude = pref * (alpha / np.pi) ** d
-    else:
-        amplitude = 1.0 if amplitude is None else float(amplitude)
-        pref = amplitude * (np.pi / alpha) ** d
+    pref = float(hat_amplitude)
     rate = 1.0 / (4.0 * alpha)
-
-    def gamma0_hat(K, P):
-        K = np.asarray(K, dtype=float)
-        P = np.asarray(P, dtype=float)
-        return pref * np.exp(-rate * ((K * K).sum(axis=-1) + (P * P).sum(axis=-1))) \
-            + 0.0j
 
     def quadratic_form(a2, b2, ab):
         return pref * np.exp(-rate * (np.asarray(a2) + np.asarray(b2))) + 0.0j
 
     radius = float(np.sqrt(np.log(1e20) / rate))
-    return InitialKernel(
-        kind="gaussian_pure", d=d, gamma0_hat=gamma0_hat,
-        quadratic_form=quadratic_form, energy_radius=radius,
-        params={"alpha": alpha, "amplitude": amplitude, "hat_prefactor": pref})
+    return InitialKernel(d=d, quadratic_form=quadratic_form,
+                         energy_radius=radius,
+                         params={"alpha": alpha, "hat_prefactor": pref})
 
 
 # ---------------------------------------------------------------------------
 # free density
+
+
+# Filon nodes of the free-density axis.  For a gaussian_pure kernel the
+# axis half-width V = sqrt(2 R^2 - k^2) is at most 9.6 times the width
+# 2 sqrt(alpha) of the kernel along the axis, whatever alpha, so a fixed
+# count keeps one relative accuracy at every alpha: against the closed
+# forms on k in [0.05, 2] and t <= 50, 4097 nodes leave 1.75e-11 of the
+# row peak (d = 1 and 3), where 1025 left 2.4e-7 (d = 3).
+_AXIS_NODES = 4097
 
 
 @functools.cache
@@ -158,53 +152,53 @@ def _radial_rule():
     return leggauss(128)
 
 
-def _free_density_row(g0: InitialKernel, k: float, t_grid: np.ndarray,
-                      n_axis: int) -> np.ndarray:
-    """rho0_hat(t, k) for one radius over all of t_grid."""
+def _free_density_row(g0: InitialKernel, k: float,
+                      t_grid: np.ndarray) -> np.ndarray:
+    """rho0_hat(t, k) for one radius over all of t_grid.
+
+    The kernel is integrated over the perpendicular radius r at each
+    axis node v; d = 1 takes the same invariants at r = 0 alone.
+    """
     d = g0.d
     v2_cap = 2.0 * g0.energy_radius ** 2 - k * k
     if v2_cap <= 0.0:
         return np.zeros(len(t_grid), dtype=complex)
     V = float(np.sqrt(v2_cap))
-    v1 = np.linspace(-V, V, n_axis)
-
+    v1 = np.linspace(-V, V, _AXIS_NODES)[:, None]
     if d == 1:
-        K = ((k + v1) / 2.0).reshape(-1, 1)
-        P = ((k - v1) / 2.0).reshape(-1, 1)
-        H = np.asarray(g0.gamma0_hat(K, P)).astype(complex).ravel()
+        r = np.zeros(1)
     else:
-        R = V
         nodes, weights = _radial_rule()
-        r = (nodes + 1.0) * R / 2.0
-        wr = weights * R / 2.0
-        r2 = (r * r)[None, :]
-        a2 = ((k + v1[:, None]) ** 2 + r2) / 4.0
-        b2 = ((k - v1[:, None]) ** 2 + r2) / 4.0
-        ab = (k * k - v1[:, None] ** 2 - r2) / 4.0
-        vals = np.asarray(g0.quadratic_form(a2, b2, ab))
-        H = sphere_area(d - 1) * ((vals * r[None, :] ** (d - 2)) @ wr)
+        r = (nodes + 1.0) * V / 2.0
+        wr = weights * V / 2.0
+    r2 = r * r
+    a2 = ((k + v1) ** 2 + r2) / 4.0
+    b2 = ((k - v1) ** 2 + r2) / 4.0
+    ab = (k * k - v1 ** 2 - r2) / 4.0
+    vals = np.asarray(g0.quadratic_form(a2, b2, ab))
+    H = vals[:, 0] if d == 1 else \
+        sphere_area(d - 1) * ((vals * r ** (d - 2)) @ wr)
 
     edge = max(abs(H[0]), abs(H[-1]))
     if edge > 1e-10 * (np.max(np.abs(H)) + 1e-300):
         warnings.warn("free-density axis truncation leaves kernel mass at the "
                       "box edge", TruncationWarning)
-    h_v = v1[1] - v1[0]
+    h_v = v1[1, 0] - v1[0, 0]
     return 2.0 ** (-d) * filon_transform(H, -V, h_v, np.asarray(t_grid) * k)
 
 
 def free_density_trajectory(g0: InitialKernel, k_grid, t_grid,
-                            N1: int | None = None, N2: int | None = None,
-                            n_axis: int = 1025) -> DensityTrajectory:
+                            N1: int | None = None,
+                            N2: int | None = None) -> DensityTrajectory:
     """Tabulate the free density over a radial k grid and uniform times."""
     k_grid = np.asarray(k_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     rho = np.empty((k_grid.size, t_grid.size), dtype=complex)
     for i, k in enumerate(k_grid):
-        rho[i] = _free_density_row(g0, float(k), t_grid, n_axis=n_axis)
+        rho[i] = _free_density_row(g0, float(k), t_grid)
     meta = {"d": g0.d,
             "N1": int(N1) if N1 is not None else g0.d + 1,
-            "N2": int(N2) if N2 is not None else g0.d + 1,
-            "source": "free"}
+            "N2": int(N2) if N2 is not None else g0.d + 1}
     return DensityTrajectory(k_grid=k_grid, t_grid=t_grid, rho_hat=rho,
                              kind="radial", meta=meta)
 
@@ -263,10 +257,8 @@ def volterra_solve(m: Marginal, w: Potential, S: DensityTrajectory) -> DensityTr
             continue
         K = volterra_kernel(m, w, float(abs(k)), S.t_grid)
         rho[i] = volterra_march(K, S.rho_hat[i], dt)
-    meta = dict(S.meta)
-    meta["source"] = "linear"
     return DensityTrajectory(k_grid=S.k_grid, t_grid=S.t_grid, rho_hat=rho,
-                             kind=S.kind, meta=meta)
+                             kind=S.kind, meta=dict(S.meta))
 
 
 # ---------------------------------------------------------------------------

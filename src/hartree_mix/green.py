@@ -204,10 +204,8 @@ def convolve_green(G: GreenTable, S: DensityTrajectory) -> DensityTrajectory:
         full = np.fft.ifft(np.fft.fft(g, size) * np.fft.fft(s, size))[:n]
         full -= 0.5 * (g * s[0] + g[0] * s)
         rho[i] = s + dt * full
-    meta = dict(S.meta)
-    meta["source"] = "green_convolution"
     return DensityTrajectory(k_grid=S.k_grid, t_grid=S.t_grid, rho_hat=rho,
-                             kind=S.kind, meta=meta)
+                             kind=S.kind, meta=dict(S.meta))
 
 
 def dyadic_envelope(t_grid, values, t_min: float = 1.0,

@@ -154,7 +154,8 @@ def _ksq_grid(axis: np.ndarray, d: int) -> np.ndarray:
 
 def initial_state(g0: InitialKernel, k_box: float, n_pts: int, dt: float,
                   t_max: float) -> KernelState:
-    """Sample g0 on the box at every time node (Picard iterate zero)."""
+    """Sample g0 on the box at every time node (Picard iterate zero), from
+    the invariants |k|^2, |p|^2, k.p of every point pair."""
     if n_pts % 2 == 0:
         raise ValueError("n_pts must be odd so the origin and all shifts "
                          "land on grid points")
@@ -168,11 +169,10 @@ def initial_state(g0: InitialKernel, k_box: float, n_pts: int, dt: float,
             stacklevel=2)
     axis = np.linspace(-k_box, k_box, n_pts)
     n_t = int(round(t_max / dt)) + 1
+    ksq = _ksq_grid(axis, d).ravel()
     kk = _stack_points(axis, d)
-    slab = np.asarray(g0.gamma0_hat(
-        np.repeat(kk, kk.shape[0], axis=0),
-        np.tile(kk, (kk.shape[0], 1))), dtype=complex)
-    slab = slab.reshape((n_pts,) * (2 * d))
+    slab = np.asarray(g0.quadratic_form(ksq[:, None], ksq[None, :], kk @ kk.T),
+                      dtype=complex).reshape((n_pts,) * (2 * d))
     mu = np.broadcast_to(slab, (n_t,) + slab.shape).copy()
     return KernelState(axis=axis, mu_hat=mu, d=d, dt=dt)
 

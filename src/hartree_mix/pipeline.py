@@ -100,6 +100,7 @@ _GROUP_KEYS = {
     "t_grid": ("dt", "t_max"),
     "tau_grid": ("max", "count"),
     "nonlinear": ("box", "points", "dt", "t_max"),
+    "initial": ("alpha",),
     "tolerances": ("green", "fit_window"),
 }
 
@@ -207,8 +208,14 @@ def parse_config(doc: dict, out: str | None = None,
         raise ConfigError("field 'nonlinear': box, dt, t_max must be "
                           "positive")
 
+    # epsilon is the one size of the datum, G0 = epsilon exp(-(|k|^2 +
+    # |p|^2)/(4 alpha))
     epsilon = _number(doc, "", "epsilon", 1e-2)
-    kernel = _make_initial(_group(doc, "initial", False), d, epsilon)
+    alpha = _number(_group(doc, "initial", False), "initial.", "alpha", 1.0)
+    try:
+        kernel = dynamics.gaussian_pure_kernel(d, alpha, hat_amplitude=epsilon)
+    except ValueError as e:
+        raise ConfigError(f"field 'initial': {e}") from e
     tol = _group(doc, "tolerances", False)
     # decay diagnostics only need table entries well above the fit floor;
     # the library default 1e-10 is for solver-grade tables
@@ -266,21 +273,6 @@ def _build(group: dict, name: str, kinds: dict, *args):
                                      if k != "kind"})
     except (TypeError, ValueError) as e:
         raise ConfigError(f"field '{name}': {e}") from e
-
-
-def _make_initial(initial: dict, d: int,
-                  epsilon: float) -> dynamics.InitialKernel:
-    opts = dict(initial)
-    kind = opts.pop("kind", "gaussian_pure")
-    if kind != "gaussian_pure":
-        raise ConfigError(f"field 'initial.kind': unknown kind '{kind}'")
-    opts.setdefault("alpha", 1.0)
-    if "amplitude" not in opts and "hat_amplitude" not in opts:
-        opts["hat_amplitude"] = epsilon
-    try:
-        return dynamics.gaussian_pure_kernel(d, **opts)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"field 'initial': {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +544,13 @@ def _decay_payload(cfg: RunConfig, traj: dynamics.DensityTrajectory) -> dict:
     for n in range(min(cfg.n3, 2) + 1):
         rows = dynamics.reconstruct_sup_norm(traj, n=n)
         fits[str(n)] = _fit_or_note(rows, cfg.fit_window)
+    # the sup norms' power law comes from k ~ 1/t, and the grid holds no
+    # mode below k_min, so a slope means the rate only while
+    # k_min * t_hi is well under 1 (criterion 5 runs at 0.2)
     return {"fit_window": list(cfg.fit_window), "sup_norm_fits": fits,
-            "y_norm": dynamics.y_norm(traj, cfg.n1, cfg.n2)}
+            "y_norm": dynamics.y_norm(traj, cfg.n1, cfg.n2),
+            "k_count": cfg.k_count,
+            "k_min_t_hi": cfg.k_min * min(cfg.fit_window[1], cfg.t_max)}
 
 
 def _traj_rows(traj: dynamics.DensityTrajectory) -> np.ndarray:

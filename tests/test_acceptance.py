@@ -206,11 +206,11 @@ def test_criterion_4_green_decay(gauss3, coulomb):
 
 def test_criterion_5_phase_mixing_exponents(gauss3):
     t0 = time.time()
-    g0 = dyn.gaussian_pure_kernel(3)
+    g0 = dyn.gaussian_pure_kernel(3, hat_amplitude=np.pi ** 3)
     w = screened_coulomb(0.1, 1.0)
     ks = np.linspace(0.004, 2.0, 250)
     ts = np.linspace(0.0, 55.0, 551)
-    free = dyn.free_density_trajectory(g0, ks, ts, N1=6, N2=6, n_axis=4097)
+    free = dyn.free_density_trajectory(g0, ks, ts, N1=6, N2=6)
     lin = dyn.volterra_solve(gauss3, w, free)
 
     bands = {0: (-3.0, 0.3), 1: (-4.0, 0.3), 2: (-5.0, 0.4)}

@@ -7,6 +7,8 @@ the constant-kernel exponential as its oracle.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -22,29 +24,48 @@ from hartree_mix.dynamics import (
 from hartree_mix.profiles import screened_coulomb
 
 
+# the two pure Gaussians with closed-form free densities:
+# d -> (kernel, rho0_hat(t, k) on rows k[:, None] and times t)
+_GAUSSIANS = {
+    1: (gaussian_pure_kernel(1, 0.125, hat_amplitude=1e-2),
+        lambda k, t: 1e-2 * np.sqrt(np.pi) / 2.0
+        * np.exp(-k * k - (k * t) ** 2 / 4.0)),
+    3: (gaussian_pure_kernel(3, hat_amplitude=np.pi ** 3),
+        lambda k, t: np.sqrt(8.0) * np.pi ** 4.5
+        * np.exp(-k * k / 8.0 - 2.0 * (k * t) ** 2)),
+}
+
+
 class TestFreeStreaming:
     def test_d1_closed_form_and_reality(self):
-        eps = 1e-2
-        g0 = gaussian_pure_kernel(1, 0.125, hat_amplitude=eps)
+        g0, want = _GAUSSIANS[1]
         ts = np.array([0.0, 2.5, 7.0])
         for k in (0.3, 1.0):
             got = free_density_trajectory(g0, [k], ts).rho_hat[0]
-            want = eps * np.sqrt(np.pi) / 2.0 \
-                * np.exp(-k * k - (k * ts) ** 2 / 4.0)
-            assert np.max(np.abs(got - want)) < 1e-9
+            assert np.max(np.abs(got - want(k, ts))) < 1e-9
             assert np.max(np.abs(np.imag(got))) < 1e-12
 
     def test_d3_closed_form(self):
-        g0 = gaussian_pure_kernel(3)
+        g0, want = _GAUSSIANS[3]
         ts = np.array([0.0, 1.5, 4.0])
         for k in (0.2, 0.9):
             got = free_density_trajectory(g0, [k], ts).rho_hat[0]
-            want = np.sqrt(8.0) * np.pi ** 4.5 \
-                * np.exp(-k * k / 8.0 - 2.0 * (k * ts) ** 2)
-            assert np.max(np.abs(got - want)) < 1e-6 * np.pi ** 4.5
+            assert np.max(np.abs(got - want(k, ts))) < 1e-6 * np.pi ** 4.5
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_rows_converged_over_the_fit_range(self, d):
+        # the decay fits' range: every row within 1e-10 of its peak (1025
+        # axis nodes left 2.4e-7 at d = 3; 4097 leave 1.75e-11)
+        g0, want = _GAUSSIANS[d]
+        ks = np.linspace(0.05, 2.0, 20)
+        ts = np.arange(501) * 0.1
+        got = free_density_trajectory(g0, ks, ts).rho_hat
+        exact = want(ks[:, None], ts)
+        err = np.max(np.abs(got - exact), axis=1)
+        assert np.all(err <= 1e-10 * np.max(np.abs(exact), axis=1))
 
     def test_trajectory_carries_weights(self):
-        g0 = gaussian_pure_kernel(3)
+        g0 = gaussian_pure_kernel(3, hat_amplitude=np.pi ** 3)
         tr = free_density_trajectory(g0, [0.2, 0.5], np.linspace(0, 2, 21),
                                      N1=6, N2=5)
         assert tr.meta["N1"] == 6 and tr.meta["N2"] == 5
@@ -72,7 +93,7 @@ class TestVolterraMarch:
 
 class TestDressing:
     def test_weak_coupling_stays_near_free(self, gauss3):
-        g0 = gaussian_pure_kernel(3)
+        g0 = gaussian_pure_kernel(3, hat_amplitude=np.pi ** 3)
         w = screened_coulomb(0.01, 1.0)
         ks = np.linspace(0.05, 1.5, 30)
         ts = np.linspace(0.0, 8.0, 161)
@@ -80,12 +101,13 @@ class TestDressing:
         lin = volterra_solve(gauss3, w, free)
         scale = np.max(np.abs(free.rho_hat))
         assert np.max(np.abs(lin.rho_hat - free.rho_hat)) < 0.05 * scale
-        assert lin.meta["source"] == "linear"
 
 
 class TestReconstruction:
-    def _traj(self):
-        g0 = gaussian_pure_kernel(3)
+    @staticmethod
+    @functools.cache
+    def _traj():
+        g0 = gaussian_pure_kernel(3, hat_amplitude=np.pi ** 3)
         return free_density_trajectory(g0, np.linspace(0.01, 3.0, 120),
                                        np.linspace(0.0, 5.0, 26),
                                        N1=6, N2=6)

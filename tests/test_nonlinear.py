@@ -622,7 +622,8 @@ class TestFailedSolves:
     def test_overflow_to_nan_raises(self):
         # the distances run past 1e250 and overflow to NaN, which no ratio
         # test catches
-        g0 = gaussian_pure_kernel(1, 0.125, amplitude=1e30)
+        g0 = gaussian_pure_kernel(1, 0.125,
+                                  hat_amplitude=1e30 * np.pi / 0.125)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.warns(RuntimeWarning, match="perturbative"), \
                 pytest.raises(NoContraction, match="nan"):

@@ -28,6 +28,9 @@ from hartree_mix.pipeline import (
     InsufficientSamples,
     NonPositiveValue,
     RunConfig,
+    _GROUP_KEYS,
+    _TOP_KEYS,
+    _decay_payload,
     _marginal,
     _write_csv,
     fit_decay,
@@ -35,7 +38,8 @@ from hartree_mix.pipeline import (
     parse_config,
     run,
 )
-from hartree_mix.dynamics import DensityTrajectory, y_norm
+from hartree_mix.dynamics import (DensityTrajectory, free_density_trajectory,
+                                  y_norm)
 from hartree_mix import dispersion, green, profiles, quadrature, stability
 
 
@@ -154,10 +158,28 @@ class TestConfig:
     def test_bad_initial_parameter_names_group(self):
         with pytest.raises(ConfigError, match="'initial'.*alpha"):
             parse_config(_doc(initial={"alpha": -1}))
-        with pytest.raises(ConfigError, match="'initial'"):
+        with pytest.raises(ConfigError, match="'initial.beta'"):
             parse_config(_doc(initial={"beta": 1.0}))
         with pytest.raises(ConfigError, match="'initial.kind'"):
             parse_config(_doc(initial={"kind": "grid"}))
+
+    def test_readme_names_every_config_key(self):
+        # the README's config section documents the whole surface: each
+        # top-level key is in its JSON example or in backticks, and each
+        # group key is in its group of the example, or in backticks bare
+        # or as `group.key`
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        section = text.split("Config schema", 1)[1].split(
+            "Every decay fit", 1)[0]
+        example = json.loads(section.split("```json\n", 1)[1]
+                             .split("```", 1)[0])
+        for key in _TOP_KEYS:
+            assert key in example or f"`{key}`" in section, key
+        for group, keys in _GROUP_KEYS.items():
+            for key in keys:
+                assert (key in example.get(group, {})
+                        or f"`{key}`" in section
+                        or f"`{group}.{key}`" in section), f"{group}.{key}"
 
     def test_green_tolerance_must_be_positive(self):
         for bad in (0.0, -1e-8):
@@ -183,6 +205,11 @@ class TestConfig:
         ({"tolerances": {"fit_window": [5, 50], "gren": 1e-3}},
          "'tolerances.gren'"),
         ({"k_gird": {}, "tgrid": {}}, "'k_gird', 'tgrid'"),
+        # the datum's one size is `epsilon`; `initial` holds `alpha` alone
+        ({"initial": {"alpha": 0.5, "kind": "gaussian_pure"}},
+         "'initial.kind'"),
+        ({"initial": {"amplitude": 1.0}}, "'initial.amplitude'"),
+        ({"initial": {"hat_amplitude": 1.0}}, "'initial.hat_amplitude'"),
     ])
     def test_unknown_key_rejected_naming_it(self, over, name):
         with pytest.raises(ConfigError, match=name):
@@ -467,6 +494,43 @@ class TestCliStages:
         assert all(("slope" in f) or ("error" in f) for f in fits.values())
         assert all(f["samples"] == 0 for f in fits.values())
 
+    @pytest.mark.parametrize("window, k_min_t_hi", [((5.0, 50.0), 2.5),
+                                                     ((5.0, 20.0), 1.0)])
+    def test_decay_payload_carries_k_resolution(self, window, k_min_t_hi):
+        # the benchmark's d = 1 grid: 40 rows from k = 0.05, t to 50; the
+        # fit window's end, capped at t_max, sets k_min * t_hi
+        cfg = parse_config(_doc(
+            d=1, k_grid={"count": 40, "min": 0.05, "max": 2.0},
+            t_grid={"dt": 0.1, "t_max": 50.0}, initial={"alpha": 0.125},
+            tolerances={"fit_window": list(window)}))
+        traj = free_density_trajectory(
+            cfg.kernel, np.linspace(cfg.k_min, cfg.k_max, cfg.k_count),
+            np.arange(501) * cfg.dt, N1=cfg.n1, N2=cfg.n2)
+        payload = _decay_payload(cfg, traj)
+        assert payload["k_count"] == 40
+        assert payload["k_min_t_hi"] == pytest.approx(k_min_t_hi, rel=1e-15)
+
+    def test_stability_stage_writes_phi_curve_where_phi_is_finite(
+            self, tmp_path):
+        # zero-T Fermi, delta coupling 0.2: the criterion integral diverges
+        # at d = 1 and d = 3 alike, yet the edge Phi(k) is finite at d = 3,
+        # so its rows are written; at d = 1 Phi(k) diverges, and no file is
+        # written
+        for d, written in ((1, False), (3, True)):
+            out = tmp_path / f"d{d}"
+            doc = _doc(d=d, equilibrium={"kind": "fermi_zero_t"},
+                       potential={"kind": "delta", "coupling": 0.2},
+                       N1=2 * d + 2, out=str(out))
+            path = tmp_path / f"d{d}.json"
+            path.write_text(json.dumps(doc))
+            assert main(["stability", "--config", str(path)]) == 0
+            report = json.loads((out / "stability.json").read_text())
+            assert report["criterion"]["kind"] == "divergent"
+            assert (out / "phi_curve.csv").exists() == written, d
+        rows = np.loadtxt(tmp_path / "d3" / "phi_curve.csv", delimiter=",",
+                          skiprows=1)
+        assert rows.shape == (4, 2) and np.all(np.isfinite(rows))
+
     def test_green_fit_drops_blocks_under_noise_floor(self, tmp_path,
                                                       monkeypatch):
         # a t^-4 row fits on its quarter-octave blocks in [5, 50]; a row at
@@ -538,7 +602,7 @@ class TestCliStages:
         # and the stage must say so rather than write NaN rows and exit 0
         doc = _doc(d=d, potential={"kind": "screened_coulomb",
                                    "amplitude": 0.5},
-                   initial={"alpha": 0.125, "amplitude": 1.0},
+                   initial={"alpha": 0.125}, epsilon=(np.pi / 0.125) ** d,
                    nonlinear={"points": 5, "t_max": 3.0},
                    out=str(tmp_path / "out"))
         path = tmp_path / "run.json"
