@@ -35,7 +35,7 @@ import numpy as np
 
 from .green import m_f
 from .profiles import Marginal, Potential
-from .quadrature import (blocks, end_cell_correction, graded_layout,
+from .quadrature import (blocks, end_cell_correction, layout_values,
                          refine_panels)
 
 __all__ = [
@@ -52,11 +52,10 @@ class DivergentIntegral(Exception):
 # the Cauchy-row engine
 
 
-def _residual_sums(g, u, wt, z, s, taylor):
+def _residual_sums(gu, u, wt, z, s, taylor):
     """Sums over the nodes u of the subtracted integrand
-    (g(u) - P(u - s)) / (z - u), one per z; ``taylor`` holds the
-    coefficients of the cubic P, one row per z."""
-    gu = np.asarray(g(u), dtype=float)
+    (g(u) - P(u - s)) / (z - u), one per z, from the values gu = g(u);
+    ``taylor`` holds the coefficients of the cubic P, one row per z."""
     x, y2 = z.real, z.imag ** 2
     re, im = np.zeros(z.size), np.zeros(z.size)
     for r, c, num, dx, q in blocks(z.size, u.size, 3):
@@ -113,8 +112,9 @@ def _cauchy_rows(g, a, b, z, tol_abs, graded):
     to remove, so nothing is subtracted, and on a graded layout the cell on
     that end is replaced by ``end_cell_correction``.  The rest is summed
     by ``quadrature.refine_panels`` on ``graded_layout(a, b, panels,
-    graded)``.  Raises ValueError for a real z on an end where g does not
-    vanish, and EvaluationBudgetExceeded when the panels run out.
+    graded)``, with g on each layout from ``layout_values``.  Raises
+    ValueError for a real z on an end where g does not vanish, and
+    EvaluationBudgetExceeded when the panels run out.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     on_axis = z.imag == 0.0
@@ -145,8 +145,8 @@ def _cauchy_rows(g, a, b, z, tol_abs, graded):
         base += taylor[:, j] * moment
 
     def sums(panels, j):
-        u, wt = graded_layout(a, b, panels, graded)
-        return _residual_sums(g, u, wt, z[j], s[j], taylor[j])
+        u, wt, gu = layout_values(g, a, b, panels, graded)
+        return _residual_sums(gu, u, wt, z[j], s[j], taylor[j])
     values, gaps = refine_panels(sums, z.size, tol_abs)
     if graded and np.any(at_end):
         values[at_end] += end_cell_correction(g, a, b, z[at_end].real)
@@ -238,8 +238,7 @@ def dispersion_row(m: Marginal, w: Potential, k: float, lam_tilde,
                     "the branch-point integral diverges")
 
         def sums(panels, j):
-            u, wt = graded_layout(-ups, ups, panels, True)
-            phi = np.asarray(m.phi(u), dtype=float)
+            u, wt, phi = layout_values(m.phi, -ups, ups, panels, True)
             xm, xp = x_m[j, None], x_p[j, None]
             out = np.zeros(j.size)
             for r, c, a, b in blocks(j.size, u.size, 2):

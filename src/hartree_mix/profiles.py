@@ -22,6 +22,7 @@ share one instance across workers.
 from __future__ import annotations
 
 import math
+import random
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .quadrature import (blocks, fast_len, filon_transform, graded_layout,
+from .quadrature import (blocks, fast_len, filon_transform, layout_values,
                          refine_panels)
 
 __all__ = [
@@ -529,12 +530,14 @@ def _served_phi(prof: EquilibriumProfile, tables: dict):
 
     def below_switch(t):
         """2 int_0^u_max cos(t u) phi(u) du at every t, on the panel
-        engine: phi once per layout, cos(t u) in fixed work buffers.  phi
-        is the reduction, not the spline, whose knots on a coarse table
-        (power_decay) would keep the panel sums from settling."""
+        engine: phi once per layout (``layout_values``, across calls),
+        cos(t u) in fixed work buffers.  phi is the reduction, not the
+        spline, whose knots on a coarse table (power_decay) would keep the
+        panel sums from settling."""
         def sums(panels, j):
-            u, wt = graded_layout(0.0, u_max, panels, not full)
-            pw = np.asarray(reduced(u), dtype=float) * wt
+            u, wt, phi_u = layout_values(reduced, 0.0, u_max, panels,
+                                         not full)
+            pw = phi_u * wt
             tj = t[j]
             out = np.zeros(j.size)
             for r, c, tu in blocks(j.size, u.size, 1):
@@ -715,7 +718,6 @@ def validate_assumptions(prof: EquilibriumProfile, pot: Potential,
     """
     checks: list[AssumptionCheck] = []
     d, ups = prof.d, prof.upsilon
-    rng = np.random.default_rng(seed)
     n_samples = 2001
 
     # positivity of f on the open support
@@ -789,7 +791,9 @@ def validate_assumptions(prof: EquilibriumProfile, pot: Potential,
 
     # marginal strict decrease on (0, Ups)
     u_hi = m.u_support * (1.0 - 1e-9)
-    u = np.sort(rng.uniform(1e-6, u_hi, 257))
+    # the stdlib generator: numpy.random costs a stage 12-22 ms to import
+    rng = random.Random(seed)
+    u = np.sort([rng.uniform(1e-6, u_hi) for _ in range(257)])
     dv = np.asarray(m.dphi(u))
     pos = np.nonzero(dv >= 0.0)[0]
     if pos.size:

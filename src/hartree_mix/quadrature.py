@@ -3,9 +3,11 @@
 Three pieces, used throughout the package:
 
 * ``graded_layout``: 16-node Gauss-Legendre panels, uniform inside, cut
-  into dyadic shells toward the ends of a compact support, and
-  ``refine_panels``, which doubles them until a whole array of integrals
-  settles: every integral over the marginal's support goes through it;
+  into dyadic shells toward the ends of a compact support;
+  ``layout_values``, a layout with a long-lived integrand's values on it;
+  and ``refine_panels``, which doubles the panels until a whole array of
+  integrals settles: every integral over the marginal's support goes
+  through it;
   ``shell_slope`` reads the decay of the shells toward an end, and
   ``end_cell_correction`` replaces the cell on an end by the geometric
   series past the last shell; ``blocks`` tiles a node matrix into fixed
@@ -14,8 +16,9 @@ Three pieces, used throughout the package:
   ``int f(x) exp(-i w x) dx`` on a uniform grid, vectorized over
   frequencies.  An arithmetic progression of frequencies is evaluated as
   two chirp-z transforms (Bluestein's FFT convolution) in
-  O((n + M) log(n + M)) time; a scalar, short or non-uniform frequency
-  array takes the direct rule, which builds the n x M phase matrix in
+  O((n + M) log(n + M)) time wherever that costs less than the direct
+  rule; a scalar, a non-uniform array or a grid too small for the FFTs
+  to pay takes the direct rule, which builds the n x M phase matrix in
   blocks of bounded size,
 * ``refine_filon``: the Filon rule on a sampled callable, with the grid
   doubled until the fine rule and the rule on every other sample agree;
@@ -24,21 +27,25 @@ Three pieces, used throughout the package:
 ``fast_len`` gives the padded length of every FFT in the package.
 
 All integrand callables must accept and return numpy arrays.  Every
-operation reports an error estimate; none of them mutate shared state, so
-they are safe to call from parallel scans.
+operation reports an error estimate.  The one piece of shared state is
+the memo of ``layout_values``: at most ``_MEMO_ENTRIES`` read-only
+layouts with an integrand's values, bounded in bytes (its docstring),
+which callers only read.  It takes no lock, so the package calls it from
+one thread at a time.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "QuadratureError", "UnresolvedOscillation", "EvaluationBudgetExceeded",
-    "graded_layout", "refine_panels", "shell_slope", "filon_transform",
-    "fast_len",
+    "graded_layout", "layout_values", "refine_panels", "shell_slope",
+    "filon_transform", "fast_len",
 ]
 
 
@@ -82,6 +89,42 @@ def graded_layout(a, b, panels, graded):
     u = ((edges[:-1] + half)[:, None] + half[:, None] * _GL16_X).ravel()
     wt = (half[:, None] * _GL16_W).ravel()
     return u, wt
+
+
+# layouts held by ``layout_values``, least recently used first: a whole
+# doubling run of one evaluator (16 to 8192 panels, 10 layouts), which a
+# shorter memo would evict in the order a second run asks for them, with
+# room for a few layouts of other evaluators
+_MEMO_ENTRIES = 16
+_memo: OrderedDict = OrderedDict()
+
+
+def layout_values(g, a, b, panels, graded):
+    """``graded_layout(a, b, panels, graded)`` and g on its nodes, as
+    read-only arrays (u, wt, g(u)).
+
+    For an integrand that outlives one integral (a marginal's phi, say),
+    whose every refinement revisits the same layouts: the last
+    ``_MEMO_ENTRIES`` are kept, keyed on g's identity and the layout.
+    Each entry holds g itself, so no id is recycled while it lives, and
+    g need not be hashable.  One entry is 24 bytes per node, and a layout
+    has 16 (panels + 2 (_SHELL_DEPTH - log2 panels)) nodes graded, 16
+    panels plain: 3.2 MB at the cap of 8192 graded panels, 6.6 MB for a
+    whole doubling run to it, and at most 51 MB for the memo.
+    """
+    key = (id(g), a, b, panels, graded)
+    hit = _memo.get(key)
+    if hit is not None:
+        _memo.move_to_end(key)
+        return hit[1:]
+    u, wt = graded_layout(a, b, panels, graded)
+    gu = np.asarray(g(u), dtype=float)
+    for x in (u, wt, gu):
+        x.flags.writeable = False
+    _memo[key] = (g, u, wt, gu)
+    if len(_memo) > _MEMO_ENTRIES:
+        _memo.popitem(last=False)
+    return u, wt, gu
 
 
 def shell_slope(shells):
@@ -166,9 +209,26 @@ def blocks(n, m, k):
 # composite Filon-Simpson rule
 
 
-# The chirp-z path pays a fixed O(n log n) for the FFTs, which the direct
-# rule's n*M exponentials undercut only for a handful of frequencies.
-_CHIRP_MIN_FREQS = 16
+# The chirp-z path's FFTs cost about what the direct rule's n*M phases
+# cost at three frequencies plus 2048 sample-frequency products, so a
+# uniform grid of M frequencies on n samples takes chirp-z where
+# n (M - 3) >= 2048 (``_uniform_step``).  Direct over chirp-z time, median
+# of five rounds of the best of 3 x 10 calls, one core of a 2-core Intel
+# Xeon VM; * marks the cells the rule sends to chirp-z:
+#   n \ M   2     3     4     5     6     7     8     9
+#    129  0.54  0.59  0.60  0.65  0.68  0.71  0.75  0.76
+#    257  0.56  0.60  0.68  0.71  0.78  0.84  0.86  0.98
+#   1025  0.59  0.76  0.89  1.10* 1.21* 1.36* 1.47* 1.64*
+#   4097  0.56  0.79  1.03* 1.23* 1.51* 1.70* 1.97* 2.10*
+#   8193  0.55  0.78  1.03* 1.25* 1.55* 1.77* 2.01* 2.27*
+#   n \ M  10    11    12    13    14    15    16
+#    129  0.81  0.87  0.87  0.90  0.95  0.97  1.02
+#    257  1.01  1.09* 1.15* 1.15* 1.26* 1.29* 1.39*
+#   1025  1.81* 1.96* 2.07* 2.22* 2.47* 2.58* 2.67*
+#   4097  2.39* 2.59* 2.85* 3.11* 3.21* 3.50* 3.68*
+#   8193  2.49* 2.79* 3.05* 5.14* 5.36* 5.75* 6.02*
+# (0.09 ms direct and 0.15 ms chirp-z at n = 1025, M = 2; 1.62 and 0.71 ms
+# at n = 8193, M = 9.)
 # Largest phase matrix the direct rule builds at once, in bytes.
 _DIRECT_BYTES = 1 << 26
 # A frequency grid counts as uniform when it departs from the arithmetic
@@ -212,13 +272,14 @@ def filon_transform(fvals, x0, h, omegas):
     f at any frequency, which is what keeps large omega*h panels honest.
 
     Two paths compute the same rule.  When ``omegas`` is an arithmetic
-    progression of at least ``_CHIRP_MIN_FREQS`` values, the even- and
-    odd-index sums are chirp-z transforms, evaluated by Bluestein's FFT
-    convolution in O((n + M) log(n + M)) time and O(n + M) memory.  Any
-    other ``omegas`` (a scalar, a short or a non-uniform array) takes the
-    direct rule, which builds the phase matrix in row blocks of at most
-    ``_DIRECT_BYTES`` and is the reference the chirp-z path is tested
-    against.
+    progression of M values and n (M - 3) >= 2048, where the FFTs cost
+    less than the phase matrix, the even- and odd-index sums are chirp-z
+    transforms, evaluated by Bluestein's FFT convolution in
+    O((n + M) log(n + M)) time and O(n + M) memory.  Any other ``omegas``
+    (a scalar, a non-uniform array, or too few frequencies for the
+    samples) takes the direct rule, which builds the phase matrix in row
+    blocks of at most ``_DIRECT_BYTES`` and is the reference the chirp-z
+    path is tested against.
     """
     fvals = np.asarray(fvals)
     scalar = np.isscalar(omegas) or np.asarray(omegas).ndim == 0
@@ -226,7 +287,7 @@ def filon_transform(fvals, x0, h, omegas):
     n = fvals.shape[-1]
     if n < 3 or n % 2 == 0:
         raise ValueError("filon_transform needs an odd sample count >= 3")
-    step = _uniform_step(omegas)
+    step = _uniform_step(omegas, n)
     if step is None:
         out = _filon_direct(fvals, x0, h, omegas)
     else:
@@ -234,14 +295,15 @@ def filon_transform(fvals, x0, h, omegas):
     return out[0] if scalar else out
 
 
-def _uniform_step(omegas):
-    """Step of ``omegas`` when the chirp-z path applies to it, else None.
+def _uniform_step(omegas, n):
+    """Step of ``omegas`` when the chirp-z path applies to it on n
+    samples, else None: a uniform grid where chirp-z is the cheaper path.
 
     The tolerance is relative to the grid's extent, not to each |omega|,
     so that grids crossing zero pass.
     """
     m = omegas.size
-    if m < _CHIRP_MIN_FREQS:
+    if n * (m - 3) < 2048:
         return None
     step = (omegas[-1] - omegas[0]) / (m - 1)
     scale = max(abs(omegas[0]), abs(omegas[-1]))

@@ -306,13 +306,12 @@ class TestCauchyRows:
         assert abs(got - want) < 1e-12
 
 
-def _complex_residual_sums(g, u, wt, z, s, taylor):
+def _complex_residual_sums(gu, u, wt, z, s, taylor):
     """The subtracted Cauchy sums in complex arithmetic, the whole
     z x node matrix at once."""
     v = u - s[:, None]
     c = taylor[:, :, None]
-    num = np.asarray(g(u), dtype=float) \
-        - (c[:, 0] + v * (c[:, 1] + v * (c[:, 2] + v * c[:, 3])))
+    num = gu - (c[:, 0] + v * (c[:, 1] + v * (c[:, 2] + v * c[:, 3])))
     den = z[:, None] - u
     return np.divide(num, den, out=np.zeros(den.shape, dtype=complex),
                      where=den != 0) @ wt
@@ -335,8 +334,9 @@ class TestRealArithmeticKernel:
                        0.2 - 2.0j])
         s = np.clip(zs.real, -U, U)
         taylor = dsp._taylor(m.phi, -U, U, s)
-        sums = dsp._residual_sums(m.phi, u, wt, zs, s, taylor)
-        oracle = _complex_residual_sums(m.phi, u, wt, zs, s, taylor)
+        gu = m.phi(u)
+        sums = dsp._residual_sums(gu, u, wt, zs, s, taylor)
+        oracle = _complex_residual_sums(gu, u, wt, zs, s, taylor)
         assert np.max(np.abs(sums - oracle)) <= 1e-13
         got, err = dsp._cauchy_rows(m.phi, -U, U, zs, 1e-10, graded)
         monkeypatch.setattr(dsp, "_residual_sums", _complex_residual_sums)
@@ -351,13 +351,14 @@ class TestRealArithmeticKernel:
         # gauss3 support, phi = pi exp(-u^2) in closed form (its spline
         # alone holds several 128 KiB temporaries at 16384 nodes), summed
         # at 512 and 1024 panels: the work buffers hold 64 KiB each, so the
-        # peak is the layout's own arrays, not z x node matrices
+        # peak is the layouts with their values (quadrature.layout_values
+        # keeps both), not z x node matrices
         U = gauss3.u_support
         taus = np.linspace(0.0, 40.0, 201)
         zs = np.concatenate([taus / 2 + 0.1, taus / 2 - 0.1]) + 0j
         panels = []
-        layout = dsp.graded_layout
-        monkeypatch.setattr(dsp, "graded_layout", lambda a, b, p, g: (
+        layout = quadrature.graded_layout
+        monkeypatch.setattr(quadrature, "graded_layout", lambda a, b, p, g: (
             panels.append(p) or layout(a, b, p, g)))
         monkeypatch.setattr(quadrature, "_PANELS_START", 512)
         g = lambda u: np.pi * np.exp(-u * u)

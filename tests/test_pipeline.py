@@ -651,9 +651,11 @@ class TestStartup:
     def test_stages_load_only_fft_and_special(self, tmp_path):
         # a fresh process, as each CLI stage is: every stage runs on numpy
         # and the standard library alone, so after all of them no module
-        # named scipy or scipy.* may be loaded; the d = 1 run covers the
-        # other stages, among them the FFTs of the green table's chirp-z
-        # Filon rows and of the nonlinear shift terms
+        # named scipy or scipy.* may be loaded, nor numpy.random (12-22 ms
+        # to import; the sampled checks of the fermi5 marginal stage draw
+        # from the stdlib's generator); the d = 1 run covers the other
+        # stages, among them the FFTs of the green table's chirp-z Filon
+        # rows and of the nonlinear shift terms
         docs = {"gauss3": (_doc(), ("marginal", "stability")),
                 "fermi5": (_doc(d=5, equilibrium={"kind": "fermi_zero_t"},
                                 potential={"kind": "delta", "coupling": 0.2},
@@ -670,18 +672,19 @@ class TestStartup:
         script = ("import json, sys\n"
                   "from hartree_mix.cli import main\n"
                   f"codes = [main(a) for a in {calls!r}]\n"
-                  "scipy = [m for m in sys.modules"
-                  " if m == 'scipy' or m.startswith('scipy.')]\n"
-                  "print(json.dumps([codes, scipy]))\n")
+                  "extra = [m for m in sys.modules"
+                  " if m == 'scipy' or m.startswith('scipy.')"
+                  " or m == 'numpy.random']\n"
+                  "print(json.dumps([codes, extra]))\n")
         src = str(Path(__file__).parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        codes, scipy = json.loads(done.stdout.splitlines()[-1])
+        codes, extra = json.loads(done.stdout.splitlines()[-1])
         assert codes == [0] * len(calls)
-        assert scipy == []
+        assert extra == []
         report = json.loads((tmp_path / "fermi5" / "stability.json")
                             .read_text())
         assert report["verdict"] == "Unstable"

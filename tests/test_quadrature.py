@@ -108,14 +108,37 @@ class TestFilonChirpZ:
     def test_matches_direct_rule(self, n, omegas, x0, h):
         rng = np.random.default_rng(n)
         fv = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert quadrature._uniform_step(omegas) is not None
+        assert quadrature._uniform_step(omegas, n) is not None
         got = filon_transform(fv, x0, h, omegas)
         want = quadrature._filon_direct(fv, x0, h, omegas)
         assert np.max(np.abs(got - want)) <= 1e-11 * np.sum(np.abs(fv)) * h
 
+    @pytest.mark.parametrize("n", [1025, 8193])
+    def test_matches_direct_rule_at_few_frequencies(self, n):
+        # the few-frequency grids the cost rule sends to chirp-z, like
+        # the probes of profiles._support_radius on the 8193-sample phi
+        # table, within roundoff of the peak of the transform
+        u = np.linspace(0.0, 1.0, n)
+        fv = np.exp(-4.0 * u * u) * (1.0 - u * u)
+        for m in range(4, 16):
+            omegas = np.linspace(7.0, 14.0, m)
+            got = quadrature._filon_chirp(fv, 0.0, u[1], omegas,
+                                          7.0 / (m - 1))
+            want = quadrature._filon_direct(fv, 0.0, u[1], omegas)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_path_follows_cost(self):
+        # direct below the crossover of the measured table, chirp-z above
+        om = lambda m: np.linspace(1.0, 2.0, m)
+        for n, first in ((129, 19), (257, 11), (1025, 5), (4097, 4),
+                         (8193, 4)):
+            assert quadrature._uniform_step(om(first - 1), n) is None
+            assert quadrature._uniform_step(om(first), n) is not None
+        assert quadrature._uniform_step(om(3), 2 ** 21 + 1) is None
+
     @settings(max_examples=40, deadline=None)
     @given(panels=st.integers(2, 60),
-           m=st.integers(quadrature._CHIRP_MIN_FREQS, 90),
+           m=st.integers(4, 90),
            omega0=st.floats(-40.0, 40.0),
            span=st.just(0.0) | st.floats(1e-6, 80.0) | st.floats(-80.0, -1e-6),
            x0=st.floats(-5.0, 5.0),
@@ -125,8 +148,10 @@ class TestFilonChirpZ:
                                            x0, h, seed):
         omegas = np.linspace(omega0, omega0 + span, m)
         fv = np.random.default_rng(seed).standard_normal(2 * panels + 1)
-        assert quadrature._uniform_step(omegas) is not None
-        got = filon_transform(fv, x0, h, omegas)
+        # the chirp-z path itself, at every shape, whichever path the
+        # cost rule would take there
+        got = quadrature._filon_chirp(fv, x0, h, omegas,
+                                      (omegas[-1] - omegas[0]) / (m - 1))
         want = _interpolant_transform(fv, x0, h, omegas)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(fv)) * h
 
@@ -147,7 +172,7 @@ class TestFilonChirpZ:
         monkeypatch.setattr(quadrature, "_filon_chirp",
                             lambda *a: calls.append(a) or chirp(*a))
         fv = np.cos(np.linspace(0.0, 3.0, 65))
-        short = np.linspace(0.0, 5.0, quadrature._CHIRP_MIN_FREQS - 1)
+        short = np.linspace(0.0, 5.0, 34)     # 65 (34 - 3) < 2048
         bent = np.linspace(0.0, 5.0, 40) ** 1.5
         filon_transform(fv, 0.0, 0.05, 2.5)
         filon_transform(fv, 0.0, 0.05, short)
@@ -248,6 +273,50 @@ class TestEdgeShells:
         # without grading the panels are uniform
         u, wt = graded_layout(-2.0, 3.0, 16, False)
         assert u.size == 256 and np.allclose(wt.reshape(16, 16).sum(1), 5 / 16)
+
+
+class TestLayoutValues:
+    """The memo of ``layout_values``: a layout and an integrand's values
+    on it, as fresh ones would be, read-only, and bounded."""
+
+    def test_matches_a_fresh_layout(self):
+        g = np.polynomial.Polynomial([0.5, -1.0, 0.0, 2.0])   # unhashable
+        with pytest.raises(TypeError):
+            hash(g)
+        for panels, graded in ((16, True), (128, False), (16, True)):
+            u, wt, gu = quadrature.layout_values(g, -1.5, 2.0, panels, graded)
+            u0, wt0 = graded_layout(-1.5, 2.0, panels, graded)
+            assert np.array_equal(u, u0) and np.array_equal(wt, wt0)
+            assert np.array_equal(gu, g(u0))
+            for x in (u, wt, gu):
+                assert not x.flags.writeable
+                with pytest.raises(ValueError):
+                    x[0] = 0.0
+
+    def test_evaluates_once_per_layout(self):
+        calls = []
+        g = lambda u: calls.append(u.size) or np.cos(u)
+        first = quadrature.layout_values(g, 0.0, 1.0, 32, True)
+        again = quadrature.layout_values(g, 0.0, 1.0, 32, True)
+        assert len(calls) == 1 and all(a is b for a, b in zip(first, again))
+        quadrature.layout_values(g, 0.0, 1.0, 64, True)
+        quadrature.layout_values(lambda u: np.cos(u), 0.0, 1.0, 32, True)
+        assert len(calls) == 2
+
+    def test_entries_and_bytes_are_bounded(self):
+        cap = quadrature._MEMO_ENTRIES
+        gs = [lambda u, c=c: c * u for c in range(3 * cap)]
+        for g in gs:
+            quadrature.layout_values(g, -1.0, 1.0, 16, True)
+            assert len(quadrature._memo) <= cap
+        # the most recent ones are kept, each holding its evaluator
+        assert [e[0] for e in quadrature._memo.values()] == gs[-cap:]
+        # the largest entry, at the panel cap: the docstring's 3.2 MB
+        quadrature.layout_values(gs[0], -1.0, 1.0, quadrature._PANELS_CAP,
+                                 True)
+        size = sum(x.nbytes for x in next(reversed(
+            quadrature._memo.values()))[1:])
+        assert 3.1e6 < size <= 3.2e6 and cap * size <= 51e6
 
 
 class TestRefineFilon:

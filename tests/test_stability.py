@@ -9,6 +9,8 @@ divergence flag.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,21 @@ class TestCertify:
         cert = certify(fermi4, delta_potential(0.05))
         assert cert.verdict == "Stable"
         assert abs(cert.theta0 - 0.4818307635452) < 1e-8
+
+    def test_unstable_hunt_evaluates_phi_once_per_layout(self, fermi5):
+        # every real-branch row of the zero hunt sums phi on the same
+        # graded layouts; the memo of quadrature.layout_values evaluates
+        # each once (167 evaluations on layouts when every row took its
+        # own, 7 with the memo: its misses, and criterion_integral and
+        # end_cell_correction on layouts of their own)
+        sizes = []
+        phi = fermi5.phi
+        counted = dataclasses.replace(
+            fermi5, phi=lambda u: sizes.append(np.size(u)) or phi(u))
+        cert = certify(counted, delta_potential(0.2))
+        assert cert.verdict == "Unstable"
+        # the smallest graded layout holds 16 panels plus 78 shells
+        assert sum(n >= 16 * 94 for n in sizes) <= 10
 
     @pytest.mark.slow
     def test_d5_coupling_flip(self, fermi5):
