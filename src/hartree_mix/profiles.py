@@ -15,8 +15,10 @@ with Gauss-Jacobi nodes absorbing the endpoint weight, so compactly
 supported profiles keep their exact vanishing rate at the support edge.
 phi_hat comes from a dense sample of phi pushed through the Filon cosine
 rule, and at small t from the panel engine over phi's support.  All
-evaluators are vectorized and the Marginal is immutable, so scans may
-share one instance across workers.
+evaluators are vectorized and the Marginal is immutable, but phi and
+phi_hat below the Filon regime read their values through the unlocked
+memo of ``quadrature.layout_values``, so the package calls them from one
+thread at a time.
 """
 
 from __future__ import annotations

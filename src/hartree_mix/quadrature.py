@@ -212,23 +212,10 @@ def blocks(n, m, k):
 # The chirp-z path's FFTs cost about what the direct rule's n*M phases
 # cost at three frequencies plus 2048 sample-frequency products, so a
 # uniform grid of M frequencies on n samples takes chirp-z where
-# n (M - 3) >= 2048 (``_uniform_step``).  Direct over chirp-z time, median
-# of five rounds of the best of 3 x 10 calls, one core of a 2-core Intel
-# Xeon VM; * marks the cells the rule sends to chirp-z:
-#   n \ M   2     3     4     5     6     7     8     9
-#    129  0.54  0.59  0.60  0.65  0.68  0.71  0.75  0.76
-#    257  0.56  0.60  0.68  0.71  0.78  0.84  0.86  0.98
-#   1025  0.59  0.76  0.89  1.10* 1.21* 1.36* 1.47* 1.64*
-#   4097  0.56  0.79  1.03* 1.23* 1.51* 1.70* 1.97* 2.10*
-#   8193  0.55  0.78  1.03* 1.25* 1.55* 1.77* 2.01* 2.27*
-#   n \ M  10    11    12    13    14    15    16
-#    129  0.81  0.87  0.87  0.90  0.95  0.97  1.02
-#    257  1.01  1.09* 1.15* 1.15* 1.26* 1.29* 1.39*
-#   1025  1.81* 1.96* 2.07* 2.22* 2.47* 2.58* 2.67*
-#   4097  2.39* 2.59* 2.85* 3.11* 3.21* 3.50* 3.68*
-#   8193  2.49* 2.79* 3.05* 5.14* 5.36* 5.75* 6.02*
-# (0.09 ms direct and 0.15 ms chirp-z at n = 1025, M = 2; 1.62 and 0.71 ms
-# at n = 8193, M = 9.)
+# n (M - 3) >= 2048 (``_uniform_step``).  Fitted to direct/chirp-z timings
+# on n in {129, 257, 1025, 4097, 8193} x M in {2, ..., 16}: every cell
+# takes its faster path or one within 3 % (table in BENCH_21.json,
+# ``filon_path_table``).
 # Largest phase matrix the direct rule builds at once, in bytes.
 _DIRECT_BYTES = 1 << 26
 # A frequency grid counts as uniform when it departs from the arithmetic

@@ -148,12 +148,19 @@ class TestFilonChirpZ:
                                            x0, h, seed):
         omegas = np.linspace(omega0, omega0 + span, m)
         fv = np.random.default_rng(seed).standard_normal(2 * panels + 1)
-        # the chirp-z path itself, at every shape, whichever path the
-        # cost rule would take there
+        # the uniform-grid detector accepts every shape on enough samples
+        # for the cost rule to allow chirp-z (zero span, tiny spans far
+        # from zero, descending grids, grids crossing zero) ...
+        assert quadrature._uniform_step(omegas, 2 ** 21 + 1) is not None
+        # ... and the chirp-z path itself is exact there, whichever path
+        # the cost rule takes on these samples
         got = quadrature._filon_chirp(fv, x0, h, omegas,
                                       (omegas[-1] - omegas[0]) / (m - 1))
         want = _interpolant_transform(fv, x0, h, omegas)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(fv)) * h
+        if fv.size * (m - 3) >= 2048:
+            assert np.array_equal(
+                quadrature.filon_transform(fv, x0, h, omegas), got)
 
     def test_chirp_phases_stay_exact_at_large_index(self):
         # Bluestein needs chirp(m) chirp(l) / chirp(m - l) = exp(-2i r m l);
