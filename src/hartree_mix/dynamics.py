@@ -3,14 +3,16 @@
 The free density of an initial kernel G0(a, b), the Fourier transform of
 the datum gamma0(x, y), is the oscillatory integral
 
-    rho0_hat(t, k) = 2^{-d} int exp(-i t k.v) G0((k+v)/2, (k-v)/2) dv,
+    rho0_hat(t, k) = 2^{-d} int exp(-i t k.v) G0((k+v)/2, (k-v)/2) dv.
 
-reduced here to cylindrical coordinates around k: G0 enters only
-through the invariants |a|^2, |b|^2, a.b of its arguments, the
-perpendicular radius r is integrated by Gauss-Legendre in d >= 2 (in
-d = 1 the same formula is taken at r = 0, with no perpendicular rule),
-and the remaining axis integral is pushed through the Filon rule with
-omega = t|k|, so one pass serves every requested time.
+The one datum here is the Gaussian G0(a, b) = eps exp(-(|a|^2 + |b|^2)
+/(4 alpha)).  Its arguments give |a|^2 + |b|^2 = (|k|^2 + |v|^2)/2, so
+the integral is a Gaussian Fourier transform in v, in every d:
+
+    rho0_hat(t, k) = eps (2 pi alpha)^{d/2} exp(-|k|^2/(8 alpha)
+                                                - 2 alpha |k|^2 t^2),
+
+real, and tabulated from this closed form.
 
 The linearized evolution is the second-kind Volterra equation
 
@@ -24,16 +26,12 @@ which is the quantity the decay fits run on.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .profiles import Marginal, Potential, TruncationWarning, sphere_area
-from .quadrature import filon_transform
+from .profiles import Marginal, Potential, sphere_area
 
 __all__ = [
     "InitialKernel",
@@ -60,19 +58,13 @@ class StepTooLarge(UserWarning):
 
 @dataclass(frozen=True)
 class InitialKernel:
-    """Initial data G0(k, p) for the density-matrix evolution.
-
-    ``quadratic_form`` evaluates G0 from the rotation invariants
-    (|k|^2, |p|^2, k.p), broadcast elementwise, to complex values; the
-    free density and the nonlinear box both run on it.
-    ``energy_radius`` is an R with G0 negligible once
-    |k|^2 + |p|^2 > R^2; it controls all box truncations.
-    """
+    """The Gaussian initial datum G0(k, p) = epsilon exp(-(|k|^2 +
+    |p|^2)/(4 alpha)) in dimension d; the free density and the nonlinear
+    box both run on it."""
 
     d: int
-    quadratic_form: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    energy_radius: float
-    params: dict = field(default_factory=dict)
+    alpha: float
+    epsilon: float
 
 
 @dataclass(frozen=True)
@@ -121,81 +113,25 @@ def gaussian_pure_kernel(d: int, alpha: float = 1.0, *,
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    pref = float(hat_amplitude)
-    rate = 1.0 / (4.0 * alpha)
-
-    def quadratic_form(a2, b2, ab):
-        return pref * np.exp(-rate * (np.asarray(a2) + np.asarray(b2))) + 0.0j
-
-    radius = float(np.sqrt(np.log(1e20) / rate))
-    return InitialKernel(d=d, quadratic_form=quadratic_form,
-                         energy_radius=radius,
-                         params={"alpha": alpha, "hat_prefactor": pref})
+    return InitialKernel(d=d, alpha=float(alpha),
+                         epsilon=float(hat_amplitude))
 
 
 # ---------------------------------------------------------------------------
 # free density
 
 
-# Filon nodes of the free-density axis.  For a gaussian_pure kernel the
-# axis half-width V = sqrt(2 R^2 - k^2) is at most 9.6 times the width
-# 2 sqrt(alpha) of the kernel along the axis, whatever alpha, so a fixed
-# count keeps one relative accuracy at every alpha: against the closed
-# forms on k in [0.05, 2] and t <= 50, 4097 nodes leave 1.75e-11 of the
-# row peak (d = 1 and 3), where 1025 left 2.4e-7 (d = 3).
-_AXIS_NODES = 4097
-
-
-@functools.cache
-def _radial_rule():
-    """128-node Gauss-Legendre rule of the d >= 2 rows, built on first use."""
-    return leggauss(128)
-
-
-def _free_density_row(g0: InitialKernel, k: float,
-                      t_grid: np.ndarray) -> np.ndarray:
-    """rho0_hat(t, k) for one radius over all of t_grid.
-
-    The kernel is integrated over the perpendicular radius r at each
-    axis node v; d = 1 takes the same invariants at r = 0 alone.
-    """
-    d = g0.d
-    v2_cap = 2.0 * g0.energy_radius ** 2 - k * k
-    if v2_cap <= 0.0:
-        return np.zeros(len(t_grid), dtype=complex)
-    V = float(np.sqrt(v2_cap))
-    v1 = np.linspace(-V, V, _AXIS_NODES)[:, None]
-    if d == 1:
-        r = np.zeros(1)
-    else:
-        nodes, weights = _radial_rule()
-        r = (nodes + 1.0) * V / 2.0
-        wr = weights * V / 2.0
-    r2 = r * r
-    a2 = ((k + v1) ** 2 + r2) / 4.0
-    b2 = ((k - v1) ** 2 + r2) / 4.0
-    ab = (k * k - v1 ** 2 - r2) / 4.0
-    vals = np.asarray(g0.quadratic_form(a2, b2, ab))
-    H = vals[:, 0] if d == 1 else \
-        sphere_area(d - 1) * ((vals * r ** (d - 2)) @ wr)
-
-    edge = max(abs(H[0]), abs(H[-1]))
-    if edge > 1e-10 * (np.max(np.abs(H)) + 1e-300):
-        warnings.warn("free-density axis truncation leaves kernel mass at the "
-                      "box edge", TruncationWarning)
-    h_v = v1[1, 0] - v1[0, 0]
-    return 2.0 ** (-d) * filon_transform(H, -V, h_v, np.asarray(t_grid) * k)
-
-
 def free_density_trajectory(g0: InitialKernel, k_grid, t_grid,
                             N1: int | None = None,
                             N2: int | None = None) -> DensityTrajectory:
-    """Tabulate the free density over a radial k grid and uniform times."""
+    """Tabulate the free density over a radial k grid and uniform times,
+    from its closed form (module docstring)."""
     k_grid = np.asarray(k_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
-    rho = np.empty((k_grid.size, t_grid.size), dtype=complex)
-    for i, k in enumerate(k_grid):
-        rho[i] = _free_density_row(g0, float(k), t_grid)
+    alpha = g0.alpha
+    k2 = (k_grid * k_grid)[:, None]
+    rho = g0.epsilon * (2.0 * np.pi * alpha) ** (g0.d / 2.0) * np.exp(
+        -k2 / (8.0 * alpha) - 2.0 * alpha * k2 * (t_grid * t_grid)) + 0.0j
     meta = {"d": g0.d,
             "N1": int(N1) if N1 is not None else g0.d + 1,
             "N2": int(N2) if N2 is not None else g0.d + 1}

@@ -155,7 +155,7 @@ def _ksq_grid(axis: np.ndarray, d: int) -> np.ndarray:
 def initial_state(g0: InitialKernel, k_box: float, n_pts: int, dt: float,
                   t_max: float) -> KernelState:
     """Sample g0 on the box at every time node (Picard iterate zero), from
-    the invariants |k|^2, |p|^2, k.p of every point pair."""
+    |k|^2 and |p|^2 of every point pair."""
     if n_pts % 2 == 0:
         raise ValueError("n_pts must be odd so the origin and all shifts "
                          "land on grid points")
@@ -170,9 +170,9 @@ def initial_state(g0: InitialKernel, k_box: float, n_pts: int, dt: float,
     axis = np.linspace(-k_box, k_box, n_pts)
     n_t = int(round(t_max / dt)) + 1
     ksq = _ksq_grid(axis, d).ravel()
-    kk = _stack_points(axis, d)
-    slab = np.asarray(g0.quadratic_form(ksq[:, None], ksq[None, :], kk @ kk.T),
-                      dtype=complex).reshape((n_pts,) * (2 * d))
+    rate = 1.0 / (4.0 * g0.alpha)
+    slab = (g0.epsilon * np.exp(-rate * (ksq[:, None] + ksq[None, :]))
+            + 0.0j).reshape((n_pts,) * (2 * d))
     mu = np.broadcast_to(slab, (n_t,) + slab.shape).copy()
     return KernelState(axis=axis, mu_hat=mu, d=d, dt=dt)
 

@@ -212,10 +212,9 @@ def parse_config(doc: dict, out: str | None = None,
     # |p|^2)/(4 alpha))
     epsilon = _number(doc, "", "epsilon", 1e-2)
     alpha = _number(_group(doc, "initial", False), "initial.", "alpha", 1.0)
-    try:
-        kernel = dynamics.gaussian_pure_kernel(d, alpha, hat_amplitude=epsilon)
-    except ValueError as e:
-        raise ConfigError(f"field 'initial': {e}") from e
+    if not alpha > 0:
+        raise ConfigError("field 'initial.alpha': must be positive")
+    kernel = dynamics.gaussian_pure_kernel(d, alpha, hat_amplitude=epsilon)
     tol = _group(doc, "tolerances", False)
     # decay diagnostics only need table entries well above the fit floor;
     # the library default 1e-10 is for solver-grade tables
@@ -613,7 +612,12 @@ def _cmd_nonlinear(cfg: RunConfig, out: str) -> int:
     _write_csv(os.path.join(out, "scattering.csv"), ["t", "hs_distance"],
                scat)
     hs = nonlinear.hs_norm(state)
+    h = 2.0 * cfg.nl_box / (cfg.nl_points - 1)
     _write_json(os.path.join(out, "nonlinear_report.json"), {
+        "box": cfg.nl_box,
+        "points": cfg.nl_points,
+        "h": h,
+        "h_t_max": h * cfg.nl_t_max,
         "iterations": report.iterations,
         "distances": list(report.distances),
         "contraction_factors": list(report.contraction_factors),

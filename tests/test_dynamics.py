@@ -1,8 +1,9 @@
 """Linear density evolution: free streaming and the Volterra dressing.
 
 Pure Gaussian initial kernels stream to exactly computable densities
-in any dimension, which pins the free route; the marching solver has
-the constant-kernel exponential as its oracle.
+in any dimension: the free route is checked against hand-derived closed
+forms and against scipy's quad on the defining integral; the marching
+solver has the constant-kernel exponential as its oracle.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import functools
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from hartree_mix.dynamics import (
     DensityTrajectory,
@@ -54,8 +56,7 @@ class TestFreeStreaming:
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_rows_converged_over_the_fit_range(self, d):
-        # the decay fits' range: every row within 1e-10 of its peak (1025
-        # axis nodes left 2.4e-7 at d = 3; 4097 leave 1.75e-11)
+        # the decay fits' range: every row within 1e-10 of its peak
         g0, want = _GAUSSIANS[d]
         ks = np.linspace(0.05, 2.0, 20)
         ts = np.arange(501) * 0.1
@@ -63,6 +64,38 @@ class TestFreeStreaming:
         exact = want(ks[:, None], ts)
         err = np.max(np.abs(got - exact), axis=1)
         assert np.all(err <= 1e-10 * np.max(np.abs(exact), axis=1))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_matches_the_defining_integral(self, d):
+        # an oracle independent of the closed form: scipy's quad on
+        # 2^{-d} int exp(-itk.v) G0((k+v)/2, (k-v)/2) dv, with G0 taken
+        # from its arguments as written; at d = 3 over (v_par, r) with the
+        # weight 2 pi r, k along the axis
+        g0 = _GAUSSIANS[d][0]
+        # past |v| = reach the datum is below e^-50 of its peak
+        reach = np.sqrt(400.0 * g0.alpha)
+
+        def datum(a2, b2):
+            return g0.epsilon * np.exp(-(a2 + b2) / (4.0 * g0.alpha))
+
+        def axis_integrand(v, k):
+            a2, b2 = (k + v) ** 2 / 4.0, (k - v) ** 2 / 4.0
+            if d == 1:
+                return datum(a2, b2)
+            return quad(lambda r: 2.0 * np.pi * r
+                        * datum(a2 + r * r / 4.0, b2 + r * r / 4.0),
+                        0.0, reach, epsabs=0.0, epsrel=1e-13)[0]
+
+        ts = np.array([0.0, 0.7, 2.5])
+        for k in (0.3, 1.1):
+            got = free_density_trajectory(g0, [k], ts).rho_hat[0]
+            want = np.array([
+                quad(axis_integrand, -reach, reach, args=(k,), weight=w,
+                     wvar=t * k, epsabs=1e-13 * abs(got[0]), epsrel=0.0,
+                     limit=200)[0]
+                for t in ts for w in ("cos", "sin")]).reshape(-1, 2)
+            want = 2.0 ** (-d) * (want[:, 0] - 1j * want[:, 1])
+            assert np.max(np.abs(got - want)) <= 1e-10 * abs(got[0])
 
     def test_trajectory_carries_weights(self):
         g0 = gaussian_pure_kernel(3, hat_amplitude=np.pi ** 3)

@@ -152,11 +152,11 @@ class TestConfig:
         assert cfg.profile.kind == "gaussian" and cfg.profile.d == 3
         assert cfg.potential.kind == "screened_coulomb"
         assert cfg.kernel.d == 3
-        assert cfg.kernel.params["alpha"] == 0.5
-        assert cfg.kernel.params["hat_prefactor"] == 0.02
+        assert cfg.kernel.alpha == 0.5
+        assert cfg.kernel.epsilon == 0.02
 
-    def test_bad_initial_parameter_names_group(self):
-        with pytest.raises(ConfigError, match="'initial'.*alpha"):
+    def test_bad_initial_parameter_names_field(self):
+        with pytest.raises(ConfigError, match="'initial.alpha'"):
             parse_config(_doc(initial={"alpha": -1}))
         with pytest.raises(ConfigError, match="'initial.beta'"):
             parse_config(_doc(initial={"beta": 1.0}))
@@ -643,8 +643,14 @@ class TestCliStages:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             peak = peak_bytes(lambda: run(cfg, "nonlinear"))
-        assert (tmp_path / "nonlinear_report.json").exists()
+        report = json.loads((tmp_path / "nonlinear_report.json").read_text())
         assert peak <= nonlinear_bytes(cfg)
+        # the grid's resolution facts: box 4, so h = 8/(points - 1)
+        h = 8.0 / (points - 1)
+        assert (report["box"], report["points"]) == (4.0, points)
+        assert report["h"] == pytest.approx(h)
+        assert report["h_t_max"] == pytest.approx(
+            h * (30.0 if d == 1 else 3.0))
 
 
 class TestStartup:
