@@ -24,9 +24,10 @@ each value agrees with the coarser one.  The sums run in real arithmetic,
 real pole adds 0), on blocks of fixed 64 KiB work buffers.
 
 For |tau_tilde| >= 2 Upsilon + k the poles leave the support and the
-boundary value collapses to a manifestly real, even integral (the branch
-the stability module's root finding lives on), summed on the same nodes.
-At k = 0 only the rescaled limit exists; it trades phi for phi'.
+boundary value collapses to a manifestly real, even integral on the same
+nodes, ``branch_integral``: the stability module's root finding lives on
+it, and its edge at k -> 0 is the criterion.  At k = 0 only the rescaled
+limit exists; it trades phi for phi'.
 """
 
 from __future__ import annotations
@@ -45,7 +46,11 @@ __all__ = [
 
 
 class DivergentIntegral(Exception):
-    """Endpoint behavior of phi makes the requested integral infinite."""
+    """phi vanishes too slowly at an edge, by its shells' ``slope``."""
+
+    def __init__(self, message: str, slope: float):
+        super().__init__(message)
+        self.slope = slope
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +115,10 @@ def _cauchy_rows(g, a, b, z, tol_abs, graded):
     PV + i pi g(z).  A real z on an end of the segment, where g vanishes,
     is snapped onto that end and takes the finite limit: there is no layer
     to remove, so nothing is subtracted, and on a graded layout the cell on
-    that end is replaced by ``end_cell_correction``.  The rest is summed
-    by ``quadrature.refine_panels`` on ``graded_layout(a, b, panels,
-    graded)``, with g on each layout from ``layout_values``.  Raises
-    ValueError for a real z on an end where g does not vanish, and
+    that end is replaced by ``end_cell_correction``, its estimate added to
+    the gap.  The rest is summed by ``quadrature.refine_panels`` on
+    ``graded_layout(a, b, panels, graded)``, with g from ``layout_values``.
+    Raises ValueError for a real z on an end where g does not vanish, and
     EvaluationBudgetExceeded when the panels run out.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -149,7 +154,9 @@ def _cauchy_rows(g, a, b, z, tol_abs, graded):
         return _residual_sums(gu, u, wt, z[j], s[j], taylor[j])
     values, gaps = refine_panels(sums, z.size, tol_abs)
     if graded and np.any(at_end):
-        values[at_end] += end_cell_correction(g, a, b, z[at_end].real)
+        cell, _, err = end_cell_correction(g, a, b, z[at_end].real)
+        values[at_end] += cell
+        gaps[at_end] += err
     return values + base, gaps
 
 
@@ -189,7 +196,43 @@ class HilbertTransformCache:
 
 
 # ---------------------------------------------------------------------------
-# the two routes
+# the real branch and the two routes
+
+
+def branch_integral(m: Marginal, x_m, x_p, tol_abs: float):
+    """int phi(u) / ((x_m - u)(x_p - u)) du on the graded layouts of phi,
+    for arrays of poles Upsilon <= x_m <= x_p: the integrals, their error
+    estimates, and the edge shells' slope for a pole x_m on Upsilon (nan
+    for the others).  There ``end_cell_correction`` replaces the end cell,
+    and a shell slope near or above 0 raises DivergentIntegral, which
+    carries it: for phi ~ (Upsilon - u)^alpha the slope is -alpha, or
+    1 - alpha when x_p is on Upsilon too.
+    """
+    ups = m.upsilon
+    x_m, x_p = (np.asarray(x, dtype=float).ravel() for x in (x_m, x_p))
+    cells, cell_errs = np.zeros((2, x_m.size))
+    slopes = np.full(x_m.size, np.nan)
+    for i in np.nonzero(x_m - ups < 1e-12 * max(1.0, ups))[0]:
+        cell, slope, err = end_cell_correction(
+            lambda u: m.phi(u) / (x_p[i] - u), -ups, ups, np.array([ups]))
+        if slope[0] >= -0.05:
+            raise DivergentIntegral(
+                f"edge shell slope {slope[0]:.2f}: phi vanishes too slowly "
+                "at Upsilon and the branch-edge integral diverges",
+                float(slope[0]))
+        cells[i], slopes[i], cell_errs[i] = cell[0], slope[0], err[0]
+
+    def sums(panels, j):
+        u, wt, phi = layout_values(m.phi, -ups, ups, panels, True)
+        xm, xp = x_m[j, None], x_p[j, None]
+        out = np.zeros(j.size)
+        for r, c, a, b in blocks(j.size, u.size, 2):
+            np.subtract(xm[r], u[c], out=a)
+            a *= np.subtract(xp[r], u[c], out=b)
+            out[r] += np.divide(phi[c], a, out=a) @ wt[c]
+        return out
+    integral, gaps = refine_panels(sums, x_m.size, tol_abs)
+    return integral.real + cells, gaps + cell_errs, slopes
 
 
 def dispersion_row(m: Marginal, w: Potential, k: float, lam_tilde,
@@ -201,12 +244,10 @@ def dispersion_row(m: Marginal, w: Potential, k: float, lam_tilde,
     real branch |tau_tilde| >= 2 Upsilon + k.  There both poles x_-+ =
     (|tau_tilde| -+ k)/2 sit outside the support, and the two integrals
     merge into the real D = 1 - (w_hat(k)/2) int phi(u) / ((x_- - u)(x_+ -
-    u)) du, finite at |tau_tilde| = 2 Upsilon + k unless phi vanishes
-    slowly there (``_edge_exponent``; DivergentIntegral); there the end
-    cell on Upsilon takes ``end_cell_correction``, as an end pole of the
-    Hilbert form does.  At k = 0 the row is the rescaled limit.  A compact
-    support is summed on the edge-graded layout.  Returns the values and
-    their error estimates.
+    u)) du, ``branch_integral``, which raises DivergentIntegral at
+    |tau_tilde| = 2 Upsilon + k when phi vanishes too slowly there.  At
+    k = 0 the row is the rescaled limit.  A compact support is summed on
+    the edge-graded layout.  Returns the values and their error estimates.
     """
     lt = np.atleast_1d(np.asarray(lam_tilde, dtype=complex))
     if np.any(lt.real < 0):
@@ -225,32 +266,10 @@ def dispersion_row(m: Marginal, w: Potential, k: float, lam_tilde,
     errs = np.empty(lt.size)
     real_branch = (lt.real == 0.0) & (np.abs(lt.imag) >= 2.0 * ups + k)
     if np.any(real_branch):
-        x_m = (np.abs(lt[real_branch].imag) - k) / 2.0
-        x_p = (np.abs(lt[real_branch].imag) + k) / 2.0
-        # pole exactly at the edge: the integrand ~ phi(u)/(ups - u), which
-        # the graded layout's end cell does not resolve
-        at_edge = x_m - ups < 1e-12 * max(1.0, ups)
-        if np.any(at_edge):
-            alpha = _edge_exponent(m)
-            if alpha <= 0.05:
-                raise DivergentIntegral(
-                    f"phi vanishes like (Upsilon-u)^{alpha:.2f} at the edge; "
-                    "the branch-point integral diverges")
-
-        def sums(panels, j):
-            u, wt, phi = layout_values(m.phi, -ups, ups, panels, True)
-            xm, xp = x_m[j, None], x_p[j, None]
-            out = np.zeros(j.size)
-            for r, c, a, b in blocks(j.size, u.size, 2):
-                np.subtract(xm[r], u[c], out=a)
-                a *= np.subtract(xp[r], u[c], out=b)
-                out[r] += np.divide(phi[c], a, out=a) @ wt[c]
-            return out
-        integral, gaps = refine_panels(sums, x_m.size, tol_abs)
-        for i in np.nonzero(at_edge)[0]:
-            integral[i] += end_cell_correction(
-                lambda u: m.phi(u) / (x_p[i] - u), -ups, ups, np.array([ups]))[0]
-        values[real_branch] = 1.0 - (wk / 2.0) * integral.real
+        tau = np.abs(lt[real_branch].imag)
+        integral, gaps, _ = branch_integral(m, (tau - k) / 2.0,
+                                            (tau + k) / 2.0, tol_abs)
+        values[real_branch] = 1.0 - (wk / 2.0) * integral
         errs[real_branch] = abs(wk) / 2.0 * gaps
     hilbert = np.nonzero(~real_branch)[0]
     n = hilbert.size
@@ -280,12 +299,3 @@ def dispersion_time_integral(m: Marginal, w: Potential, k: float, lam_tilde,
     mf, err = m_f(m, k, k * lt.imag, k * lt.real[0], tol_abs)
     return 1.0 + wk * mf, np.full(lt.size, abs(wk) * err)
 
-
-def _edge_exponent(m: Marginal) -> float:
-    """Local exponent alpha in phi(u) ~ c (Upsilon - u)^alpha at the edge."""
-    ups = m.upsilon
-    hs = ups * 2.0 ** -np.arange(8, 16)
-    vals = np.asarray(m.phi(ups - hs))
-    vals = np.abs(vals) + 1e-300
-    fit = np.polyfit(np.log(hs), np.log(vals), 1)
-    return float(fit[0])

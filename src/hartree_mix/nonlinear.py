@@ -142,11 +142,6 @@ class SolveReport:
     leakage: float
 
 
-def _stack_points(axis: np.ndarray, d: int) -> np.ndarray:
-    pts = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.stack([p.ravel() for p in pts], axis=-1)
-
-
 def _ksq_grid(axis: np.ndarray, d: int) -> np.ndarray:
     pts = np.meshgrid(*([axis] * d), indexing="ij")
     return sum(p ** 2 for p in pts)
@@ -465,7 +460,7 @@ def _synthesize(wts: np.ndarray, slab: np.ndarray, slots=None,
 def _cartesian_trajectory(state: KernelState,
                           rows: np.ndarray) -> DensityTrajectory:
     """Density rows, row-major flattened over the box grid, as a trajectory."""
-    kmag = np.linalg.norm(_stack_points(state.axis, state.d), axis=-1)
+    kmag = np.sqrt(_ksq_grid(state.axis, state.d)).ravel()
     return DensityTrajectory(k_grid=kmag, t_grid=state.t_grid, rho_hat=rows,
                              kind="cartesian", meta={"d": state.d})
 

@@ -248,7 +248,8 @@ class Marginal:
     phi_hat, and ``phi_hat_l1`` / ``phi_hat_deriv_l1`` the integrals
     int |phi_hat| and int |phi_hat'| feeding the large-argument tail
     bounds downstream.  ``tables`` holds what ``marginal_from_tables``
-    serves it from.  Instances are immutable and safe to share.
+    serves it from.  Instances are immutable, but phi and phi_hat read an
+    unlocked memo (``quadrature.layout_values``): one thread at a time.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]

@@ -139,25 +139,34 @@ def shell_slope(shells):
 
 
 def end_cell_correction(g, a, b, ends):
-    """For each pole e of ``ends`` (a or b), the geometric remainder past
-    the last dyadic shell at e minus the graded layout's sum over the
-    cell on e, for the integrand g(u)/(e - u).
+    """For each pole e of ``ends`` (a or b) and the integrand g(u)/(e - u):
+    the geometric remainder past the last dyadic shell at e minus the
+    graded layout's sum over the cell on e, the shells' ``shell_slope``,
+    and an error estimate.
 
     Where g vanishes like |u - e|^alpha, g(u)/(e - u) grows like
     |u - e|^(alpha - 1) into that cell, which its Gauss nodes do not
     resolve (7e-8 off for g = 2 sqrt(1 - u^2)), while the shell sums
     contract like 2^(-j alpha): the series past the last one is the cell.
+    That cell is the same at every panel count, so no fine/coarse gap sees
+    its error: the estimate is the gap to the series at the ratio of the
+    last two nonzero shells.
     """
     u, wt = graded_layout(a, b, 16, True)
     gu = np.asarray(g(u), dtype=float)
-    out = np.empty(ends.size)
+    out, slopes, errs = np.empty((3, ends.size))
     for i, e in enumerate(ends):
         cells = (gu / (e - u) * wt).reshape(-1, 16).sum(axis=1)
         if e == a:
             cells = cells[::-1]
-        r = 2.0 ** shell_slope(cells[:-1])
-        out[i] = cells[-2] * r / (1.0 - r) - cells[-1]
-    return out
+        slopes[i] = shell_slope(cells[:-1])
+        tail = cells[:-1][np.abs(cells[:-1]) >= 1e-300]
+        r = np.array([2.0 ** slopes[i],
+                      tail[-1] / tail[-2] if tail.size > 1 else 0.0])
+        rest = cells[-2] * r / (1.0 - r)
+        out[i] = rest[0] - cells[-1]
+        errs[i] = abs(rest[0] - rest[1])
+    return out, slopes, errs
 
 
 def refine_panels(sums, count, tol_abs):

@@ -4,10 +4,10 @@ The decision chain mirrors the analytic one.  First the criterion integral
 
     Phi(0) = 1 - (w_hat(0)/2) int phi(u) / (Upsilon - u)^2 du
 
-is summed on ``quadrature.graded_layout``, the node layout of every
-integral over a compact support, whose dyadic shells toward Upsilon give
-the fitted decay that legitimizes the value, flags divergence (slowly
-vanishing phi), or declares the condition vacuous (Upsilon = inf).  A
+is the k -> 0 edge of the real branch, ``dispersion.branch_integral`` at
+x_- = x_+ = Upsilon, whose dyadic shells toward Upsilon give the fitted
+decay that legitimizes the value or flags divergence (slowly vanishing
+phi); on an infinite support (Upsilon = inf) the condition is vacuous.  A
 divergent integral is its own verdict.  A negative value forces an
 imaginary-axis zero of the dispersion function on the real branch, which
 monotonicity pins down to a bisection.  Otherwise the certificate scans |D| over a compact boundary
@@ -28,10 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import DivergentIntegral, dispersion_row
+from .dispersion import DivergentIntegral, branch_integral, dispersion_row
 from .profiles import Marginal, Potential
-from .quadrature import (end_cell_correction, graded_layout, refine_panels,
-                         shell_slope)
 
 __all__ = [
     "CriterionResult",
@@ -115,38 +113,21 @@ _SCAN_TOL = 1e-9
 def criterion_integral(m: Marginal, w: Potential) -> CriterionResult:
     """Left side of the stability criterion, or its divergence/vacuity flag.
 
-    The integrand phi(u)/(Upsilon - u)^2 concentrates at the right edge,
-    where the graded layout's dyadic shells I_j decay like 2^{-j(alpha-1)}
-    (phi ~ c (Upsilon-u)^alpha): a finite value only for alpha > 1.  The
-    least-squares slope of log2 |I_j| over the last six nonzero shells
-    before the cell on Upsilon decides: slope >= -0.05 means the shell
-    sums do not contract and the integral is flagged divergent; otherwise
-    the whole layout is summed and ``end_cell_correction`` replaces that
-    cell by the geometric series past the last shell.
+    The integrand phi(u)/(Upsilon - u)^2 is the real branch's at k = 0,
+    ``branch_integral`` with both poles on Upsilon.  For phi ~ c (Upsilon
+    - u)^alpha its edge shells decay like 2^{-j(alpha-1)}: a finite value
+    only for alpha > 1; a slope near 0 or above flags it divergent.
     """
     if not np.isfinite(m.upsilon):
         return CriterionResult(kind="vacuous", value=None, shell_slope=None)
-    ups = m.upsilon
-
-    def g(u):
-        return np.asarray(m.phi(u)) / (ups - u)
-
-    def sums(panels, _):
-        u, wt = graded_layout(-ups, ups, panels, True)
-        return np.array([g(u) / (ups - u) @ wt])
-
-    # the panel sums before the cell on Upsilon, ending in the shells that
-    # are the same at every count; a smooth edge underflows the last ones
-    u, wt = graded_layout(-ups, ups, 16, True)
-    cells = (g(u) / (ups - u) * wt).reshape(-1, 16).sum(axis=1)
-    slope = shell_slope(cells[:-1])
-    if slope >= -0.05:
-        return CriterionResult(kind="divergent", value=None, shell_slope=slope)
-    integral = float(refine_panels(sums, 1, 1e-12)[0][0].real
-                     + end_cell_correction(g, -ups, ups, np.array([ups]))[0])
-    return CriterionResult(kind="finite",
-                           value=1.0 - (w.w_hat_zero / 2.0) * integral,
-                           shell_slope=slope)
+    try:
+        integral, _, slope = branch_integral(m, m.upsilon, m.upsilon, 1e-12)
+    except DivergentIntegral as e:
+        return CriterionResult(kind="divergent", value=None,
+                               shell_slope=e.slope)
+    value = 1.0 - (w.w_hat_zero / 2.0) * integral[0]
+    return CriterionResult(kind="finite", value=float(value),
+                           shell_slope=float(slope[0]))
 
 
 def _phi_at(m: Marginal, w: Potential, k: float) -> float:

@@ -42,6 +42,11 @@ def gauss3():
 
 
 @pytest.fixture(scope="session")
+def fermi1():
+    return build_marginal(fermi_zero_t_profile(1))
+
+
+@pytest.fixture(scope="session")
 def fermi2():
     return build_marginal(fermi_zero_t_profile(2))
 

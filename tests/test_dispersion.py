@@ -20,6 +20,7 @@ from scipy.special import dawsn
 from hartree_mix import dispersion as dsp
 from hartree_mix import quadrature
 from hartree_mix.dispersion import (
+    DivergentIntegral,
     HilbertTransformCache,
     dispersion_row,
     dispersion_time_integral,
@@ -89,9 +90,16 @@ REAL_BRANCH_POINTWISE = {
 }
 
 
-def _fermi2_hilbert(x):
-    """int phi/(x - u) du for x >= 1 and phi = 2 sqrt(1 - u^2) (fermi2)."""
-    return 2.0 * np.pi * (x - np.sqrt(x * x - 1.0))
+def _fermi_hilbert(d, x):
+    """int phi/(x - u) du from below the cut for phi = c (1 - u^2)^(d-1)/2,
+    d = 2 or 4: c pi r(x) for d = 2 and c pi [(1 - x^2) r(x) + x/2] for
+    d = 4, r = x + i sqrt(1 - x^2) inside and x - sign(x) sqrt(x^2 - 1)
+    outside."""
+    root = np.sqrt(np.abs(1.0 - x * x))
+    r = np.where(np.abs(x) < 1.0, x + 1j * root, x - np.sign(x) * root)
+    if d == 2:
+        return 2.0 * np.pi * r
+    return 4.0 * np.pi ** 2 / 3.0 * ((1.0 - x * x) * r + x / 2.0)
 
 
 class TestRealBranch:
@@ -124,8 +132,8 @@ class TestRealBranch:
             for delta in (0.0, 1e-9, 1e-3, 1.0):
                 tau = 2.0 + k + delta
                 x_m = max((tau - k) / 2, 1.0)
-                want = 1.0 - 0.05 / k * (_fermi2_hilbert(x_m)
-                                         - _fermi2_hilbert((tau + k) / 2))
+                want = 1.0 - 0.05 / k * (_fermi_hilbert(2, x_m)
+                                         - _fermi_hilbert(2, (tau + k) / 2))
                 got = _d(fermi2, w, k, 1j * tau)
                 tol = 1e-10 if delta == 0.0 else 1e-12
                 assert abs(got - want) < tol
@@ -254,12 +262,14 @@ class TestCauchyRows:
     def test_real_pole_on_square_root_endpoint_meets_tol(self, fermi2):
         # int 2 sqrt(1 - u^2)/(+-1 - u) du over [-1, 1] = +-2 pi; the
         # integrand grows like (1 -+ u)^-1/2 into the graded layout's end
-        # cell, whose Gauss sum alone was 7e-8 off
+        # cell, whose Gauss sum alone was 7e-8 off; the corrected cell's
+        # 6e-12 error is covered by its own estimate
         v, err = dsp._cauchy_rows(fermi2.phi, -1.0, 1.0, np.array([1.0, -1.0]),
                                   1e-10, True)
         assert np.max(np.abs(v.real - [2.0 * np.pi, -2.0 * np.pi])) < 1e-10
         assert np.all(v.imag == 0.0)
         assert np.all(err <= 1e-10)
+        assert np.all(np.abs(v.real - [2.0 * np.pi, -2.0 * np.pi]) <= err)
 
     def test_panel_cap_raises(self):
         # a jump inside the segment converges like the panel width only
@@ -393,19 +403,30 @@ class TestRows:
         taus = np.concatenate([(np.arange(400) + 0.5) * (2.0 + k) / 400,
                                2.0 - k + np.array([-1e-6, 1e-6])])
         got, err = dispersion_row(m, delta_potential(g), k, 1j * taus, 1e-9)
-        # int phi/(z - u) du from below the cut: c pi r(x) for d = 2 and
-        # c pi [(1 - x^2) r(x) + x/2] for d = 4, r = x + i sqrt(1 - x^2)
-        # inside and x - sign(x) sqrt(x^2 - 1) outside
-        def hilbert(x):
-            root = np.sqrt(np.abs(1.0 - x * x))
-            r = np.where(np.abs(x) < 1.0, x + 1j * root, x - np.sign(x) * root)
-            if m.d == 2:
-                return 2.0 * np.pi * r
-            return 4.0 * np.pi ** 2 / 3.0 * ((1.0 - x * x) * r + x / 2.0)
-        want = 1.0 + g / (2.0 * k) * (hilbert((taus + k) / 2)
-                                      - hilbert((taus - k) / 2))
+        want = 1.0 + g / (2.0 * k) * (_fermi_hilbert(m.d, (taus + k) / 2)
+                                      - _fermi_hilbert(m.d, (taus - k) / 2))
         assert np.max(np.abs(got - want)) < 2e-9
         assert np.max(err) <= g / k * 1e-9
+
+    @pytest.mark.parametrize("k", 2.0 ** -np.array([0, 1, 3, 5, 7, 9]))
+    def test_branch_edge_error_covers_the_closed_form(self, fermi2, k):
+        # at tau_tilde = 2 + k the pole x_- sits on the edge, whose end cell
+        # is the same at every panel count: the fine/coarse gap reads ~0
+        # while D is 3e-13 (k = 1) to 2e-10 (k = 2^-9) off, and only the
+        # end cell's own estimate (about 2.7 times that) covers it
+        g, tau = 0.1, 2.0 + k
+        got, err = dispersion_row(fermi2, delta_potential(g), k, 1j * tau,
+                                  1e-12)
+        want = 1.0 + g / (2.0 * k) * (_fermi_hilbert(2, (tau + k) / 2)
+                                      - _fermi_hilbert(2, (tau - k) / 2))
+        assert abs(got[0] - want) <= err[0]
+
+    def test_divergent_branch_edge_carries_its_slope(self, fermi1):
+        # phi = 1 on [-1, 1] (d = 1) does not vanish at the edge: the shells
+        # of phi/((1 - u)(1 + k - u)) toward 1 do not contract
+        with pytest.raises(DivergentIntegral) as info:
+            dispersion_row(fermi1, delta_potential(0.1), 0.5, 2.5j)
+        assert info.value.slope >= -0.05
 
     def test_rejects_left_half_plane(self, gauss3, coulomb):
         with pytest.raises(ValueError):

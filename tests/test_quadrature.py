@@ -18,6 +18,7 @@ from scipy.integrate import quad
 from hartree_mix import quadrature
 from hartree_mix.quadrature import (
     EvaluationBudgetExceeded,
+    end_cell_correction,
     fast_len,
     filon_transform,
     filon_weights,
@@ -263,6 +264,15 @@ class TestEdgeShells:
         assert np.max(np.abs(shells[:12] - np.log(2.0))) < 1e-11
         slope = np.polyfit(np.arange(6), np.log2(np.abs(shells[-6:])), 1)[0]
         assert abs(slope) < 0.01
+
+    @pytest.mark.parametrize("name", ["fermi2", "fermi3", "fermi4", "fermi5"])
+    def test_end_cell_slope_is_the_edge_exponent(self, name, request):
+        # phi = c (1 - u^2)^((d-1)/2), so the shells of phi(u) / ((1.5 - u)
+        # (e - u)) toward either end e contract like 2^(-j (d-1)/2)
+        m = request.getfixturevalue(name)
+        _, slopes, _ = end_cell_correction(lambda u: m.phi(u) / (1.5 - u),
+                                           -1.0, 1.0, np.array([-1.0, 1.0]))
+        assert np.max(np.abs(slopes + (m.d - 1) / 2.0)) < 1e-6
 
     def test_layout_keeps_nodes_off_the_ends(self):
         # the last cell is 2^-43 (b - a) = 1024 ulps of b wide here, and its

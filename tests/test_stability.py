@@ -51,9 +51,27 @@ class TestCriterionIntegral:
         assert abs(r.value - (1.0 - 0.05 * np.pi ** 2)) < 1e-11
 
     def test_d3_divergence_flag(self, fermi3):
+        # phi/(1 - u)^2 ~ pi/(1 - u): every shell toward 1 holds 2 pi ln 2
         r = criterion_integral(fermi3, delta_potential(0.1))
         assert r.kind == "divergent"
         assert r.value is None
+        assert abs(r.shell_slope) < 1e-5
+
+    def test_d1_divergence_flag(self, fermi1):
+        # phi = 1 up to the edge: every shell of 1/(1 - u)^2 doubles
+        r = criterion_integral(fermi1, delta_potential(0.1))
+        assert r.kind == "divergent"
+        assert abs(r.shell_slope - 1.0) < 1e-5
+
+    def test_criterion_is_the_branch_edge_at_k_zero(self, fermi5):
+        # Phi(k) = 1 - (g/2) int phi/((1 - u)(1 + k - u)) du tends to
+        # Phi(0) as k -> 0, falling monotonically on dyadic k
+        w = delta_potential(0.2)
+        phi0 = criterion_integral(fermi5, w).value
+        ks = 2.0 ** -np.array([4, 6, 8, 10])
+        gaps = phi_curve(fermi5, w, ks)[:, 1] - phi0
+        assert np.all(gaps > 0.0) and np.all(np.diff(gaps) < 0.0)
+        assert gaps[-1] < 0.02
 
     def test_unbounded_support_is_vacuous(self, gauss3, coulomb):
         r = criterion_integral(gauss3, coulomb)
@@ -137,11 +155,12 @@ class TestCertify:
         assert abs(cert.theta0 - 0.4818307635452) < 1e-8
 
     def test_unstable_hunt_evaluates_phi_once_per_layout(self, fermi5):
-        # every real-branch row of the zero hunt sums phi on the same
-        # graded layouts; the memo of quadrature.layout_values evaluates
-        # each once (167 evaluations on layouts when every row took its
-        # own, 7 with the memo: its misses, and criterion_integral and
-        # end_cell_correction on layouts of their own)
+        # every real-branch row of the zero hunt, and the criterion at its
+        # k = 0 edge, sums phi on the same graded layouts; the memo of
+        # quadrature.layout_values evaluates each once (167 evaluations on
+        # layouts when every row took its own, 4 now: the memo's two
+        # misses, and end_cell_correction for the criterion and for
+        # Phi(0.02) on a layout of its own)
         sizes = []
         phi = fermi5.phi
         counted = dataclasses.replace(
@@ -149,7 +168,7 @@ class TestCertify:
         cert = certify(counted, delta_potential(0.2))
         assert cert.verdict == "Unstable"
         # the smallest graded layout holds 16 panels plus 78 shells
-        assert sum(n >= 16 * 94 for n in sizes) <= 10
+        assert sum(n >= 16 * 94 for n in sizes) <= 4
 
     @pytest.mark.slow
     def test_d5_coupling_flip(self, fermi5):
