@@ -300,7 +300,8 @@ def _pointwise(rule):
 
 def _radial_reduction(prof: EquilibriumProfile):
     """Vectorized phi and phi' from the energy-shell representation
-    (48 Gauss-Jacobi nodes; full-support panels stop below 1e-16)."""
+    (48 Gauss-Jacobi nodes; full-support panels stop below 1e-16), summed
+    in node blocks of fixed size: the work memory of a call is O(points)."""
     d, ups = prof.d, prof.upsilon
     if d == 1:
         def phi(u):
@@ -318,29 +319,30 @@ def _radial_reduction(prof: EquilibriumProfile):
     w01 = wj * 0.5 ** (nu + 1.0)      # weight x^nu on [0, 1]
     A = sphere_area(d - 1) / 2.0
 
+    def node_sums(g, u, s, x, w):
+        """sum_k g(u^2 + s x_k) w_k at each u (s per u, or one scalar), in
+        node blocks whose (nodes x len(x)) matrices stay under glibc's mmap
+        threshold, so a call maps no fresh pages"""
+        s = np.broadcast_to(s, u.shape)
+        out = np.empty(u.size)
+        for r, _ in blocks(u.size, x.size, 0):
+            out[r] = np.asarray(g(u[r, None] ** 2 + s[r, None] * x)) @ w
+        return out
+
     if np.isfinite(ups):
         ups2 = ups * ups
-
-        def jacobi_sums(g, u, s):
-            """int_0^1 g(u^2 + s x) x^nu dx at each u, in node blocks whose
-            (nodes x 48) matrices stay under glibc's mmap threshold, so a
-            call maps no fresh pages"""
-            out = np.empty(u.size)
-            for r, _ in blocks(u.size, x01.size, 0):
-                out[r] = np.asarray(g(u[r, None] ** 2 + s[r, None] * x01)) @ w01
-            return out
 
         def shell(g, u):
             """(|S|/2)(ups^2-u^2)^{nu+1} int_0^1 g(u^2+(ups^2-u^2)x) x^nu dx"""
             s = np.maximum(ups2 - u * u, 0.0)
-            return A * s ** (nu + 1.0) * jacobi_sums(g, u, s)
+            return A * s ** (nu + 1.0) * node_sums(g, u, s, x01, w01)
 
         @_pointwise
         def dphi(ua):
             # phi(u) = G(u^2), G'(m) = (|S|/2)[int_0^{ups^2-m} f'(m+s) s^nu ds
             #                                  - f_edge (ups^2-m)^nu]
             s = np.maximum(ups2 - ua * ua, 0.0)
-            inner = jacobi_sums(prof.df, ua, s)
+            inner = node_sums(prof.df, ua, s, x01, w01)
             inside = s > 0.0
             safe = np.where(inside, s, 1.0)
             edge = prof.f_edge * np.where(inside, safe ** nu, 0.0)
@@ -354,15 +356,17 @@ def _radial_reduction(prof: EquilibriumProfile):
             f"declared decay n1 = {prof.n1} cannot make the radial integral converge")
 
     def halfline(g, u):
-        total = np.asarray(g(u[:, None] ** 2 + x01[None, :])) @ w01
+        """Jacobi on [0, 1], then Legendre panels [2^j, 2^(j+1)] until the
+        largest panel over all of u falls below 1e-16 of the largest
+        [0, 1] part."""
+        total = node_sums(g, u, 1.0, x01, w01)
         a = 1.0
         scale = float(np.max(np.abs(total))) + 1e-300
         while True:
             b = 2.0 * a
             s = (xl + 1.0) * (b - a) / 2.0 + a
-            w = wl * (b - a) / 2.0
-            piece = (np.asarray(g(u[:, None] ** 2 + s[None, :])) * s[None, :] ** nu) @ w
-            total = total + piece
+            piece = node_sums(g, u, 1.0, s, s ** nu * wl * (b - a) / 2.0)
+            total += piece
             if float(np.max(np.abs(piece))) < 1e-16 * scale or b > 1e14:
                 break
             a = b
@@ -588,6 +592,13 @@ def build_marginal(prof: EquilibriumProfile) -> Marginal:
     ``quadrature.refine_panels`` run over every such t at an absolute
     1e-12, on ``graded_layout`` over [0, u_support] (graded on a compact
     support; EvaluationBudgetExceeded when the panels run out).
+
+    Working memory does not grow with the number of nodes or frequencies
+    a step asks for: the radial reduction and the panel sums work in
+    64 KiB node blocks (``quadrature.blocks``), the panel layouts sit in
+    ``layout_values``' bounded memo, and the Filon rule on the 8193-node
+    table takes its frequencies 8193 at a time, so beside the memo a
+    build works in about 5 MB.
     """
     phi, dphi = _radial_reduction(prof)
     full = not np.isfinite(prof.upsilon)

@@ -15,11 +15,12 @@ Three pieces, used throughout the package:
 * ``filon_transform``: a composite Filon-Simpson rule for
   ``int f(x) exp(-i w x) dx`` on a uniform grid, vectorized over
   frequencies.  An arithmetic progression of frequencies is evaluated as
-  two chirp-z transforms (Bluestein's FFT convolution) in
-  O((n + M) log(n + M)) time wherever that costs less than the direct
-  rule; a scalar, a non-uniform array or a grid too small for the FFTs
-  to pay takes the direct rule, which builds the n x M phase matrix in
-  blocks of bounded size,
+  two chirp-z transforms (Bluestein's FFT convolution) wherever that
+  costs less than the direct rule, in blocks of max(n, 8192)
+  frequencies that share one FFT kernel, so its work arrays are O(n)
+  at any M; a scalar, a non-uniform array or a grid too small for the
+  FFTs to pay takes the direct rule, which builds the n x M phase
+  matrix in blocks of bounded size,
 * ``refine_filon``: the Filon rule on a sampled callable, with the grid
   doubled until the fine rule and the rule on every other sample agree;
   every adaptive oscillatory integral in the package goes through it.
@@ -227,6 +228,12 @@ def blocks(n, m, k):
 # ``filon_path_table``).
 # Largest phase matrix the direct rule builds at once, in bytes.
 _DIRECT_BYTES = 1 << 26
+# The chirp-z path takes its frequencies in blocks of max(n, _CHIRP_FREQS)
+# on n samples: its work arrays are then O(n) at any M, and its FFTs, of
+# length >= n/2 + block, cost at most 1.5 times per frequency what one
+# FFT pair over all M frequencies would.  A call with up to 8192
+# frequencies, or up to n on a larger grid, is one block.
+_CHIRP_FREQS = 1 << 13
 # A frequency grid counts as uniform when it departs from the arithmetic
 # progression through its end points by at most this fraction of its
 # largest |omega|: a few roundings of linspace or arange times a scalar.
@@ -270,12 +277,14 @@ def filon_transform(fvals, x0, h, omegas):
     Two paths compute the same rule.  When ``omegas`` is an arithmetic
     progression of M values and n (M - 3) >= 2048, where the FFTs cost
     less than the phase matrix, the even- and odd-index sums are chirp-z
-    transforms, evaluated by Bluestein's FFT convolution in
-    O((n + M) log(n + M)) time and O(n + M) memory.  Any other ``omegas``
-    (a scalar, a non-uniform array, or too few frequencies for the
-    samples) takes the direct rule, which builds the phase matrix in row
-    blocks of at most ``_DIRECT_BYTES`` and is the reference the chirp-z
-    path is tested against.
+    transforms, evaluated by Bluestein's FFT convolution over blocks of
+    max(n, 8192) frequencies that share one kernel FFT, so that beside
+    the M results its work arrays are O(n) at any M; a call of up to that
+    many frequencies is one block.  Any other ``omegas`` (a scalar, a
+    non-uniform array, or too few frequencies for the samples) takes the
+    direct rule, which builds the phase matrix in row blocks of at most
+    ``_DIRECT_BYTES`` and is the reference the chirp-z path is tested
+    against.
     """
     fvals = np.asarray(fvals)
     scalar = np.isscalar(omegas) or np.asarray(omegas).ndim == 0
@@ -388,6 +397,11 @@ def _chirp(r, q):
             * np.exp(-1j * (r_hi * bottom + r_lo * q2)))
 
 
+def _chirp_block(n):
+    """Frequencies per block of the chirp-z path at n samples."""
+    return max(n, _CHIRP_FREQS)
+
+
 def _filon_chirp(fvals, x0, h, omegas, step):
     """Filon-Simpson rule on omega_m = omega_0 + m*step by chirp-z.
 
@@ -396,27 +410,38 @@ def _filon_chirp(fvals, x0, h, omegas, step):
     their m-independent factors both sums are sum_l a_l exp(-2i r m l)
     with r = step*h, and Bluestein's identity 2ml = m^2 + l^2 - (m-l)^2
     turns each into a convolution with the chirp exp(i r q^2),
-    q = m - l.  Both share one kernel FFT of length >= n/2 + M.
+    q = m - l.  The frequencies run in blocks of ``_chirp_block(n)``,
+    each the same progression from its own first omega, so all blocks
+    share one chirp table and one kernel FFT of length >= n/2 + block;
+    only the tilt exp(-2i omega_first h l) of the samples and the end
+    phases are made per block.
     """
     m = omegas.size
     half = (fvals.shape[-1] - 1) // 2
+    width = max(1, min(m, _chirp_block(fvals.shape[-1])))
     r = step * h
-    # chirp over q = -half .. max(m, half + 1) - 1 covers m - l, m and l
-    q = np.arange(-half, max(m, half + 1))
+    # chirp over q = -half .. max(width, half + 1) - 1 covers m - l, m and l
+    q = np.arange(-half, max(width, half + 1))
     chirp = _chirp(r, q)
-    size = fast_len(half + m)
+    size = fast_len(half + width)
     kernel = np.zeros(size, dtype=complex)
-    kernel[:half + m] = np.conj(chirp[:half + m])
+    kernel[:half + width] = np.conj(chirp[:half + width])
+    kernel = np.fft.fft(kernel)
     seq = np.zeros((2, size), dtype=complex)
-    tilt = np.exp(-2j * omegas[0] * h * np.arange(half + 1))
-    seq[0, :half + 1] = fvals[0::2] * tilt * chirp[half:2 * half + 1]
-    seq[1, :half] = fvals[1::2] * tilt[:half] * chirp[half:2 * half]
-    conv = np.fft.ifft(np.fft.fft(seq) * np.fft.fft(kernel))
-    sums = conv[:, half:half + m] * chirp[half:half + m]
-    lead = np.exp(-1j * omegas * x0)
-    last = fvals[-1] * np.exp(-1j * omegas * (x0 + h * (2 * half)))
-    return _filon_combine(h, omegas, fvals[0] * lead, last, lead * sums[0],
-                          lead * np.exp(-1j * omegas * h) * sums[1])
+    out = np.empty(m, dtype=complex)
+    for lo in range(0, m, width):
+        om = omegas[lo:lo + width]
+        tilt = np.exp(-2j * om[0] * h * np.arange(half + 1))
+        seq[0, :half + 1] = fvals[0::2] * tilt * chirp[half:2 * half + 1]
+        seq[1, :half] = fvals[1::2] * tilt[:half] * chirp[half:2 * half]
+        conv = np.fft.ifft(np.fft.fft(seq) * kernel)
+        sums = conv[:, half:half + om.size] * chirp[half:half + om.size]
+        lead = np.exp(-1j * om * x0)
+        last = fvals[-1] * np.exp(-1j * om * (x0 + h * (2 * half)))
+        out[lo:lo + width] = _filon_combine(
+            h, om, fvals[0] * lead, last, lead * sums[0],
+            lead * np.exp(-1j * om * h) * sums[1])
+    return out
 
 
 def filon_weights(n, x0, h, omega):

@@ -163,6 +163,49 @@ class TestFilonChirpZ:
             assert np.array_equal(
                 quadrature.filon_transform(fv, x0, h, omegas), got)
 
+    @pytest.mark.parametrize("omegas", [
+        np.linspace(0.5, 60.0, 3 * 65 + 2),                   # ascending
+        np.linspace(45.0, -12.0, 3 * 65 + 2),                 # descending
+        np.linspace(-30.7, 30.7, 2 * 65 + 1) + 0.7 ** 2,      # through 0
+    ])
+    def test_blocks_match_direct_rule(self, monkeypatch, omegas):
+        # blocks of n = 65 frequencies, then a ragged last block of 2 or 1,
+        # too few for chirp-z on their own (65 (2 - 3) < 2048), through
+        # the shared kernel
+        n, x0, h = 65, -3.0, 0.05
+        monkeypatch.setattr(quadrature, "_CHIRP_FREQS", 1)
+        assert quadrature._chirp_block(n) == n
+        assert omegas.size % n in (1, 2)
+        rng = np.random.default_rng(omegas.size)
+        fv = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert quadrature._uniform_step(omegas, n) is not None
+        got = filon_transform(fv, x0, h, omegas)
+        want = quadrature._filon_direct(fv, x0, h, omegas)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.sum(np.abs(fv)) * h
+
+    def test_block_rule(self):
+        # one block up to 8192 frequencies, or up to n on larger grids
+        assert quadrature._chirp_block(4097) == 8192
+        assert quadrature._chirp_block(8193) == 8193
+        assert quadrature._chirp_block(2 ** 21 + 1) == 2 ** 21 + 1
+
+    def test_empty_frequency_array(self):
+        fv = np.cos(np.linspace(0.0, 3.0, 65))
+        assert filon_transform(fv, 0.0, 0.05, np.array([])).shape == (0,)
+        assert quadrature._filon_chirp(fv, 0.0, 0.05, np.array([]),
+                                       0.1).shape == (0,)
+
+    def test_work_memory_does_not_grow_with_frequencies(self, peak_bytes):
+        # the marginal's phi_hat table shape, 8193 samples x 32769
+        # frequencies: 3.85 MB measured, 0.5 MB of it the result, where
+        # one unblocked chirp-z transform took 11.8 MB
+        u = np.linspace(0.0, 1.0, 8193)
+        fv = (1.0 - u * u) ** 2
+        omegas = np.linspace(0.0, 327.68, 32769)
+        assert quadrature._uniform_step(omegas, fv.size) is not None
+        peak = peak_bytes(lambda: filon_transform(fv, 0.0, u[1], omegas))
+        assert peak < 5 * 2 ** 20
+
     def test_chirp_phases_stay_exact_at_large_index(self):
         # Bluestein needs chirp(m) chirp(l) / chirp(m - l) = exp(-2i r m l);
         # at l ~ 1e6 the chirp phases reach 5e6 rad, where a rounded
