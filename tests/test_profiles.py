@@ -340,9 +340,9 @@ class TestWorkMemory:
     number of points asked for."""
 
     def test_full_support_reduction_works_in_node_blocks(self, peak_bytes):
-        # phi and phi' of gauss3 on its 8193-node table: 0.40 MB measured,
-        # where whole (8193 x 48) and (8193 x 32) matrices took 9.4 MB
-        h, u, _, _ = TestNumpyKernels._gauss3_tables()
+        # phi and phi' of gauss3 on its 8193-node table: 0.40 MB measured;
+        # whole (8193 x 48) and (8193 x 32) matrices take 9.4 MB
+        _, u, _, _ = TestNumpyKernels._gauss3_tables()
         from hartree_mix.profiles import _radial_reduction
         phi, dphi = _radial_reduction(gaussian_profile(3))
         assert peak_bytes(lambda: phi(u)) < 2 ** 20
@@ -350,8 +350,8 @@ class TestWorkMemory:
 
     @pytest.mark.slow
     def test_power_decay_build_is_bounded(self, peak_bytes):
-        # the slowest full-support reduction: panels out to 1e14 at every
-        # node of layouts up to 131072 nodes.  11.2 MB measured, 6.3 MB of
-        # it the layout memo; whole node matrices took 156 MB
+        # the slowest full-support reduction: panels out to about 4e6 at
+        # every node of layouts up to 131072 nodes.  11.2 MB measured, 6.3
+        # MB of it the layout memo; whole node matrices take 156 MB
         prof = power_decay_profile(2, 3)
         assert peak_bytes(lambda: build_marginal(prof)) < 16 * 2 ** 20

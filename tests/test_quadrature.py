@@ -197,8 +197,8 @@ class TestFilonChirpZ:
 
     def test_work_memory_does_not_grow_with_frequencies(self, peak_bytes):
         # the marginal's phi_hat table shape, 8193 samples x 32769
-        # frequencies: 3.85 MB measured, 0.5 MB of it the result, where
-        # one unblocked chirp-z transform took 11.8 MB
+        # frequencies: 3.85 MB measured, 0.5 MB of it the result; one
+        # unblocked chirp-z transform takes 11.8 MB
         u = np.linspace(0.0, 1.0, 8193)
         fv = (1.0 - u * u) ** 2
         omegas = np.linspace(0.0, 327.68, 32769)
