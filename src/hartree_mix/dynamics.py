@@ -157,42 +157,45 @@ def volterra_kernel(m: Marginal, w: Potential, k: float, t) -> float | np.ndarra
 def volterra_march(kernel_vals, source_vals, dt: float) -> np.ndarray:
     """Trapezoid solution of rho(t) + int_0^t K(t-s) rho(s) ds = S(t).
 
-    Uniform grid, kernel and source sampled on it.  K(0) = 0 makes the
-    update explicit; a nonzero K(0) only rescales by the trapezoid factor
-    1 + dt K(0)/2, which is checked for sanity (StepTooLarge).
+    Uniform grid, kernel and source sampled on it: one row each, or
+    (modes, times) tables whose rows are marched together, one step per
+    time node.  K(0) = 0 makes the update explicit; a nonzero K(0) only
+    rescales by the trapezoid factor 1 + dt K(0)/2, which is checked for
+    sanity (StepTooLarge).
     """
     K = np.asarray(kernel_vals)
     S = np.asarray(source_vals)
-    if K.shape != S.shape or K.ndim != 1:
+    if K.shape != S.shape or K.ndim not in (1, 2):
         raise ValueError("kernel and source must share one uniform grid")
-    n = K.size
-    corr = 1.0 + 0.5 * dt * K[0]
-    if abs(corr - 1.0) > 0.25:
+    rows, S = np.atleast_2d(K), np.atleast_2d(S)
+    corr = 1.0 + 0.5 * dt * rows[:, 0]
+    far = np.abs(corr - 1.0)
+    if np.max(far) > 0.25:
         warnings.warn("trapezoid correction factor %.3g is far from 1; "
-                      "reduce dt" % abs(corr), StepTooLarge)
+                      "reduce dt" % abs(corr[np.argmax(far)]), StepTooLarge)
     dtype = np.result_type(K.dtype, S.dtype, float)
-    K = K.astype(dtype)
-    rho = np.empty(n, dtype=dtype)
-    rho[0] = S[0] / corr
-    Krev = K[::-1]
+    rows = rows.astype(dtype)
+    n = rows.shape[1]
+    rho = np.empty(rows.shape, dtype=dtype)
+    rho[:, 0] = S[:, 0] / corr
+    rev = np.ascontiguousarray(rows[:, ::-1])
     for i in range(1, n):
-        acc = 0.5 * K[i] * rho[0]
+        acc = 0.5 * rows[:, i] * rho[:, 0]
         if i > 1:
-            acc += np.dot(Krev[n - i:n - 1], rho[1:i])
-        rho[i] = (S[i] - dt * acc) / corr
-    return rho
+            acc += np.einsum("mj,mj->m", rev[:, n - i:n - 1], rho[:, 1:i])
+        rho[:, i] = (S[:, i] - dt * acc) / corr
+    return rho if K.ndim == 2 else rho[0]
 
 
 def volterra_solve(m: Marginal, w: Potential, S: DensityTrajectory) -> DensityTrajectory:
-    """Linearized density from the source trajectory, mode by mode."""
-    dt = S.dt
-    rho = np.empty_like(S.rho_hat)
-    for i, k in enumerate(S.k_grid):
-        if k == 0.0:
-            rho[i] = S.rho_hat[i]
-            continue
-        K = volterra_kernel(m, w, float(abs(k)), S.t_grid)
-        rho[i] = volterra_march(K, S.rho_hat[i], dt)
+    """Linearized density from the source trajectory, every mode k != 0
+    marched at once; a k = 0 mode has no memory and keeps its source."""
+    rho = S.rho_hat.copy()
+    modes = np.flatnonzero(S.k_grid != 0.0)
+    if modes.size:
+        K = np.array([volterra_kernel(m, w, float(abs(S.k_grid[i])), S.t_grid)
+                      for i in modes])
+        rho[modes] = volterra_march(K, S.rho_hat[modes], S.dt)
     return DensityTrajectory(k_grid=S.k_grid, t_grid=S.t_grid, rho_hat=rho,
                              kind=S.kind, meta=dict(S.meta))
 

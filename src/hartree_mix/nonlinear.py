@@ -25,12 +25,16 @@ factor a node, a running product on its coefficient, and both shift
 terms are rank one on the slab, so their trapezoid sums are taken on
 (n_t,) + (n,)*d rows before the node loop.  The update is streamed: the
 linear term of one time node is folded into a running trapezoid sum and
-written, with the shift sums, as that node of the new history.  A step
-reads the central slices of the old history before its node loop, and
-in it only node 0, which it never writes, so the solver writes every
-sweep into the initial state's history in place and holds one history
-and a few slices; the tables that do not depend on the density are
-built once per solve (``_updater``).
+written, with the shift sums, as that node's slab into one buffer.  Of
+the previous iterate a step reads only its two central slices, before
+the node loop, and node 0, the initial profile, which no step changes.
+So a sweep is one loop over the time nodes (``_sweep``): node i's
+density row is synthesized from the buffer as soon as the update writes
+it, and the slab's central slices are kept for the next sweep; the
+closing pass takes each node's norms the same way (``_closing_pass``).
+No time-indexed history of the profile is ever formed, and the tables
+that do not depend on the density are built once per solve
+(``_updater``).
 
 Density recovery takes one path in every dimension.  The p-integral
 rho_hat(t,k) = int e^{-it(|k-p|^2-|p|^2)} mu_hat(t,k-p,p) dp carries a
@@ -51,9 +55,13 @@ against a gathered slab, as the reference.
 
 Everything is dimension-generic; the supported workhorse is d = 1 with
 33 points per axis, and d = 3 runs at 9 points per axis behind a runtime
-warning (the state alone is n_t * 9^6 complex numbers).  A solve holds
-one history and a few slices, density rows, spectra and the amplitude
-table (``pipeline.nonlinear_bytes`` counts them).
+warning (one node's slab alone is 9^6 complex numbers).  A solve holds a
+few slabs and the shift terms' central slices, spectra, density rows and
+amplitude table, n_t rows each of (n,)*d or smaller
+(``pipeline.nonlinear_bytes`` counts them).  ``KernelState`` histories,
+and the diagnostics and reference routes that read them, serve the
+tests; each history diagnostic loops over the per-node helper that the
+solve streams.
 """
 
 from __future__ import annotations
@@ -73,6 +81,7 @@ __all__ = [
     "KernelState",
     "NormTracker",
     "NoContraction",
+    "ProfileSummary",
     "SolveReport",
     "initial_state",
     "hermitian_defect",
@@ -142,6 +151,23 @@ class SolveReport:
     leakage: float
 
 
+@dataclass(frozen=True)
+class ProfileSummary:
+    """What a solve keeps of its final profile, taken node by node as the
+    closing pass streams it: ``hs_norms`` (``hs_norm``), the largest
+    ``hermitian_defect`` and the ``scattering_diagnostic`` rows."""
+
+    axis: np.ndarray
+    dt: float
+    hs_norms: np.ndarray
+    hermitian_defect: float
+    scattering: np.ndarray
+
+    @property
+    def t_grid(self) -> np.ndarray:
+        return np.arange(self.hs_norms.size) * self.dt
+
+
 def _ksq_grid(axis: np.ndarray, d: int) -> np.ndarray:
     pts = np.meshgrid(*([axis] * d), indexing="ij")
     return sum(p ** 2 for p in pts)
@@ -149,8 +175,9 @@ def _ksq_grid(axis: np.ndarray, d: int) -> np.ndarray:
 
 def initial_state(g0: InitialKernel, k_box: float, n_pts: int, dt: float,
                   t_max: float) -> KernelState:
-    """Sample g0 on the box at every time node (Picard iterate zero), from
-    |k|^2 and |p|^2 of every point pair."""
+    """Sample g0 on the box (Picard iterate zero), from |k|^2 and |p|^2 of
+    every point pair.  The history is a read-only view that repeats the
+    one slab at every time node."""
     if n_pts % 2 == 0:
         raise ValueError("n_pts must be odd so the origin and all shifts "
                          "land on grid points")
@@ -159,8 +186,9 @@ def initial_state(g0: InitialKernel, k_box: float, n_pts: int, dt: float,
         raise ValueError("d >= 3 supports at most 9 points per axis")
     if d >= 2:
         warnings.warn(
-            f"d = {d} nonlinear run: the state holds n_t * {n_pts ** (2 * d)}"
-            " complex entries; expect minutes, not seconds", RuntimeWarning,
+            f"d = {d} nonlinear run: each time node's slab holds "
+            f"{n_pts ** (2 * d)} complex entries, and a sweep synthesizes "
+            "every one; expect minutes, not seconds", RuntimeWarning,
             stacklevel=2)
     axis = np.linspace(-k_box, k_box, n_pts)
     n_t = int(round(t_max / dt)) + 1
@@ -168,7 +196,7 @@ def initial_state(g0: InitialKernel, k_box: float, n_pts: int, dt: float,
     rate = 1.0 / (4.0 * g0.alpha)
     slab = (g0.epsilon * np.exp(-rate * (ksq[:, None] + ksq[None, :]))
             + 0.0j).reshape((n_pts,) * (2 * d))
-    mu = np.broadcast_to(slab, (n_t,) + slab.shape).copy()
+    mu = np.broadcast_to(slab, (n_t,) + slab.shape)
     return KernelState(axis=axis, mu_hat=mu, d=d, dt=dt)
 
 
@@ -184,13 +212,27 @@ def _hs(slab: np.ndarray, dv: float) -> float:
 
 def hermitian_defect(state: KernelState) -> float:
     """max |mu_hat(t,k,p) - conj mu_hat(t,-p,-k)| over the history."""
-    d = state.d
+    # np.max, unlike Python's max, keeps a NaN node
+    return float(np.max([_defect(mu_t) for mu_t in state.mu_hat]))
+
+
+def _defect(slab: np.ndarray) -> float:
+    """max |mu_hat(k,p) - conj mu_hat(-p,-k)| over one slab."""
+    d = slab.ndim // 2
     rev = (slice(None, None, -1),) * (2 * d)
     swap = tuple(range(d, 2 * d)) + tuple(range(d))
-    # np.max, unlike Python's max, keeps a NaN node
-    return float(np.max([np.max(np.abs(mu_t - np.conj(np.transpose(mu_t[rev],
-                                                                  swap))))
-                         for mu_t in state.mu_hat]))
+    diff = np.conj(np.transpose(slab[rev], swap))
+    return float(np.max(np.abs(np.subtract(slab, diff, out=diff))))
+
+
+def _central(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The central p slice and the central k slice of a slab, or of every
+    node of a history (one more, leading, axis): views, the only part of
+    an iterate that the next update's shift terms read."""
+    d = mu.ndim // 2
+    c = (mu.shape[-1] - 1) // 2
+    lead = (slice(None),) * (mu.ndim - 2 * d)
+    return mu[(Ellipsis,) + (c,) * d], mu[lead + (c,) * d]
 
 
 def _rho_grid(rho_hat: DensityTrajectory, state: KernelState) -> np.ndarray:
@@ -209,24 +251,29 @@ def picard_step(state: KernelState, rho_hat: DensityTrajectory,
                 w: Potential, f: EquilibriumProfile) -> KernelState:
     """One full-history Duhamel update of mu_hat for a given density.
 
-    The update is written into a fresh history, so the input state is
-    not written; the solver itself runs the same update in place (see
-    ``_updater``).
+    The streamed update's slabs, gathered into a fresh history; the
+    solver itself never forms one (see ``_updater``).
     """
-    new_mu = np.empty_like(state.mu_hat)
-    leak = _updater(state, w, f)(new_mu, state, rho_hat)
+    new_mu = np.empty(state.mu_hat.shape, dtype=complex)
+    leak, nodes = _updater(state, w, f)(_central(state.mu_hat), rho_hat)
+    for i, slab in enumerate(nodes()):
+        new_mu[i] = slab
     return replace(state, mu_hat=new_mu, leakage=leak)
 
 
 def _updater(state: KernelState, w: Potential, f: EquilibriumProfile):
-    """Return ``update(out, state, rho_hat)``, which writes
-    ``picard_step``'s history into ``out`` and returns its leakage.
+    """Return ``update(central, rho_hat)``, ``picard_step`` streamed node
+    by node.
 
-    The tables that do not depend on the density are built here, once
-    for every update on the state's grid.  ``out`` may be
-    ``state.mu_hat`` itself: an update reads the central slices of the
-    old history before its node loop, and in it only node 0, which it
-    never writes, so a sweep holds one history and a few slices.
+    ``central`` holds the previous iterate's two central slices
+    (``_central`` of its history), and node 0 is the state's own; an
+    update reads nothing else of the iterate, and reads ``central`` whole
+    before it returns, so the caller may then overwrite it.  It returns
+    (leakage, nodes), where ``nodes()`` yields every node's new slab in
+    turn, in one buffer that the next node overwrites; it may be called
+    again and yields the same slabs.  The tables that do not depend on
+    the density are built here, once for every update on the state's
+    grid.
     """
     d, n, axis, dt = state.d, state.n_pts, state.axis, state.dt
     dl = float(np.diff(axis)[0]) ** d
@@ -258,8 +305,7 @@ def _updater(state: KernelState, w: Potential, f: EquilibriumProfile):
     # known defect, kept on purpose: the written-out l-sums convolve every
     # slice (TestPicardStep::test_matches_direct_sums, a strict xfail), and
     # mending it changes the solution the acceptance suite checks.
-    central_p = (slice(None),) * (d + 1) + (c,) * d
-    central_k = (slice(None),) + (c,) * d
+    base = state.mu_hat[0]
 
     def shift_term(spec: np.ndarray, dress: np.ndarray,
                    slices: np.ndarray) -> np.ndarray:
@@ -274,8 +320,8 @@ def _updater(state: KernelState, w: Potential, f: EquilibriumProfile):
         sums *= -1j * dt
         return sums
 
-    def update(out: np.ndarray, state: KernelState,
-               rho_hat: DensityTrajectory) -> float:
+    def update(central: tuple[np.ndarray, np.ndarray],
+               rho_hat: DensityTrajectory):
         rho = _rho_grid(rho_hat, state)
         # the shift terms need one (n,)*d slice per node, so every node's
         # convolutions run as one batch over the time axis, and both take
@@ -287,35 +333,37 @@ def _updater(state: KernelState, w: Potential, f: EquilibriumProfile):
         # e^{-isl.(2p-l)} mu(k,p-l): conjugate dressing, convolve in p.
         # Both are rank one on the slab, so they are integrated on the rows
         # before the node loop
-        sum_k = shift_term(spec, eks, state.mu_hat[central_p])
-        sum_p = shift_term(spec, np.conj(eks), state.mu_hat[central_k])
-
-        base = state.mu_hat[0]
-        if out is not state.mu_hat:
-            out[0] = base
-        # node i of the history is run + sum_k[i] - sum_p[i], run holding
-        # base and the linear term's trapezoid sum to node i; between
-        # nodes run takes the second half of node i's weight and the first
-        # of node i + 1's
-        lin = lin_coeff.copy()
-        run = base.copy()
-        term = np.empty_like(base)
-        for i in range(n_t):
-            inner[...] = rho[i]
-            np.multiply(lin, hankel, out=term)
-            lin *= lin_step
-            run += term
-            if i > 0:
-                np.subtract(sum_k[i].reshape(kshape),
-                            sum_p[i].reshape(pshape), out=out[i])
-                out[i] += run
-                run += term
-
+        sum_k = shift_term(spec, eks, central[0])
+        sum_p = shift_term(spec, np.conj(eks), central[1])
         mass = np.abs(coeff)
         conv_mass = float(np.sum(mass))
         conv_frac = float(np.sum(mass * (1.0 - keep)) / conv_mass) \
             if conv_mass > 0 else 0.0
-        return 0.5 * (lin_frac + conv_frac)
+
+        def nodes():
+            # node i is run + sum_k[i] - sum_p[i], run holding base and the
+            # linear term's trapezoid sum to node i; between nodes run
+            # takes the second half of node i's weight and the first of
+            # node i + 1's
+            lin = lin_coeff.copy()
+            run = base.copy()
+            term = np.empty_like(base)
+            slab = np.empty_like(base)
+            for i in range(n_t):
+                inner[...] = rho[i]
+                np.multiply(lin, hankel, out=term)
+                lin *= lin_step
+                run += term
+                if i == 0:
+                    slab[...] = base
+                else:
+                    np.subtract(sum_k[i].reshape(kshape),
+                                sum_p[i].reshape(pshape), out=slab)
+                    slab += run
+                    run += term
+                yield slab
+
+        return 0.5 * (lin_frac + conv_frac), nodes
 
     return update
 
@@ -465,29 +513,41 @@ def _cartesian_trajectory(state: KernelState,
                              kind="cartesian", meta={"d": state.d})
 
 
-def density_trajectory_from_state(state: KernelState,
-                                  amps: np.ndarray | None = None
-                                  ) -> DensityTrajectory:
-    """Full density history, row-major flattened over the box grid:
-    ``density_from_state`` at every node, with its phases folded.
+def _synthesizer(state: KernelState, amps: np.ndarray):
+    """Return ``density(i, slab)``: node i's density row, row-major
+    flattened over the box grid, from its slab; ``density_from_state``
+    with its phases folded.
 
     e^{-it|k|^2} e^{2itk.p} = e^{it|p|^2} e^{-it|k-p|^2}, so node i's
     synthesis rows lose their phases to a rank-one dressing of the slice,
     e^{-it_i|q|^2} on its q = k - p axes (applied as each is padded for
     the shear) and e^{it_i|p|^2} on its p axes (on the slot matrix), and
-    only the Filon amplitudes are left.  ``amps`` is ``_amplitudes`` of
-    the grid, built when not given.
+    only the Filon amplitudes ``amps`` (``_amplitudes`` of the grid) are
+    left.  Every call shares one set of shear buffers.
     """
-    n, d, t_grid = state.n_pts, state.d, state.t_grid
-    amps = _amplitudes(state) if amps is None else amps
-    phases = np.exp(-1j * t_grid[:, None] * state.axis ** 2)
-    slots = _slot_matrix(n)
-    pads = _shear_pads(n, d)
-    rows = np.empty((n ** d, t_grid.size), dtype=complex)
-    for i, row in enumerate(phases):
-        rows[:, i] = _synthesize(amps[i], state.mu_hat[i],
-                                 slots * np.conj(row)[:, None],
-                                 (pads, row)).ravel()
+    phases = np.exp(-1j * state.t_grid[:, None] * state.axis ** 2)
+    slots = _slot_matrix(state.n_pts)
+    pads = _shear_pads(state.n_pts, state.d)
+
+    def density(i: int, slab: np.ndarray) -> np.ndarray:
+        row = phases[i]
+        return _synthesize(amps[i], slab, slots * np.conj(row)[:, None],
+                           (pads, row)).ravel()
+
+    return density
+
+
+def density_trajectory_from_state(state: KernelState,
+                                  density=None) -> DensityTrajectory:
+    """Full density history, row-major flattened over the box grid:
+    ``density_from_state`` at every node, with its phases folded.
+    ``density`` is the grid's ``_synthesizer``, built when not given."""
+    if density is None:
+        density = _synthesizer(state, _amplitudes(state))
+    rows = np.empty((state.n_pts ** state.d, state.mu_hat.shape[0]),
+                    dtype=complex)
+    for i, slab in enumerate(state.mu_hat):
+        rows[:, i] = density(i, slab)
     return _cartesian_trajectory(state, rows)
 
 
@@ -556,19 +616,28 @@ def _linear_stage_solver(state: KernelState, w: Potential,
     return correct
 
 
-def _sweep(state: KernelState, rho_hat: DensityTrajectory,
-           update) -> KernelState:
-    """One ``_updater`` update written into the state's own history."""
-    return replace(state, leakage=update(state.mu_hat, state, rho_hat))
+def _sweep(update, density, central: tuple[np.ndarray, np.ndarray],
+           rho_hat: DensityTrajectory) -> np.ndarray:
+    """One Picard sweep, streamed: the density rows (n^d, n_t) of the
+    update of the iterate whose central slices are ``central``.  Each
+    node's density row is synthesized as soon as the update writes its
+    slab, and the slab's central slices replace the previous iterate's
+    in ``central``."""
+    _, nodes = update(central, rho_hat)
+    rows = np.empty(rho_hat.rho_hat.shape, dtype=complex)
+    for i, slab in enumerate(nodes()):
+        rows[:, i] = density(i, slab)
+        for kept, now in zip(central, _central(slab)):
+            kept[i] = now
+    return rows
 
 
 # Picard sweeps before giving up; the stop, relative to the Y norm of the
-# density (solves bottom out at 2e-16 to 5e-16 of it); the Z norm's time
-# exponent delta; and the norm tracker's entries per node block
+# density (solves bottom out at 2e-16 to 5e-16 of it); and the Z norm's
+# time exponent delta
 _MAX_SWEEPS = 25
 _RTOL = 1e-13
 _Z_DELTA = 0.1
-_NORM_BLOCK = 1 << 14
 
 
 def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
@@ -599,8 +668,9 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
     lower-triangular time operator), and the solve is an exact forward
     march over the time nodes in every dimension.  The first iterate is
     seeded with the linear solution itself, so every recorded distance
-    lives in the remainder regime.  Returns (state, trajectory, tracker,
-    report).  A sweep converges once its Y-norm distance is at most
+    lives in the remainder regime.  Returns (profile, trajectory,
+    tracker, report), the profile a ``ProfileSummary`` of the closing
+    pass.  A sweep converges once its Y-norm distance is at most
     ``_RTOL`` times the Y norm of its density.  NoContraction is raised
     after three consecutive iterations whose distance ratio fails to stay
     below 0.9, on a non-finite distance, and when the sweeps run out.
@@ -614,14 +684,16 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
         warnings.warn(f"initial size {eps:.3g} is outside the perturbative "
                       "regime; contraction is not expected", RuntimeWarning,
                       stacklevel=2)
-    # every pass of the solve shares one amplitude table, and every update
-    # one set of grid tables
+    # every pass of the solve shares one amplitude table and one set of
+    # shear buffers, and every update one set of grid tables
     amps = _amplitudes(state)
     update = _updater(state, w, f)
+    density = _synthesizer(state, amps)
     # a Duhamel update on a zero density returns the initial profile; its
     # density rows are not kept past the first iterate
-    rho = density_trajectory_from_state(state, amps)
+    rho = density_trajectory_from_state(state, density)
     correct = _linear_stage_solver(state, w, f, amps)
+    central = tuple(np.array(s) for s in _central(state.mu_hat))
 
     rows = correct(rho.rho_hat)
     rho = replace(rho, rho_hat=0.5 * (rows + np.conj(rows[::-1])))
@@ -630,8 +702,7 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
     bad = 0
     it = 0
     for it in range(1, _MAX_SWEEPS + 1):
-        state = _sweep(state, rho, update)
-        rows = density_trajectory_from_state(state, amps).rho_hat
+        rows = _sweep(update, density, central, rho)
         rows = rho.rho_hat + correct(rows - rho.rho_hat)
         # the oscillatory p-quadrature carries a small non-Hermitian error
         # (its endpoint corrections sit at fixed grid slots and do not pair
@@ -669,48 +740,73 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
             f"{_RTOL * y_rho:.3g} after {_MAX_SWEEPS} sweeps, ratios "
             f"{ratios[-3:]}")
     # one closing Duhamel pass so the returned profile matches the final
-    # density, not the one from the previous sweep
-    state = _sweep(state, rho, update)
-    tracker = _track_norms(state, y_rho, n1, n2)
+    # density, not the one from the previous sweep; it synthesizes no
+    # density, so the synthesis and linear-stage tables go first
+    del density, correct
+    leak, x, profile = _closing_pass(state, update(central, rho), n2)
     report = SolveReport(iterations=it, distances=tuple(distances),
-                         contraction_factors=tuple(ratios),
-                         leakage=state.leakage)
-    return state, rho, tracker, report
+                         contraction_factors=tuple(ratios), leakage=leak)
+    return profile, rho, _tracker(x, profile.t_grid, y_rho, n1), report
 
 
-def _track_norms(state: KernelState, y_rho: float, n1: int,
-                 n2: int) -> NormTracker:
-    """The tracker of a history whose density has Y norm ``y_rho``.  Nodes
-    are read in blocks of at most ``_NORM_BLOCK`` entries; the centred
-    differences of order 1 and 2 share the block's shifted views, and
-    live on the interior, where every entry has centred neighbours."""
-    d, n = state.d, state.n_pts
-    h = float(np.diff(state.axis)[0])
+def _closing_pass(state: KernelState, updated, n2: int):
+    """Leakage, X norms (``_x_norms``) and ``ProfileSummary`` of one
+    update, ``updated`` = (leakage, nodes) as an update returns it.  Each
+    node is read as the stream yields it; the scattering distances need
+    mu_hat(t_max) first, so they take a second pass of ``nodes``."""
+    leak, nodes = updated
+    n_t, h = state.mu_hat.shape[0], float(np.diff(state.axis)[0])
+    dv, joint = h ** state.d, _joint_weight(state, n2)
+    x, hs, defect = np.empty((n_t, 3)), np.empty(n_t), np.empty(n_t)
+    for i, slab in enumerate(nodes()):
+        x[i] = _x_norms(slab, joint, h)
+        hs[i] = _hs(slab, dv)
+        defect[i] = _defect(slab)
+    last = slab.copy()
+    dist = [_hs(slab - last, dv) for slab in nodes()]
+    # np.max keeps a NaN node
+    profile = ProfileSummary(
+        axis=state.axis, dt=state.dt, hs_norms=hs,
+        hermitian_defect=float(np.max(defect)),
+        scattering=np.column_stack([state.t_grid, dist]))
+    return leak, x, profile
+
+
+def _joint_weight(state: KernelState, n2: int) -> np.ndarray:
+    """(1 + |k|^2 + |p|^2)^(N2/2) on the slab, the X norms' weight."""
+    n, d = state.n_pts, state.d
     ksq = _ksq_grid(state.axis, d)
-    joint = (1.0 + ksq.reshape((n,) * d + (1,) * d)
-             + ksq.reshape((1,) * d + (n,) * d)) ** (n2 / 2.0)
+    return (1.0 + ksq.reshape((n,) * d + (1,) * d)
+            + ksq.reshape((1,) * d + (n,) * d)) ** (n2 / 2.0)
+
+
+def _x_norms(slab: np.ndarray, joint: np.ndarray, h: float) -> list[float]:
+    """One node's weighted sup norms of the slab and of its centred
+    differences of order 1 and 2 along the (1,-1) grid diagonal, which
+    live on the interior, where every entry has centred neighbours."""
+    d = slab.ndim // 2
     inner = (slice(1, -1),) * (2 * d)
-    fwd_at = (slice(None),) + (slice(2, None),) * d + (slice(None, -2),) * d
-    back_at = (slice(None),) + (slice(None, -2),) * d + (slice(2, None),) * d
-    n_t, axes = state.mu_hat.shape[0], tuple(range(1, 2 * d + 1))
+    fwd = slab[(slice(2, None),) * d + (slice(None, -2),) * d]
+    back = slab[(slice(None, -2),) * d + (slice(2, None),) * d]
+    # numpy divides a complex array by a real scalar as a product with its
+    # reciprocal, so scaling the real view is the same arithmetic
+    first = fwd - back
+    first.view(float)[...] *= 1.0 / (2.0 * h)
+    second = fwd - 2.0 * slab[inner]
+    second += back
+    second.view(float)[...] *= 1.0 / (h * h)
+    return [float(np.max(wt * np.abs(vals)))
+            for wt, vals in ((joint, slab), (joint[inner], first),
+                             (joint[inner], second))]
+
+
+def _tracker(x: np.ndarray, t_grid: np.ndarray, y_rho: float,
+             n1: int) -> NormTracker:
+    """The tracker of a profile whose nodes have X norms ``x`` (rows of
+    ``_x_norms``) and whose density has Y norm ``y_rho``."""
     orders = min(n1, 2)
-    x = np.empty((n_t, 3))
-    step = max(1, _NORM_BLOCK // joint.size)
-    for lo in range(0, n_t, step):
-        mu = state.mu_hat[lo:lo + step]
-        fwd, back = mu[fwd_at], mu[back_at]
-        # numpy divides a complex array by a real scalar as a product with
-        # its reciprocal, so scaling the real view is the same arithmetic
-        first = fwd - back
-        first.view(float)[...] *= 1.0 / (2.0 * h)
-        second = fwd - 2.0 * mu[(slice(None),) + inner]
-        second += back
-        second.view(float)[...] *= 1.0 / (h * h)
-        for a, (wt, vals) in enumerate(((joint, mu), (joint[inner], first),
-                                        (joint[inner], second))):
-            x[lo:lo + step, a] = np.max(wt * np.abs(vals), axis=axes)
     x = x[:, :orders + 1]
-    bracket = np.sqrt(1.0 + state.t_grid ** 2)
+    bracket = np.sqrt(1.0 + t_grid ** 2)
 
     def x_level(level: int) -> np.ndarray:
         level = max(min(level, orders), 0)
@@ -718,7 +814,7 @@ def _track_norms(state: KernelState, y_rho: float, n1: int,
 
     z_t = x_level(n1 - 2) + bracket ** (-_Z_DELTA) * x_level(n1 - 1) \
         + bracket ** (-1.0) * x_level(n1)
-    return NormTracker(t_grid=state.t_grid, x_norms=x, y_norm=y_rho,
+    return NormTracker(t_grid=t_grid, x_norms=x, y_norm=y_rho,
                        z_norm=float(np.max(z_t)), available_orders=orders)
 
 

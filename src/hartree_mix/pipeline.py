@@ -581,37 +581,40 @@ def _cmd_linear(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-# the most the nonlinear stage may hold, in bytes: the README d = 3 example
-# (9 points, 31 time nodes) needs 0.35e9
+# the most the nonlinear stage may hold, in bytes: the d = 2 defaults (33
+# points to t_max 30) need 0.37e9, while one slab of d = 2 at 129 points
+# is 4.4e9
 NONLINEAR_BUDGET = 2 ** 30
 
 
 def nonlinear_bytes(cfg: RunConfig) -> int:
-    """Bytes the nonlinear stage holds, complex entries at 16 B: one
-    history of n_t * n^(2d); up to eight n^(2d) slices (the update's
-    running sums and phase step, the linear-stage march's tables, a
-    density pass's padded shear buffers); four padded shift-term spectra
-    of n_t * fast_len(2n - 1)^d, eight arrays of n_t * n^d density rows
-    and the n_t * 4n Filon amplitude table; and 256 KiB of small
-    arrays."""
+    """Bytes the nonlinear stage holds, complex entries at 16 B.  The
+    solve streams its sweeps node by node and holds no history: thirteen
+    n^(2d) slabs (the initial profile, the update's two tables and its
+    four node buffers, the linear-stage march's two tables, the shear
+    buffers and the synthesis of one node); per time node twelve density
+    rows of n^d (the iterate, the two central slices, the two shift-term
+    sums and the linear stage's work), three padded shift-term spectra of
+    fast_len(2n - 1)^d and the 4n Filon amplitudes; and 256 KiB of small
+    arrays.  Measured peaks of the stage read 0.66 to 0.92 of it."""
     n_t = int(round(cfg.nl_t_max / cfg.nl_dt)) + 1
     n, d = cfg.nl_points, cfg.d
     spectrum = quadrature.fast_len(2 * n - 1) ** d
-    return 16 * (n_t * (n ** (2 * d) + 4 * spectrum + 8 * n ** d + 4 * n)
-                 + 8 * n ** (2 * d)) + 2 ** 18
+    return 16 * (13 * n ** (2 * d)
+                 + n_t * (12 * n ** d + 3 * spectrum + 4 * n)) + 2 ** 18
 
 
 def _cmd_nonlinear(cfg: RunConfig, out: str) -> int:
-    state, traj, tracker, report = nonlinear.solve_selfconsistent(
+    profile, traj, tracker, report = nonlinear.solve_selfconsistent(
         cfg.kernel, cfg.profile, cfg.potential, k_box=cfg.nl_box,
         n_pts=cfg.nl_points, dt=cfg.nl_dt, t_max=cfg.nl_t_max, n1=cfg.n1,
         n2=cfg.n2)
     _write_csv(os.path.join(out, "nonlinear_rho.csv"),
                ["t", "k", "re_rho", "im_rho"], _traj_rows(traj))
-    scat = nonlinear.scattering_diagnostic(state)
+    scat = profile.scattering
     _write_csv(os.path.join(out, "scattering.csv"), ["t", "hs_distance"],
                scat)
-    hs = nonlinear.hs_norm(state)
+    hs = profile.hs_norms
     h = 2.0 * cfg.nl_box / (cfg.nl_points - 1)
     _write_json(os.path.join(out, "nonlinear_report.json"), {
         "box": cfg.nl_box,
@@ -622,7 +625,7 @@ def _cmd_nonlinear(cfg: RunConfig, out: str) -> int:
         "distances": list(report.distances),
         "contraction_factors": list(report.contraction_factors),
         "leakage": report.leakage,
-        "hermitian_defect": nonlinear.hermitian_defect(state),
+        "hermitian_defect": profile.hermitian_defect,
         "hs_initial": float(hs[0]),
         "hs_final": float(hs[-1]),
         "y_norm": tracker.y_norm,
@@ -667,7 +670,7 @@ def run(cfg: RunConfig, subcommand: str) -> int:
     A ``nonlinear`` run whose ``nonlinear_bytes`` exceed NONLINEAR_BUDGET
     raises ConfigError before any work.  The check sits here, not in
     parse_config, because the stages share one config and the default
-    nonlinear group is far over budget for d >= 2.
+    nonlinear group is far over budget for d >= 4.
     """
     if subcommand not in _COMMANDS:
         raise ValueError(f"unknown subcommand '{subcommand}'; choose from "
@@ -675,7 +678,7 @@ def run(cfg: RunConfig, subcommand: str) -> int:
     nl_bytes = nonlinear_bytes(cfg) if subcommand == "nonlinear" else 0
     if nl_bytes > NONLINEAR_BUDGET:
         raise ConfigError(
-            f"field 'nonlinear.points': the nonlinear state would hold "
+            f"field 'nonlinear.points': the nonlinear solve would hold "
             f"{nl_bytes / 1e9:.3g} GB, over the "
             f"{NONLINEAR_BUDGET / 1e9:.3g} GB budget; lower "
             "'nonlinear.points' or 'nonlinear.t_max'")

@@ -268,30 +268,30 @@ def test_criterion_7_nonlinear_structure(gauss1):
     def kernel(amplitude):
         return dyn.gaussian_pure_kernel(1, 0.125, hat_amplitude=amplitude)
 
-    state, rho, _, report = nl.solve_selfconsistent(kernel(eps), f1, w)
+    profile, rho, _, report = nl.solve_selfconsistent(kernel(eps), f1, w)
     max_ratio = max(report.contraction_factors)
-    herm = nl.hermitian_defect(state)
+    herm = profile.hermitian_defect
     assert max_ratio < 0.5
     assert herm <= 1e-10
 
-    free = dyn.free_density_trajectory(kernel(eps), np.abs(state.axis),
-                                       state.t_grid)
+    free = dyn.free_density_trajectory(kernel(eps), np.abs(profile.axis),
+                                       profile.t_grid)
     lin = dyn.volterra_solve(gauss1, w, free)
     lin_gap = float(np.max(np.abs(rho.rho_hat - lin.rho_hat)))
     assert lin_gap <= 10.0 * eps ** 2
 
     w0 = custom_potential(lambda k: np.zeros_like(np.asarray(k, dtype=float)),
                           0.0)
-    state0, _, _, _ = nl.solve_selfconsistent(kernel(eps), f1, w0)
-    hs_spread = float(np.ptp(nl.hs_norm(state0)))
+    profile0, _, _, _ = nl.solve_selfconsistent(kernel(eps), f1, w0)
+    hs_spread = float(np.ptp(profile0.hs_norms))
     assert hs_spread == 0.0
 
-    rows = nl.scattering_diagnostic(state)
+    rows = profile.scattering
     vals = [r[1] for r in rows]
     assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:]))
 
-    state_h, _, _, _ = nl.solve_selfconsistent(kernel(eps / 2), f1, w)
-    ratio = nl.scattering_diagnostic(state_h)[0][1] / vals[0]
+    profile_h, _, _, _ = nl.solve_selfconsistent(kernel(eps / 2), f1, w)
+    ratio = profile_h.scattering[0][1] / vals[0]
     assert 0.3 < ratio < 0.7
 
     _report("criterion 7 (nonlinear structure)",
@@ -306,13 +306,13 @@ def test_criterion_7_nonlinear_structure(gauss1):
 def test_criterion_7_optional_d3_run():
     t0 = time.time()
     g0 = dyn.gaussian_pure_kernel(3, 0.125, hat_amplitude=1e-2)
-    state, _, _, report = nl.solve_selfconsistent(
+    profile, _, _, report = nl.solve_selfconsistent(
         g0, gaussian_profile(3), screened_coulomb(0.5, 1.0),
         n_pts=9, t_max=3.0)
-    assert nl.hermitian_defect(state) <= 1e-10
+    assert profile.hermitian_defect <= 1e-10
     assert max(report.contraction_factors) < 0.9
     _report("criterion 7 addendum (d = 3 coarse box)",
-            f"hermitian defect {nl.hermitian_defect(state):.1e}, "
+            f"hermitian defect {profile.hermitian_defect:.1e}, "
             f"contraction {max(report.contraction_factors):.3f}",
             time.time() - t0, 900.0)
 

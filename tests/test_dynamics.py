@@ -20,6 +20,7 @@ from hartree_mix.dynamics import (
     free_density_trajectory,
     gaussian_pure_kernel,
     reconstruct_sup_norm,
+    volterra_kernel,
     volterra_march,
     volterra_solve,
 )
@@ -122,6 +123,44 @@ class TestVolterraMarch:
         src = np.cos(t) + 0.0j
         got = volterra_march(np.zeros(t.size), src, t[1] - t[0])
         assert np.array_equal(got, src)
+
+
+def _march_by_mode(K, S, dt):
+    """The trapezoid march of one mode, one ``np.dot`` per time node."""
+    n = K.size
+    corr = 1.0 + 0.5 * dt * K[0]
+    rho = np.empty(n, dtype=complex)
+    rho[0] = S[0] / corr
+    rev = K[::-1].astype(complex)
+    for i in range(1, n):
+        acc = 0.5 * K[i] * rho[0]
+        if i > 1:
+            acc += np.dot(rev[n - i:n - 1], rho[1:i])
+        rho[i] = (S[i] - dt * acc) / corr
+    return rho
+
+
+class TestBatchedMarch:
+    def test_modes_marched_at_once_match_the_per_mode_march(self, gauss1):
+        # the linear stage of the time-domain benchmark: 40 modes of the
+        # screened Coulomb kernel over 501 nodes, and the k = 0 mode, which
+        # keeps its source
+        w = screened_coulomb(0.5, 1.0)
+        ks = np.concatenate([[0.0], np.linspace(0.05, 2.0, 40)])
+        ts = np.arange(501) * 0.1
+        src = free_density_trajectory(_GAUSSIANS[1][0], ks, ts)
+        got = volterra_solve(gauss1, w, src).rho_hat
+        np.testing.assert_array_equal(got[0], src.rho_hat[0])
+        for k, row, s in zip(ks[1:], got[1:], src.rho_hat[1:]):
+            want = _march_by_mode(volterra_kernel(gauss1, w, k, ts), s, 0.1)
+            assert np.max(np.abs(row - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_one_row_is_the_one_mode_table(self):
+        rng = np.random.default_rng(3)
+        K, S = rng.standard_normal((2, 3, 50))
+        table = volterra_march(K, S, 0.05)
+        for k, s, row in zip(K, S, table):
+            np.testing.assert_array_equal(volterra_march(k, s, 0.05), row)
 
 
 class TestDressing:

@@ -26,8 +26,12 @@ from hartree_mix import nonlinear
 from hartree_mix.nonlinear import (
     KernelState,
     NoContraction,
+    _amplitudes,
+    _central,
+    _closing_pass,
     _linear_stage_solver,
     _sweep,
+    _synthesizer,
     _updater,
     density_from_state,
     density_trajectory_from_state,
@@ -56,9 +60,9 @@ def _kernel(eps: float = EPS, d: int = 1):
 
 @pytest.fixture(scope="module")
 def solved():
-    state, rho, tracker, report = solve_selfconsistent(
+    profile, rho, tracker, report = solve_selfconsistent(
         _kernel(), gaussian_profile(1), screened_coulomb(0.5, 1.0))
-    return state, rho, tracker, report
+    return profile, rho, tracker, report
 
 
 class TestInitialState:
@@ -118,20 +122,20 @@ class TestSolve:
         assert max(report.contraction_factors) < 0.5
 
     def test_keeps_hermitian_symmetry(self, solved):
-        state, _, _, _ = solved
-        assert hermitian_defect(state) <= 1e-10
+        profile, _, _, _ = solved
+        assert profile.hermitian_defect <= 1e-10
 
     def test_small_data_tracks_linear_solution(self, solved):
-        state, rho, _, _ = solved
-        free = free_density_trajectory(_kernel(), np.abs(state.axis),
-                                       state.t_grid)
+        profile, rho, _, _ = solved
+        free = free_density_trajectory(_kernel(), np.abs(profile.axis),
+                                       profile.t_grid)
         lin = volterra_solve(build_marginal(gaussian_profile(1)),
                              screened_coulomb(0.5, 1.0), free)
         assert np.max(np.abs(rho.rho_hat - lin.rho_hat)) < 10.0 * EPS ** 2
 
     def test_scattering_distances_decrease(self, solved):
-        state, _, _, _ = solved
-        rows = scattering_diagnostic(state)
+        profile, _, _, _ = solved
+        rows = profile.scattering
         vals = [r[1] for r in rows]
         assert vals[-1] == 0.0
         assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:]))
@@ -550,39 +554,83 @@ class TestLinearStageMarch:
 
 class TestMemory:
     def test_solve_holds_under_1_6_histories(self, peak_bytes):
-        # the sweeps write into the initial state's history in place, and
-        # no pass forms weight rows: the peak is one history and a few
-        # density rows, spectra and the Filon amplitude table; a second
-        # history or an (n_t, n, n) weight table would read at least 2 here
+        # the sweeps stream the nodes, and no pass forms weight rows: the
+        # peak is a few slabs, density rows, spectra and the Filon
+        # amplitude table; a history or an (n_t, n, n) weight table would
+        # read at least 1 here
         history = 301 * 33 ** 2 * 16
         peak = peak_bytes(lambda: solve_selfconsistent(
             _kernel(), gaussian_profile(1), screened_coulomb(0.5, 1.0)))
         assert peak < 1.6 * history
 
+    def test_peak_grows_less_than_half_the_history_of_added_nodes(
+            self, peak_bytes):
+        # 65 points from t_max 15 to 30: 150 more nodes, whose history
+        # would add 10.1 MB; the time-indexed rows and spectra the stream
+        # keeps add about a quarter of that
+        def peak(t_max):
+            return peak_bytes(lambda: solve_selfconsistent(
+                _kernel(), gaussian_profile(1), screened_coulomb(0.5, 1.0),
+                n_pts=65, t_max=t_max))
 
-class TestInPlaceSweep:
+        added_history = 150 * 65 ** 2 * 16
+        assert peak(30.0) - peak(15.0) < 0.5 * added_history
+
+
+class TestStreamedSweep:
     @pytest.mark.parametrize("d,n", [(1, 9), (2, 5)])
-    def test_sweep_equals_picard_step_bitwise(self, d, n):
-        # a random history, so every node differs from node 0
+    def test_stream_equals_picard_step_bitwise(self, d, n):
+        # a random history and density, so every node differs from node 0
         rng = np.random.default_rng(29 + d)
         state, rho = _random_state(rng, d, n, 4)
         w, f = screened_coulomb(0.5, 1.0), gaussian_profile(d)
         want = picard_step(state, rho, w, f)
-        got = _sweep(replace(state, mu_hat=state.mu_hat.copy()), rho,
-                     _updater(state, w, f))
-        np.testing.assert_array_equal(got.mu_hat, want.mu_hat)
-        assert got.leakage == want.leakage
+        want_rows = density_trajectory_from_state(want).rho_hat
+        update = _updater(state, w, f)
+        central = tuple(np.array(s) for s in _central(state.mu_hat))
+        leak, nodes = update(central, rho)
+        assert leak == want.leakage
+        for i, slab in enumerate(nodes()):
+            np.testing.assert_array_equal(slab, want.mu_hat[i])
+        # the sweep synthesizes each node as it streams and keeps the new
+        # iterate's central slices in place of the old ones
+        rows = _sweep(update, _synthesizer(state, _amplitudes(state)),
+                      central, rho)
+        np.testing.assert_array_equal(rows, want_rows)
+        for kept, slices in zip(central, _central(want.mu_hat)):
+            np.testing.assert_array_equal(kept, slices)
+
+    @pytest.mark.parametrize("d,n", [(1, 9), (2, 5)])
+    def test_closing_pass_matches_history_diagnostics(self, d, n):
+        # the per-node norms of a streamed pass against the history-level
+        # diagnostics, bit for bit, on a history with a NaN node
+        rng = np.random.default_rng(31 + d)
+        state, _ = _random_state(rng, d, n, 5)
+        state.mu_hat[2].flat[3] = np.nan
+        _, _, profile = _closing_pass(
+            state, (0.0, lambda: iter(state.mu_hat)), 2)
+        np.testing.assert_array_equal(profile.hs_norms, hs_norm(state))
+        np.testing.assert_array_equal(profile.scattering,
+                                      scattering_diagnostic(state))
+        assert np.isnan(profile.hermitian_defect)
+        assert np.isnan(hermitian_defect(state))
+        state.mu_hat[2].flat[3] = 0.0
+        _, _, profile = _closing_pass(
+            state, (0.0, lambda: iter(state.mu_hat)), 2)
+        assert profile.hermitian_defect == hermitian_defect(state)
 
 
 class TestNormTracker:
     @pytest.mark.parametrize("d,n,n_t", [(1, 33, 40), (2, 9, 5)])
-    def test_blocks_match_node_by_node_differences(self, d, n, n_t):
-        # the tracker reads nodes in blocks (15 and 2 nodes here, the last
-        # block short) and scales its differences in place; x_norms must
+    def test_streamed_norms_match_node_by_node_differences(self, d, n,
+                                                            n_t):
+        # the closing pass scales its differences in place; x_norms must
         # equal the per-node formula bit for bit
         rng = np.random.default_rng(53 + d)
         state, _ = _random_state(rng, d, n, n_t)
-        x = nonlinear._track_norms(state, 1.0, 4, 2).x_norms
+        _, x, profile = _closing_pass(
+            state, (0.0, lambda: iter(state.mu_hat)), 2)
+        x = nonlinear._tracker(x, profile.t_grid, 1.0, 4).x_norms
         axis, h = state.axis, float(np.diff(state.axis)[0])
         ksq = sum(g ** 2 for g in np.meshgrid(*([axis] * d), indexing="ij"))
         joint = (1.0 + ksq.reshape((n,) * d + (1,) * d)
@@ -604,18 +652,19 @@ class TestDegenerateCouplings:
     def test_zero_potential_conserves_hs_exactly(self):
         w0 = custom_potential(
             lambda k: np.zeros_like(np.asarray(k, dtype=float)), 0.0)
-        state, _, _, report = solve_selfconsistent(
+        profile, _, _, report = solve_selfconsistent(
             _kernel(), gaussian_profile(1), w0)
-        norms = hs_norm(state)
+        norms = profile.hs_norms
         assert float(np.max(norms) - np.min(norms)) == 0.0
         assert report.iterations <= 2
 
     def test_zero_data_converges_immediately(self):
-        state, rho, _, report = solve_selfconsistent(
+        profile, rho, _, report = solve_selfconsistent(
             _kernel(0.0), gaussian_profile(1), screened_coulomb(0.5, 1.0))
         assert report.iterations == 1
         assert np.max(np.abs(rho.rho_hat)) == 0.0
-        assert np.max(np.abs(state.mu_hat)) == 0.0
+        # every node's HS norm is 0, so every node's profile is
+        assert np.max(profile.hs_norms) == 0.0
 
 
 class TestFailedSolves:
@@ -640,6 +689,8 @@ class TestFailedSolves:
 
     def test_hermitian_defect_keeps_a_nan_node(self):
         st = initial_state(_kernel(), 4.0, 9, 0.1, 0.3)
+        # the initial history is a read-only view of one slab
+        st = replace(st, mu_hat=st.mu_hat.copy())
         st.mu_hat[2, 4, 4] = np.nan
         assert np.isnan(hermitian_defect(st))
 
@@ -662,9 +713,9 @@ class TestAmplitudeScaling:
         # and scales linearly in the data at small amplitude
         d0 = {}
         for eps in (EPS, EPS / 2.0):
-            state, _, _, _ = solve_selfconsistent(
+            profile, _, _, _ = solve_selfconsistent(
                 _kernel(eps), gaussian_profile(1), screened_coulomb(0.5, 1.0))
-            d0[eps] = scattering_diagnostic(state)[0][1]
+            d0[eps] = profile.scattering[0][1]
         ratio = d0[EPS / 2.0] / d0[EPS]
         assert 0.3 < ratio < 0.7
 
@@ -672,8 +723,8 @@ class TestAmplitudeScaling:
 @pytest.mark.slow
 class TestThreeDimensional:
     def test_symmetry_and_contraction_on_coarse_box(self):
-        state, _, _, report = solve_selfconsistent(
+        profile, _, _, report = solve_selfconsistent(
             _kernel(d=3), gaussian_profile(3), screened_coulomb(0.5, 1.0),
             n_pts=9, t_max=3.0)
-        assert hermitian_defect(state) <= 1e-10
+        assert profile.hermitian_defect <= 1e-10
         assert max(report.contraction_factors) < 0.9

@@ -586,8 +586,8 @@ class TestCliStages:
 
     def test_nonlinear_stage_refuses_state_over_budget(self, tmp_path,
                                                         capsys):
-        # the d = 3 defaults: one history of 301 nodes x 9^6 entries
-        doc = _doc(out=str(tmp_path / "out"))
+        # d = 2 at 129 points: one slab of 129^4 entries is 4.4 GB
+        doc = _doc(d=2, nonlinear={"points": 129}, out=str(tmp_path / "out"))
         path = tmp_path / "run.json"
         path.write_text(json.dumps(doc))
         assert nonlinear_bytes(parse_config(doc)) > 2.5e9 > NONLINEAR_BUDGET
@@ -618,17 +618,18 @@ class TestCliStages:
         text = (Path(__file__).parents[1] / "README.md").read_text()
         cfg = parse_config(json.loads(
             text.split("```json\n", 1)[1].split("```", 1)[0]))
-        # one history, eight slices, four 18^3 spectra, eight density rows
-        # and four Filon amplitudes per point per node, and 256 KiB
+        # no history: thirteen slabs, and per node twelve density rows,
+        # three 18^3 spectra and four Filon amplitudes per point, and
+        # 256 KiB
         assert nonlinear_bytes(cfg) == 16 * (
-            31 * (9 ** 6 + 4 * 18 ** 3 + 8 * 9 ** 3 + 4 * 9)
-            + 8 * 9 ** 6) + 2 ** 18
+            13 * 9 ** 6 + 31 * (12 * 9 ** 3 + 3 * 18 ** 3 + 4 * 9)) + 2 ** 18
         assert nonlinear_bytes(cfg) <= NONLINEAR_BUDGET
         # the d = 1 benchmark run: 65 points to t = 30, spectra of 132
         small = parse_config(_doc(d=1, nonlinear={"points": 65}))
         assert nonlinear_bytes(small) == 16 * (
-            301 * (65 ** 2 + 4 * 132 + 8 * 65 + 4 * 65) + 8 * 65 ** 2) \
-            + 2 ** 18
+            13 * 65 ** 2 + 301 * (12 * 65 + 3 * 132 + 4 * 65)) + 2 ** 18
+        # the d = 3 defaults, 9 points to t = 30, hold no history either
+        assert nonlinear_bytes(parse_config(_doc())) <= NONLINEAR_BUDGET
 
     @pytest.mark.parametrize("d,points", [(1, 33), (2, 9)])
     def test_nonlinear_stage_peak_is_under_its_budget(self, tmp_path, d,
