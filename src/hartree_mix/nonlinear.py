@@ -755,8 +755,13 @@ def _closing_pass(state: KernelState, updated, n2: int):
     node is read as the stream yields it; the scattering distances need
     mu_hat(t_max) first, so they take a second pass of ``nodes``."""
     leak, nodes = updated
+    n, d = state.n_pts, state.d
     n_t, h = state.mu_hat.shape[0], float(np.diff(state.axis)[0])
-    dv, joint = h ** state.d, _joint_weight(state, n2)
+    ksq = _ksq_grid(state.axis, d)
+    # the X norms' weight (1 + |k|^2 + |p|^2)^(N2/2) on the slab
+    joint = (1.0 + ksq.reshape((n,) * d + (1,) * d)
+             + ksq.reshape((1,) * d + (n,) * d)) ** (n2 / 2.0)
+    dv = h ** d
     x, hs, defect = np.empty((n_t, 3)), np.empty(n_t), np.empty(n_t)
     for i, slab in enumerate(nodes()):
         x[i] = _x_norms(slab, joint, h)
@@ -770,14 +775,6 @@ def _closing_pass(state: KernelState, updated, n2: int):
         hermitian_defect=float(np.max(defect)),
         scattering=np.column_stack([state.t_grid, dist]))
     return leak, x, profile
-
-
-def _joint_weight(state: KernelState, n2: int) -> np.ndarray:
-    """(1 + |k|^2 + |p|^2)^(N2/2) on the slab, the X norms' weight."""
-    n, d = state.n_pts, state.d
-    ksq = _ksq_grid(state.axis, d)
-    return (1.0 + ksq.reshape((n,) * d + (1,) * d)
-            + ksq.reshape((1,) * d + (n,) * d)) ** (n2 / 2.0)
 
 
 def _x_norms(slab: np.ndarray, joint: np.ndarray, h: float) -> list[float]:
