@@ -14,15 +14,12 @@ import json
 import math
 import os
 import zipfile
-import zlib
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from . import dispersion as disp, quadrature
-from . import __version__, dynamics, green, nonlinear, profiles, stability
+from . import dispersion as disp, dynamics, green, nonlinear, profiles, stability
 
 __all__ = [
     "ConfigError",
@@ -33,7 +30,6 @@ __all__ = [
     "load_config",
     "parse_config",
     "fit_decay",
-    "nonlinear_bytes",
     "NONLINEAR_BUDGET",
     "run",
     "SUBCOMMANDS",
@@ -199,11 +195,10 @@ def parse_config(doc: dict, out: str | None = None,
     nl_points = _number(nl, "nonlinear.", "points", 33 if d <= 2 else 9, int)
     nl_dt = _number(nl, "nonlinear.", "dt", 0.1)
     nl_t_max = _number(nl, "nonlinear.", "t_max", 30.0)
-    if nl_points < 3 or nl_points % 2 == 0:
-        raise ConfigError("field 'nonlinear.points': need an odd count >= 3")
-    if d >= 3 and nl_points > 9:
-        raise ConfigError("field 'nonlinear.points': d >= 3 supports at most "
-                          "9 points per axis")
+    try:
+        nonlinear.check_box(d, nl_points)
+    except ValueError as e:
+        raise ConfigError(f"field 'nonlinear.points': {e}") from e
     if nl_dt <= 0 or nl_t_max <= 0 or nl_box <= 0:
         raise ConfigError("field 'nonlinear': box, dt, t_max must be "
                           "positive")
@@ -351,21 +346,10 @@ def _write_csv(path: str, header: list[str], table) -> int:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    doc = {"schema": 1}
-    doc.update(payload)
+    doc = {"schema": 1, **payload}
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _json_default(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
-    raise TypeError(f"not JSON serializable: {type(x)!r}")
 
 
 def _fit_or_note(samples, window) -> dict:
@@ -394,19 +378,11 @@ def _t_grid(cfg: RunConfig) -> np.ndarray:
     return np.arange(n) * cfg.dt
 
 
-def _marginal_stamp(prof: profiles.EquilibriumProfile) -> str:
-    """The code (sources, numpy) and profile fields ``marginal.npz`` holds."""
-    # a CRC: hashlib would load OpenSSL, 3.7 MB of RSS in every stage
-    code = b"".join(Path(mod.__file__).read_bytes() for mod in (profiles, quadrature))
-    return json.dumps([__version__, np.__version__, zlib.crc32(code), prof.kind, prof.d,
-                       prof.n1, prof.upsilon, prof.f_edge, sorted(prof.params.items())])
-
-
 def _marginal(cfg: RunConfig, out: str):
     """The marginal from ``out/marginal.npz`` if whole and stamped so, else built."""
     try:
         with np.load(os.path.join(out, "marginal.npz"), allow_pickle=False) as npz:
-            if str(npz["stamp"]) == _marginal_stamp(cfg.profile):
+            if str(npz["stamp"]) == profiles.marginal_stamp(cfg.profile):
                 return profiles.marginal_from_tables(
                     cfg.profile, {k: npz[k] for k in npz.files if k != "stamp"})
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
@@ -418,7 +394,7 @@ def _cmd_marginal(cfg: RunConfig, out: str) -> int:
     m = profiles.build_marginal(cfg.profile)
     # ZipInfo's fixed 1980 member date: equal tables give equal bytes
     with zipfile.ZipFile(os.path.join(out, f"marginal.{os.getpid()}.tmp"), "w") as zf:
-        for key, val in dict(m.tables, stamp=_marginal_stamp(cfg.profile)).items():
+        for key, val in dict(m.tables, stamp=profiles.marginal_stamp(cfg.profile)).items():
             with zf.open(zipfile.ZipInfo(f"{key}.npy"), "w") as fh:
                 np.lib.format.write_array(fh, np.asarray(val))
     os.replace(zf.filename, os.path.join(out, "marginal.npz"))
@@ -581,27 +557,10 @@ def _cmd_linear(cfg: RunConfig, out: str) -> int:
     return 0
 
 
-# the most the nonlinear stage may hold, in bytes: the d = 2 defaults (33
-# points to t_max 30) need 0.37e9, while one slab of d = 2 at 129 points
-# is 4.4e9
+# the most the nonlinear stage may hold (``nonlinear.solve_bytes``), in
+# bytes: the d = 2 defaults (33 points to t_max 30) need 0.37e9, while one
+# slab of d = 2 at 129 points is 4.4e9
 NONLINEAR_BUDGET = 2 ** 30
-
-
-def nonlinear_bytes(cfg: RunConfig) -> int:
-    """Bytes the nonlinear stage holds, complex entries at 16 B.  The
-    solve streams its sweeps node by node and holds no history: thirteen
-    n^(2d) slabs (the initial profile, the update's two tables and its
-    four node buffers, the linear-stage march's two tables, the shear
-    buffers and the synthesis of one node); per time node twelve density
-    rows of n^d (the iterate, the two central slices, the two shift-term
-    sums and the linear stage's work), three padded shift-term spectra of
-    fast_len(2n - 1)^d and the 4n Filon amplitudes; and 256 KiB of small
-    arrays.  Measured peaks of the stage read 0.66 to 0.92 of it."""
-    n_t = int(round(cfg.nl_t_max / cfg.nl_dt)) + 1
-    n, d = cfg.nl_points, cfg.d
-    spectrum = quadrature.fast_len(2 * n - 1) ** d
-    return 16 * (13 * n ** (2 * d)
-                 + n_t * (12 * n ** d + 3 * spectrum + 4 * n)) + 2 ** 18
 
 
 def _cmd_nonlinear(cfg: RunConfig, out: str) -> int:
@@ -667,15 +626,16 @@ _COMMANDS = {
 def run(cfg: RunConfig, subcommand: str) -> int:
     """Dispatch one subcommand; returns the process exit code.
 
-    A ``nonlinear`` run whose ``nonlinear_bytes`` exceed NONLINEAR_BUDGET
-    raises ConfigError before any work.  The check sits here, not in
+    A ``nonlinear`` run whose ``nonlinear.solve_bytes`` exceed
+    NONLINEAR_BUDGET raises ConfigError before any work.  The check sits here, not in
     parse_config, because the stages share one config and the default
     nonlinear group is far over budget for d >= 4.
     """
     if subcommand not in _COMMANDS:
         raise ValueError(f"unknown subcommand '{subcommand}'; choose from "
                          f"{', '.join(SUBCOMMANDS)}")
-    nl_bytes = nonlinear_bytes(cfg) if subcommand == "nonlinear" else 0
+    nl_bytes = (nonlinear.solve_bytes(cfg.d, cfg.nl_points, cfg.nl_dt, cfg.nl_t_max)
+                if subcommand == "nonlinear" else 0)
     if nl_bytes > NONLINEAR_BUDGET:
         raise ConfigError(
             f"field 'nonlinear.points': the nonlinear solve would hold "

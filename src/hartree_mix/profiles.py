@@ -23,15 +23,19 @@ thread at a time.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import warnings
+import zlib
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from . import __version__, quadrature
 from .quadrature import (blocks, fast_len, filon_transform, layout_values,
                          refine_panels)
 
@@ -52,6 +56,7 @@ __all__ = [
     "gaussian_hat_potential",
     "custom_potential",
     "build_marginal",
+    "marginal_stamp",
     "marginal_from_tables",
     "shifted_l2_difference",
     "validate_assumptions",
@@ -614,6 +619,17 @@ def build_marginal(prof: EquilibriumProfile) -> Marginal:
     hat = np.concatenate([exact(t_nodes), exact(t_pad)])
     tables.update(t_support=t_support, phi_hat=hat, total_mass=hat[0])
     return marginal_from_tables(prof, tables)
+
+
+def marginal_stamp(prof: EquilibriumProfile) -> str:
+    """The code (sources, numpy) and profile fields for which
+    ``build_marginal``'s tables are valid, as a JSON list."""
+    # a CRC: hashlib would load OpenSSL, 3.7 MB of RSS in every stage
+    code = b"".join(Path(src).read_bytes()
+                    for src in (__file__, quadrature.__file__))
+    return json.dumps([__version__, np.__version__, zlib.crc32(code),
+                       prof.kind, prof.d, prof.n1, prof.upsilon, prof.f_edge,
+                       sorted(prof.params.items())])
 
 
 def marginal_from_tables(prof: EquilibriumProfile, tables: dict) -> Marginal:

@@ -21,6 +21,7 @@ from hartree_mix.green import (
     green_table,
     m_f,
 )
+from hartree_mix.profiles import custom_potential
 from hartree_mix.quadrature import UnresolvedOscillation
 
 
@@ -82,6 +83,18 @@ class TestRowSynthesis:
         for k in (0.0, -0.5):
             with pytest.raises(ValueError):
                 m_f(gauss3, k, np.array([0.0, 1.0]))
+
+    def test_zero_k_and_zero_coupling_rows_are_zero(self, gauss3, coulomb):
+        # the k = 0 row is the continuous limit of the |k|-prefixed symbol,
+        # and a row where w_hat(k) = 0 has no response; neither is
+        # synthesized
+        ts = np.linspace(0.0, 5.0, 51)
+        cut = custom_potential(lambda k: np.where(np.asarray(k) > 0.4,
+                                                  0.0, 1.0))
+        for w, ks in ((coulomb, [0.0]), (cut, [0.0, 0.5])):
+            tab = green_table(gauss3, w, ks, ts)
+            assert np.all(tab.values == 0.0)
+            assert tab.tau_max_used == 0.0
 
     def test_table_shape_and_metadata(self, gauss3, coulomb):
         ks = np.array([0.3, 0.8])

@@ -24,6 +24,7 @@ from hartree_mix.quadrature import (
     filon_weights,
     graded_layout,
     refine_filon,
+    shell_slope,
 )
 
 
@@ -316,6 +317,15 @@ class TestEdgeShells:
         _, slopes, _ = end_cell_correction(lambda u: m.phi(u) / (1.5 - u),
                                            -1.0, 1.0, np.array([-1.0, 1.0]))
         assert np.max(np.abs(slopes + (m.d - 1) / 2.0)) < 1e-6
+
+    def test_slope_needs_two_nonzero_shells(self):
+        # shells under 1e-300 count as zero; with fewer than two left there
+        # is no slope to fit, and -inf passes the callers' divergence check
+        # (slope >= -0.05) as convergent
+        for shells in ([], [0.0, 0.0], [0.0, 2.0, 0.0], [1e-301, 0.5]):
+            assert shell_slope(np.array(shells)) == -np.inf
+        assert shell_slope(np.array([1e-301, 1.0, 0.5])) == \
+            pytest.approx(-1.0)
 
     def test_layout_keeps_nodes_off_the_ends(self):
         # the last cell is 2^-43 (b - a) = 1024 ulps of b wide here, and its

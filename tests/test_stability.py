@@ -133,6 +133,17 @@ class TestZeroHunt:
         w = delta_potential(0.1)
         assert find_imaginary_zero(fermi5, w, 0.02) is None
 
+    def test_bracket_doubles_past_its_first_end(self, fermi5):
+        # at coupling 5 the zero lies at 7.374, past the first bracket end
+        # 2 Upsilon + k + 1 = 3.1, so the end doubles twice before the
+        # bisection starts
+        from hartree_mix.dispersion import dispersion_row
+        w, k = delta_potential(5.0), 0.1
+        tt = find_imaginary_zero(fermi5, w, k)
+        assert 2.0 * fermi5.upsilon + k + 1.0 < tt
+        assert abs(tt - 7.374) < 1e-3
+        assert abs(dispersion_row(fermi5, w, k, 1j * tt)[0][0]) < 1e-8
+
 
 class TestCertify:
     def test_gaussian_coulomb_stable(self, gauss3, coulomb):
