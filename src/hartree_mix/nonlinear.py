@@ -19,7 +19,7 @@ reported as a leakage fraction, never raised).  Each shift term is one
 d-dim FFT convolution against the central p (resp. k) slice of the
 dressed profile, broadcast back over the other block of axes; that is
 what the update has always computed, and it is not the written-out sum
-(see ``picard_step``).  No exponential is taken on the (k, p) grid per
+(see ``_updater``).  No exponential is taken on the (k, p) grid per
 node: the linear term's phase e^{is(|k|^2-|p|^2)} advances by one fixed
 factor a node, a running product on its coefficient, and both shift
 terms are rank one on the slab, so their trapezoid sums are taken on
@@ -50,18 +50,17 @@ zero-padded buffer (``_shear_pads``), and each p axis is summed into the
 rule's four amplitude slots before it is contracted (``_synthesize``).
 The linear-stage march takes the same amplitudes: its synthesis phases
 cancel or fold into its running sum (``_linear_stage_solver``).
-``density_from_state`` keeps the unfolded route, ``filon_weights`` rows
-against a gathered slab, as the reference.
+The tests keep the unfolded route, ``filon_weights`` rows against a
+gathered slab, as the reference.
 
 Everything is dimension-generic; the supported workhorse is d = 1 with
 33 points per axis, and d = 3 runs at 9 points per axis behind a runtime
 warning (one node's slab alone is 9^6 complex numbers).  A solve holds a
 few slabs and the shift terms' central slices, spectra, density rows and
 amplitude table, n_t rows each of (n,)*d or smaller
-(``solve_bytes`` counts them).  ``KernelState`` histories,
-and the diagnostics and reference routes that read them, serve the
-tests; each history diagnostic loops over the per-node helper that the
-solve streams.
+(``solve_bytes`` counts them).  A ``KernelState`` of distinct slabs
+at every node is formed only by the tests' reference routes: the solve's
+initial state repeats one slab as a read-only view.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ from numpy.lib.stride_tricks import as_strided
 from .dynamics import DensityTrajectory, InitialKernel, y_norm
 from .profiles import EquilibriumProfile, Potential
 from .quadrature import (fast_len, filon_amplitudes, filon_coefficients,
-                         filon_slots, filon_weights)
+                         filon_slots)
 
 __all__ = [
     "KernelState",
@@ -85,14 +84,9 @@ __all__ = [
     "SolveReport",
     "check_box",
     "initial_state",
-    "hermitian_defect",
-    "hs_norm",
-    "picard_step",
-    "density_from_state",
     "density_trajectory_from_state",
     "solve_bytes",
     "solve_selfconsistent",
-    "scattering_diagnostic",
 ]
 
 
@@ -106,16 +100,13 @@ class KernelState:
     """Time-indexed profile on the product box [-k_box, k_box]^d x same.
 
     ``mu_hat`` has shape (n_t,) + (n_pts,)*d + (n_pts,)*d, the first
-    block of axes indexing k and the second p.  ``leakage`` is the
-    coefficient-mass fraction dropped at the box edge by the most recent
-    update.
+    block of axes indexing k and the second p.
     """
 
     axis: np.ndarray
     mu_hat: np.ndarray
     d: int
     dt: float
-    leakage: float = 0.0
 
     @property
     def n_pts(self) -> int:
@@ -156,8 +147,11 @@ class SolveReport:
 @dataclass(frozen=True)
 class ProfileSummary:
     """What a solve keeps of its final profile, taken node by node as the
-    closing pass streams it: ``hs_norms`` (``hs_norm``), the largest
-    ``hermitian_defect`` and the ``scattering_diagnostic`` rows."""
+    closing pass streams it: each node's Hilbert-Schmidt norm
+    (cell-weighted l2) in ``hs_norms``, the largest Hermitian defect
+    max |mu_hat(t,k,p) - conj mu_hat(t,-p,-k)| over every node, and the
+    ``scattering`` rows (t, HS distance of mu_hat(t) to mu_hat(t_max)).
+    """
 
     axis: np.ndarray
     dt: float
@@ -210,20 +204,8 @@ def initial_state(g0: InitialKernel, k_box: float, n_pts: int, dt: float,
     return KernelState(axis=axis, mu_hat=mu, d=d, dt=dt)
 
 
-def hs_norm(state: KernelState) -> np.ndarray:
-    """Discrete Hilbert-Schmidt norm (cell-weighted l2) per time node."""
-    dv = float(np.diff(state.axis)[0]) ** state.d
-    return np.array([_hs(mu_t, dv) for mu_t in state.mu_hat])
-
-
 def _hs(slab: np.ndarray, dv: float) -> float:
     return float(np.sqrt(np.sum(np.abs(slab.ravel()) ** 2)) * dv)
-
-
-def hermitian_defect(state: KernelState) -> float:
-    """max |mu_hat(t,k,p) - conj mu_hat(t,-p,-k)| over the history."""
-    # np.max, unlike Python's max, keeps a NaN node
-    return float(np.max([_defect(mu_t) for mu_t in state.mu_hat]))
 
 
 def _defect(slab: np.ndarray) -> float:
@@ -257,23 +239,10 @@ def _rho_grid(rho_hat: DensityTrajectory, state: KernelState) -> np.ndarray:
     return np.moveaxis(rho_hat.rho_hat, -1, 0).reshape((n_t,) + (n,) * d)
 
 
-def picard_step(state: KernelState, rho_hat: DensityTrajectory,
-                w: Potential, f: EquilibriumProfile) -> KernelState:
-    """One full-history Duhamel update of mu_hat for a given density.
-
-    The streamed update's slabs, gathered into a fresh history; the
-    solver itself never forms one (see ``_updater``).
-    """
-    new_mu = np.empty(state.mu_hat.shape, dtype=complex)
-    leak, nodes = _updater(state, w, f)(_central(state.mu_hat), rho_hat)
-    for i, slab in enumerate(nodes()):
-        new_mu[i] = slab
-    return replace(state, mu_hat=new_mu, leakage=leak)
-
-
 def _updater(state: KernelState, w: Potential, f: EquilibriumProfile):
-    """Return ``update(central, rho_hat)``, ``picard_step`` streamed node
-    by node.
+    """Return ``update(central, rho_hat)``, one full Duhamel update of the
+    profile against the density history ``rho_hat``, streamed node by
+    node.
 
     ``central`` holds the previous iterate's two central slices
     (``_central`` of its history), and node 0 is the state's own; an
@@ -419,28 +388,6 @@ def _central_convolution(spec: np.ndarray, b: np.ndarray) -> np.ndarray:
 _LETTERS = "abcdefghijkl"
 
 
-def density_from_state(state: KernelState, t: float) -> np.ndarray:
-    """Density row rho_hat(t, .) on the k grid from one time slice.
-
-    rho_hat(t,k) = int e^{-it(|k-p|^2-|p|^2)} mu_hat(t,k-p,p) dp, and the
-    phase factors as e^{-it|k|^2} e^{2itk.p}.  The shifted slab
-    mu_hat(t, k-p, p) (zero where k - p leaves the box) is gathered in one
-    indexing pass, and each p axis is then contracted against the
-    ``filon_weights`` rows at frequency -2 t k_axis of its own k axis.
-    This is the reference route; ``density_trajectory_from_state`` folds
-    the phases and reads the slab through a view.
-    """
-    axis = state.axis
-    i_t = int(round(t / state.dt))
-    if abs(i_t * state.dt - t) > 1e-9 * max(state.dt, 1.0):
-        raise ValueError("t is not on the state's time grid")
-    h = float(axis[1] - axis[0])
-    wts = filon_weights(state.n_pts, float(axis[0]), h, -2.0 * t * axis)
-    valid, idx = _shift_gather(state)
-    slab = np.where(valid, state.mu_hat[i_t][idx], 0.0)
-    return np.exp(-1j * t * _ksq_grid(axis, state.d)) * _synthesize(wts, slab)
-
-
 def _amplitudes(state: KernelState) -> np.ndarray:
     """The (n_t, n, 4) Filon amplitudes of every node's synthesis rows:
     row j of node i is ``filon_weights`` at frequency -2 t_i axis[j] with
@@ -525,8 +472,9 @@ def _cartesian_trajectory(state: KernelState,
 
 def _synthesizer(state: KernelState, amps: np.ndarray):
     """Return ``density(i, slab)``: node i's density row, row-major
-    flattened over the box grid, from its slab; ``density_from_state``
-    with its phases folded.
+    flattened over the box grid, from its slab: each p axis contracted
+    with the Filon weights at frequency -2 t_i k_axis, their phases
+    folded.
 
     e^{-it|k|^2} e^{2itk.p} = e^{it|p|^2} e^{-it|k-p|^2}, so node i's
     synthesis rows lose their phases to a rank-one dressing of the slice,
@@ -549,9 +497,9 @@ def _synthesizer(state: KernelState, amps: np.ndarray):
 
 def density_trajectory_from_state(state: KernelState,
                                   density=None) -> DensityTrajectory:
-    """Full density history, row-major flattened over the box grid:
-    ``density_from_state`` at every node, with its phases folded.
-    ``density`` is the grid's ``_synthesizer``, built when not given."""
+    """Full density history, row-major flattened over the box grid: the
+    ``_synthesizer`` row of every node.  ``density`` is the grid's
+    ``_synthesizer``, built when not given."""
     if density is None:
         density = _synthesizer(state, _amplitudes(state))
     rows = np.empty((state.n_pts ** state.d, state.mu_hat.shape[0]),
@@ -767,18 +715,19 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
     # density, not the one from the previous sweep; it synthesizes no
     # density, so the synthesis and linear-stage tables go first
     del density, correct
-    leak, x, profile = _closing_pass(state, update(central, rho), n2)
+    leak, nodes = update(central, rho)
+    x, profile = _closing_pass(state, nodes, n2)
     report = SolveReport(iterations=it, distances=tuple(distances),
                          contraction_factors=tuple(ratios), leakage=leak)
     return profile, rho, _tracker(x, profile.t_grid, y_rho, n1), report
 
 
-def _closing_pass(state: KernelState, updated, n2: int):
-    """Leakage, X norms (``_x_norms``) and ``ProfileSummary`` of one
-    update, ``updated`` = (leakage, nodes) as an update returns it.  Each
-    node is read as the stream yields it; the scattering distances need
-    mu_hat(t_max) first, so they take a second pass of ``nodes``."""
-    leak, nodes = updated
+def _closing_pass(state: KernelState, nodes, n2: int):
+    """X norms (``_x_norms``) and ``ProfileSummary`` of the slabs that
+    ``nodes()`` yields, as an update's stream does: the solve's one
+    per-node summary.  Each node is read as the stream yields it; the
+    scattering distances need mu_hat(t_max) first, so they take a second
+    pass of ``nodes``."""
     n, d = state.n_pts, state.d
     n_t, h = state.mu_hat.shape[0], float(np.diff(state.axis)[0])
     ksq = _ksq_grid(state.axis, d)
@@ -798,7 +747,7 @@ def _closing_pass(state: KernelState, updated, n2: int):
         axis=state.axis, dt=state.dt, hs_norms=hs,
         hermitian_defect=float(np.max(defect)),
         scattering=np.column_stack([state.t_grid, dist]))
-    return leak, x, profile
+    return x, profile
 
 
 def _x_norms(slab: np.ndarray, joint: np.ndarray, h: float) -> list[float]:
@@ -838,10 +787,3 @@ def _tracker(x: np.ndarray, t_grid: np.ndarray, y_rho: float,
     return NormTracker(t_grid=t_grid, x_norms=x, y_norm=y_rho,
                        z_norm=float(np.max(z_t)), available_orders=orders)
 
-
-def scattering_diagnostic(state: KernelState) -> np.ndarray:
-    """Rows (t, HS distance of mu_hat(t) to mu_hat(t_max))."""
-    dv = float(np.diff(state.axis)[0]) ** state.d
-    last = state.mu_hat[-1]
-    dist = [_hs(mu_t - last, dv) for mu_t in state.mu_hat]
-    return np.column_stack([state.t_grid, dist])

@@ -54,7 +54,6 @@ __all__ = [
     "screened_coulomb",
     "delta_potential",
     "gaussian_hat_potential",
-    "custom_potential",
     "build_marginal",
     "marginal_stamp",
     "marginal_from_tables",
@@ -232,12 +231,6 @@ def gaussian_hat_potential(amplitude: float = 1.0, width: float = 1.0) -> Potent
     w = lambda k: amplitude * np.exp(-0.5 * (np.asarray(k, dtype=float) * width) ** 2)
     return Potential("gaussian_hat", w, amplitude,
                      {"amplitude": amplitude, "width": width})
-
-
-def custom_potential(w_hat, w_hat_zero=None) -> Potential:
-    if w_hat_zero is None:
-        w_hat_zero = float(np.asarray(w_hat(np.array([0.0])))[0])
-    return Potential("custom", w_hat, w_hat_zero)
 
 
 # ---------------------------------------------------------------------------

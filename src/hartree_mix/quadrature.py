@@ -448,8 +448,9 @@ def filon_weights(n, x0, h, omega):
     """Weights W with sum_j W[..., j] f_j = filon_transform(f, x0, h, omega).
 
     omega may be a scalar (shape (n,) result) or a vector (shape
-    (len(omega), n)).  Handy when the same grid is hit with many different
-    integrands (the nonlinear density sums do exactly that).
+    (len(omega), n)).  The package's own routes take the rule's amplitudes
+    and slots instead; these rows are the tests' reference for them, and
+    the stage benchmark's tracer wraps this function by name.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("need an odd sample count >= 3")

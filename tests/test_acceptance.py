@@ -23,7 +23,7 @@ from hartree_mix import nonlinear as nl
 from hartree_mix import stability as stb
 from hartree_mix.pipeline import fit_decay
 from hartree_mix.profiles import (
-    custom_potential,
+    Potential,
     delta_potential,
     gaussian_profile,
     screened_coulomb,
@@ -280,8 +280,8 @@ def test_criterion_7_nonlinear_structure(gauss1):
     lin_gap = float(np.max(np.abs(rho.rho_hat - lin.rho_hat)))
     assert lin_gap <= 10.0 * eps ** 2
 
-    w0 = custom_potential(lambda k: np.zeros_like(np.asarray(k, dtype=float)),
-                          0.0)
+    w0 = Potential("zero",
+                   lambda k: np.zeros_like(np.asarray(k, dtype=float)), 0.0)
     profile0, _, _, _ = nl.solve_selfconsistent(kernel(eps), f1, w0)
     hs_spread = float(np.ptp(profile0.hs_norms))
     assert hs_spread == 0.0

@@ -21,7 +21,7 @@ from hartree_mix.green import (
     green_table,
     m_f,
 )
-from hartree_mix.profiles import custom_potential
+from hartree_mix.profiles import Potential
 from hartree_mix.quadrature import UnresolvedOscillation
 
 
@@ -89,8 +89,8 @@ class TestRowSynthesis:
         # and a row where w_hat(k) = 0 has no response; neither is
         # synthesized
         ts = np.linspace(0.0, 5.0, 51)
-        cut = custom_potential(lambda k: np.where(np.asarray(k) > 0.4,
-                                                  0.0, 1.0))
+        cut = Potential("cut", lambda k: np.where(np.asarray(k) > 0.4,
+                                                  0.0, 1.0), 1.0)
         for w, ks in ((coulomb, [0.0]), (cut, [0.0, 0.5])):
             tab = green_table(gauss3, w, ks, ts)
             assert np.all(tab.values == 0.0)

@@ -7,6 +7,7 @@ assert on the files.  Heavier stages have their own acceptance runs.
 
 from __future__ import annotations
 
+import ast
 import csv
 import importlib
 import json
@@ -726,3 +727,50 @@ class TestTracerContract:
         assert "__init__" in vars(dispersion.HilbertTransformCache)
         cache = dispersion.HilbertTransformCache(gauss3)
         assert (cache.hits, cache.misses) == (0, 0)
+
+    # public names that nothing in src/ loads, each kept for a caller
+    # outside it
+    UNUSED_IN_SRC = {
+        "green.convolve_green":
+            "criterion 6's second route beside the Volterra solve",
+        "dispersion.dispersion_time_integral":
+            "criterion 1's second route for D",
+        "profiles.shifted_l2_difference":
+            "criterion 8's shift-difference ratio",
+        "dispersion.HilbertTransformCache":
+            "the tracer counts the lookups of every instance",
+    }
+
+    def test_every_public_name_is_loaded_in_src(self):
+        # a name counts as loaded by a bare load in its own module, by
+        # ``from .mod import name`` elsewhere, or as ``alias.name`` after
+        # ``from . import mod [as alias]``
+        trees = {path.stem: ast.parse(path.read_text())
+                 for path in Path(hartree_mix.__file__).parent.glob("*.py")}
+        exported, loaded = {}, set()
+        for mod, tree in trees.items():
+            aliases = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets):
+                    exported[mod] = ast.literal_eval(node.value)
+                elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                    for a in node.names:
+                        if node.module is None:
+                            aliases[a.asname or a.name] = a.name
+                        else:
+                            loaded.add((node.module, a.name))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) \
+                        and isinstance(node.ctx, ast.Load):
+                    loaded.add((mod, node.id))
+                elif isinstance(node, ast.Attribute) \
+                        and isinstance(node.value, ast.Name) \
+                        and node.value.id in aliases:
+                    loaded.add((aliases[node.value.id], node.attr))
+        assert "nonlinear" in exported and "profiles" in exported
+        unused = {f"{mod}.{name}" for mod, names in exported.items()
+                  for name in names if (mod, name) not in loaded}
+        assert sorted(unused - set(self.UNUSED_IN_SRC)) == []
+        assert sorted(set(self.UNUSED_IN_SRC) - unused) == []

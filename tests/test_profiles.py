@@ -19,7 +19,6 @@ from hartree_mix.profiles import (
     NonIntegrableError,
     _hat_grid,
     build_marginal,
-    custom_potential,
     delta_potential,
     fermi_zero_t_profile,
     gaussian_hat_potential,
@@ -235,10 +234,6 @@ class TestPotentials:
         w = gaussian_hat_potential(2.0, 1.5)
         assert w.w_hat(np.array([0.0]))[0] == pytest.approx(2.0)
         assert w.w_hat_zero == pytest.approx(2.0)
-
-    def test_custom_infers_zero_value(self):
-        w = custom_potential(lambda k: 3.0 / (1.0 + np.asarray(k) ** 4))
-        assert w.w_hat_zero == pytest.approx(3.0)
 
 
 class TestAssumptionReport:
