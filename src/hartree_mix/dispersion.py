@@ -12,7 +12,15 @@ For k > 0 the dispersion function has two independent routes:
     the imaginary axis: ``dispersion_time_integral``, kept as the
     independent check of the first.
 
-Both take whole arrays in the rescaled frame lambda = k lambda_tilde.
+The memory symbol is the half-line Laplace-Fourier integral
+
+    m_f(lambda, k) = 2 int_0^inf exp(-lambda t) sin(t k^2) phi_hat(2tk) dt;
+
+``m_f`` splits the sine into exponentials, so the grid only resolves
+phi_hat while the Filon rule carries the phases exactly, and takes a whole
+array of lambda = gamma + i tau on one vertical line in one Filon pass.
+
+Both routes take whole arrays in the rescaled frame lambda = k lambda_tilde.
 Every Cauchy integral of phi or phi' goes through one fixed-node engine
 for a whole array of z, ``_cauchy_rows``.  It subtracts the numerator's
 cubic Taylor polynomial at the pole's real coordinate, which removes the
@@ -34,14 +42,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .green import m_f
 from .profiles import Marginal, Potential
-from .quadrature import (blocks, end_cell_correction, layout_values,
-                         refine_panels)
+from .quadrature import (UnresolvedOscillation, blocks, end_cell_correction,
+                         layout_values, refine_filon, refine_panels)
 
 __all__ = [
     "HilbertTransformCache", "DivergentIntegral", "dispersion_row",
-    "dispersion_time_integral",
+    "m_f", "dispersion_time_integral",
 ]
 
 
@@ -279,6 +286,45 @@ def dispersion_row(m: Marginal, w: Potential, k: float, lam_tilde,
     values[hilbert] = 1.0 + pref * (h[:n] - h[n:])
     errs[hilbert] = abs(pref) * (e[:n] + e[n:])
     return values, errs
+
+
+def _support_time(m: Marginal, k: float) -> float:
+    return 1.05 * m.t_support / (2.0 * k)
+
+
+def m_f(m: Marginal, k: float, taus, gamma: float = 0.0,
+        tol_abs: float = 1e-11):
+    """m_f(gamma + i tau, k) for a whole array of real tau, gamma >= 0,
+    k > 0, in one Filon pass; returns the values and one error estimate.
+
+    exp(-gamma t) is sampled with phi_hat, and the integral stops at
+    60/gamma when that comes first, adding its tail bound to the estimate.
+    Raises UnresolvedOscillation when the sample cap stops the pass short
+    of tol_abs.
+    """
+    if k <= 0:
+        raise ValueError("m_f needs k > 0")
+    if gamma < 0:
+        raise ValueError("m_f needs gamma = Re lambda >= 0")
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    T = _support_time(m, k)
+    tail = 0.0
+    if gamma * T > 60.0:
+        T = 60.0 / gamma
+        tail = np.exp(-60.0) * m.phi_hat_l1 / (2.0 * k)
+    if gamma > 0:
+        sample = lambda t: m.phi_hat(2.0 * k * t) * np.exp(-gamma * t)
+    else:
+        sample = lambda t: m.phi_hat(2.0 * k * t)
+    # one transform per shifted copy, so a uniform tau grid stays uniform;
+    # the cap stops the doubling at 2^21 + 1 samples
+    r = refine_filon(sample, 0.0, T, (taus - k * k, taus + k * k), 4097,
+                     tol_abs, 2 ** 22)
+    if r.gap > tol_abs:
+        raise UnresolvedOscillation(
+            f"m_f at k = {k:g}: filon grid capped at "
+            f"{r.samples.size} samples, error estimate {r.gap:g}")
+    return -1j * (r.transforms[0] - r.transforms[1]), 2.0 * (r.gap + tail)
 
 
 def dispersion_time_integral(m: Marginal, w: Potential, k: float, lam_tilde,

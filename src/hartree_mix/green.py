@@ -1,15 +1,7 @@
-"""Green symbol m_f, the regular Green function, and its time synthesis.
+"""The regular Green function and its time synthesis.
 
-The memory symbol is the half-line Laplace-Fourier integral
-
-    m_f(lambda, k) = 2 int_0^inf exp(-lambda t) sin(t k^2) phi_hat(2tk) dt,
-
-evaluated by splitting the sine into exponentials so the quadrature grid
-only has to resolve phi_hat while the Filon rule carries the phases
-exactly.  ``m_f`` takes a whole array of lambda = gamma + i tau on one
-vertical line in a single refined Filon pass.  The dispersion function
-is D = 1 + w_hat(k) m_f, and the regular part of the Green symbol is
-G_reg = -w_hat(k) m_f / D.
+The regular part of the Green symbol is G_reg = -w_hat(k) m_f / D, with
+the memory symbol ``dispersion.m_f`` and D = 1 + w_hat(k) m_f.
 
 Time-domain synthesis inverts G_reg(i tau) along the imaginary axis.  The
 symbol only decays like tau^{-2}, so the Lorentzian model
@@ -30,16 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dispersion import m_f
 from .dynamics import DensityTrajectory
 from .profiles import Marginal, Potential
-from .quadrature import (UnresolvedOscillation, fast_len, filon_transform,
-                         refine_filon)
+from .quadrature import fast_len, filon_transform, refine_filon
 
 __all__ = [
     "GreenTable",
     "NearZeroDivisor",
     "GridMismatch",
-    "m_f",
     "green_table",
     "convolve_green",
     "dyadic_envelope",
@@ -68,45 +59,6 @@ class GreenTable:
     values: np.ndarray
     theta0: float
     tau_max_used: float
-
-
-def _support_time(m: Marginal, k: float) -> float:
-    return 1.05 * m.t_support / (2.0 * k)
-
-
-def m_f(m: Marginal, k: float, taus, gamma: float = 0.0,
-        tol_abs: float = 1e-11):
-    """m_f(gamma + i tau, k) for a whole array of real tau, gamma >= 0,
-    k > 0, in one Filon pass; returns the values and one error estimate.
-
-    exp(-gamma t) is sampled with phi_hat, and the integral stops at
-    60/gamma when that comes first, adding its tail bound to the estimate.
-    Raises UnresolvedOscillation when the sample cap stops the pass short
-    of tol_abs.
-    """
-    if k <= 0:
-        raise ValueError("m_f needs k > 0")
-    if gamma < 0:
-        raise ValueError("m_f needs gamma = Re lambda >= 0")
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    T = _support_time(m, k)
-    tail = 0.0
-    if gamma * T > 60.0:
-        T = 60.0 / gamma
-        tail = np.exp(-60.0) * m.phi_hat_l1 / (2.0 * k)
-    if gamma > 0:
-        sample = lambda t: m.phi_hat(2.0 * k * t) * np.exp(-gamma * t)
-    else:
-        sample = lambda t: m.phi_hat(2.0 * k * t)
-    # one transform per shifted copy, so a uniform tau grid stays uniform;
-    # the cap stops the doubling at 2^21 + 1 samples
-    r = refine_filon(sample, 0.0, T, (taus - k * k, taus + k * k), 4097,
-                     tol_abs, 2 ** 22)
-    if r.gap > tol_abs:
-        raise UnresolvedOscillation(
-            f"m_f at k = {k:g}: filon grid capped at "
-            f"{r.samples.size} samples, error estimate {r.gap:g}")
-    return -1j * (r.transforms[0] - r.transforms[1]), 2.0 * (r.gap + tail)
 
 
 def _row_synthesis(m: Marginal, w: Potential, k: float, t_grid: np.ndarray,

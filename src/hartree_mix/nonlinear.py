@@ -347,16 +347,23 @@ def _updater(state: KernelState, w: Potential, f: EquilibriumProfile):
     return update
 
 
+def _box_shift(state: KernelState, sign: int):
+    """Sparse (k, p) indices of the (n,)*(2d) grid, the index of k + sign p
+    on each axis, and the mask where every such index stays in the box."""
+    d, n = state.d, state.n_pts
+    idx = np.indices((n,) * (2 * d), sparse=True)
+    m = [idx[ax] + sign * (idx[d + ax] - (n - 1) // 2) for ax in range(d)]
+    return idx, m, np.all(np.broadcast_arrays(
+        *[(x >= 0) & (x < n) for x in m]), axis=0)
+
+
 def _linear_coefficient(state: KernelState, w: Potential,
                         f: EquilibriumProfile):
     """The linear term's time-independent factor w_hat(k+p) (f(|p|^2) -
     f(|k|^2)), zero where k + p leaves the box, and the fraction of its
     absolute mass that falls there."""
     d, n, axis = state.d, state.n_pts, state.axis
-    idx = np.indices((n,) * (2 * d), sparse=True)
-    m = [idx[ax] + idx[d + ax] - (n - 1) // 2 for ax in range(d)]
-    ok_mask = np.all(np.broadcast_arrays(*[(x >= 0) & (x < n) for x in m]),
-                     axis=0)
+    idx, _, ok_mask = _box_shift(state, 1)
     kp = np.sqrt(sum((axis[idx[ax]] + axis[idx[d + ax]]) ** 2
                      for ax in range(d)))
     f_of = np.asarray(f.f(_ksq_grid(axis, d)))
@@ -410,10 +417,7 @@ def _slot_matrix(n: int) -> np.ndarray:
 def _shift_gather(state: KernelState):
     """Mask and index tuple that gather mu_hat(t, k-p, p) from a slice."""
     d, n = state.d, state.n_pts
-    idx = np.indices((n,) * (2 * d), sparse=True)
-    m = [idx[ax] - idx[d + ax] + (n - 1) // 2 for ax in range(d)]
-    valid = np.all(np.broadcast_arrays(*[(x >= 0) & (x < n) for x in m]),
-                   axis=0)
+    idx, m, valid = _box_shift(state, -1)
     return valid, tuple(np.clip(x, 0, n - 1) for x in m) + idx[d:]
 
 

@@ -35,9 +35,6 @@ __all__ = [
     "SUBCOMMANDS",
 ]
 
-SUBCOMMANDS = ("marginal", "dispersion", "stability", "green", "free",
-               "linear", "nonlinear", "report")
-
 
 class ConfigError(Exception):
     """Malformed run configuration; the message names the field."""
@@ -621,6 +618,7 @@ _COMMANDS = {
     "nonlinear": _cmd_nonlinear,
     "report": _cmd_report,
 }
+SUBCOMMANDS = tuple(_COMMANDS)
 
 
 def run(cfg: RunConfig, subcommand: str) -> int:

@@ -12,16 +12,17 @@ import numpy as np
 import pytest
 from scipy.special import wofz
 
+from hartree_mix.dispersion import m_f
 from hartree_mix.dynamics import DensityTrajectory, volterra_kernel, volterra_march
 from hartree_mix.green import (
     GreenTable,
     GridMismatch,
+    NearZeroDivisor,
     convolve_green,
     dyadic_envelope,
     green_table,
-    m_f,
 )
-from hartree_mix.profiles import Potential
+from hartree_mix.profiles import Potential, screened_coulomb
 from hartree_mix.quadrature import UnresolvedOscillation
 
 
@@ -95,6 +96,16 @@ class TestRowSynthesis:
             tab = green_table(gauss3, w, ks, ts)
             assert np.all(tab.values == 0.0)
             assert tab.tau_max_used == 0.0
+
+    def test_floor_guards_the_division(self, gauss3):
+        # a weak coupling keeps |D| >= 0.934 at k = 1: under the floor
+        # theta0/2 = 1.5, over 0.25
+        ts = np.linspace(0.0, 5.0, 51)
+        w = screened_coulomb(0.1, 1.0)
+        with pytest.raises(NearZeroDivisor,
+                           match=r"\|D\| = 0.934 below floor 1.5 at k = 1"):
+            green_table(gauss3, w, [1.0], ts, theta0=3.0)
+        assert green_table(gauss3, w, [1.0], ts, theta0=0.5).theta0 == 0.5
 
     def test_table_shape_and_metadata(self, gauss3, coulomb):
         ks = np.array([0.3, 0.8])

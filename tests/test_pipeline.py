@@ -499,6 +499,16 @@ class TestCliStages:
         assert all(("slope" in f) or ("error" in f) for f in fits.values())
         assert all(f["samples"] == 0 for f in fits.values())
 
+    def test_report_stage_collects_outputs(self, cfg_path):
+        path, out = cfg_path
+        assert main(["free", "--config", str(path)]) == 0
+        assert main(["report", "--config", str(path)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        # the miniature grid: 4 k rows by 9 times
+        assert report["csv"]["free.csv"] == {"rows": 36}
+        assert report["json"]["free_decay.json"] == \
+            json.loads((out / "free_decay.json").read_text())
+
     @pytest.mark.parametrize("window, k_min_t_hi", [((5.0, 50.0), 2.5),
                                                      ((5.0, 20.0), 1.0)])
     def test_decay_payload_carries_k_resolution(self, window, k_min_t_hi):
@@ -700,6 +710,31 @@ class TestStartup:
         report = json.loads((tmp_path / "fermi5" / "stability.json")
                             .read_text())
         assert report["verdict"] == "Unstable"
+
+
+class TestLayering:
+    # the package's module graph runs one way: a module imports only
+    # modules of a lower rank, so the dispersion engine loads without the
+    # Green rows built on it
+    RANKS = {"quadrature": 0, "profiles": 1, "dispersion": 2, "dynamics": 2,
+             "stability": 3, "green": 3, "nonlinear": 3, "pipeline": 4,
+             "cli": 5}
+
+    def test_modules_import_only_lower_layers(self):
+        src = Path(hartree_mix.__file__).parent
+        assert {p.stem for p in src.glob("*.py")} == \
+            set(self.RANKS) | {"__init__"}
+        upward = []
+        for mod, rank in self.RANKS.items():
+            for node in ast.walk(ast.parse((src / f"{mod}.py").read_text())):
+                if not (isinstance(node, ast.ImportFrom) and node.level):
+                    continue
+                # ``from .mod import x`` or ``from . import mod [as alias]``
+                names = [node.module] if node.module else [
+                    a.name for a in node.names if a.name != "__version__"]
+                upward += [f"{mod} -> {name}" for name in names
+                           if self.RANKS[name] >= rank]
+        assert upward == []
 
 
 class TestTracerContract:

@@ -103,7 +103,7 @@ class TestFilonChirpZ:
     @pytest.mark.parametrize("n, omegas, x0, h", [
         (4097, np.linspace(0.5, 60.0, 551), -3.0, 0.004),      # ascending
         (4097, np.linspace(45.0, -12.0, 551), 1.5, 0.004),     # descending
-        # through 0, shifted like the tau grids of green.m_f
+        # through 0, shifted like the tau grids of dispersion.m_f
         (1025, np.linspace(-30.7, 30.7, 501) + 0.7 ** 2, -2.0, 0.02),
         (1025, 0.35 + 0.07 * np.arange(501), 0.25, 0.02),      # arange-built
     ])
