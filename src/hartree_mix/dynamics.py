@@ -27,7 +27,7 @@ which is the quantity the decay fits run on.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +36,7 @@ from .profiles import Marginal, Potential, sphere_area
 __all__ = [
     "InitialKernel",
     "DensityTrajectory",
-    "NonRadialInput",
     "StepTooLarge",
-    "gaussian_pure_kernel",
     "free_density_trajectory",
     "volterra_kernel",
     "volterra_march",
@@ -48,10 +46,6 @@ __all__ = [
 ]
 
 
-class NonRadialInput(Exception):
-    """Radial-only reduction was asked to process a cartesian trajectory."""
-
-
 class StepTooLarge(UserWarning):
     """Trapezoid correction factor is far from 1; the time step is suspect."""
 
@@ -59,8 +53,9 @@ class StepTooLarge(UserWarning):
 @dataclass(frozen=True)
 class InitialKernel:
     """The Gaussian initial datum G0(k, p) = epsilon exp(-(|k|^2 +
-    |p|^2)/(4 alpha)) in dimension d; the free density and the nonlinear
-    box both run on it."""
+    |p|^2)/(4 alpha)) in dimension d, the kernel transform of gamma0(x, y)
+    = epsilon (alpha/pi)^d exp(-alpha(|x|^2 + |y|^2)); the free density
+    and the nonlinear box both run on it."""
 
     d: int
     alpha: float
@@ -71,22 +66,15 @@ class InitialKernel:
 class DensityTrajectory:
     """Fourier density rho_hat on a (k, t) product grid.
 
-    ``kind`` is "radial" (k_grid holds radii, data radial in k) or
-    "cartesian" (one row per point of a box grid, row-major, and k_grid
-    holds each point's |k|).  ``meta`` carries the dimension d, which the
-    sup-norm reconstruction requires, and may carry the decay weights N1,
-    N2 it checks the derivative order against.
+    ``k_grid`` holds the radii of a radial grid, or, for a box grid (one
+    row per point, row-major), each point's |k|.
     """
 
     k_grid: np.ndarray
     t_grid: np.ndarray
     rho_hat: np.ndarray
-    kind: str
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("radial", "cartesian"):
-            raise ValueError("kind must be 'radial' or 'cartesian'")
         if self.rho_hat.shape != (len(self.k_grid), len(self.t_grid)):
             raise ValueError("rho_hat must have shape (n_k, n_t)")
 
@@ -99,31 +87,11 @@ class DensityTrajectory:
 
 
 # ---------------------------------------------------------------------------
-# initial kernels
-
-
-def gaussian_pure_kernel(d: int, alpha: float = 1.0, *,
-                         hat_amplitude: float) -> InitialKernel:
-    """Pure Gaussian state, given by its kernel transform
-
-        G0(k, p) = hat_amplitude exp(-(|k|^2 + |p|^2)/(4 alpha)),
-
-    the transform of gamma0(x, y) = A exp(-alpha(|x|^2 + |y|^2)) with
-    A = hat_amplitude (alpha/pi)^d.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return InitialKernel(d=d, alpha=float(alpha),
-                         epsilon=float(hat_amplitude))
-
-
-# ---------------------------------------------------------------------------
 # free density
 
 
-def free_density_trajectory(g0: InitialKernel, k_grid, t_grid,
-                            N1: int | None = None,
-                            N2: int | None = None) -> DensityTrajectory:
+def free_density_trajectory(g0: InitialKernel, k_grid,
+                            t_grid) -> DensityTrajectory:
     """Tabulate the free density over a radial k grid and uniform times,
     from its closed form (module docstring)."""
     k_grid = np.asarray(k_grid, dtype=float)
@@ -132,11 +100,7 @@ def free_density_trajectory(g0: InitialKernel, k_grid, t_grid,
     k2 = (k_grid * k_grid)[:, None]
     rho = g0.epsilon * (2.0 * np.pi * alpha) ** (g0.d / 2.0) * np.exp(
         -k2 / (8.0 * alpha) - 2.0 * alpha * k2 * (t_grid * t_grid)) + 0.0j
-    meta = {"d": g0.d,
-            "N1": int(N1) if N1 is not None else g0.d + 1,
-            "N2": int(N2) if N2 is not None else g0.d + 1}
-    return DensityTrajectory(k_grid=k_grid, t_grid=t_grid, rho_hat=rho,
-                             kind="radial", meta=meta)
+    return DensityTrajectory(k_grid=k_grid, t_grid=t_grid, rho_hat=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -196,36 +160,24 @@ def volterra_solve(m: Marginal, w: Potential, S: DensityTrajectory) -> DensityTr
         K = np.array([volterra_kernel(m, w, float(abs(S.k_grid[i])), S.t_grid)
                       for i in modes])
         rho[modes] = volterra_march(K, S.rho_hat[modes], S.dt)
-    return DensityTrajectory(k_grid=S.k_grid, t_grid=S.t_grid, rho_hat=rho,
-                             kind=S.kind, meta=dict(S.meta))
+    return DensityTrajectory(k_grid=S.k_grid, t_grid=S.t_grid, rho_hat=rho)
 
 
 # ---------------------------------------------------------------------------
 # physical-space reconstruction
 
 
-def reconstruct_sup_norm(rho: DensityTrajectory, n: int = 0) -> np.ndarray:
-    """Fourier-mass majorant of sup_x |d^n rho(t, x)| per time.
+def reconstruct_sup_norm(rho: DensityTrajectory, d: int,
+                         n: int = 0) -> np.ndarray:
+    """Fourier-mass majorant of sup_x |d^n rho(t, x)| per time, for a
+    radial trajectory in dimension d.
 
     Returns rows (t, bound) with
 
         bound(t) = (2 pi)^{-d} |S^{d-1}| int r^{n+d-1} |rho_hat_r(t)| dr
 
-    over the stored radial grid.  The derivative order must respect the
-    trajectory's decay weights: n <= N3 = min(N1, N2) - d - 1.  The
-    trajectory's ``meta`` must name d (ValueError).
+    over the stored radial grid.
     """
-    if rho.kind != "radial":
-        raise NonRadialInput("sup-norm reconstruction needs a radial trajectory")
-    if "d" not in rho.meta:
-        raise ValueError("sup-norm reconstruction needs the dimension "
-                         "meta['d'] of the trajectory")
-    d = int(rho.meta["d"])
-    N1 = int(rho.meta.get("N1", d + 1))
-    N2 = int(rho.meta.get("N2", d + 1))
-    n3 = min(N1, N2) - d - 1
-    if n > n3:
-        raise ValueError(f"derivative order {n} exceeds N3 = {n3} for these weights")
     r = np.abs(rho.k_grid)
     weight = (2.0 * np.pi) ** (-d) * sphere_area(d) * r ** (n + d - 1)
     bounds = np.trapezoid(weight[:, None] * np.abs(rho.rho_hat), r, axis=0)

@@ -156,8 +156,7 @@ def convolve_green(G: GreenTable, S: DensityTrajectory) -> DensityTrajectory:
         full = np.fft.ifft(np.fft.fft(g, size) * np.fft.fft(s, size))[:n]
         full -= 0.5 * (g * s[0] + g[0] * s)
         rho[i] = s + dt * full
-    return DensityTrajectory(k_grid=S.k_grid, t_grid=S.t_grid, rho_hat=rho,
-                             kind=S.kind, meta=dict(S.meta))
+    return DensityTrajectory(k_grid=S.k_grid, t_grid=S.t_grid, rho_hat=rho)
 
 
 def dyadic_envelope(t_grid, values, t_min: float = 1.0,

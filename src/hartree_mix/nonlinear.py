@@ -227,22 +227,10 @@ def _central(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu[(Ellipsis,) + (c,) * d], mu[lead + (c,) * d]
 
 
-def _rho_grid(rho_hat: DensityTrajectory, state: KernelState) -> np.ndarray:
-    """Density history reshaped to (n_t,) + (n,)*d, grid-checked."""
-    n, d = state.n_pts, state.d
-    n_t = state.mu_hat.shape[0]
-    if rho_hat.rho_hat.shape[1] != n_t:
-        raise ValueError("density trajectory and state disagree on the time "
-                         "grid")
-    if rho_hat.rho_hat.shape[0] != n ** d:
-        raise ValueError("density trajectory is not on the state's box grid")
-    return np.moveaxis(rho_hat.rho_hat, -1, 0).reshape((n_t,) + (n,) * d)
-
-
 def _updater(state: KernelState, w: Potential, f: EquilibriumProfile):
-    """Return ``update(central, rho_hat)``, one full Duhamel update of the
-    profile against the density history ``rho_hat``, streamed node by
-    node.
+    """Return ``update(central, rows)``, one full Duhamel update of the
+    profile against the density history ``rows``, streamed node by node:
+    the (n^d, n_t) density rows, row-major flattened over the box grid.
 
     ``central`` holds the previous iterate's two central slices
     (``_central`` of its history), and node 0 is the state's own; an
@@ -299,9 +287,8 @@ def _updater(state: KernelState, w: Potential, f: EquilibriumProfile):
         sums *= -1j * dt
         return sums
 
-    def update(central: tuple[np.ndarray, np.ndarray],
-               rho_hat: DensityTrajectory):
-        rho = _rho_grid(rho_hat, state)
+    def update(central: tuple[np.ndarray, np.ndarray], rows: np.ndarray):
+        rho = np.moveaxis(rows, -1, 0).reshape((n_t,) + (n,) * d)
         # the shift terms need one (n,)*d slice per node, so every node's
         # convolutions run as one batch over the time axis, and both take
         # the one spectrum of the coefficient rows
@@ -470,8 +457,7 @@ def _cartesian_trajectory(state: KernelState,
                           rows: np.ndarray) -> DensityTrajectory:
     """Density rows, row-major flattened over the box grid, as a trajectory."""
     kmag = np.sqrt(_ksq_grid(state.axis, state.d)).ravel()
-    return DensityTrajectory(k_grid=kmag, t_grid=state.t_grid, rho_hat=rows,
-                             kind="cartesian", meta={"d": state.d})
+    return DensityTrajectory(k_grid=kmag, t_grid=state.t_grid, rho_hat=rows)
 
 
 def _synthesizer(state: KernelState, amps: np.ndarray):
@@ -593,14 +579,14 @@ def solve_bytes(d: int, n_pts: int, dt: float, t_max: float) -> int:
 
 
 def _sweep(update, density, central: tuple[np.ndarray, np.ndarray],
-           rho_hat: DensityTrajectory) -> np.ndarray:
+           rho: np.ndarray) -> np.ndarray:
     """One Picard sweep, streamed: the density rows (n^d, n_t) of the
-    update of the iterate whose central slices are ``central``.  Each
-    node's density row is synthesized as soon as the update writes its
-    slab, and the slab's central slices replace the previous iterate's
-    in ``central``."""
-    _, nodes = update(central, rho_hat)
-    rows = np.empty(rho_hat.rho_hat.shape, dtype=complex)
+    update against the density rows ``rho`` of the iterate whose central
+    slices are ``central``.  Each node's density row is synthesized as
+    soon as the update writes its slab, and the slab's central slices
+    replace the previous iterate's in ``central``."""
+    _, nodes = update(central, rho)
+    rows = np.empty(rho.shape, dtype=complex)
     for i, slab in enumerate(nodes()):
         rows[:, i] = density(i, slab)
         for kept, now in zip(central, _central(slab)):
@@ -678,7 +664,7 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
     bad = 0
     it = 0
     for it in range(1, _MAX_SWEEPS + 1):
-        rows = _sweep(update, density, central, rho)
+        rows = _sweep(update, density, central, rho.rho_hat)
         rows = rho.rho_hat + correct(rows - rho.rho_hat)
         # the oscillatory p-quadrature carries a small non-Hermitian error
         # (its endpoint corrections sit at fixed grid slots and do not pair
@@ -719,7 +705,7 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
     # density, not the one from the previous sweep; it synthesizes no
     # density, so the synthesis and linear-stage tables go first
     del density, correct
-    leak, nodes = update(central, rho)
+    leak, nodes = update(central, rho.rho_hat)
     x, profile = _closing_pass(state, nodes, n2)
     report = SolveReport(iterations=it, distances=tuple(distances),
                          contraction_factors=tuple(ratios), leakage=leak)

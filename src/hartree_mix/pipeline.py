@@ -206,7 +206,7 @@ def parse_config(doc: dict, out: str | None = None,
     alpha = _number(_group(doc, "initial", False), "initial.", "alpha", 1.0)
     if not alpha > 0:
         raise ConfigError("field 'initial.alpha': must be positive")
-    kernel = dynamics.gaussian_pure_kernel(d, alpha, hat_amplitude=epsilon)
+    kernel = dynamics.InitialKernel(d=d, alpha=alpha, epsilon=epsilon)
     tol = _group(doc, "tolerances", False)
     # decay diagnostics only need table entries well above the fit floor;
     # the library default 1e-10 is for solver-grade tables
@@ -514,7 +514,7 @@ def _cmd_green(cfg: RunConfig, out: str) -> int:
 def _decay_payload(cfg: RunConfig, traj: dynamics.DensityTrajectory) -> dict:
     fits = {}
     for n in range(min(cfg.n3, 2) + 1):
-        rows = dynamics.reconstruct_sup_norm(traj, n=n)
+        rows = dynamics.reconstruct_sup_norm(traj, cfg.d, n=n)
         fits[str(n)] = _fit_or_note(rows, cfg.fit_window)
     # the sup norms' power law comes from k ~ 1/t, and the grid holds no
     # mode below k_min, so a slope means the rate only while
@@ -534,8 +534,8 @@ def _traj_rows(traj: dynamics.DensityTrajectory) -> np.ndarray:
 
 
 def _cmd_free(cfg: RunConfig, out: str) -> int:
-    traj = dynamics.free_density_trajectory(
-        cfg.kernel, _k_grid(cfg), _t_grid(cfg), N1=cfg.n1, N2=cfg.n2)
+    traj = dynamics.free_density_trajectory(cfg.kernel, _k_grid(cfg),
+                                            _t_grid(cfg))
     _write_csv(os.path.join(out, "free.csv"),
                ["t", "k", "re_rho", "im_rho"], _traj_rows(traj))
     _write_json(os.path.join(out, "free_decay.json"), _decay_payload(cfg, traj))
@@ -544,8 +544,8 @@ def _cmd_free(cfg: RunConfig, out: str) -> int:
 
 def _cmd_linear(cfg: RunConfig, out: str) -> int:
     m = _marginal(cfg, out)
-    source = dynamics.free_density_trajectory(
-        cfg.kernel, _k_grid(cfg), _t_grid(cfg), N1=cfg.n1, N2=cfg.n2)
+    source = dynamics.free_density_trajectory(cfg.kernel, _k_grid(cfg),
+                                              _t_grid(cfg))
     traj = dynamics.volterra_solve(m, cfg.potential, source)
     _write_csv(os.path.join(out, "linear.csv"),
                ["t", "k", "re_rho", "im_rho"], _traj_rows(traj))

@@ -110,12 +110,14 @@ class EquilibriumProfile:
             raise ValueError("upsilon must be positive (inf for full support)")
 
 
-def _declared_decay_constant(f, n1, upsilon):
-    """max_e |f(e)| <e>^{n1} over a probe grid, slightly inflated."""
-    hi = min(upsilon ** 2, 1e6) if np.isfinite(upsilon) else 1e6
-    e = np.concatenate([np.linspace(0.0, min(hi, 50.0), 2001),
-                        np.geomspace(max(min(hi, 50.0), 1e-3), hi, 501)])
-    vals = np.abs(np.asarray(f(e))) * np.hypot(1.0, e) ** n1
+def _declared_decay_constant(f, df, n1):
+    """max_e of |f(e)| <e>^{n1} and |f'(e)| <e>^{n1+1} over a probe grid
+    of a full-support profile, slightly inflated: the C that the decay
+    check bounds both against."""
+    e = np.concatenate([np.linspace(0.0, 50.0, 2001),
+                        np.geomspace(50.0, 1e6, 501)])
+    vals = [np.abs(np.asarray(f(e))) * np.hypot(1.0, e) ** n1,
+            np.abs(np.asarray(df(e))) * np.hypot(1.0, e) ** (n1 + 1.0)]
     return 1.05 * float(np.max(vals)) + 1e-300
 
 
@@ -130,7 +132,7 @@ def gaussian_profile(d: int, scale: float = 1.0, amplitude: float = 1.0,
     n1 = float(n1) if n1 is not None else float(d + 1)
     return EquilibriumProfile(
         kind="gaussian", d=d, f=f, df=df, n0=math.inf, n1=n1,
-        upsilon=math.inf, decay_constant=_declared_decay_constant(f, n1, math.inf),
+        upsilon=math.inf, decay_constant=_declared_decay_constant(f, df, n1),
         params={"scale": scale, "amplitude": amplitude})
 
 
@@ -192,9 +194,10 @@ def power_decay_profile(d: int, n1: float) -> EquilibriumProfile:
     f = lambda e: (1.0 + np.asarray(e, dtype=float) ** 2) ** (-n1 / 2.0)
     df = lambda e: -n1 * np.asarray(e, dtype=float) * \
         (1.0 + np.asarray(e, dtype=float) ** 2) ** (-n1 / 2.0 - 1.0)
+    # |f| <e>^{n1} = 1 and |f'| <e>^{n1+1} = n1 e / <e> rises to n1
     return EquilibriumProfile(
         kind="power_decay", d=d, f=f, df=df, n0=math.inf, n1=n1,
-        upsilon=math.inf, decay_constant=1.0, params={"n1": n1})
+        upsilon=math.inf, decay_constant=float(n1), params={"n1": n1})
 
 
 @dataclass(frozen=True)
@@ -681,8 +684,10 @@ def shifted_l2_difference(prof: EquilibriumProfile, k: float) -> float:
     if np.isfinite(prof.upsilon):
         box = 2.0 * prof.upsilon + 2.0 * abs(k) + 1.0
     else:
-        box = 2.0 * _support_radius(lambda e: prof.f(np.abs(e)), 1.0,
-                                    1e-14) + 2.0 * abs(k)
+        # the radius is in e = |p|^2, and g(p) = f(|p|^2 / 4) is negligible
+        # past |p| = 2 sqrt(e*)
+        box = 2.0 * np.sqrt(_support_radius(lambda e: prof.f(np.abs(e)),
+                                            1.0, 1e-14)) + 2.0 * abs(k)
 
     g = lambda p1, r2: np.asarray(prof.f((np.asarray(p1) ** 2 + r2) / 4.0))
     xl, wl = leggauss(64)

@@ -206,19 +206,19 @@ def test_criterion_4_green_decay(gauss3, coulomb):
 
 def test_criterion_5_phase_mixing_exponents(gauss3):
     t0 = time.time()
-    g0 = dyn.gaussian_pure_kernel(3, hat_amplitude=np.pi ** 3)
+    g0 = dyn.InitialKernel(d=3, alpha=1.0, epsilon=np.pi ** 3)
     w = screened_coulomb(0.1, 1.0)
     ks = np.linspace(0.004, 2.0, 250)
     ts = np.linspace(0.0, 55.0, 551)
-    free = dyn.free_density_trajectory(g0, ks, ts, N1=6, N2=6)
+    free = dyn.free_density_trajectory(g0, ks, ts)
     lin = dyn.volterra_solve(gauss3, w, free)
 
     bands = {0: (-3.0, 0.3), 1: (-4.0, 0.3), 2: (-5.0, 0.4)}
     details = []
     for n, (target, halfw) in bands.items():
-        sf = fit_decay(dyn.reconstruct_sup_norm(free, n),
+        sf = fit_decay(dyn.reconstruct_sup_norm(free, 3, n),
                        window=(5.0, 50.0)).slope
-        sl = fit_decay(dyn.reconstruct_sup_norm(lin, n),
+        sl = fit_decay(dyn.reconstruct_sup_norm(lin, 3, n),
                        window=(5.0, 50.0)).slope
         assert abs(sf - target) <= halfw, f"free n={n}: {sf:.3f}"
         assert abs(sl - target) <= halfw, f"linear n={n}: {sl:.3f}"
@@ -241,8 +241,7 @@ def test_criterion_6_two_solver_agreement(gauss3, coulomb):
     ts = np.arange(0.0, 10.0 + dt / 2, dt)
     src = np.exp(-ts)[None, :] * np.exp(-ks * ks)[:, None] + 0.0j
     src /= np.max(np.abs(src))
-    S = dyn.DensityTrajectory(k_grid=ks, t_grid=ts, rho_hat=src,
-                              kind="radial", meta={"d": 3})
+    S = dyn.DensityTrajectory(k_grid=ks, t_grid=ts, rho_hat=src)
 
     direct = dyn.volterra_solve(gauss3, coulomb, S)
     tab = grn.green_table(gauss3, coulomb, ks, ts, tol=1e-8)
@@ -266,7 +265,7 @@ def test_criterion_7_nonlinear_structure(gauss1):
     w = screened_coulomb(0.5, 1.0)
 
     def kernel(amplitude):
-        return dyn.gaussian_pure_kernel(1, 0.125, hat_amplitude=amplitude)
+        return dyn.InitialKernel(d=1, alpha=0.125, epsilon=amplitude)
 
     profile, rho, _, report = nl.solve_selfconsistent(kernel(eps), f1, w)
     max_ratio = max(report.contraction_factors)
@@ -305,7 +304,7 @@ def test_criterion_7_nonlinear_structure(gauss1):
 @pytest.mark.slow
 def test_criterion_7_optional_d3_run():
     t0 = time.time()
-    g0 = dyn.gaussian_pure_kernel(3, 0.125, hat_amplitude=1e-2)
+    g0 = dyn.InitialKernel(d=3, alpha=0.125, epsilon=1e-2)
     profile, _, _, report = nl.solve_selfconsistent(
         g0, gaussian_profile(3), screened_coulomb(0.5, 1.0),
         n_pts=9, t_max=3.0)

@@ -8,18 +8,13 @@ solver has the constant-kernel exponential as its oracle.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from hartree_mix.dynamics import (
-    DensityTrajectory,
-    NonRadialInput,
+    InitialKernel,
     free_density_trajectory,
-    gaussian_pure_kernel,
-    reconstruct_sup_norm,
     volterra_kernel,
     volterra_march,
     volterra_solve,
@@ -30,10 +25,10 @@ from hartree_mix.profiles import screened_coulomb
 # the two pure Gaussians with closed-form free densities:
 # d -> (kernel, rho0_hat(t, k) on rows k[:, None] and times t)
 _GAUSSIANS = {
-    1: (gaussian_pure_kernel(1, 0.125, hat_amplitude=1e-2),
+    1: (InitialKernel(d=1, alpha=0.125, epsilon=1e-2),
         lambda k, t: 1e-2 * np.sqrt(np.pi) / 2.0
         * np.exp(-k * k - (k * t) ** 2 / 4.0)),
-    3: (gaussian_pure_kernel(3, hat_amplitude=np.pi ** 3),
+    3: (InitialKernel(d=3, alpha=1.0, epsilon=np.pi ** 3),
         lambda k, t: np.sqrt(8.0) * np.pi ** 4.5
         * np.exp(-k * k / 8.0 - 2.0 * (k * t) ** 2)),
 }
@@ -99,10 +94,8 @@ class TestFreeStreaming:
             assert np.max(np.abs(got - want)) <= 1e-10 * abs(got[0])
 
     def test_trajectory_carries_weights(self):
-        g0 = gaussian_pure_kernel(3, hat_amplitude=np.pi ** 3)
-        tr = free_density_trajectory(g0, [0.2, 0.5], np.linspace(0, 2, 21),
-                                     N1=6, N2=5)
-        assert tr.meta["N1"] == 6 and tr.meta["N2"] == 5
+        g0 = InitialKernel(d=3, alpha=1.0, epsilon=np.pi ** 3)
+        tr = free_density_trajectory(g0, [0.2, 0.5], np.linspace(0, 2, 21))
         assert tr.rho_hat.shape == (2, 21)
         assert tr.dt == pytest.approx(0.1)
 
@@ -165,7 +158,7 @@ class TestBatchedMarch:
 
 class TestDressing:
     def test_weak_coupling_stays_near_free(self, gauss3):
-        g0 = gaussian_pure_kernel(3, hat_amplitude=np.pi ** 3)
+        g0 = InitialKernel(d=3, alpha=1.0, epsilon=np.pi ** 3)
         w = screened_coulomb(0.01, 1.0)
         ks = np.linspace(0.05, 1.5, 30)
         ts = np.linspace(0.0, 8.0, 161)
@@ -174,37 +167,3 @@ class TestDressing:
         scale = np.max(np.abs(free.rho_hat))
         assert np.max(np.abs(lin.rho_hat - free.rho_hat)) < 0.05 * scale
 
-
-class TestReconstruction:
-    @staticmethod
-    @functools.cache
-    def _traj():
-        g0 = gaussian_pure_kernel(3, hat_amplitude=np.pi ** 3)
-        return free_density_trajectory(g0, np.linspace(0.01, 3.0, 120),
-                                       np.linspace(0.0, 5.0, 26),
-                                       N1=6, N2=6)
-
-    def test_derivative_order_cap(self):
-        tr = self._traj()
-        # N3 = min(6, 6) - 3 - 1 = 2
-        reconstruct_sup_norm(tr, 2)
-        with pytest.raises(ValueError):
-            reconstruct_sup_norm(tr, 3)
-
-    def test_needs_radial_rows(self):
-        tr = self._traj()
-        boxed = DensityTrajectory(k_grid=tr.k_grid, t_grid=tr.t_grid,
-                                  rho_hat=tr.rho_hat, kind="cartesian",
-                                  meta=tr.meta)
-        with pytest.raises(NonRadialInput):
-            reconstruct_sup_norm(boxed, 0)
-
-    def test_needs_the_dimension(self):
-        # no d in meta: the weight r^(n + d - 1) and the sphere area
-        # depend on it, so no dimension is assumed
-        tr = self._traj()
-        bare = DensityTrajectory(k_grid=tr.k_grid, t_grid=tr.t_grid,
-                                 rho_hat=tr.rho_hat, kind="radial",
-                                 meta={"N1": 6, "N2": 6})
-        with pytest.raises(ValueError, match=r"meta\['d'\]"):
-            reconstruct_sup_norm(bare, 0)

@@ -122,8 +122,7 @@ class TestConvolution:
         ts = np.linspace(0.0, 4.0, 81)
         ks = np.array([0.5, 1.0])
         rho = np.exp(-ts)[None, :] * np.exp(-ks * ks)[:, None] + 0.0j
-        return DensityTrajectory(k_grid=ks, t_grid=ts, rho_hat=rho,
-                                 kind="radial", meta={"d": 3})
+        return DensityTrajectory(k_grid=ks, t_grid=ts, rho_hat=rho)
 
     def test_zero_kernel_is_identity(self):
         src = self._source()

@@ -17,8 +17,8 @@ from scipy.linalg import solve_triangular
 
 from hartree_mix.dynamics import (
     DensityTrajectory,
+    InitialKernel,
     free_density_trajectory,
-    gaussian_pure_kernel,
     volterra_solve,
     y_norm,
 )
@@ -53,7 +53,7 @@ EPS = 1e-2
 
 def _kernel(eps: float = EPS, d: int = 1):
     # gamma0_hat = eps exp(-2(|k|^2 + |p|^2))
-    return gaussian_pure_kernel(d, 0.125, hat_amplitude=eps)
+    return InitialKernel(d=d, alpha=0.125, epsilon=eps)
 
 
 def _picard_step(state, rho_hat, w, f):
@@ -61,7 +61,8 @@ def _picard_step(state, rho_hat, w, f):
     streamed update's slabs gathered into a fresh history, and its
     leakage."""
     new_mu = np.empty(state.mu_hat.shape, dtype=complex)
-    leak, nodes = _updater(state, w, f)(_central(state.mu_hat), rho_hat)
+    leak, nodes = _updater(state, w, f)(_central(state.mu_hat),
+                                        rho_hat.rho_hat)
     for i, slab in enumerate(nodes()):
         new_mu[i] = slab
     return new_mu, leak
@@ -241,7 +242,7 @@ class TestPicardStep:
         mu = rng.standard_normal((3, 9, 9)) + 1j * rng.standard_normal((3, 9, 9))
         state = KernelState(axis=axis, mu_hat=mu, d=1, dt=0.1)
         rho = DensityTrajectory(
-            k_grid=axis, t_grid=state.t_grid, kind="cartesian",
+            k_grid=axis, t_grid=state.t_grid,
             rho_hat=rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3)))
         w, f = screened_coulomb(0.5, 1.0), gaussian_profile(1)
         got, _ = _picard_step(state, rho, w, f)
@@ -255,7 +256,7 @@ def _random_state(rng, d, n, n_t):
     mu = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     state = KernelState(axis=axis, mu_hat=mu, d=d, dt=0.1)
     rho = DensityTrajectory(
-        k_grid=np.zeros(n ** d), t_grid=state.t_grid, kind="cartesian",
+        k_grid=np.zeros(n ** d), t_grid=state.t_grid,
         rho_hat=(rng.standard_normal((n ** d, n_t))
                  + 1j * rng.standard_normal((n ** d, n_t))))
     return state, rho
@@ -626,14 +627,14 @@ class TestStreamedSweep:
             replace(state, mu_hat=want)).rho_hat
         update = _updater(state, w, f)
         central = tuple(np.array(s) for s in _central(state.mu_hat))
-        leak, nodes = update(central, rho)
+        leak, nodes = update(central, rho.rho_hat)
         assert leak == want_leak
         for i, slab in enumerate(nodes()):
             np.testing.assert_array_equal(slab, want[i])
         # the sweep synthesizes each node as it streams and keeps the new
         # iterate's central slices in place of the old ones
         rows = _sweep(update, _synthesizer(state, _amplitudes(state)),
-                      central, rho)
+                      central, rho.rho_hat)
         np.testing.assert_array_equal(rows, want_rows)
         for kept, slices in zip(central, _central(want)):
             np.testing.assert_array_equal(kept, slices)
@@ -721,8 +722,7 @@ class TestFailedSolves:
     def test_overflow_to_nan_raises(self):
         # the distances run past 1e250 and overflow to NaN, which no ratio
         # test catches
-        g0 = gaussian_pure_kernel(1, 0.125,
-                                  hat_amplitude=1e30 * np.pi / 0.125)
+        g0 = InitialKernel(d=1, alpha=0.125, epsilon=1e30 * np.pi / 0.125)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.warns(RuntimeWarning, match="perturbative"), \
                 pytest.raises(NoContraction, match="nan"):

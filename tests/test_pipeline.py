@@ -339,8 +339,7 @@ class TestWriteCsv:
 class TestYNorm:
     def test_single_entry_weight(self):
         tr = DensityTrajectory(k_grid=np.array([2.0]), t_grid=np.array([3.0]),
-                               rho_hat=np.array([[1.0 + 0j]]), kind="radial",
-                               meta={})
+                               rho_hat=np.array([[1.0 + 0j]]))
         want = (1.0 + 36.0) ** 1.0 * np.sqrt(5.0)
         assert y_norm(tr, 2, 1) == pytest.approx(want, rel=1e-12)
 
@@ -442,7 +441,7 @@ class TestCliStages:
         assert (out / "marginal_hat.csv").exists()
         report = json.loads((out / "marginal.json").read_text())
         assert "total_mass" in report
-        assert report["ok"] in (True, False)
+        assert report["ok"] is True
 
     def test_later_stages_load_the_marginal_stage_file(self, tmp_path,
                                                        cfg_path, monkeypatch):
@@ -499,6 +498,16 @@ class TestCliStages:
         assert all(("slope" in f) or ("error" in f) for f in fits.values())
         assert all(f["samples"] == 0 for f in fits.values())
 
+    def test_linear_stage_writes_rows_and_fits(self, cfg_path):
+        path, out = cfg_path
+        assert main(["linear", "--config", str(path)]) == 0
+        with open(out / "linear.csv") as fh:
+            # the miniature grid: 4 k rows by 9 times, under one header
+            assert sum(1 for _ in fh) == 1 + 36
+        decay = json.loads((out / "linear_decay.json").read_text())
+        # N3 = min(6, 4) - 3 - 1 = 0: the density itself, no derivative
+        assert set(decay["sup_norm_fits"]) == {"0"}
+
     def test_report_stage_collects_outputs(self, cfg_path):
         path, out = cfg_path
         assert main(["free", "--config", str(path)]) == 0
@@ -520,10 +529,23 @@ class TestCliStages:
             tolerances={"fit_window": list(window)}))
         traj = free_density_trajectory(
             cfg.kernel, np.linspace(cfg.k_min, cfg.k_max, cfg.k_count),
-            np.arange(501) * cfg.dt, N1=cfg.n1, N2=cfg.n2)
+            np.arange(501) * cfg.dt)
         payload = _decay_payload(cfg, traj)
         assert payload["k_count"] == 40
         assert payload["k_min_t_hi"] == pytest.approx(k_min_t_hi, rel=1e-15)
+
+    @pytest.mark.parametrize("d, n1, n2, orders", [
+        (3, 6, 4, {"0"}), (3, 6, 5, {"0", "1"}), (3, 7, 6, {"0", "1", "2"}),
+        (1, 6, 6, {"0", "1", "2"})])
+    def test_decay_payload_fits_orders_up_to_n3_capped_at_2(
+            self, d, n1, n2, orders):
+        # N3 = min(N1, N2) - d - 1 is 0, 1, 2 and 4 here; the payload fits
+        # the sup norms of n = 0 .. min(N3, 2) derivatives
+        cfg = parse_config(_doc(d=d, N1=n1, N2=n2))
+        traj = free_density_trajectory(
+            cfg.kernel, np.linspace(cfg.k_min, cfg.k_max, cfg.k_count),
+            np.arange(9) * cfg.dt)
+        assert set(_decay_payload(cfg, traj)["sup_norm_fits"]) == orders
 
     def test_stability_stage_writes_phi_curve_where_phi_is_finite(
             self, tmp_path):

@@ -211,6 +211,15 @@ class TestShiftedDifference:
         assert abs(r1 - r2) < 1e-2 * abs(r2)
         assert 0.0 < r2 < 100.0
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gaussian_closed_form(self, d):
+        # g(p) = exp(-|p|^2/4): 2 int g^2 - 2 int g(p - k e1) g(p + k e1)
+        # = 2 (2 pi)^(d/2) (1 - exp(-k^2/2))
+        for k in (1e-3, 0.1, 0.3, 1.0, 2.5):
+            want = -2.0 * (2.0 * np.pi) ** (d / 2.0) * np.expm1(-k * k / 2.0)
+            got = shifted_l2_difference(gaussian_profile(d), k)
+            assert got == pytest.approx(want, rel=1e-12, abs=0), k
+
     def test_bounded_on_unit_range(self):
         prof = gaussian_profile(3)
         for k in (0.1, 0.5, 1.0):
@@ -244,6 +253,21 @@ class TestAssumptionReport:
         assert {"positivity", "potential_finite_at_zero",
                 "marginal_decreasing"} <= names
         assert all(c.status != "fail" for c in rep.checks)
+
+    @pytest.mark.parametrize("prof", [
+        gaussian_profile(1), gaussian_profile(3), gaussian_profile(5),
+        gaussian_profile(2, scale=2.0, amplitude=3.0),
+        gaussian_profile(3, scale=0.3, n1=7), power_decay_profile(1, 3),
+        power_decay_profile(2, 3), power_decay_profile(3, 4)],
+        ids=["gauss1", "gauss3", "gauss5", "gauss2-wide", "gauss3-narrow",
+             "power1", "power2", "power3"])
+    def test_full_support_profiles_meet_their_declared_decay(self, prof,
+                                                             gauss3):
+        # the check bounds |f| <e>^n1 and |f'| <e>^(n1+1) by the declared
+        # C; it reads only the profile, so one marginal serves every case
+        rep = validate_assumptions(prof, screened_coulomb(1.0, 1.0), gauss3)
+        decay = next(c for c in rep.checks if c.name == "decay")
+        assert decay.status == "pass", decay.detail
 
 
 class TestNumpyKernels:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from hartree_mix import stability
-from hartree_mix.profiles import delta_potential
+from hartree_mix.profiles import delta_potential, screened_coulomb
 from hartree_mix.stability import (
     ContourTooCoarse,
     certify,
@@ -151,6 +151,29 @@ class TestCertify:
         assert cert.verdict == "Stable"
         assert cert.theta0 is not None and 0.15 < cert.theta0 < 0.25
         assert all(wc.winding == 0 for wc in cert.winding_checks)
+
+    def test_binding_inter_row_gap_inserts_k_rows(self, gauss3,
+                                                  monkeypatch):
+        # the dense boundary scan samples k = 0 and 24 geometric k rows; at
+        # coupling 2 the gap between two adjacent rows binds the continuity
+        # floor, and certify inserts k rows until it no longer does
+        def dense_rows(coupling):
+            sizes = []
+            row = stability.dispersion_row
+
+            def counted(*args):
+                sizes.append(np.size(args[3]))
+                return row(*args)
+            monkeypatch.setattr(stability, "dispersion_row", counted)
+            cert = certify(gauss3, screened_coulomb(coupling, 1.0))
+            monkeypatch.undo()
+            return cert, sizes.count(max(sizes))
+
+        assert dense_rows(0.1)[1] == 25
+        cert, rows = dense_rows(2.0)
+        assert rows == 25 + 3
+        assert cert.verdict == "Stable"
+        assert cert.theta0 == pytest.approx(0.0269920617, rel=1e-6)
 
     def test_d3_zero_temperature_divergence(self, fermi3):
         cert = certify(fermi3, delta_potential(0.1))
