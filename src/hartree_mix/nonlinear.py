@@ -58,9 +58,10 @@ Everything is dimension-generic; the supported workhorse is d = 1 with
 warning (one node's slab alone is 9^6 complex numbers).  A solve holds a
 few slabs and the shift terms' central slices, spectra, density rows and
 amplitude table, n_t rows each of (n,)*d or smaller
-(``solve_bytes`` counts them).  A ``KernelState`` of distinct slabs
-at every node is formed only by the tests' reference routes: the solve's
-initial state repeats one slab as a read-only view.
+(``solve_bytes`` counts them).  The solve's state is its grid, a
+``Box``, and the one initial slab: iterate zero, that slab at every
+node, is never formed as a history, and its density rows are
+synthesized from the slab itself.
 """
 
 from __future__ import annotations
@@ -77,14 +78,13 @@ from .quadrature import (fast_len, filon_amplitudes, filon_coefficients,
                          filon_slots)
 
 __all__ = [
-    "KernelState",
+    "Box",
     "NormTracker",
     "NoContraction",
     "ProfileSummary",
     "SolveReport",
     "check_box",
     "initial_state",
-    "density_trajectory_from_state",
     "solve_bytes",
     "solve_selfconsistent",
 ]
@@ -96,17 +96,17 @@ class NoContraction(Exception):
 
 
 @dataclass(frozen=True)
-class KernelState:
-    """Time-indexed profile on the product box [-k_box, k_box]^d x same.
-
-    ``mu_hat`` has shape (n_t,) + (n_pts,)*d + (n_pts,)*d, the first
-    block of axes indexing k and the second p.
+class Box:
+    """The solve's grid: the product box [-k_box, k_box]^d x same, sampled
+    at ``axis`` on every axis, and ``n_t`` time nodes ``dt`` apart.  A slab
+    on it has shape (n_pts,)*d + (n_pts,)*d, the first block of axes
+    indexing k and the second p.
     """
 
     axis: np.ndarray
-    mu_hat: np.ndarray
     d: int
     dt: float
+    n_t: int
 
     @property
     def n_pts(self) -> int:
@@ -114,7 +114,7 @@ class KernelState:
 
     @property
     def t_grid(self) -> np.ndarray:
-        return np.arange(self.mu_hat.shape[0]) * self.dt
+        return np.arange(self.n_t) * self.dt
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ class NormTracker:
     x_norms: np.ndarray
     y_norm: float
     z_norm: float
-    available_orders: int = 2
+    available_orders: int
 
 
 @dataclass(frozen=True)
@@ -183,10 +183,9 @@ def _node_count(dt: float, t_max: float) -> int:
 
 
 def initial_state(g0: InitialKernel, k_box: float, n_pts: int, dt: float,
-                  t_max: float) -> KernelState:
-    """Sample g0 on the box (Picard iterate zero), from |k|^2 and |p|^2 of
-    every point pair.  The history is a read-only view that repeats the
-    one slab at every time node."""
+                  t_max: float) -> tuple[Box, np.ndarray]:
+    """The grid and g0 sampled on it (Picard iterate zero at every node),
+    from |k|^2 and |p|^2 of every point pair: (box, slab)."""
     d = g0.d
     check_box(d, n_pts)
     if d >= 2:
@@ -200,8 +199,7 @@ def initial_state(g0: InitialKernel, k_box: float, n_pts: int, dt: float,
     rate = 1.0 / (4.0 * g0.alpha)
     slab = (g0.epsilon * np.exp(-rate * (ksq[:, None] + ksq[None, :]))
             + 0.0j).reshape((n_pts,) * (2 * d))
-    mu = np.broadcast_to(slab, (_node_count(dt, t_max),) + slab.shape)
-    return KernelState(axis=axis, mu_hat=mu, d=d, dt=dt)
+    return Box(axis=axis, d=d, dt=dt, n_t=_node_count(dt, t_max)), slab
 
 
 def _hs(slab: np.ndarray, dv: float) -> float:
@@ -217,34 +215,32 @@ def _defect(slab: np.ndarray) -> float:
     return float(np.max(np.abs(np.subtract(slab, diff, out=diff))))
 
 
-def _central(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The central p slice and the central k slice of a slab, or of every
-    node of a history (one more, leading, axis): views, the only part of
-    an iterate that the next update's shift terms read."""
-    d = mu.ndim // 2
-    c = (mu.shape[-1] - 1) // 2
-    lead = (slice(None),) * (mu.ndim - 2 * d)
-    return mu[(Ellipsis,) + (c,) * d], mu[lead + (c,) * d]
+def _central(slab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The central p slice and the central k slice of a slab: views, the
+    only part of an iterate that the next update's shift terms read."""
+    d = slab.ndim // 2
+    c = (slab.shape[-1] - 1) // 2
+    return slab[(Ellipsis,) + (c,) * d], slab[(c,) * d]
 
 
-def _updater(state: KernelState, w: Potential, f: EquilibriumProfile):
+def _updater(box: Box, base: np.ndarray, w: Potential,
+             f: EquilibriumProfile):
     """Return ``update(central, rows)``, one full Duhamel update of the
     profile against the density history ``rows``, streamed node by node:
     the (n^d, n_t) density rows, row-major flattened over the box grid.
 
-    ``central`` holds the previous iterate's two central slices
-    (``_central`` of its history), and node 0 is the state's own; an
-    update reads nothing else of the iterate, and reads ``central`` whole
-    before it returns, so the caller may then overwrite it.  It returns
-    (leakage, nodes), where ``nodes()`` yields every node's new slab in
-    turn, in one buffer that the next node overwrites; it may be called
-    again and yields the same slabs.  The tables that do not depend on
-    the density are built here, once for every update on the state's
-    grid.
+    ``central`` holds the previous iterate's two central slices at every
+    node, (n_t,) + (n,)*d each, and node 0 is ``base``, the initial slab;
+    an update reads nothing else of the iterate, and reads ``central``
+    whole before it returns, so the caller may then overwrite it.  It
+    returns (leakage, nodes), where ``nodes()`` yields every node's new
+    slab in turn, in one buffer that the next node overwrites; it may be
+    called again and yields the same slabs.  The tables that do not
+    depend on the density are built here, once for every update on the
+    box.
     """
-    d, n, axis, dt = state.d, state.n_pts, state.axis, state.dt
+    d, n, axis, dt, n_t = box.d, box.n_pts, box.axis, box.dt, box.n_t
     dl = float(np.diff(axis)[0]) ** d
-    n_t = state.mu_hat.shape[0]
     ksq = _ksq_grid(axis, d)
     kshape = (n,) * d + (1,) * d
     pshape = (1,) * d + (n,) * d
@@ -255,14 +251,14 @@ def _updater(state: KernelState, w: Potential, f: EquilibriumProfile):
     pad = np.zeros((2 * n - 1,) * d, dtype=complex)
     inner = pad[(slice(c, c + n),) * d]
     hankel = as_strided(pad, (n,) * (2 * d), pad.strides * 2)
-    lin_coeff, lin_frac = _linear_coefficient(state, w, f)
+    lin_coeff, lin_frac = _linear_coefficient(box, w, f)
     # the linear term's phase e^{is(|k|^2-|p|^2)} advances by one factor a
     # node; -i dt/2 is its trapezoid weight in the running sum
     lin_coeff = lin_coeff * (-0.5j * dt)
     lin_step = np.exp(1j * dt * (ksq.reshape(kshape) - ksq.reshape(pshape)))
 
     w_axis = np.asarray(w.w_hat(np.sqrt(ksq)))
-    eks = np.exp((-1j * state.t_grid).reshape((-1,) + (1,) * d) * ksq)
+    eks = np.exp((-1j * box.t_grid).reshape((-1,) + (1,) * d) * ksq)
     # a shift by l pushes |j - c| of the n targets per axis out of the box
     # (j the index of l)
     keep = np.prod(np.meshgrid(*[1.0 - np.abs(np.arange(n) - c) / n] * d,
@@ -272,7 +268,6 @@ def _updater(state: KernelState, w: Potential, f: EquilibriumProfile):
     # known defect, kept on purpose: the written-out l-sums convolve every
     # slice (TestPicardStep::test_matches_direct_sums, a strict xfail), and
     # mending it changes the solution the acceptance suite checks.
-    base = state.mu_hat[0]
 
     def shift_term(spec: np.ndarray, dress: np.ndarray,
                    slices: np.ndarray) -> np.ndarray:
@@ -334,23 +329,22 @@ def _updater(state: KernelState, w: Potential, f: EquilibriumProfile):
     return update
 
 
-def _box_shift(state: KernelState, sign: int):
+def _box_shift(box: Box, sign: int):
     """Sparse (k, p) indices of the (n,)*(2d) grid, the index of k + sign p
     on each axis, and the mask where every such index stays in the box."""
-    d, n = state.d, state.n_pts
+    d, n = box.d, box.n_pts
     idx = np.indices((n,) * (2 * d), sparse=True)
     m = [idx[ax] + sign * (idx[d + ax] - (n - 1) // 2) for ax in range(d)]
     return idx, m, np.all(np.broadcast_arrays(
         *[(x >= 0) & (x < n) for x in m]), axis=0)
 
 
-def _linear_coefficient(state: KernelState, w: Potential,
-                        f: EquilibriumProfile):
+def _linear_coefficient(box: Box, w: Potential, f: EquilibriumProfile):
     """The linear term's time-independent factor w_hat(k+p) (f(|p|^2) -
     f(|k|^2)), zero where k + p leaves the box, and the fraction of its
     absolute mass that falls there."""
-    d, n, axis = state.d, state.n_pts, state.axis
-    idx, _, ok_mask = _box_shift(state, 1)
+    d, n, axis = box.d, box.n_pts, box.axis
+    idx, _, ok_mask = _box_shift(box, 1)
     kp = np.sqrt(sum((axis[idx[ax]] + axis[idx[d + ax]]) ** 2
                      for ax in range(d)))
     f_of = np.asarray(f.f(_ksq_grid(axis, d)))
@@ -382,14 +376,14 @@ def _central_convolution(spec: np.ndarray, b: np.ndarray) -> np.ndarray:
 _LETTERS = "abcdefghijkl"
 
 
-def _amplitudes(state: KernelState) -> np.ndarray:
+def _amplitudes(box: Box) -> np.ndarray:
     """The (n_t, n, 4) Filon amplitudes of every node's synthesis rows:
     row j of node i is ``filon_weights`` at frequency -2 t_i axis[j] with
     its phases taken off, from one ``filon_coefficients`` call."""
-    axis = state.axis
+    axis = box.axis
     h = float(axis[1] - axis[0])
     return filon_amplitudes(*filon_coefficients(
-        -2.0 * state.t_grid[:, None] * axis[None, :] * h), h)
+        -2.0 * box.t_grid[:, None] * axis[None, :] * h), h)
 
 
 def _slot_matrix(n: int) -> np.ndarray:
@@ -401,10 +395,10 @@ def _slot_matrix(n: int) -> np.ndarray:
     return slots
 
 
-def _shift_gather(state: KernelState):
+def _shift_gather(box: Box):
     """Mask and index tuple that gather mu_hat(t, k-p, p) from a slice."""
-    d, n = state.d, state.n_pts
-    idx, m, valid = _box_shift(state, -1)
+    d, n = box.d, box.n_pts
+    idx, m, valid = _box_shift(box, -1)
     return valid, tuple(np.clip(x, 0, n - 1) for x in m) + idx[d:]
 
 
@@ -453,14 +447,13 @@ def _synthesize(wts: np.ndarray, slab: np.ndarray, slots=None,
     return slab
 
 
-def _cartesian_trajectory(state: KernelState,
-                          rows: np.ndarray) -> DensityTrajectory:
+def _cartesian_trajectory(box: Box, rows: np.ndarray) -> DensityTrajectory:
     """Density rows, row-major flattened over the box grid, as a trajectory."""
-    kmag = np.sqrt(_ksq_grid(state.axis, state.d)).ravel()
-    return DensityTrajectory(k_grid=kmag, t_grid=state.t_grid, rho_hat=rows)
+    kmag = np.sqrt(_ksq_grid(box.axis, box.d)).ravel()
+    return DensityTrajectory(k_grid=kmag, t_grid=box.t_grid, rho_hat=rows)
 
 
-def _synthesizer(state: KernelState, amps: np.ndarray):
+def _synthesizer(box: Box, amps: np.ndarray):
     """Return ``density(i, slab)``: node i's density row, row-major
     flattened over the box grid, from its slab: each p axis contracted
     with the Filon weights at frequency -2 t_i k_axis, their phases
@@ -473,9 +466,9 @@ def _synthesizer(state: KernelState, amps: np.ndarray):
     only the Filon amplitudes ``amps`` (``_amplitudes`` of the grid) are
     left.  Every call shares one set of shear buffers.
     """
-    phases = np.exp(-1j * state.t_grid[:, None] * state.axis ** 2)
-    slots = _slot_matrix(state.n_pts)
-    pads = _shear_pads(state.n_pts, state.d)
+    phases = np.exp(-1j * box.t_grid[:, None] * box.axis ** 2)
+    slots = _slot_matrix(box.n_pts)
+    pads = _shear_pads(box.n_pts, box.d)
 
     def density(i: int, slab: np.ndarray) -> np.ndarray:
         row = phases[i]
@@ -485,23 +478,8 @@ def _synthesizer(state: KernelState, amps: np.ndarray):
     return density
 
 
-def density_trajectory_from_state(state: KernelState,
-                                  density=None) -> DensityTrajectory:
-    """Full density history, row-major flattened over the box grid: the
-    ``_synthesizer`` row of every node.  ``density`` is the grid's
-    ``_synthesizer``, built when not given."""
-    if density is None:
-        density = _synthesizer(state, _amplitudes(state))
-    rows = np.empty((state.n_pts ** state.d, state.mu_hat.shape[0]),
-                    dtype=complex)
-    for i, slab in enumerate(state.mu_hat):
-        rows[:, i] = density(i, slab)
-    return _cartesian_trajectory(state, rows)
-
-
-def _linear_stage_solver(state: KernelState, w: Potential,
-                         f: EquilibriumProfile,
-                         amps: np.ndarray | None = None):
+def _linear_stage_solver(box: Box, w: Potential, f: EquilibriumProfile,
+                         amps: np.ndarray):
     """Return a row-wise solver x = (I - L)^{-1} r.
 
     L is the composite map density-of-update restricted to its term that
@@ -516,8 +494,8 @@ def _linear_stage_solver(state: KernelState, w: Potential,
         E(k, p) = e^{i dt (|p|^2 - |k-p|^2)},
 
     with A_a node a's Filon amplitudes laid over the p samples (the
-    density sweeps' rows with their phases folded, see
-    ``density_trajectory_from_state``) and c the trapezoid coefficients
+    density sweeps' rows with their phases folded, see ``_synthesizer``)
+    and c the trapezoid coefficients
     (c_a0 = c_aa = dt/2, dt in between, none at a = 0), all taken from
     the grid itself, so L matches the code's own linear action to
     rounding.  The density at k reads the linear term at (k - p, p),
@@ -530,15 +508,14 @@ def _linear_stage_solver(state: KernelState, w: Potential,
         x_a = (r_a + alpha S_a(R_a)) / (1 - dt/2 alpha S_a(fd)),
 
     S_a the amplitude-only synthesis.  fd is zero where k - p leaves the
-    box.  ``amps`` is ``_amplitudes`` of the grid, built when not given.
+    box.  ``amps`` is ``_amplitudes`` of the box.
     """
-    d, dt, n_t = state.d, state.dt, state.mu_hat.shape[0]
-    amps = _amplitudes(state) if amps is None else amps
-    ksq = _ksq_grid(state.axis, d)
+    d, dt, n_t = box.d, box.dt, box.n_t
+    ksq = _ksq_grid(box.axis, d)
     kshape, pshape = ksq.shape + (1,) * d, (1,) * d + ksq.shape
-    slots = _slot_matrix(state.n_pts)
+    slots = _slot_matrix(box.n_pts)
     # idx[:d] indexes k - p, clipped where fd is 0
-    valid, idx = _shift_gather(state)
+    valid, idx = _shift_gather(box)
     f_of = np.asarray(f.f(ksq), dtype=float)
     fd_dt = np.where(valid, f_of.reshape(pshape) - f_of[idx[:d]], 0.0) * dt
     step = np.exp(1j * ((ksq.reshape(pshape) - ksq[idx[:d]]) * dt))
@@ -603,10 +580,8 @@ _Z_DELTA = 0.1
 
 
 def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
-                         w: Potential, *, k_box: float = 4.0,
-                         n_pts: int = 33, dt: float = 0.1,
-                         t_max: float = 30.0, n1: int | None = None,
-                         n2: int | None = None):
+                         w: Potential, *, k_box: float, n_pts: int,
+                         dt: float, t_max: float, n1: int, n2: int):
     """Picard iteration to the self-consistent (mu_hat, rho_hat) pair.
 
     Each sweep alternates the Duhamel update against the current density
@@ -637,27 +612,28 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
     after three consecutive iterations whose distance ratio fails to stay
     below 0.9, on a non-finite distance, and when the sweeps run out.
     """
-    d = g0.d
-    n1 = d + 1 if n1 is None else n1
-    n2 = d + 1 if n2 is None else n2
-    state = initial_state(g0, k_box, n_pts, dt, t_max)
-    eps = float(np.max(np.abs(state.mu_hat[0])))
+    box, base = initial_state(g0, k_box, n_pts, dt, t_max)
+    eps = float(np.max(np.abs(base)))
     if eps > 0.1:
         warnings.warn(f"initial size {eps:.3g} is outside the perturbative "
                       "regime; contraction is not expected", RuntimeWarning,
                       stacklevel=2)
     # every pass of the solve shares one amplitude table and one set of
     # shear buffers, and every update one set of grid tables
-    amps = _amplitudes(state)
-    update = _updater(state, w, f)
-    density = _synthesizer(state, amps)
-    # a Duhamel update on a zero density returns the initial profile; its
-    # density rows are not kept past the first iterate
-    rho = density_trajectory_from_state(state, density)
-    correct = _linear_stage_solver(state, w, f, amps)
-    central = tuple(np.array(s) for s in _central(state.mu_hat))
+    amps = _amplitudes(box)
+    update = _updater(box, base, w, f)
+    density = _synthesizer(box, amps)
+    # a Duhamel update on a zero density returns the initial slab at every
+    # node; its density rows are not kept past the first iterate
+    rows = np.empty((n_pts ** box.d, box.n_t), dtype=complex)
+    for i in range(box.n_t):
+        rows[:, i] = density(i, base)
+    rho = _cartesian_trajectory(box, rows)
+    correct = _linear_stage_solver(box, w, f, amps)
+    central = tuple(np.repeat(s[None], box.n_t, axis=0)
+                    for s in _central(base))
 
-    rows = correct(rho.rho_hat)
+    rows = correct(rows)
     rho = replace(rho, rho_hat=0.5 * (rows + np.conj(rows[::-1])))
     distances: list[float] = []
     ratios: list[float] = []
@@ -706,21 +682,21 @@ def solve_selfconsistent(g0: InitialKernel, f: EquilibriumProfile,
     # density, so the synthesis and linear-stage tables go first
     del density, correct
     leak, nodes = update(central, rho.rho_hat)
-    x, profile = _closing_pass(state, nodes, n2)
+    x, profile = _closing_pass(box, nodes, n2)
     report = SolveReport(iterations=it, distances=tuple(distances),
                          contraction_factors=tuple(ratios), leakage=leak)
     return profile, rho, _tracker(x, profile.t_grid, y_rho, n1), report
 
 
-def _closing_pass(state: KernelState, nodes, n2: int):
+def _closing_pass(box: Box, nodes, n2: int):
     """X norms (``_x_norms``) and ``ProfileSummary`` of the slabs that
     ``nodes()`` yields, as an update's stream does: the solve's one
     per-node summary.  Each node is read as the stream yields it; the
     scattering distances need mu_hat(t_max) first, so they take a second
     pass of ``nodes``."""
-    n, d = state.n_pts, state.d
-    n_t, h = state.mu_hat.shape[0], float(np.diff(state.axis)[0])
-    ksq = _ksq_grid(state.axis, d)
+    n, d, n_t = box.n_pts, box.d, box.n_t
+    h = float(np.diff(box.axis)[0])
+    ksq = _ksq_grid(box.axis, d)
     # the X norms' weight (1 + |k|^2 + |p|^2)^(N2/2) on the slab
     joint = (1.0 + ksq.reshape((n,) * d + (1,) * d)
              + ksq.reshape((1,) * d + (n,) * d)) ** (n2 / 2.0)
@@ -734,9 +710,9 @@ def _closing_pass(state: KernelState, nodes, n2: int):
     dist = [_hs(slab - last, dv) for slab in nodes()]
     # np.max keeps a NaN node
     profile = ProfileSummary(
-        axis=state.axis, dt=state.dt, hs_norms=hs,
+        axis=box.axis, dt=box.dt, hs_norms=hs,
         hermitian_defect=float(np.max(defect)),
-        scattering=np.column_stack([state.t_grid, dist]))
+        scattering=np.column_stack([box.t_grid, dist]))
     return x, profile
 
 

@@ -571,7 +571,7 @@ def _cmd_nonlinear(cfg: RunConfig, out: str) -> int:
     _write_csv(os.path.join(out, "scattering.csv"), ["t", "hs_distance"],
                scat)
     hs = profile.hs_norms
-    h = 2.0 * cfg.nl_box / (cfg.nl_points - 1)
+    h = float(np.diff(profile.axis)[0])
     _write_json(os.path.join(out, "nonlinear_report.json"), {
         "box": cfg.nl_box,
         "points": cfg.nl_points,

@@ -674,10 +674,12 @@ def marginal_from_tables(prof: EquilibriumProfile, tables: dict) -> Marginal:
 def shifted_l2_difference(prof: EquilibriumProfile, k: float) -> float:
     """int_{R^d} |g(p - k e1) - g(p + k e1)|^2 dp with g(p) = f(|p|^2 / 4).
 
-    Reduced to a cylindrical (p1, |p_perp|) integral over 64-node
-    Gauss-Legendre axes; the square makes the integrand radial around the
-    k-axis.  Warns (TruncationWarning) when the truncation box leaves a
-    boundary contribution above 1e-9.
+    Reduced to a cylindrical (p1, |p_perp|) integral over 16-node
+    Gauss-Legendre panels on the dyadic edges 0, 1, 2, 4, ... up to the
+    box (mirrored on the p1 axis), so the core of a slowly decaying g is
+    resolved however far its box reaches; the square makes the integrand
+    radial around the k-axis.  Warns (TruncationWarning) when the
+    truncation box leaves a boundary contribution above 1e-9.
     """
     d = prof.d
     k = float(k)
@@ -690,9 +692,14 @@ def shifted_l2_difference(prof: EquilibriumProfile, k: float) -> float:
                                             1.0, 1e-14)) + 2.0 * abs(k)
 
     g = lambda p1, r2: np.asarray(prof.f((np.asarray(p1) ** 2 + r2) / 4.0))
-    xl, wl = leggauss(64)
-    p1 = xl * box
-    wp = wl * box
+    edges = np.array([0.0] + [2.0 ** j for j in range(
+        math.ceil(math.log2(box)))] + [box])
+    half = np.diff(edges)[:, None] / 2.0
+    xl, wl = leggauss(16)
+    r = (edges[:-1, None] + half * (xl + 1.0)).ravel()
+    wr = (half * wl).ravel()
+    p1 = np.concatenate([-r[::-1], r])
+    wp = np.concatenate([wr[::-1], wr])
 
     if d == 1:
         vals = (g(p1 - k, 0.0) - g(p1 + k, 0.0)) ** 2
@@ -700,8 +707,6 @@ def shifted_l2_difference(prof: EquilibriumProfile, k: float) -> float:
                    abs(float(g(-box - k, 0.0) - g(-box + k, 0.0)))) ** 2
         value = float(vals @ wp)
     else:
-        r = (xl + 1.0) * box / 2.0
-        wr = wl * box / 2.0
         r2 = (r * r)[None, :]
         diff = g(p1[:, None] - k, r2) - g(p1[:, None] + k, r2)
         inner = (diff * diff * r[None, :] ** (d - 2)) @ wr

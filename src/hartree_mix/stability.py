@@ -95,8 +95,8 @@ class StabilityCertificate:
 
 # certification scan: smallest k row, k rows up to the tail cap, tau pad
 # past the resonance band, tail samples out to the lambda cap, left edge
-# of the winding rectangles, k values of the zero hunt, and the boundary
-# tolerance
+# of the winding rectangles, k values of the zero hunt, the boundary
+# tolerance, and the most nodes a winding contour may grow to
 _K_MIN = 1e-3
 _N_K = 24
 _TAU_PAD = 2.0
@@ -104,6 +104,7 @@ _N_TAIL = 48
 _RECT_RE_LO = 1e-3
 _HUNT_K = (0.02, 0.03, 0.05, 0.1, 0.2)
 _SCAN_TOL = 1e-9
+_MAX_CONTOUR_NODES = 40000
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +199,7 @@ def _rect_nodes(re_lo, re_hi, im_lo, im_hi) -> np.ndarray:
                            for a, b in zip(corners, corners[1:])])
 
 
-def winding_number(m: Marginal, w: Potential, k: float, rect,
-                   max_nodes: int = 40000) -> WindingCheck:
+def winding_number(m: Marginal, w: Potential, k: float, rect) -> WindingCheck:
     """Zero count of D inside a rectangle in the open right lambda_tilde
     half-plane, by total argument variation along its boundary.
 
@@ -217,7 +217,7 @@ def winding_number(m: Marginal, w: Potential, k: float, rect,
     vals = dispersion_row(m, w, k, pts, _SCAN_TOL)[0]
     while True:
         n = pts.size
-        if n > max_nodes:
+        if n > _MAX_CONTOUR_NODES:
             raise ContourTooCoarse(
                 f"{n} contour nodes still leave phase steps above pi/2")
         steps = np.angle(np.roll(vals, -1) / vals)

@@ -264,10 +264,14 @@ def test_criterion_7_nonlinear_structure(gauss1):
     f1 = gaussian_profile(1)
     w = screened_coulomb(0.5, 1.0)
 
+    # the nonlinear group's default grid at d = 1, with N1 = N2 = 2
+    grid = dict(k_box=4.0, n_pts=33, dt=0.1, t_max=30.0, n1=2, n2=2)
+
     def kernel(amplitude):
         return dyn.InitialKernel(d=1, alpha=0.125, epsilon=amplitude)
 
-    profile, rho, _, report = nl.solve_selfconsistent(kernel(eps), f1, w)
+    profile, rho, _, report = nl.solve_selfconsistent(kernel(eps), f1, w,
+                                                      **grid)
     max_ratio = max(report.contraction_factors)
     herm = profile.hermitian_defect
     assert max_ratio < 0.5
@@ -281,7 +285,7 @@ def test_criterion_7_nonlinear_structure(gauss1):
 
     w0 = Potential("zero",
                    lambda k: np.zeros_like(np.asarray(k, dtype=float)), 0.0)
-    profile0, _, _, _ = nl.solve_selfconsistent(kernel(eps), f1, w0)
+    profile0, _, _, _ = nl.solve_selfconsistent(kernel(eps), f1, w0, **grid)
     hs_spread = float(np.ptp(profile0.hs_norms))
     assert hs_spread == 0.0
 
@@ -289,7 +293,8 @@ def test_criterion_7_nonlinear_structure(gauss1):
     vals = [r[1] for r in rows]
     assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:]))
 
-    profile_h, _, _, _ = nl.solve_selfconsistent(kernel(eps / 2), f1, w)
+    profile_h, _, _, _ = nl.solve_selfconsistent(kernel(eps / 2), f1, w,
+                                                 **grid)
     ratio = profile_h.scattering[0][1] / vals[0]
     assert 0.3 < ratio < 0.7
 
@@ -307,7 +312,7 @@ def test_criterion_7_optional_d3_run():
     g0 = dyn.InitialKernel(d=3, alpha=0.125, epsilon=1e-2)
     profile, _, _, report = nl.solve_selfconsistent(
         g0, gaussian_profile(3), screened_coulomb(0.5, 1.0),
-        n_pts=9, t_max=3.0)
+        k_box=4.0, n_pts=9, dt=0.1, t_max=3.0, n1=4, n2=4)
     assert profile.hermitian_defect <= 1e-10
     assert max(report.contraction_factors) < 0.9
     _report("criterion 7 addendum (d = 3 coarse box)",

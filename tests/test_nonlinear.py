@@ -9,7 +9,7 @@ grid is memory-hungry and lives behind the slow marker.
 from __future__ import annotations
 
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -24,10 +24,10 @@ from hartree_mix.dynamics import (
 )
 from hartree_mix import nonlinear
 from hartree_mix.nonlinear import (
-    KernelState,
+    Box,
     NoContraction,
     _amplitudes,
-    _central,
+    _cartesian_trajectory,
     _closing_pass,
     _ksq_grid,
     _linear_stage_solver,
@@ -36,7 +36,6 @@ from hartree_mix.nonlinear import (
     _synthesize,
     _synthesizer,
     _updater,
-    density_trajectory_from_state,
     initial_state,
     solve_selfconsistent,
 )
@@ -56,13 +55,74 @@ def _kernel(eps: float = EPS, d: int = 1):
     return InitialKernel(d=d, alpha=0.125, epsilon=eps)
 
 
+def _solve(g0, f, w, **grid):
+    """``solve_selfconsistent`` on 33 points of the box [-4, 4], dt 0.1 to
+    t_max 30, with N1 = N2 = d + 1, where ``grid`` does not say otherwise."""
+    return solve_selfconsistent(g0, f, w, **{
+        "k_box": 4.0, "n_pts": 33, "dt": 0.1, "t_max": 30.0,
+        "n1": g0.d + 1, "n2": g0.d + 1, **grid})
+
+
+@dataclass(frozen=True)
+class KernelState:
+    """Time-indexed profile on the product box [-k_box, k_box]^d x same.
+
+    ``mu_hat`` has shape (n_t,) + (n_pts,)*d + (n_pts,)*d, the first
+    block of axes indexing k and the second p.  The reference routes read
+    it as a history, and the code under test as its ``Box``.
+    """
+
+    axis: np.ndarray
+    mu_hat: np.ndarray
+    d: int
+    dt: float
+
+    @property
+    def n_pts(self) -> int:
+        return self.axis.size
+
+    @property
+    def n_t(self) -> int:
+        return self.mu_hat.shape[0]
+
+    @property
+    def t_grid(self) -> np.ndarray:
+        return np.arange(self.n_t) * self.dt
+
+
+def _initial_history(g0, k_box, n_pts, dt, t_max):
+    """``initial_state`` as a history: a read-only view that repeats the
+    one slab at every time node."""
+    box, slab = initial_state(g0, k_box, n_pts, dt, t_max)
+    return KernelState(axis=box.axis, d=box.d, dt=box.dt,
+                       mu_hat=np.broadcast_to(slab, (box.n_t,) + slab.shape))
+
+
+def _central_history(mu):
+    """``_central`` of every node of a history: the central p and k slices,
+    (n_t,) + (n,)*d each."""
+    d = (mu.ndim - 1) // 2
+    c = (mu.shape[-1] - 1) // 2
+    return mu[(Ellipsis,) + (c,) * d], mu[(slice(None),) + (c,) * d]
+
+
+def density_trajectory_from_state(state):
+    """Full density history, row-major flattened over the box grid: the
+    ``_synthesizer`` row of every node."""
+    density = _synthesizer(state, _amplitudes(state))
+    rows = np.empty((state.n_pts ** state.d, state.n_t), dtype=complex)
+    for i, slab in enumerate(state.mu_hat):
+        rows[:, i] = density(i, slab)
+    return _cartesian_trajectory(state, rows)
+
+
 def _picard_step(state, rho_hat, w, f):
     """One full-history Duhamel update of mu_hat for a given density: the
     streamed update's slabs gathered into a fresh history, and its
     leakage."""
     new_mu = np.empty(state.mu_hat.shape, dtype=complex)
-    leak, nodes = _updater(state, w, f)(_central(state.mu_hat),
-                                        rho_hat.rho_hat)
+    leak, nodes = _updater(state, state.mu_hat[0], w, f)(
+        _central_history(state.mu_hat), rho_hat.rho_hat)
     for i, slab in enumerate(nodes()):
         new_mu[i] = slab
     return new_mu, leak
@@ -98,35 +158,36 @@ def _summary(state):
 
 @pytest.fixture(scope="module")
 def solved():
-    profile, rho, tracker, report = solve_selfconsistent(
+    profile, rho, tracker, report = _solve(
         _kernel(), gaussian_profile(1), screened_coulomb(0.5, 1.0))
     return profile, rho, tracker, report
 
 
 class TestInitialState:
     def test_box_geometry(self):
-        st = initial_state(_kernel(), 4.0, 33, 0.1, 30.0)
-        assert isinstance(st, KernelState)
+        st, slab = initial_state(_kernel(), 4.0, 33, 0.1, 30.0)
+        assert isinstance(st, Box)
+        assert slab.shape == (33, 33)
         assert st.axis.size == 33
         assert st.axis[0] == pytest.approx(-4.0)
         assert st.axis[-1] == pytest.approx(4.0)
         assert st.t_grid[-1] == pytest.approx(30.0)
 
     def test_initial_hs_norm_closed_form(self):
-        st = initial_state(_kernel(), 4.0, 33, 0.1, 30.0)
+        st = _initial_history(_kernel(), 4.0, 33, 0.1, 30.0)
         # ||gamma0_hat||_HS on the box equals eps sqrt(pi)/2 up to the
         # Gaussian tail beyond |k| = 4
         assert _summary(st).hs_norms[0] == pytest.approx(
             EPS * np.sqrt(np.pi) / 2.0, rel=1e-6)
 
     def test_initial_density_matches_closed_form(self):
-        st = initial_state(_kernel(), 4.0, 33, 0.1, 30.0)
+        st = _initial_history(_kernel(), 4.0, 33, 0.1, 30.0)
         got = _density_from_state(st, 0.0)
         want = EPS * np.sqrt(np.pi) / 2.0 * np.exp(-st.axis ** 2)
         assert np.max(np.abs(got - want)) < 1e-5
 
     def test_initial_state_is_hermitian(self):
-        st = initial_state(_kernel(), 4.0, 33, 0.1, 30.0)
+        st = _initial_history(_kernel(), 4.0, 33, 0.1, 30.0)
         assert _summary(st).hermitian_defect < 1e-14
 
 
@@ -179,7 +240,7 @@ class TestSolve:
         assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:]))
 
     def test_stops_relative_to_the_density(self, solved):
-        # the default weights N1 = N2 = d + 1: Y(rho) is about 0.36, so an
+        # the weights N1 = N2 = d + 1: Y(rho) is about 0.36, so an
         # absolute stop of 1e-10 would be 3e-10 of it
         _, rho, tracker, report = solved
         y_rho = y_norm(rho, 2, 2)
@@ -188,7 +249,7 @@ class TestSolve:
 
     def test_stops_relative_to_the_density_at_larger_weights(self):
         # N1 = 4 on the same grid: Y(rho) is about 4.7e3
-        _, rho, _, report = solve_selfconsistent(
+        _, rho, _, report = _solve(
             _kernel(), gaussian_profile(1), screened_coulomb(0.5, 1.0),
             n1=4, n2=2)
         assert report.distances[-1] <= nonlinear._RTOL * y_norm(rho, 4, 2)
@@ -495,7 +556,7 @@ class TestDensityRows:
     def test_matches_density_from_state_at_every_node(self, t_max):
         # up to 1001 nodes on 65 points, where 2 t k h runs to 100
         self._assert_rows_match_reference(
-            initial_state(_kernel(), 4.0, 65, 0.1, t_max))
+            _initial_history(_kernel(), 4.0, 65, 0.1, t_max))
 
     def test_random_history_matches_density_from_state(self):
         # every node different and no decay toward the box edge.  The fold
@@ -525,7 +586,7 @@ class TestDensityRows:
             return filon_coefficients(theta)
 
         monkeypatch.setattr(nonlinear, "filon_coefficients", counted)
-        _, _, _, report = solve_selfconsistent(
+        _, _, _, report = _solve(
             _kernel(), gaussian_profile(1), screened_coulomb(0.5, 1.0),
             n_pts=9, t_max=3.0)
         assert report.iterations >= 2
@@ -536,10 +597,10 @@ class TestLinearStageMarch:
     def test_march_matches_dense_triangular_solve(self):
         g0, f = _kernel(), gaussian_profile(1)
         w = screened_coulomb(0.5, 1.0)
-        state = initial_state(g0, 4.0, 9, 0.1, 3.0)
+        state = _initial_history(g0, 4.0, 9, 0.1, 3.0)
         assert state.t_grid.size == 31
         free = density_trajectory_from_state(state)
-        correct = _linear_stage_solver(state, w, f)
+        correct = _linear_stage_solver(state, w, f, _amplitudes(state))
         rng = np.random.default_rng(11)
         re, im = rng.standard_normal((2, 9, 31))
         resid = re + 1j * im
@@ -556,10 +617,10 @@ class TestLinearStageMarch:
         w = screened_coulomb(0.5, 1.0)
         rng = np.random.default_rng(13)
         for n in (9, 33):
-            state = initial_state(g0, 4.0, n, 0.1, 30.0)
+            state = _initial_history(g0, 4.0, n, 0.1, 30.0)
             assert state.t_grid.size == 301
             free = density_trajectory_from_state(state)
-            correct = _linear_stage_solver(state, w, f)
+            correct = _linear_stage_solver(state, w, f, _amplitudes(state))
             direct = _march_by_node_exponentials(state, w, f)
             re, im = rng.standard_normal((2, n, 301))
             for r in (re + 1j * im, free.rho_hat):
@@ -578,12 +639,12 @@ class TestLinearStageMarch:
         w = screened_coulomb(0.5, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            state = initial_state(g0, 4.0, n, 0.1, t_max)
+            state = _initial_history(g0, 4.0, n, 0.1, t_max)
         free = density_trajectory_from_state(state)
         rng = np.random.default_rng(37 + d)
         re, im = rng.standard_normal((2,) + free.rho_hat.shape)
         resid = re + 1j * im
-        x = _linear_stage_solver(state, w, f)(resid)
+        x = _linear_stage_solver(state, w, f, _amplitudes(state))(resid)
         lx_mu, _ = _picard_step(state, replace(free, rho_hat=x), w, f)
         lx = density_trajectory_from_state(replace(state, mu_hat=lx_mu))
         assert np.max(np.abs(x - lx.rho_hat - resid)) \
@@ -597,7 +658,7 @@ class TestMemory:
         # amplitude table; a history or an (n_t, n, n) weight table would
         # read at least 1 here
         history = 301 * 33 ** 2 * 16
-        peak = peak_bytes(lambda: solve_selfconsistent(
+        peak = peak_bytes(lambda: _solve(
             _kernel(), gaussian_profile(1), screened_coulomb(0.5, 1.0)))
         assert peak < 1.6 * history
 
@@ -607,7 +668,7 @@ class TestMemory:
         # would add 10.1 MB; the time-indexed rows and spectra the stream
         # keeps add about a quarter of that
         def peak(t_max):
-            return peak_bytes(lambda: solve_selfconsistent(
+            return peak_bytes(lambda: _solve(
                 _kernel(), gaussian_profile(1), screened_coulomb(0.5, 1.0),
                 n_pts=65, t_max=t_max))
 
@@ -625,8 +686,8 @@ class TestStreamedSweep:
         want, want_leak = _picard_step(state, rho, w, f)
         want_rows = density_trajectory_from_state(
             replace(state, mu_hat=want)).rho_hat
-        update = _updater(state, w, f)
-        central = tuple(np.array(s) for s in _central(state.mu_hat))
+        update = _updater(state, state.mu_hat[0], w, f)
+        central = tuple(np.array(s) for s in _central_history(state.mu_hat))
         leak, nodes = update(central, rho.rho_hat)
         assert leak == want_leak
         for i, slab in enumerate(nodes()):
@@ -636,7 +697,7 @@ class TestStreamedSweep:
         rows = _sweep(update, _synthesizer(state, _amplitudes(state)),
                       central, rho.rho_hat)
         np.testing.assert_array_equal(rows, want_rows)
-        for kept, slices in zip(central, _central(want)):
+        for kept, slices in zip(central, _central_history(want)):
             np.testing.assert_array_equal(kept, slices)
 
     @pytest.mark.parametrize("d,n", [(1, 9), (2, 5)])
@@ -703,14 +764,14 @@ class TestDegenerateCouplings:
     def test_zero_potential_conserves_hs_exactly(self):
         w0 = Potential(
             "zero", lambda k: np.zeros_like(np.asarray(k, dtype=float)), 0.0)
-        profile, _, _, report = solve_selfconsistent(
+        profile, _, _, report = _solve(
             _kernel(), gaussian_profile(1), w0)
         norms = profile.hs_norms
         assert float(np.max(norms) - np.min(norms)) == 0.0
         assert report.iterations <= 2
 
     def test_zero_data_converges_immediately(self):
-        profile, rho, _, report = solve_selfconsistent(
+        profile, rho, _, report = _solve(
             _kernel(0.0), gaussian_profile(1), screened_coulomb(0.5, 1.0))
         assert report.iterations == 1
         assert np.max(np.abs(rho.rho_hat)) == 0.0
@@ -726,19 +787,17 @@ class TestFailedSolves:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.warns(RuntimeWarning, match="perturbative"), \
                 pytest.raises(NoContraction, match="nan"):
-            solve_selfconsistent(g0, gaussian_profile(1),
-                                 screened_coulomb(0.5, 1.0), n_pts=5,
-                                 t_max=3.0)
+            _solve(g0, gaussian_profile(1), screened_coulomb(0.5, 1.0),
+                   n_pts=5, t_max=3.0)
 
     def test_running_out_of_sweeps_raises(self, monkeypatch):
         monkeypatch.setattr(nonlinear, "_MAX_SWEEPS", 2)
         with pytest.raises(NoContraction, match="after 2 sweeps"):
-            solve_selfconsistent(_kernel(), gaussian_profile(1),
-                                 screened_coulomb(0.5, 1.0), n_pts=9,
-                                 t_max=3.0)
+            _solve(_kernel(), gaussian_profile(1),
+                   screened_coulomb(0.5, 1.0), n_pts=9, t_max=3.0)
 
     def test_hermitian_defect_keeps_a_nan_node(self):
-        st = initial_state(_kernel(), 4.0, 9, 0.1, 0.3)
+        st = _initial_history(_kernel(), 4.0, 9, 0.1, 0.3)
         # the initial history is a read-only view of one slab
         st = replace(st, mu_hat=st.mu_hat.copy())
         st.mu_hat[2, 4, 4] = np.nan
@@ -750,7 +809,7 @@ class TestTwoDimensional:
         # the exact linear stage leaves only the quadratic remainder to
         # contract, as at d = 1
         with pytest.warns(RuntimeWarning, match="d = 2"):
-            _, _, _, report = solve_selfconsistent(
+            _, _, _, report = _solve(
                 _kernel(d=2), gaussian_profile(2), screened_coulomb(0.5, 1.0),
                 n_pts=9, t_max=10.0)
         assert report.iterations <= 12
@@ -763,7 +822,7 @@ class TestAmplitudeScaling:
         # and scales linearly in the data at small amplitude
         d0 = {}
         for eps in (EPS, EPS / 2.0):
-            profile, _, _, _ = solve_selfconsistent(
+            profile, _, _, _ = _solve(
                 _kernel(eps), gaussian_profile(1), screened_coulomb(0.5, 1.0))
             d0[eps] = profile.scattering[0][1]
         ratio = d0[EPS / 2.0] / d0[EPS]
@@ -773,7 +832,7 @@ class TestAmplitudeScaling:
 @pytest.mark.slow
 class TestThreeDimensional:
     def test_symmetry_and_contraction_on_coarse_box(self):
-        profile, _, _, report = solve_selfconsistent(
+        profile, _, _, report = _solve(
             _kernel(d=3), gaussian_profile(3), screened_coulomb(0.5, 1.0),
             n_pts=9, t_max=3.0)
         assert profile.hermitian_defect <= 1e-10

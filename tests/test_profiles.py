@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import j1
 
 from hartree_mix.profiles import (
@@ -219,6 +220,34 @@ class TestShiftedDifference:
             want = -2.0 * (2.0 * np.pi) ** (d / 2.0) * np.expm1(-k * k / 2.0)
             got = shifted_l2_difference(gaussian_profile(d), k)
             assert got == pytest.approx(want, rel=1e-12, abs=0), k
+
+    @pytest.mark.parametrize("d,n1", [(1, 3), (2, 3), (3, 4)])
+    @pytest.mark.parametrize("k", [0.01, 0.3])
+    def test_power_decay_matches_quad(self, d, n1, k):
+        # a box of hundreds around a core of width 1: one rule spread over
+        # the whole box misses the core (1.1e-8 against 0.303 at d = 1,
+        # k = 0.3).  The integrand is even in p1, and g(p) = f(|p|^2 / 4)
+        prof = power_decay_profile(d, n1)
+        g = lambda p1, r2: float(prof.f(np.array((p1 * p1 + r2) / 4.0)))
+        # the absolute floor, far below every value here (>= 3.5e-4), only
+        # stops quad from chasing roundoff on the far tail
+        opts = dict(epsabs=1e-20, epsrel=1e-13, limit=400)
+
+        def half_line(fn):
+            return quad(fn, 0.0, 4.0, **opts)[0] \
+                + quad(fn, 4.0, np.inf, **opts)[0]
+
+        def along(p1):
+            return half_line(lambda r: r ** (d - 2) * (
+                g(p1 - k, r * r) - g(p1 + k, r * r)) ** 2)
+
+        if d == 1:
+            want = 2.0 * half_line(
+                lambda p: (g(p - k, 0.0) - g(p + k, 0.0)) ** 2)
+        else:
+            want = 2.0 * sphere_area(d - 1) * half_line(along)
+        assert shifted_l2_difference(prof, k) == pytest.approx(
+            want, rel=1e-12, abs=0)
 
     def test_bounded_on_unit_range(self):
         prof = gaussian_profile(3)

@@ -112,10 +112,10 @@ class TestWinding:
         assert wc.winding == want
         assert wc.nodes > 256
 
-    def test_contour_budget(self, gauss3, coulomb):
+    def test_contour_budget(self, gauss3, coulomb, monkeypatch):
+        monkeypatch.setattr(stability, "_MAX_CONTOUR_NODES", 8)
         with pytest.raises(ContourTooCoarse):
-            winding_number(gauss3, coulomb, 0.5, (0.05, 1.5, -2.0, 2.0),
-                           max_nodes=8)
+            winding_number(gauss3, coulomb, 0.5, (0.05, 1.5, -2.0, 2.0))
 
     def test_rejects_left_half_plane(self, gauss3, coulomb):
         with pytest.raises(ValueError):
