@@ -168,7 +168,7 @@ def volterra_solve(m: Marginal, w: Potential, S: DensityTrajectory) -> DensityTr
 
 
 def reconstruct_sup_norm(rho: DensityTrajectory, d: int,
-                         n: int = 0) -> np.ndarray:
+                         n: int) -> np.ndarray:
     """Fourier-mass majorant of sup_x |d^n rho(t, x)| per time, for a
     radial trajectory in dimension d.
 

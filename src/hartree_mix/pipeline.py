@@ -23,10 +23,7 @@ from . import dispersion as disp, dynamics, green, nonlinear, profiles, stabilit
 
 __all__ = [
     "ConfigError",
-    "InsufficientSamples",
-    "NonPositiveValue",
     "RunConfig",
-    "DecayFit",
     "load_config",
     "parse_config",
     "fit_decay",
@@ -38,14 +35,6 @@ __all__ = [
 
 class ConfigError(Exception):
     """Malformed run configuration; the message names the field."""
-
-
-class InsufficientSamples(Exception):
-    """Too few samples inside the fit window."""
-
-
-class NonPositiveValue(Exception):
-    """Log-log fitting needs strictly positive values."""
 
 
 # ---------------------------------------------------------------------------
@@ -270,20 +259,6 @@ def _build(group: dict, name: str, kinds: dict, *args):
 # fitting
 
 
-@dataclass(frozen=True)
-class DecayFit:
-    window: tuple[float, float]
-    slope: float
-    intercept: float
-    residual: float
-
-    def __post_init__(self):
-        if not self.window[0] < self.window[1]:
-            raise ValueError("fit window must satisfy t_lo < t_hi")
-        if self.residual < 0:
-            raise ValueError("residual is an rms, hence nonnegative")
-
-
 def _in_window(samples, window) -> np.ndarray:
     """The (t, value) rows with window[0] <= t <= window[1]."""
     arr = np.asarray(samples, dtype=float)
@@ -292,27 +267,31 @@ def _in_window(samples, window) -> np.ndarray:
     return arr[(arr[:, 0] >= window[0]) & (arr[:, 0] <= window[1])]
 
 
-def fit_decay(samples, window: tuple[float, float] = (5.0, 50.0)) -> DecayFit:
-    """Least-squares log-log line through the in-window samples.
+def fit_decay(samples, window: tuple[float, float]) -> dict:
+    """Report entry for a least-squares log-log line through the in-window
+    (t, value) rows of ``samples``; the slope estimates the decay exponent.
 
-    ``samples`` holds (t, value) rows; the slope estimates the decay
-    exponent.  Raises InsufficientSamples below 8 in-window points and
-    NonPositiveValue when the window contains a value <= 0.
+    The entry holds the number of in-window rows, then the fit's window,
+    slope, intercept and rms residual, or, below 8 rows or with a value
+    <= 0 among them, an "error" naming why there is no fit.
     """
     t_lo, t_hi = float(window[0]), float(window[1])
     pts = _in_window(samples, (t_lo, t_hi))
+    entry = {"samples": int(pts.shape[0])}
+    bad = pts[pts[:, 1] <= 0.0, 0]
     if pts.shape[0] < 8:
-        raise InsufficientSamples(
-            f"{pts.shape[0]} samples in [{t_lo:g}, {t_hi:g}]; need 8")
-    if np.any(pts[:, 1] <= 0.0):
-        bad = float(pts[pts[:, 1] <= 0.0][0, 0])
-        raise NonPositiveValue(f"value <= 0 at t = {bad:g}")
-    lt = np.log(pts[:, 0])
-    lv = np.log(pts[:, 1])
-    slope, intercept = np.polyfit(lt, lv, 1)
-    resid = float(np.sqrt(np.mean((lv - (slope * lt + intercept)) ** 2)))
-    return DecayFit(window=(t_lo, t_hi), slope=float(slope),
-                    intercept=float(intercept), residual=resid)
+        entry["error"] = (f"InsufficientSamples: {pts.shape[0]} samples in "
+                          f"[{t_lo:g}, {t_hi:g}]; need 8")
+    elif bad.size:
+        entry["error"] = f"NonPositiveValue: value <= 0 at t = {bad[0]:g}"
+    else:
+        lt = np.log(pts[:, 0])
+        lv = np.log(pts[:, 1])
+        slope, intercept = np.polyfit(lt, lv, 1)
+        entry.update(window=[t_lo, t_hi], slope=float(slope),
+                     intercept=float(intercept), residual=float(np.sqrt(
+                         np.mean((lv - (slope * lt + intercept)) ** 2))))
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -349,19 +328,6 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _fit_or_note(samples, window) -> dict:
-    """Report entry for one decay fit: the fit, or the reason there is
-    none, and the number of in-window samples either way."""
-    entry = {"samples": int(_in_window(samples, window).shape[0])}
-    try:
-        f = fit_decay(samples, window)
-        entry.update(window=list(f.window), slope=f.slope,
-                     intercept=f.intercept, residual=f.residual)
-    except (InsufficientSamples, NonPositiveValue) as e:
-        entry["error"] = f"{type(e).__name__}: {e}"
-    return entry
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
@@ -378,7 +344,8 @@ def _t_grid(cfg: RunConfig) -> np.ndarray:
 def _marginal(cfg: RunConfig, out: str):
     """The marginal from ``out/marginal.npz`` if whole and stamped so, else built."""
     try:
-        with np.load(os.path.join(out, "marginal.npz"), allow_pickle=False) as npz:
+        with open(os.path.join(out, "marginal.npz"), "rb") as fh, \
+                np.load(fh, allow_pickle=False) as npz:
             if str(npz["stamp"]) == profiles.marginal_stamp(cfg.profile):
                 return profiles.marginal_from_tables(
                     cfg.profile, {k: npz[k] for k in npz.files if k != "stamp"})
@@ -401,7 +368,7 @@ def _cmd_marginal(cfg: RunConfig, out: str) -> int:
     ts = np.linspace(0.0, m.t_support, 801)
     _write_csv(os.path.join(out, "marginal_hat.csv"), ["t", "phi_hat"],
                np.column_stack([ts, m.phi_hat(ts)]))
-    report = profiles.validate_assumptions(cfg.profile, cfg.potential, m,
+    checks = profiles.validate_assumptions(cfg.profile, cfg.potential, m,
                                            seed=cfg.seed)
     _write_json(os.path.join(out, "marginal.json"), {
         "total_mass": m.total_mass,
@@ -410,10 +377,8 @@ def _cmd_marginal(cfg: RunConfig, out: str) -> int:
         "t_support": m.t_support,
         "phi_hat_l1": m.phi_hat_l1,
         "phi_hat_deriv_l1": m.phi_hat_deriv_l1,
-        "assumptions": [
-            {"name": c.name, "status": c.status, "detail": c.detail}
-            for c in report.checks],
-        "ok": report.ok,
+        "assumptions": checks,
+        "ok": all(c["status"] == "pass" for c in checks),
     })
     return 0
 
@@ -497,7 +462,7 @@ def _cmd_green(cfg: RunConfig, out: str) -> int:
         env = green.dyadic_envelope(ts, np.abs(table.values[i]),
                                     ratio=2 ** 0.25)
         if env.shape[0]:
-            entry = _fit_or_note(env[env[:, 1] > floor], cfg.fit_window)
+            entry = fit_decay(env[env[:, 1] > floor], cfg.fit_window)
             entry["noise_floor"] = floor
             entry["below_floor"] = (_in_window(env, cfg.fit_window).shape[0]
                                     - entry["samples"])
@@ -515,7 +480,7 @@ def _decay_payload(cfg: RunConfig, traj: dynamics.DensityTrajectory) -> dict:
     fits = {}
     for n in range(min(cfg.n3, 2) + 1):
         rows = dynamics.reconstruct_sup_norm(traj, cfg.d, n=n)
-        fits[str(n)] = _fit_or_note(rows, cfg.fit_window)
+        fits[str(n)] = fit_decay(rows, cfg.fit_window)
     # the sup norms' power law comes from k ~ 1/t, and the grid holds no
     # mode below k_min, so a slope means the rate only while
     # k_min * t_hi is well under 1 (criterion 5 runs at 0.2)
@@ -587,8 +552,7 @@ def _cmd_nonlinear(cfg: RunConfig, out: str) -> int:
         "y_norm": tracker.y_norm,
         "z_norm": tracker.z_norm,
         "available_x_orders": tracker.available_orders,
-        "scattering_fit": _fit_or_note(scat[scat[:, 1] > 0],
-                                       cfg.fit_window),
+        "scattering_fit": fit_decay(scat[scat[:, 1] > 0], cfg.fit_window),
     })
     return 0
 

@@ -43,8 +43,6 @@ __all__ = [
     "EquilibriumProfile",
     "Potential",
     "Marginal",
-    "AssumptionReport",
-    "AssumptionCheck",
     "NonIntegrableError",
     "TruncationWarning",
     "gaussian_profile",
@@ -723,33 +721,22 @@ def shifted_l2_difference(prof: EquilibriumProfile, k: float) -> float:
 # assumption validation
 
 
-@dataclass(frozen=True)
-class AssumptionCheck:
-    name: str
-    status: str           # "pass" | "warn" | "fail"
-    detail: str
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    checks: tuple[AssumptionCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.status == "pass" for c in self.checks)
-
-
 def validate_assumptions(prof: EquilibriumProfile, pot: Potential,
-                         m: Marginal, seed: int = 0) -> AssumptionReport:
+                         m: Marginal, seed: int = 0) -> list[dict]:
     """Sampled checks of the standing assumptions on (f, w_hat).
 
     Positivity of f inside the support, smoothness metadata, declared decay
     of f, positivity/boundedness/monotonicity of w_hat, and strict decrease
-    of the marginal on (0, Ups).  Metadata violations warn rather than
-    fail; sampled counterexamples fail, the detail naming where.  f and
-    w_hat are probed at 2001 points each.
+    of the marginal on (0, Ups), each a {"name", "status", "detail"} entry
+    with status "pass", "warn" or "fail".  Metadata violations warn rather
+    than fail; sampled counterexamples fail, the detail naming where.  f
+    and w_hat are probed at 2001 points each.
     """
-    checks: list[AssumptionCheck] = []
+    checks: list[dict] = []
+
+    def check(name: str, status: str, detail: str) -> None:
+        checks.append({"name": name, "status": status, "detail": detail})
+
     d, ups = prof.d, prof.upsilon
     n_samples = 2001
 
@@ -759,68 +746,58 @@ def validate_assumptions(prof: EquilibriumProfile, pot: Potential,
     fv = np.asarray(prof.f(p * p))
     bad = np.nonzero(~(fv > 0.0))[0]
     if bad.size:
-        checks.append(AssumptionCheck(
-            "positivity", "fail",
-            f"f(|p|^2) not positive at |p| = {p[bad[0]]:.6g}"))
+        check("positivity", "fail",
+              f"f(|p|^2) not positive at |p| = {p[bad[0]]:.6g}")
     else:
-        checks.append(AssumptionCheck(
-            "positivity", "pass", f"f > 0 on {n_samples} radii in [0, {p_hi:g})"))
+        check("positivity", "pass",
+              f"f > 0 on {n_samples} radii in [0, {p_hi:g})")
 
     # smoothness metadata
     if prof.n0 >= d + 3:
-        checks.append(AssumptionCheck(
-            "smoothness", "pass", f"declared n0 = {prof.n0} >= d + 3 = {d + 3}"))
+        check("smoothness", "pass",
+              f"declared n0 = {prof.n0} >= d + 3 = {d + 3}")
     else:
-        checks.append(AssumptionCheck(
-            "smoothness", "warn",
-            f"declared n0 = {prof.n0} < d + 3 = {d + 3}; "
-            "boundary-regularity arguments do not apply"))
+        check("smoothness", "warn",
+              f"declared n0 = {prof.n0} < d + 3 = {d + 3}; "
+              "boundary-regularity arguments do not apply")
 
     # declared decay of f and f'
     if np.isfinite(ups):
-        checks.append(AssumptionCheck(
-            "decay", "pass", "compact support, decay bound vacuous"))
+        check("decay", "pass", "compact support, decay bound vacuous")
     else:
         e = np.concatenate([np.linspace(0.0, 50.0, 801), np.geomspace(50.0, 1e5, 201)])
         w0 = np.abs(np.asarray(prof.f(e))) * np.hypot(1.0, e) ** prof.n1
         w1 = np.abs(np.asarray(prof.df(e))) * np.hypot(1.0, e) ** (prof.n1 + 1.0)
         worst = max(float(np.max(w0)), float(np.max(w1)))
         if worst <= prof.decay_constant * (1.0 + 1e-9):
-            checks.append(AssumptionCheck(
-                "decay", "pass",
-                f"|f|, |f'| within C <e>^-(n1+n), C = {prof.decay_constant:.4g}"))
+            check("decay", "pass", f"|f|, |f'| within C <e>^-(n1+n), "
+                  f"C = {prof.decay_constant:.4g}")
         else:
-            checks.append(AssumptionCheck(
-                "decay", "warn",
-                f"sampled weighted sup {worst:.4g} exceeds declared C = "
-                f"{prof.decay_constant:.4g}"))
+            check("decay", "warn", f"sampled weighted sup {worst:.4g} "
+                  f"exceeds declared C = {prof.decay_constant:.4g}")
 
     # potential: positivity, finiteness at zero, monotone decrease
     kk = np.concatenate([[0.0], np.geomspace(1e-4, 1e3, n_samples)])
     wv = np.asarray(pot.w_hat(kk))
     if not np.isfinite(pot.w_hat_zero):
-        checks.append(AssumptionCheck("potential_finite_at_zero", "fail",
-                                      "w_hat(0) is not finite"))
+        check("potential_finite_at_zero", "fail", "w_hat(0) is not finite")
     else:
-        checks.append(AssumptionCheck("potential_finite_at_zero", "pass",
-                                      f"w_hat(0) = {pot.w_hat_zero:.6g}"))
+        check("potential_finite_at_zero", "pass",
+              f"w_hat(0) = {pot.w_hat_zero:.6g}")
     neg = np.nonzero(wv < -1e-14)[0]
     if neg.size:
-        checks.append(AssumptionCheck(
-            "potential_nonnegative", "fail",
-            f"w_hat < 0 at k = {kk[neg[0]]:.6g}"))
+        check("potential_nonnegative", "fail",
+              f"w_hat < 0 at k = {kk[neg[0]]:.6g}")
     else:
-        checks.append(AssumptionCheck("potential_nonnegative", "pass",
-                                      "w_hat >= 0 on the probe grid"))
+        check("potential_nonnegative", "pass", "w_hat >= 0 on the probe grid")
     dw = np.diff(wv)
     mono_bad = np.nonzero(dw > 1e-12 * (1.0 + np.abs(wv[:-1])))[0]
     if mono_bad.size:
-        checks.append(AssumptionCheck(
-            "potential_monotone", "fail",
-            f"w_hat increases near k = {kk[mono_bad[0] + 1]:.6g}"))
+        check("potential_monotone", "fail",
+              f"w_hat increases near k = {kk[mono_bad[0] + 1]:.6g}")
     else:
-        checks.append(AssumptionCheck("potential_monotone", "pass",
-                                      "w_hat nonincreasing on the probe grid"))
+        check("potential_monotone", "pass",
+              "w_hat nonincreasing on the probe grid")
 
     # marginal strict decrease on (0, Ups)
     u_hi = m.u_support * (1.0 - 1e-9)
@@ -830,11 +807,9 @@ def validate_assumptions(prof: EquilibriumProfile, pot: Potential,
     dv = np.asarray(m.dphi(u))
     pos = np.nonzero(dv >= 0.0)[0]
     if pos.size:
-        checks.append(AssumptionCheck(
-            "marginal_decreasing", "fail",
-            f"phi'(u) >= 0 at u = {u[pos[0]]:.6g}"))
+        check("marginal_decreasing", "fail",
+              f"phi'(u) >= 0 at u = {u[pos[0]]:.6g}")
     else:
-        checks.append(AssumptionCheck("marginal_decreasing", "pass",
-                                      "phi' < 0 on sampled (0, Ups)"))
+        check("marginal_decreasing", "pass", "phi' < 0 on sampled (0, Ups)")
 
-    return AssumptionReport(tuple(checks))
+    return checks

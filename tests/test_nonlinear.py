@@ -832,8 +832,9 @@ class TestAmplitudeScaling:
 @pytest.mark.slow
 class TestThreeDimensional:
     def test_symmetry_and_contraction_on_coarse_box(self):
-        profile, _, _, report = _solve(
-            _kernel(d=3), gaussian_profile(3), screened_coulomb(0.5, 1.0),
-            n_pts=9, t_max=3.0)
+        with pytest.warns(RuntimeWarning, match="d = 3 nonlinear run"):
+            profile, _, _, report = _solve(
+                _kernel(d=3), gaussian_profile(3),
+                screened_coulomb(0.5, 1.0), n_pts=9, t_max=3.0)
         assert profile.hermitian_defect <= 1e-10
         assert max(report.contraction_factors) < 0.9

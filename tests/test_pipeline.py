@@ -13,9 +13,11 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +28,6 @@ from hartree_mix.cli import main
 from hartree_mix.pipeline import (
     NONLINEAR_BUDGET,
     ConfigError,
-    InsufficientSamples,
-    NonPositiveValue,
     RunConfig,
     _GROUP_KEYS,
     _TOP_KEYS,
@@ -35,6 +35,7 @@ from hartree_mix.pipeline import (
     _marginal,
     _write_csv,
     fit_decay,
+    load_config,
     parse_config,
     run,
 )
@@ -186,6 +187,39 @@ class TestConfig:
                         or f"`{key}`" in section
                         or f"`{group}.{key}`" in section), f"{group}.{key}"
 
+    def test_readme_example_values_are_defaults(self):
+        # the sentence after the README's example names the required
+        # fields and the optional ones whose defaults differ from the
+        # example; dropping any other key of the example leaves the parsed
+        # config as it was (the built profile and potential aside, whose
+        # callables do not compare)
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        block, after = text.split("Config schema", 1)[1].split(
+            "```json\n", 1)[1].split("```\n", 1)
+        example = json.loads(block)
+        sentence = re.split(r"\.\s", after, maxsplit=1)[0]
+        named = set(re.findall(r"`([^`]+)`", sentence))
+
+        def parsed(doc):
+            cfg = parse_config(doc)
+            return {f.name: getattr(cfg, f.name) for f in fields(cfg)
+                    if f.name not in ("profile", "potential")}
+
+        want = parsed(example)
+        dropped = []
+        for key, value in example.items():
+            paths = [(key, k) for k in value] \
+                if isinstance(value, dict) and value else [(key,)]
+            for path in paths:
+                if key in named or ".".join(path) in named:
+                    continue
+                doc = json.loads(block)
+                del (doc[key] if len(path) == 2 else doc)[path[-1]]
+                assert parsed(doc) == want, ".".join(path)
+                dropped.append(".".join(path))
+        assert {"epsilon", "N1", "seed", "tau_grid.count",
+                "nonlinear.box"} <= set(dropped)
+
     def test_green_tolerance_must_be_positive(self):
         for bad in (0.0, -1e-8):
             with pytest.raises(ConfigError, match="'tolerances.green'"):
@@ -252,6 +286,35 @@ class TestConfig:
                 "nonlinear.points": "nl_points"}[name])
             assert type(got) is int and got == good
 
+    @pytest.mark.parametrize("doc, message", [
+        (_doc(k_grid=[4, 0.1, 1.0]), "field 'k_grid' must be an object"),
+        ([_doc()], "top level must be a JSON object"),
+        (_doc(d=0), "field 'd': must be >= 1"),
+        (_doc(equilibrium={"scale": 1.0}), "field 'equilibrium': needs"),
+        (_doc(potential={"amplitude": 0.1}), "field 'potential': needs"),
+        (_doc(k_grid={"count": 1, "min": 0.1, "max": 1.0}), "field 'k_grid'"),
+        (_doc(k_grid={"count": 4, "min": 0.0, "max": 1.0}), "field 'k_grid'"),
+        (_doc(k_grid={"count": 4, "min": 1.0, "max": 1.0}), "field 'k_grid'"),
+        (_doc(t_grid={"dt": 0.0, "t_max": 4.0}), "field 't_grid'"),
+        (_doc(t_grid={"dt": 0.5, "t_max": 0.5}), "field 't_grid'"),
+        (_doc(tau_grid={"count": 1}), "field 'tau_grid'"),
+        (_doc(tau_grid={"max": 0.0}), "field 'tau_grid'"),
+        (_doc(nonlinear={"box": 0.0}), "field 'nonlinear'"),
+        (_doc(nonlinear={"dt": -0.1}), "field 'nonlinear'"),
+        (_doc(nonlinear={"t_max": 0.0}), "field 'nonlinear'"),
+        (None, "cannot read '{path}'"),
+        ('{"d": 3,', "invalid JSON in '{path}' at line 1"),
+    ])
+    def test_invalid_config_names_field_or_path(self, tmp_path, doc,
+                                                message):
+        # doc None leaves no file to read; a string is written as it is
+        path = tmp_path / "run.json"
+        if doc is not None:
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        with pytest.raises(ConfigError,
+                           match=re.escape(message.format(path=path))):
+            load_config(str(path))
+
     def test_custom_kinds_rejected(self):
         with pytest.raises(ConfigError, match="'equilibrium.kind'"):
             parse_config(_doc(equilibrium={"kind": "custom"}))
@@ -267,28 +330,30 @@ class TestDecayFit:
         t = np.linspace(1.0, 80.0, 400)
         rows = np.column_stack([t, 7.3 * t ** -2.5])
         fit = fit_decay(rows, window=(5.0, 50.0))
-        assert fit.slope == pytest.approx(-2.5, abs=1e-10)
-        assert fit.intercept == pytest.approx(np.log(7.3), abs=1e-9)
-        assert fit.residual < 1e-12
+        assert fit["slope"] == pytest.approx(-2.5, abs=1e-10)
+        assert fit["intercept"] == pytest.approx(np.log(7.3), abs=1e-9)
+        assert fit["residual"] < 1e-12
 
     def test_window_bounds_are_respected(self):
         t = np.linspace(1.0, 80.0, 400)
         vals = np.where(t < 5.0, 1e6, t ** -3.0)
         fit = fit_decay(np.column_stack([t, vals]), window=(5.0, 50.0))
-        assert abs(fit.slope + 3.0) < 1e-8
+        assert abs(fit["slope"] + 3.0) < 1e-8
 
     def test_too_few_samples(self):
         rows = np.column_stack([np.array([6.0, 8.0, 10.0]),
                                 np.array([1.0, 0.5, 0.2])])
-        with pytest.raises(InsufficientSamples):
-            fit_decay(rows, window=(5.0, 50.0))
+        assert fit_decay(rows, window=(5.0, 50.0)) == {
+            "samples": 3,
+            "error": "InsufficientSamples: 3 samples in [5, 50]; need 8"}
 
     def test_rejects_nonpositive_values(self):
         t = np.linspace(5.0, 50.0, 40)
         vals = t ** -2.0
         vals[7] = 0.0
-        with pytest.raises(NonPositiveValue):
-            fit_decay(np.column_stack([t, vals]), window=(5.0, 50.0))
+        assert fit_decay(np.column_stack([t, vals]), window=(5.0, 50.0)) == {
+            "samples": 40,
+            "error": f"NonPositiveValue: value <= 0 at t = {t[7]:g}"}
 
 
 def _csv_by_row(path, header, rows):

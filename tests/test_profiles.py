@@ -278,10 +278,10 @@ class TestAssumptionReport:
     def test_gaussian_coulomb_has_no_failures(self, gauss3):
         rep = validate_assumptions(gaussian_profile(3),
                                    screened_coulomb(1.0, 1.0), gauss3)
-        names = {c.name for c in rep.checks}
+        names = {c["name"] for c in rep}
         assert {"positivity", "potential_finite_at_zero",
                 "marginal_decreasing"} <= names
-        assert all(c.status != "fail" for c in rep.checks)
+        assert all(c["status"] != "fail" for c in rep)
 
     @pytest.mark.parametrize("prof", [
         gaussian_profile(1), gaussian_profile(3), gaussian_profile(5),
@@ -295,8 +295,8 @@ class TestAssumptionReport:
         # the check bounds |f| <e>^n1 and |f'| <e>^(n1+1) by the declared
         # C; it reads only the profile, so one marginal serves every case
         rep = validate_assumptions(prof, screened_coulomb(1.0, 1.0), gauss3)
-        decay = next(c for c in rep.checks if c.name == "decay")
-        assert decay.status == "pass", decay.detail
+        decay = next(c for c in rep if c["name"] == "decay")
+        assert decay["status"] == "pass", decay["detail"]
 
 
 class TestNumpyKernels:
