@@ -407,32 +407,7 @@ def _cmd_dispersion(cfg: RunConfig, out: str) -> int:
 def _cmd_stability(cfg: RunConfig, out: str) -> int:
     m = _marginal(cfg, out)
     cert = stability.certify(m, cfg.potential)
-    payload = {
-        "verdict": cert.verdict,
-        "theta0": cert.theta0,
-        "phi0": None if cert.phi0 is None or not math.isfinite(cert.phi0)
-        else cert.phi0,
-        "phi0_divergent": cert.criterion.kind == "divergent",
-        "criterion": {
-            "kind": cert.criterion.kind,
-            "value": cert.criterion.value,
-            "shell_slope": cert.criterion.shell_slope,
-        },
-        "zero_location": None if cert.zero_location is None else
-        {"tau_tilde": cert.zero_location[0], "k": cert.zero_location[1],
-         "abs_D": cert.zero_residual},
-        "scan_min": cert.scan_min,
-        "scan_argmin": None if cert.scan_argmin is None else
-        {"k": cert.scan_argmin[0], "tau_tilde": cert.scan_argmin[1]},
-        "margin": cert.margin,
-        "k_range": cert.k_range,
-        "windings": [
-            {"k": c.k, "rectangle": list(c.rectangle), "winding": c.winding,
-             "residual": c.residual, "nodes": c.nodes}
-            for c in cert.winding_checks],
-        "notes": list(cert.notes),
-    }
-    _write_json(os.path.join(out, "stability.json"), payload)
+    _write_json(os.path.join(out, "stability.json"), cert)
     if np.isfinite(m.upsilon):
         ks = np.linspace(cfg.k_min, cfg.k_max, min(cfg.k_count, 16))
         try:
@@ -440,7 +415,7 @@ def _cmd_stability(cfg: RunConfig, out: str) -> int:
                        stability.phi_curve(m, cfg.potential, ks))
         except disp.DivergentIntegral:
             pass
-    return 2 if cert.verdict == "Inconclusive" else 0
+    return 2 if cert["verdict"] == "Inconclusive" else 0
 
 
 def _cmd_green(cfg: RunConfig, out: str) -> int:

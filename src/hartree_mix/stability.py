@@ -19,7 +19,8 @@ right-half-plane rectangles by the argument principle, and reports
 
 clamped by the analytic 1/2 floor outside the scanned box.  The floor is
 sampled, not rigorous; the certificate says so in its notes.  The scan's
-extents and resolutions are the module constants below.
+extents and resolutions are the module constants below.  ``certify``
+returns the certificate as ``stability.json`` holds it.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ from .dispersion import DivergentIntegral, branch_integral, dispersion_row
 from .profiles import Marginal, Potential
 
 __all__ = [
-    "CriterionResult",
     "WindingCheck",
-    "StabilityCertificate",
     "ContourTooCoarse",
     "criterion_integral",
     "phi_curve",
@@ -49,21 +48,6 @@ class ContourTooCoarse(Exception):
 
 
 @dataclass(frozen=True)
-class CriterionResult:
-    """Outcome of the criterion integral.
-
-    ``kind`` is "finite", "vacuous" (infinite support), or "divergent";
-    ``value`` is the criterion left side when finite; ``shell_slope`` the
-    fitted log2 decay rate of the dyadic edge shells (divergence shows up
-    as a slope near or above zero).
-    """
-
-    kind: str
-    value: float | None
-    shell_slope: float | None
-
-
-@dataclass(frozen=True)
 class WindingCheck:
     k: float
     rectangle: tuple[float, float, float, float]
@@ -71,26 +55,6 @@ class WindingCheck:
     residual: float
     min_abs_on_contour: float
     nodes: int
-
-
-@dataclass(frozen=True)
-class StabilityCertificate:
-    """A verdict and its evidence.  A field the verdict's path does not
-    fill (the zero for Unstable; the boundary scan, and theta0 when it
-    ends Stable) keeps its default."""
-
-    verdict: str
-    phi0: float | None
-    criterion: CriterionResult
-    notes: tuple[str, ...] = ()
-    theta0: float | None = None
-    zero_location: tuple[float, float] | None = None
-    zero_residual: float | None = None
-    scan_min: float | None = None
-    scan_argmin: tuple[float, float] | None = None
-    margin: float | None = None
-    winding_checks: tuple[WindingCheck, ...] = ()
-    k_range: tuple[float, float] | None = None
 
 
 # certification scan: smallest k row, k rows up to the tail cap, tau pad
@@ -111,8 +75,11 @@ _MAX_CONTOUR_NODES = 40000
 # criterion integral and the Phi curve
 
 
-def criterion_integral(m: Marginal, w: Potential) -> CriterionResult:
-    """Left side of the stability criterion, or its divergence/vacuity flag.
+def criterion_integral(m: Marginal, w: Potential) -> dict:
+    """The ``criterion`` entry: ``kind`` "finite", "vacuous" (infinite
+    support) or "divergent", the criterion's left side ``value`` when
+    finite, and ``shell_slope``, the fitted log2 decay rate of the dyadic
+    edge shells (divergence shows up as a slope near or above zero).
 
     The integrand phi(u)/(Upsilon - u)^2 is the real branch's at k = 0,
     ``branch_integral`` with both poles on Upsilon.  For phi ~ c (Upsilon
@@ -120,15 +87,14 @@ def criterion_integral(m: Marginal, w: Potential) -> CriterionResult:
     only for alpha > 1; a slope near 0 or above flags it divergent.
     """
     if not np.isfinite(m.upsilon):
-        return CriterionResult(kind="vacuous", value=None, shell_slope=None)
+        return {"kind": "vacuous", "value": None, "shell_slope": None}
     try:
         integral, _, slope = branch_integral(m, m.upsilon, m.upsilon, 1e-12)
     except DivergentIntegral as e:
-        return CriterionResult(kind="divergent", value=None,
-                               shell_slope=e.slope)
+        return {"kind": "divergent", "value": None, "shell_slope": e.slope}
     value = 1.0 - (w.w_hat_zero / 2.0) * integral[0]
-    return CriterionResult(kind="finite", value=float(value),
-                           shell_slope=float(slope[0]))
+    return {"kind": "finite", "value": float(value),
+            "shell_slope": float(slope[0])}
 
 
 def _phi_at(m: Marginal, w: Potential, k: float) -> float:
@@ -276,37 +242,45 @@ def _lambda_cap(m: Marginal, w: Potential, k: float) -> float:
     return max(4.0 * abs(wk) * (m.phi_hat_l1 / 2.0 + m.phi_hat_deriv_l1 / k), 1.0)
 
 
-def certify(m: Marginal, w: Potential) -> StabilityCertificate:
-    """Full certification flow; see the module docstring for the chain."""
-    notes: list[str] = []
+def certify(m: Marginal, w: Potential) -> dict:
+    """The certificate as ``stability.json`` holds it (see the module
+    docstring for the chain), every key on every path: None, or [] for
+    ``windings``, where the path does not reach it.
+
+    ``verdict`` is Stable, Unstable, CriterionDiverges or Inconclusive;
+    ``criterion`` is ``criterion_integral``'s entry, ``phi0`` its value;
+    the Unstable path fills ``zero_location`` {tau_tilde, k, abs_D}, the
+    boundary scan ``scan_min``, ``scan_argmin`` {k, tau_tilde}, ``margin``,
+    ``k_range``, ``windings`` ({k, rectangle, winding, residual, nodes}
+    each) and, when it ends Stable, ``theta0``.
+    """
     crit = criterion_integral(m, w)
+    notes: list[str] = []
+    cert = {"phi0": crit["value"],
+            "phi0_divergent": crit["kind"] == "divergent", "criterion": crit,
+            "notes": notes, "theta0": None, "zero_location": None,
+            "scan_min": None, "scan_argmin": None, "margin": None,
+            "k_range": None, "windings": []}
 
-    if crit.kind == "divergent":
+    if crit["kind"] == "divergent":
         notes.append("criterion integral diverges at the support edge "
-                     f"(shell slope {crit.shell_slope:.2f}); slowly vanishing "
+                     f"(shell slope {crit['shell_slope']:.2f}); slowly vanishing "
                      "marginals admit oscillatory modes")
-        return StabilityCertificate(
-            verdict="CriterionDiverges", phi0=float("-inf"), criterion=crit,
-            notes=tuple(notes))
+        return {**cert, "verdict": "CriterionDiverges"}
 
-    if crit.kind == "finite" and crit.value < 0.0:
+    if crit["kind"] == "finite" and crit["value"] < 0.0:
         for k in _HUNT_K:
             tau_star = find_imaginary_zero(m, w, k)
             if tau_star is not None:
                 resid = abs(dispersion_row(m, w, k, 1j * tau_star)[0][0])
                 notes.append("negative criterion forced an imaginary-axis zero")
-                return StabilityCertificate(
-                    verdict="Unstable", phi0=crit.value, criterion=crit,
-                    notes=tuple(notes), zero_location=(tau_star, k),
-                    zero_residual=resid)
+                return {**cert, "verdict": "Unstable", "zero_location": {
+                    "tau_tilde": tau_star, "k": k, "abs_D": resid}}
         notes.append("criterion negative but no axis zero found on the hunt "
                      "grid; widen it")
-        return StabilityCertificate(
-            verdict="Inconclusive", phi0=crit.value, criterion=crit,
-            notes=tuple(notes))
+        return {**cert, "verdict": "Inconclusive"}
 
     # criterion holds (or is vacuous): boundary scan + windings
-    phi0 = crit.value
     k_hi = max(_tail_k_cap(m, w, _K_MIN), 4.0 * _K_MIN)
 
     u_char = max(min(2.0, m.u_support / 3.0), 0.1)
@@ -381,7 +355,7 @@ def certify(m: Marginal, w: Potential) -> StabilityCertificate:
         scan(float(k), np.linspace(t_lo, t_up, 21))
 
     # windings at the first, middle and last k row and at the minimum
-    winding_checks = []
+    windings = []
     k_grid = np.array([k for k in sorted(rows) if k > 0.0])
     pick = sorted({0, k_grid.size // 2, k_grid.size - 1,
                    int(np.argmin(np.abs(k_grid - argmin[0])))})
@@ -389,7 +363,10 @@ def certify(m: Marginal, w: Potential) -> StabilityCertificate:
         k = float(k_grid[idx])
         lam_cap = _lambda_cap(m, w, k)
         rect = (_RECT_RE_LO, lam_cap, -lam_cap, lam_cap)
-        winding_checks.append(winding_number(m, w, k, rect))
+        c = winding_number(m, w, k, rect)
+        windings.append({"k": c.k, "rectangle": list(c.rectangle),
+                         "winding": c.winding, "residual": c.residual,
+                         "nodes": c.nodes})
 
     theta0 = min(theta_floor, scan_min, 0.5)
     margin = max(scan_min - theta0, 0.0)
@@ -401,7 +378,7 @@ def certify(m: Marginal, w: Potential) -> StabilityCertificate:
                  "only; |D - 1| is already small there")
 
     verdict = "Stable"
-    if any(c.winding != 0 for c in winding_checks):
+    if any(c["winding"] != 0 for c in windings):
         verdict = "Inconclusive"
         notes.append("nonzero winding despite a positive criterion; scan "
                      "extents are suspect")
@@ -409,8 +386,8 @@ def certify(m: Marginal, w: Potential) -> StabilityCertificate:
         verdict = "Inconclusive"
         notes.append("continuity margin swallows the sampled minimum; "
                      "refine the scan")
-    return StabilityCertificate(
-        verdict=verdict, phi0=phi0, criterion=crit, notes=tuple(notes),
-        theta0=float(theta0) if verdict == "Stable" else None,
-        scan_min=scan_min, scan_argmin=argmin, margin=margin,
-        winding_checks=tuple(winding_checks), k_range=(_K_MIN, float(k_hi)))
+    return {**cert, "verdict": verdict, "scan_min": scan_min,
+            "theta0": float(theta0) if verdict == "Stable" else None,
+            "scan_argmin": {"k": argmin[0], "tau_tilde": argmin[1]},
+            "margin": margin, "k_range": [_K_MIN, float(k_hi)],
+            "windings": windings}

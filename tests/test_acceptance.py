@@ -81,25 +81,26 @@ def test_criterion_1_cross_route_dispersion(gauss3, coulomb):
 def test_criterion_2_stability_verdicts(gauss3, fermi3, fermi5, coulomb):
     t0 = time.time()
     cert = stb.certify(gauss3, coulomb)
-    assert cert.verdict == "Stable"
-    assert cert.theta0 is not None and cert.theta0 > 0.0
-    assert cert.winding_checks and all(w.winding == 0
-                                       for w in cert.winding_checks)
+    assert cert["verdict"] == "Stable"
+    assert cert["theta0"] is not None and cert["theta0"] > 0.0
+    assert cert["windings"] and all(w["winding"] == 0
+                                    for w in cert["windings"])
 
     flagged = stb.certify(fermi3, delta_potential(0.1))
-    assert flagged.verdict == "CriterionDiverges"
+    assert flagged["verdict"] == "CriterionDiverges"
 
     # the d = 5 family crosses at coupling 3 / (2 pi^2) ~ 0.152
     low = stb.certify(fermi5, delta_potential(0.1))
     high = stb.certify(fermi5, delta_potential(0.2))
-    assert low.verdict == "Stable"
-    assert high.verdict == "Unstable"
-    assert high.zero_location is not None
-    assert high.zero_residual is not None and high.zero_residual < 1e-8
+    assert low["verdict"] == "Stable"
+    assert high["verdict"] == "Unstable"
+    assert high["zero_location"] is not None
+    abs_d = high["zero_location"]["abs_D"]
+    assert abs_d is not None and abs_d < 1e-8
 
     _report("criterion 2 (stability verdicts)",
-            f"Stable theta0={cert.theta0:.4f}, divergence flagged, "
-            f"coupling flip with |D| = {high.zero_residual:.2e} at zero",
+            f"Stable theta0={cert['theta0']:.4f}, divergence flagged, "
+            f"coupling flip with |D| = {abs_d:.2e} at zero",
             time.time() - t0, 300.0)
 
 

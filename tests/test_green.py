@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import wofz
 
-from hartree_mix.dispersion import m_f
+from hartree_mix.dispersion import dispersion_row, m_f
 from hartree_mix.dynamics import DensityTrajectory, volterra_kernel, volterra_march
 from hartree_mix.green import (
     GreenTable,
@@ -35,7 +35,8 @@ class TestBoundaryValues:
 
 
 class TestMfClosedForm:
-    """m_f against the Faddeeva function on the d = 1 Gaussian marginal.
+    """m_f, and D = 1 + w_hat(k) m_f from dispersion_row, against the
+    Faddeeva function on the d = 1 Gaussian marginal.
 
     There phi_hat(t) = sqrt(pi) exp(-t^2/4), so with b = lambda -+ i k^2
     each half-line integral int_0^inf exp(-b t - k^2 t^2) dt is
@@ -57,6 +58,19 @@ class TestMfClosedForm:
         want = self._closed_form(k, gamma + 1j * taus)
         assert np.max(np.abs(got - want)) < 1e-10
         assert 0.0 <= err <= 1e-10
+
+    @pytest.mark.parametrize("k", [0.05, 0.2, 1.0, 2.0])
+    @pytest.mark.parametrize("lam_tilde", [
+        1j * np.linspace(0.0, 40.0, 201), np.array([0.5, 0.1, 0.02]) + 0.5j])
+    def test_dispersion_row_matches_faddeeva(self, gauss1, gauss3, k,
+                                             lam_tilde):
+        # D = 1 + w_hat(k) m_f at lambda = k lambda_tilde; the d = 3
+        # Gaussian marginal is pi times the d = 1 one
+        w = screened_coulomb(0.5, 1.0)
+        for m, c in ((gauss1, 1.0), (gauss3, np.pi)):
+            got = dispersion_row(m, w, k, lam_tilde)[0]
+            want = 1.0 + w(k) * c * self._closed_form(k, k * lam_tilde)
+            assert np.max(np.abs(got - want)) < 1e-11
 
     def test_rejects_negative_gamma(self, gauss1):
         with pytest.raises(ValueError):

@@ -42,7 +42,8 @@ from hartree_mix.pipeline import (
 from hartree_mix.dynamics import (DensityTrajectory, free_density_trajectory,
                                   y_norm)
 from hartree_mix.nonlinear import solve_bytes
-from hartree_mix import dispersion, green, profiles, quadrature, stability
+from hartree_mix import (dispersion, dynamics, green, nonlinear, profiles,
+                         quadrature, stability)
 
 
 def nonlinear_bytes(cfg: RunConfig) -> int:
@@ -675,16 +676,25 @@ class TestCliStages:
         p.write_text(json.dumps({"d": 3}))
         assert main(["marginal", "--config", str(p)]) == 1
 
-    def test_inconclusive_stability_exits_2(self, cfg_path, monkeypatch):
-        path, out = cfg_path
-        crit = stability.CriterionResult(kind="vacuous", value=None,
-                                         shell_slope=None)
-        cert = stability.StabilityCertificate(
-            verdict="Inconclusive", phi0=None, criterion=crit)
-        monkeypatch.setattr(stability, "certify", lambda m, w: cert)
+    def test_inconclusive_stability_exits_2(self, tmp_path, monkeypatch):
+        # a negative criterion whose zero hunt finds no axis zero: certify's
+        # Inconclusive path, written with every key of the other paths
+        doc = _doc(d=5, equilibrium={"kind": "fermi_zero_t"},
+                   potential={"kind": "delta", "coupling": 0.2}, N1=12, N2=6,
+                   out=str(tmp_path / "out"))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(stability, "find_imaginary_zero",
+                            lambda m, w, k: None)
         assert main(["stability", "--config", str(path)]) == 2
-        report = json.loads((out / "stability.json").read_text())
+        report = json.loads((tmp_path / "out" / "stability.json")
+                            .read_text())
         assert report["verdict"] == "Inconclusive"
+        assert report["notes"][-1].endswith("widen it")
+        assert set(report) == {
+            "schema", "verdict", "phi0", "phi0_divergent", "criterion",
+            "notes", "theta0", "zero_location", "scan_min", "scan_argmin",
+            "margin", "k_range", "windings"}
 
     def test_nonlinear_stage_refuses_state_over_budget(self, tmp_path,
                                                         capsys):
@@ -849,6 +859,20 @@ class TestTracerContract:
         assert "__init__" in vars(dispersion.HilbertTransformCache)
         cache = dispersion.HilbertTransformCache(gauss3)
         assert (cache.hits, cache.misses) == (0, 0)
+
+    def test_counted_results_keep_their_fields(self, gauss3, coulomb):
+        # the fields the tracer's _nodes, _green_rows and _iterations read
+        # of winding_number, green_table and solve_selfconsistent
+        rect = (0.05, 1.5, -2.0, 2.0)
+        assert stability.winding_number(gauss3, coulomb, 0.5, rect).nodes > 0
+        table = green.green_table(gauss3, coulomb, [1.0],
+                                  np.linspace(0.0, 5.0, 51))
+        assert table.tau_max_used > 0
+        report = nonlinear.solve_selfconsistent(
+            dynamics.InitialKernel(d=1, alpha=0.125, epsilon=1e-2),
+            profiles.gaussian_profile(1), profiles.screened_coulomb(0.5, 1.0),
+            k_box=4.0, n_pts=9, dt=0.1, t_max=3.0, n1=2, n2=2)[3]
+        assert report.iterations >= 1
 
     # public names that nothing in src/ loads, each kept for a caller
     # outside it

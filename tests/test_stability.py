@@ -40,34 +40,34 @@ class TestCriterionIntegral:
     def test_d5_closed_form(self, fermi5):
         for g in (0.05, 0.1, 0.2):
             r = criterion_integral(fermi5, delta_potential(g))
-            assert r.kind == "finite"
-            assert abs(r.value - (1.0 - 2.0 * np.pi ** 2 * g / 3.0)) < 1e-7
+            assert r["kind"] == "finite"
+            assert abs(r["value"] - (1.0 - 2.0 * np.pi ** 2 * g / 3.0)) < 1e-7
 
     def test_d4_closed_form(self, fermi4):
         # int_{-1}^{1} (4 pi / 3) (1 - u^2)^{3/2} / (1 - u)^2 du = 2 pi^2:
         # the end cell on Upsilon carries a (1 - u)^{-1/2} singularity
         r = criterion_integral(fermi4, delta_potential(0.05))
-        assert r.kind == "finite"
-        assert abs(r.value - (1.0 - 0.05 * np.pi ** 2)) < 1e-11
+        assert r["kind"] == "finite"
+        assert abs(r["value"] - (1.0 - 0.05 * np.pi ** 2)) < 1e-11
 
     def test_d3_divergence_flag(self, fermi3):
         # phi/(1 - u)^2 ~ pi/(1 - u): every shell toward 1 holds 2 pi ln 2
         r = criterion_integral(fermi3, delta_potential(0.1))
-        assert r.kind == "divergent"
-        assert r.value is None
-        assert abs(r.shell_slope) < 1e-5
+        assert r["kind"] == "divergent"
+        assert r["value"] is None
+        assert abs(r["shell_slope"]) < 1e-5
 
     def test_d1_divergence_flag(self, fermi1):
         # phi = 1 up to the edge: every shell of 1/(1 - u)^2 doubles
         r = criterion_integral(fermi1, delta_potential(0.1))
-        assert r.kind == "divergent"
-        assert abs(r.shell_slope - 1.0) < 1e-5
+        assert r["kind"] == "divergent"
+        assert abs(r["shell_slope"] - 1.0) < 1e-5
 
     def test_criterion_is_the_branch_edge_at_k_zero(self, fermi5):
         # Phi(k) = 1 - (g/2) int phi/((1 - u)(1 + k - u)) du tends to
         # Phi(0) as k -> 0, falling monotonically on dyadic k
         w = delta_potential(0.2)
-        phi0 = criterion_integral(fermi5, w).value
+        phi0 = criterion_integral(fermi5, w)["value"]
         ks = 2.0 ** -np.array([4, 6, 8, 10])
         gaps = phi_curve(fermi5, w, ks)[:, 1] - phi0
         assert np.all(gaps > 0.0) and np.all(np.diff(gaps) < 0.0)
@@ -75,7 +75,7 @@ class TestCriterionIntegral:
 
     def test_unbounded_support_is_vacuous(self, gauss3, coulomb):
         r = criterion_integral(gauss3, coulomb)
-        assert r.kind == "vacuous"
+        assert r["kind"] == "vacuous"
 
 
 class TestPhiCurve:
@@ -148,9 +148,9 @@ class TestZeroHunt:
 class TestCertify:
     def test_gaussian_coulomb_stable(self, gauss3, coulomb):
         cert = certify(gauss3, coulomb)
-        assert cert.verdict == "Stable"
-        assert cert.theta0 is not None and 0.15 < cert.theta0 < 0.25
-        assert all(wc.winding == 0 for wc in cert.winding_checks)
+        assert cert["verdict"] == "Stable"
+        assert cert["theta0"] is not None and 0.15 < cert["theta0"] < 0.25
+        assert all(wc["winding"] == 0 for wc in cert["windings"])
 
     def test_binding_inter_row_gap_inserts_k_rows(self, gauss3,
                                                   monkeypatch):
@@ -172,21 +172,21 @@ class TestCertify:
         assert dense_rows(0.1)[1] == 25
         cert, rows = dense_rows(2.0)
         assert rows == 25 + 3
-        assert cert.verdict == "Stable"
-        assert cert.theta0 == pytest.approx(0.0269920617, rel=1e-6)
+        assert cert["verdict"] == "Stable"
+        assert cert["theta0"] == pytest.approx(0.0269920617, rel=1e-6)
 
     def test_d3_zero_temperature_divergence(self, fermi3):
         cert = certify(fermi3, delta_potential(0.1))
-        assert cert.verdict == "CriterionDiverges"
-        assert cert.notes
+        assert cert["verdict"] == "CriterionDiverges"
+        assert cert["notes"]
 
     def test_d4_zero_temperature_stable(self, fermi4):
         # an algebraic edge phi ~ (1 - u)^3/2: uniform panels ran out of
         # budget here; the pointwise scan before the row engine gave this
         # theta0 to 12 digits
         cert = certify(fermi4, delta_potential(0.05))
-        assert cert.verdict == "Stable"
-        assert abs(cert.theta0 - 0.4818307635452) < 1e-8
+        assert cert["verdict"] == "Stable"
+        assert abs(cert["theta0"] - 0.4818307635452) < 1e-8
 
     def test_unstable_hunt_evaluates_phi_once_per_layout(self, fermi5):
         # every real-branch row of the zero hunt, and the criterion at its
@@ -200,7 +200,7 @@ class TestCertify:
         counted = dataclasses.replace(
             fermi5, phi=lambda u: sizes.append(np.size(u)) or phi(u))
         cert = certify(counted, delta_potential(0.2))
-        assert cert.verdict == "Unstable"
+        assert cert["verdict"] == "Unstable"
         # the smallest graded layout holds 16 panels plus 78 shells
         assert sum(n >= 16 * 94 for n in sizes) <= 4
 
@@ -208,10 +208,10 @@ class TestCertify:
     def test_d5_coupling_flip(self, fermi5):
         stable = certify(fermi5, delta_potential(0.1))
         unstable = certify(fermi5, delta_potential(0.2))
-        assert stable.verdict == "Stable"
-        assert unstable.verdict == "Unstable"
-        assert unstable.zero_residual is not None
-        assert unstable.zero_residual < 1e-8
+        assert stable["verdict"] == "Stable"
+        assert unstable["verdict"] == "Unstable"
+        assert unstable["zero_location"] is not None
+        assert unstable["zero_location"]["abs_D"] < 1e-8
 
 
 class TestZeroHuntOracle:
